@@ -30,8 +30,7 @@ from .errors import (
     NetlistFormatError,
     PumError,
 )
-from .subarray import new_subarray
-from .transpose import HorizontalBlock, to_horizontal, to_vertical
+from .transpose import HorizontalBlock, bit_rows, lane_values
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -111,14 +110,8 @@ def cmd_run(args, cfg: RunConfig) -> int:
             print(f"operand files disagree on lane count: {args.inputs[0]} has "
                   f"{lanes}, {path} has {len(vals)}", file=sys.stderr)
             return EXIT_DATA
-    state = new_subarray(cfg.subarray)
-    base = 0
-    for w, vals in zip(widths, operands):
-        to_vertical(HorizontalBlock(tuple(vals), w), state, base)
-        base += w
-    report = state.run_program(program)
-    out = to_horizontal(state, base, out_w, lanes)
-    _write_lines(args.output, [str(v) for v in out.values])
+    out, report = oplib._run_lanes(program, widths, out_w, operands, cfg.subarray)
+    _write_lines(args.output, [str(v) for v in out])
     moved = lanes * (len(widths) + 1)
     print(f"executed {len(program.commands)} commands over {lanes} lanes")
     print(f"activations: {report.total_activations} "
@@ -195,32 +188,14 @@ def cmd_transpose(args, cfg: RunConfig) -> int:
             print(f"expected {args.width} bit rows, got {len(lines)}",
                   file=sys.stderr)
             return EXIT_DATA
-        count = len(lines[0])
-        if any(len(l) != count or set(l) - {"0", "1"} for l in lines):
+        if not lines or any(len(l) != len(lines[0]) or set(l) - {"0", "1"}
+                            for l in lines):
             print("bit rows must be equal-length strings of 0/1", file=sys.stderr)
             return EXIT_USAGE
-        values = []
-        for j in range(count):
-            v = 0
-            for i, line in enumerate(lines):
-                if line[j] == "1":
-                    v |= 1 << i
-            values.append(v)
-        _write_lines(args.output, [str(v) for v in values])
+        _write_lines(args.output, [str(v) for v in lane_values(lines, args.width)])
         return EXIT_OK
-    values = _load_values(args.values)
-    from .codegen import SubarrayConfig
-
-    scratch = SubarrayConfig(total_rows=args.width + 8, columns=max(len(values), 1),
-                             data_row_count=args.width)
-    state = new_subarray(scratch)
-    to_vertical(HorizontalBlock(tuple(values), args.width), state, 0)
-    lines = []
-    for i in range(args.width):
-        word = state.load_row(f"D{i}")
-        lines.append("".join("1" if (word >> j) & 1 else "0"
-                             for j in range(len(values))))
-    _write_lines(args.output, lines)
+    block = HorizontalBlock(tuple(_load_values(args.values)), args.width)
+    _write_lines(args.output, bit_rows(block.values, block.bit_width))
     return EXIT_OK
 
 

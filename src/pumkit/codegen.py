@@ -204,6 +204,10 @@ def parse_microprogram(text: str) -> MicroProgram:
                 header = (fields["op"], int(fields["width"]), int(fields["data_rows"]))
             except ValueError as e:
                 raise MicroProgramError(f"line {lineno}: {e}") from e
+            if header[1] < 1 or header[2] < 0:
+                raise MicroProgramError(
+                    f"line {lineno}: header needs width >= 1 and data_rows >= 0"
+                )
             continue
         if line == "END":
             ended = True

@@ -14,21 +14,16 @@ from .codegen import SubarrayConfig
 from .costmodel import CostParams
 from .errors import ConfigError
 
-_KEY_TYPES = {
-    "subarray.rows": int,
-    "subarray.columns": int,
-    "subarray.data_rows": int,
-    "cost.t_aap_ns": float,
-    "cost.t_tra_ns": float,
-    "cost.e_act_pj": float,
-    "cost.e_pre_pj": float,
-    "cost.transpose_ns_per_word": float,
-    "cost.banks": int,
-    "classify.mpki_high": float,
-    "classify.locality_high": float,
-    "classify.ai_high": float,
-    "classify.lfmr_high": float,
-    "classify.trend_epsilon": float,
+# key -> (section, dataclass field, type); defaults live in the dataclasses
+_KEYS = {
+    "subarray.rows": ("subarray", "total_rows", int),
+    "subarray.columns": ("subarray", "columns", int),
+    "subarray.data_rows": ("subarray", "data_row_count", int),
+    **{f"cost.{f}": ("cost", f, float) for f in (
+        "t_aap_ns", "t_tra_ns", "e_act_pj", "e_pre_pj", "transpose_ns_per_word")},
+    "cost.banks": ("cost", "banks", int),
+    **{f"classify.{f}": ("classify", f, float) for f in (
+        "mpki_high", "locality_high", "ai_high", "lfmr_high", "trend_epsilon")},
 }
 
 
@@ -39,22 +34,27 @@ class RunConfig:
     thresholds: Thresholds
 
 
+def _parse_assignment(text: str, where: str) -> tuple[str, float | int]:
+    """One `key = value` pair; `where` prefixes error messages."""
+    if "=" not in text:
+        raise ConfigError(f"{where}expected 'key = value'")
+    key, _, val = text.partition("=")
+    key, val = key.strip(), val.strip()
+    if key not in _KEYS:
+        raise ConfigError(f"{where}unknown key {key!r}")
+    try:
+        return key, _KEYS[key][2](val)
+    except ValueError as e:
+        raise ConfigError(f"{where}bad value for {key}: {e}") from e
+
+
 def parse_config_text(text: str) -> dict[str, float | int]:
     values: dict[str, float | int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value'")
-        key, _, val = line.partition("=")
-        key, val = key.strip(), val.strip()
-        if key not in _KEY_TYPES:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        try:
-            values[key] = _KEY_TYPES[key](val)
-        except ValueError as e:
-            raise ConfigError(f"line {lineno}: bad value for {key}: {e}") from e
+        if line:
+            key, val = _parse_assignment(line, f"line {lineno}: ")
+            values[key] = val
     return values
 
 
@@ -64,40 +64,19 @@ def load_config(path: str | None = None, overrides: list[str] | None = None) -> 
         with open(path, "r", encoding="utf-8") as fh:
             values.update(parse_config_text(fh.read()))
     for item in overrides or []:
-        if "=" not in item:
-            raise ConfigError(f"bad override {item!r}: expected key=value")
-        key, _, val = item.partition("=")
-        key, val = key.strip(), val.strip()
-        if key not in _KEY_TYPES:
-            raise ConfigError(f"unknown key {key!r}")
-        try:
-            values[key] = _KEY_TYPES[key](val)
-        except ValueError as e:
-            raise ConfigError(f"bad value for {key}: {e}") from e
+        key, val = _parse_assignment(item, f"override {item!r}: ")
+        values[key] = val
     return build_config(values)
 
 
 def build_config(values: dict[str, float | int]) -> RunConfig:
-    sub = SubarrayConfig(
-        total_rows=int(values.get("subarray.rows", 512)),
-        columns=int(values.get("subarray.columns", 65536)),
-        data_row_count=(int(values["subarray.data_rows"])
-                        if "subarray.data_rows" in values else None),
-    )
-    cost = CostParams(
-        t_aap_ns=float(values.get("cost.t_aap_ns", 100.0)),
-        t_tra_ns=float(values.get("cost.t_tra_ns", 150.0)),
-        e_act_pj=float(values.get("cost.e_act_pj", 900.0)),
-        e_pre_pj=float(values.get("cost.e_pre_pj", 300.0)),
-        transpose_ns_per_word=float(values.get("cost.transpose_ns_per_word", 10.0)),
-        banks=int(values.get("cost.banks", 1)),
-        columns_per_subarray=sub.columns,
-    )
-    thresholds = Thresholds(
-        mpki_high=float(values.get("classify.mpki_high", 10.0)),
-        locality_high=float(values.get("classify.locality_high", 0.1)),
-        ai_high=float(values.get("classify.ai_high", 0.25)),
-        lfmr_high=float(values.get("classify.lfmr_high", 0.7)),
-        trend_epsilon=float(values.get("classify.trend_epsilon", 0.05)),
-    )
-    return RunConfig(sub, cost, thresholds)
+    """Dataclass defaults, overridden by the keys present in `values`."""
+    fields: dict[str, dict[str, float | int]] = {"subarray": {}, "cost": {}, "classify": {}}
+    for key, val in values.items():
+        if key not in _KEYS:
+            raise ConfigError(f"unknown key {key!r}")
+        section, name, typ = _KEYS[key]
+        fields[section][name] = typ(val)
+    sub = SubarrayConfig(**fields["subarray"])
+    cost = CostParams(columns_per_subarray=sub.columns, **fields["cost"])
+    return RunConfig(sub, cost, Thresholds(**fields["classify"]))

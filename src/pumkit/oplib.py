@@ -33,7 +33,7 @@ from .codegen import (
 )
 from .errors import ArityError, CapacityError, PumError
 from .logic import Gate, MajGraph, Netlist
-from .subarray import new_subarray
+from .subarray import ExecutionReport, new_subarray
 from .synthesis import SynthesisReport, lower_to_maj, optimize
 from .transpose import HorizontalBlock, to_horizontal, to_vertical
 
@@ -335,26 +335,25 @@ class CompiledOp:
 def _verify_compiled(kind, width, widths, out_width, program, cfg, n_inputs) -> int:
     in_bits = sum(widths)
     if in_bits <= 12:
-        cases = [tuple((t >> sum(widths[:k])) & ((1 << widths[k]) - 1)
-                       for k in range(len(widths)))
-                 for t in range(1 << in_bits)]
+        n_cases = 1 << in_bits
+        shifts = [sum(widths[:k]) for k in range(len(widths))]
+        lanes = [[(t >> s) & ((1 << wk) - 1) for t in range(n_cases)]
+                 for s, wk in zip(shifts, widths)]
     else:
         rng = random.Random(f"{kind}:{width}:{n_inputs}")
         n_cases = 4096 if width <= 8 else 256
-        cases = [tuple(rng.randrange(1 << wk) for wk in widths)
-                 for _ in range(n_cases)]
-    vcfg = SubarrayConfig(total_rows=cfg.total_rows, columns=len(cases),
+        lanes = [[rng.getrandbits(wk) for _ in range(n_cases)] for wk in widths]
+    vcfg = SubarrayConfig(total_rows=cfg.total_rows, columns=n_cases,
                           data_row_count=cfg.data_row_count)
-    lanes = [[case[k] for case in cases] for k in range(len(widths))]
-    got = _run_lanes(program, widths, out_width, lanes, vcfg)
-    for case, out in zip(cases, got):
+    got, _ = _run_lanes(program, widths, out_width, lanes, vcfg)
+    for case, out in zip(zip(*lanes), got):
         want = oracle(kind, width, case)
         if out != want:
             raise PumError(
                 f"compiled {kind} width {width} disagrees with oracle on "
                 f"{case}: got {out}, want {want}"
             )
-    return len(cases)
+    return n_cases
 
 
 def compile_op(kind: str, width: int, cfg: SubarrayConfig | None = None,
@@ -387,15 +386,17 @@ def compile_op_cached(kind: str, width: int, cfg: SubarrayConfig | None = None,
     return hit
 
 
-def _run_lanes(program: MicroProgram, widths, out_width, inputs, cfg) -> list[int]:
+def _run_lanes(program: MicroProgram, widths, out_width, inputs,
+               cfg) -> tuple[list[int], ExecutionReport]:
+    """Stage operand lanes in, run `program`, stage the results out."""
     lanes = len(inputs[0]) if inputs else 0
     state = new_subarray(cfg)
     base = 0
     for k, w in enumerate(widths):
         to_vertical(HorizontalBlock(tuple(inputs[k]), w), state, base)
         base += w
-    state.run_program(program)
-    return list(to_horizontal(state, base, out_width, lanes).values)
+    report = state.run_program(program)
+    return list(to_horizontal(state, base, out_width, lanes).values), report
 
 
 def execute_op(compiled: CompiledOp, inputs: list[list[int]],
@@ -419,4 +420,4 @@ def execute_op(compiled: CompiledOp, inputs: list[list[int]],
     if lanes == 0:
         return []
     return _run_lanes(compiled.program, compiled.operand_widths,
-                      compiled.out_width, inputs, cfg)
+                      compiled.out_width, inputs, cfg)[0]

@@ -42,32 +42,45 @@ class ExecutionReport:
 
 
 class SubarrayState:
-    """Mutable subarray: a row-major bit matrix plus a command log."""
+    """Mutable subarray: a row-major bit matrix plus a command log.
 
-    __slots__ = ("cfg", "_rows", "_mask", "report")
+    Row tokens are resolved to (physical index, read mask) once per state
+    and cached in `_index`, so commands run as list operations on the row
+    ints.
+    """
+
+    __slots__ = ("cfg", "_rows", "_mask", "_index", "report")
 
     def __init__(self, cfg: SubarrayConfig):
         self.cfg = cfg
         self._mask = (1 << cfg.columns) - 1
         self._rows = [0] * cfg.total_rows
         self._rows[cfg.row_index("C1")] = self._mask
+        self._index: dict[str, tuple[int, int]] = {}
         self.report = ExecutionReport()
+
+    def _resolve(self, token: str) -> tuple[int, int]:
+        """(physical row index, XOR applied on read); ~DCC reads complemented."""
+        hit = self._index.get(token)
+        if hit is None:
+            base = alias_base(token)
+            hit = (self.cfg.row_index(base or token), 0 if base is None else self._mask)
+            self._index[token] = hit
+        return hit
 
     # -- host access ---------------------------------------------------------
 
     def load_row(self, token: str) -> int:
         """Packed row contents; a ~DCC token reads the complement."""
-        base = alias_base(token)
-        if base is not None:
-            return self._rows[self.cfg.row_index(base)] ^ self._mask
-        return self._rows[self.cfg.row_index(token)]
+        i, flip = self._resolve(token)
+        return self._rows[i] ^ flip
 
     def store_row(self, token: str, word: int):
         if alias_base(token) is not None:
             raise RowSafetyError("complement alias is not writable")
         if token in CONST_ROWS:
             raise RowSafetyError(f"constant row {token} is write-protected")
-        self._rows[self.cfg.row_index(token)] = word & self._mask
+        self._rows[self._resolve(token)[0]] = word & self._mask
 
     def read_row(self, token: str) -> tuple[int, ...]:
         word = self.load_row(token)
@@ -96,56 +109,62 @@ class SubarrayState:
     # -- command execution ----------------------------------------------------
 
     def exec_aap(self, src: str, dst: str):
-        if alias_base(dst) is not None:
-            raise MicroProgramError("complement alias is source-only")
         if dst in CONST_ROWS:
             raise RowSafetyError(f"AAP may not write constant row {dst}")
-        src_base = alias_base(src) or src
-        if self.cfg.row_index(src_base) == self.cfg.row_index(dst):
+        index = self._index
+        d, complemented = index.get(dst) or self._resolve(dst)
+        if complemented:
+            raise MicroProgramError("complement alias is source-only")
+        s, flip = index.get(src) or self._resolve(src)
+        if s == d:
             raise MicroProgramError("AAP source and destination must differ")
-        self._rows[self.cfg.row_index(dst)] = self.load_row(src)
+        rows = self._rows
+        rows[d] = rows[s] ^ flip
         self.report.aap_count += 1
 
     def exec_tra(self, r1: str, r2: str, r3: str):
-        rows = (r1, r2, r3)
-        for t in rows:
+        for t in (r1, r2, r3):
             if not in_compute_group(t):
                 raise MicroProgramError(
                     f"TRA operand {t} outside the compute/dual-contact group"
                 )
-        idx = [self.cfg.row_index(t) for t in rows]
-        if len(set(idx)) != 3:
+        index = self._index
+        i = (index.get(r1) or self._resolve(r1))[0]
+        j = (index.get(r2) or self._resolve(r2))[0]
+        k = (index.get(r3) or self._resolve(r3))[0]
+        if i == j or i == k or j == k:
             raise MicroProgramError("TRA rows must be distinct")
-        a, b, c = (self._rows[i] for i in idx)
-        m = (a & b) | (a & c) | (b & c)
-        for i in idx:
-            self._rows[i] = m
+        rows = self._rows
+        a, b, c = rows[i], rows[j], rows[k]
+        rows[i] = rows[j] = rows[k] = (a & b) | (a & c) | (b & c)
         self.report.tra_count += 1
 
     def run_program(self, program: MicroProgram) -> ExecutionReport:
-        """Execute commands in order; abort on the first failing line."""
-        report = ExecutionReport()
+        """Execute commands in order; abort on the first failing line.
+
+        Each command is counted once, into `self.report`; the returned
+        report is this run's share of it.
+        """
+        aap0, tra0 = self.report.aap_count, self.report.tra_count
+        aap, tra = self.exec_aap, self.exec_tra
         for i, cmd in enumerate(program.commands):
             try:
                 if cmd.op == "AAP":
-                    self.exec_aap(*cmd.rows)
+                    aap(*cmd.rows)
                 else:
-                    self.exec_tra(*cmd.rows)
+                    tra(*cmd.rows)
             except PumError as e:
                 raise ExecutionError(
                     f"line {program.line_of(i)}: {cmd.render()}: {e}"
                 ) from e
-            if cmd.op == "AAP":
-                report.aap_count += 1
-            else:
-                report.tra_count += 1
         self._check_constants()
-        return report
+        return ExecutionReport(self.report.aap_count - aap0,
+                               self.report.tra_count - tra0)
 
     def _check_constants(self):
-        if self._rows[self.cfg.row_index("C0")] != 0:
+        if self.load_row("C0") != 0:
             raise RowSafetyError("constant row C0 corrupted")
-        if self._rows[self.cfg.row_index("C1")] != self._mask:
+        if self.load_row("C1") != self._mask:
             raise RowSafetyError("constant row C1 corrupted")
 
 

@@ -5,6 +5,13 @@ column: bit i (LSB = bit 0) of value j sits at row base_row+i, column j.
 That makes a bit shift a row renaming and lets one row-activation
 sequence operate on every column in parallel.
 
+Both directions go through bit strings instead of per-bit loops: each
+value is formatted once as w binary digits into one string, and bit row
+i is the strided slice that picks the same character out of every value,
+parsed with `int(..., 2)`.  Going back, each row is formatted
+once and written into a byte buffer with a strided slice assignment, and
+each lane is parsed from its own w-byte slice.
+
 Conversions touch only the addressed rows and columns; untouched cells
 are preserved exactly.
 """
@@ -58,29 +65,42 @@ def _check_region(state: SubarrayState, base_row: int, width: int, count: int):
         )
 
 
+def bit_rows(values, width: int) -> list[str]:
+    """Vertical bit rows of `width`-bit values as 0/1 strings, value 0
+    first: character j of row i is bit i of values[j]."""
+    spec = "{:0%db}" % width  # one str.format call renders every value
+    big = (spec * len(values)).format(*values)
+    return [big[width - 1 - i::width] for i in range(width)]
+
+
+def lane_values(rows: list[str], width: int) -> list[int]:
+    """Inverse of `bit_rows`: the value whose bit i is character j of
+    rows[i], for each column j."""
+    buf = bytearray(width * len(rows[0]))
+    for i, row in enumerate(rows):
+        buf[width - 1 - i::width] = row.encode("ascii")
+    return [int(buf[k:k + width], 2) for k in range(0, len(buf), width)]
+
+
 def to_vertical(block: HorizontalBlock, state: SubarrayState, base_row: int) -> VerticalBlock:
     """Write `block` into the subarray in vertical layout, LSB at base_row."""
     count = len(block.values)
     _check_region(state, base_row, block.bit_width, count)
-    keep_mask = ~((1 << count) - 1)
-    for i in range(block.bit_width):
-        word = 0
-        for j, v in enumerate(block.values):
-            if (v >> i) & 1:
-                word |= 1 << j
-        token = f"D{base_row + i}"
-        old = state.load_row(token)
-        state.store_row(token, (old & keep_mask) | word)
+    if count:
+        keep_mask = ~((1 << count) - 1)
+        for i, row in enumerate(bit_rows(block.values, block.bit_width)):
+            token = f"D{base_row + i}"
+            old = state.load_row(token)
+            state.store_row(token, (old & keep_mask) | int(row[::-1], 2))
     return VerticalBlock(base_row, block.bit_width, count)
 
 
 def to_horizontal(state: SubarrayState, base_row: int, width: int, count: int) -> HorizontalBlock:
     """Read back `count` vertical values of `width` bits from base_row."""
     _check_region(state, base_row, width, count)
-    values = [0] * count
-    for i in range(width):
-        word = state.load_row(f"D{base_row + i}")
-        for j in range(count):
-            if (word >> j) & 1:
-                values[j] |= 1 << i
-    return HorizontalBlock(tuple(values), width)
+    if not count or width < 1:  # HorizontalBlock rejects the bad width
+        return HorizontalBlock((), width)
+    lane_mask = (1 << count) - 1
+    rows = [format(state.load_row(f"D{base_row + i}") & lane_mask,
+                   f"0{count}b")[::-1] for i in range(width)]
+    return HorizontalBlock(tuple(lane_values(rows, width)), width)

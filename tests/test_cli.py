@@ -1,10 +1,12 @@
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as hst
 
 from pumkit.cli import main
 from pumkit.codegen import format_microprogram, parse_microprogram
-from pumkit.oplib import oracle
+from pumkit.oplib import compile_op_cached, execute_op, oracle
 
 
 def write(path, lines):
@@ -101,6 +103,37 @@ class TestRun:
         a = tmp_path / "a.txt"
         write(a, [1])
         assert main(["run", str(bad), "--inputs", str(a)]) == 2
+
+    def test_negative_header_fields_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "neg.up"
+        bad.write_text("UP/1\nop=add width=-3 data_rows=-1\nEND\n")
+        a = tmp_path / "a.txt"
+        write(a, [1])
+        assert main(["run", str(bad), "--inputs", str(a), str(a)]) == 2
+        assert "line 2" in capsys.readouterr().err
+
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(op=hst.sampled_from([("add", 4, 2), ("mul", 3, 2), ("xor_n", 2, 3),
+                                ("if_then_else", 3, 2), ("bitcount", 5, 2)]),
+           lanes=hst.integers(0, 40), seed=hst.integers(0, 2**32 - 1))
+    def test_run_matches_execute_op(self, tmp_path, op, lanes, seed):
+        kind, width, n_inputs = op
+        compiled = compile_op_cached(kind, width, n_inputs=n_inputs)
+        prog = tmp_path / f"{kind}.up"
+        prog.write_text(format_microprogram(compiled.program))
+        rng = random.Random(seed)
+        operands = [[rng.getrandbits(w) for _ in range(lanes)]
+                    for w in compiled.operand_widths]
+        files = []
+        for k, vals in enumerate(operands):
+            files.append(tmp_path / f"in{k}.txt")
+            files[-1].write_text("".join(f"{v}\n" for v in vals))
+        out = tmp_path / "out.txt"
+        assert main(["run", str(prog), "--inputs", *map(str, files),
+                     "-o", str(out)]) == 0
+        got = [int(l) for l in out.read_text().splitlines()]
+        assert got == execute_op(compiled, operands)
 
     def test_bad_operand_value_exits_2(self, tmp_path):
         prog = self.compile_add(tmp_path)

@@ -243,6 +243,17 @@ class TestTextFormat:
         with pytest.raises(MicroProgramError):
             parse_microprogram(text)
 
+    @pytest.mark.parametrize("fields", [
+        "width=-3 data_rows=-1", "width=0 data_rows=2", "width=1 data_rows=-1",
+    ])
+    def test_rejects_bad_header_values_naming_the_line(self, fields):
+        text = f"UP/1\n# header next\nop=x {fields}\nAAP D0 T0\nEND\n"
+        with pytest.raises(MicroProgramError, match="line 3: header"):
+            parse_microprogram(text)
+
+    def test_accepts_zero_data_rows(self):
+        assert parse_microprogram("UP/1\nop=x width=1 data_rows=0\nEND\n").data_rows == 0
+
     def test_command_validation_direct(self):
         with pytest.raises(MicroProgramError):
             Command("AAP", ("C0", "C1"))

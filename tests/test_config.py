@@ -1,0 +1,38 @@
+import pytest
+
+from pumkit.classifier import Thresholds
+from pumkit.codegen import SubarrayConfig
+from pumkit.config import RunConfig, build_config, load_config, parse_config_text
+from pumkit.costmodel import CostParams
+from pumkit.errors import ConfigError
+
+
+def test_empty_config_is_the_dataclass_defaults():
+    assert build_config({}) == RunConfig(SubarrayConfig(), CostParams(), Thresholds())
+
+
+def test_cost_columns_follow_subarray_columns():
+    cfg = build_config({"subarray.columns": 16, "cost.t_aap_ns": 5})
+    assert cfg.subarray.columns == cfg.cost.columns_per_subarray == 16
+    assert cfg.cost.t_aap_ns == 5.0 and cfg.cost.t_tra_ns == CostParams().t_tra_ns
+
+
+def test_overrides_parse_like_file_lines():
+    text = "subarray.rows = 64\ncost.banks = 4\nclassify.mpki_high = 3.5\n"
+    items = ["subarray.rows=64", "cost.banks = 4", "classify.mpki_high=3.5"]
+    assert load_config(None, items) == build_config(parse_config_text(text))
+
+
+@pytest.mark.parametrize("item, message", [
+    ("subarray.rows", "expected 'key = value'"),
+    ("subarray.banana=7", "unknown key"),
+    ("cost.banks=many", "bad value for cost.banks"),
+])
+def test_bad_override_names_the_item(item, message):
+    with pytest.raises(ConfigError, match=message):
+        load_config(None, [item])
+
+
+def test_unknown_key_rejected_by_build_config():
+    with pytest.raises(ConfigError):
+        build_config({"subarray.banana": 7})

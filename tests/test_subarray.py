@@ -1,6 +1,9 @@
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from pumkit.codegen import (
     Command,
@@ -173,6 +176,31 @@ class TestRunProgram:
         tra = len(prog.commands) - aap
         assert (report.aap_count, report.tra_count) == (aap, tra)
         assert report.total_activations == 2 * aap + 3 * tra
+
+    def test_state_report_counts_each_run_once(self, rng):
+        st = fresh()
+        first = st.run_program(self.AND_PROG)
+        g = random_majgraph(rng, n_inputs=3, n_nodes=8)
+        second = st.run_program(schedule(g, allocate_rows(g, CFG), CFG))
+        assert (st.report.aap_count, st.report.tra_count) == (
+            first.aap_count + second.aap_count, first.tra_count + second.tra_count)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=hst.integers(0, 2**32 - 1), n_nodes=hst.integers(1, 24))
+    def test_run_program_equals_stepping_commands(self, seed, n_nodes):
+        rng = random.Random(seed)
+        g = random_majgraph(rng, n_inputs=rng.randint(1, 6), n_nodes=n_nodes)
+        prog = schedule(g, allocate_rows(g, CFG), CFG)
+        run, step = fresh(), fresh()
+        for i in range(CFG.data_row_count):
+            noise = rng.getrandbits(64)
+            run.store_row(f"D{i}", noise)
+            step.store_row(f"D{i}", noise)
+        report = run.run_program(prog)
+        for cmd in prog.commands:
+            (step.exec_aap if cmd.op == "AAP" else step.exec_tra)(*cmd.rows)
+        assert run.dump_rows() == step.dump_rows()
+        assert report == run.report == step.report
 
 
 class TestColumnIndependence:

@@ -1,4 +1,8 @@
+import random
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 
 from pumkit.codegen import SubarrayConfig
 from pumkit.errors import CapacityError
@@ -88,3 +92,38 @@ class TestLocality:
         for i in range(8, 12):
             got = st.load_row(f"D{i}")
             assert got >> 3 == noise[f"D{i}"] >> 3
+
+
+PROP_CFG = SubarrayConfig(total_rows=136, columns=320, data_row_count=128)
+
+
+class TestProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(width=hst.integers(1, 64), count=hst.integers(0, 300),
+           base_frac=hst.floats(0, 1), seed=hst.integers(0, 2**32 - 1))
+    @example(width=1, count=0, base_frac=0.0, seed=0)
+    @example(width=64, count=1, base_frac=1.0, seed=1)
+    @example(width=33, count=299, base_frac=0.5, seed=2)
+    def test_round_trip_and_locality(self, width, count, base_frac, seed):
+        rng = random.Random(seed)
+        base = int(base_frac * (PROP_CFG.data_row_count - width))
+        top = (1 << width) - 1
+        values = tuple(rng.choice((0, top, 1 << (width - 1), rng.getrandbits(width)))
+                       for _ in range(count))
+        st = new_subarray(PROP_CFG)
+        noise = [rng.getrandbits(PROP_CFG.columns) for _ in range(PROP_CFG.data_row_count)]
+        for i, word in enumerate(noise):
+            st.store_row(f"D{i}", word)
+        to_vertical(HorizontalBlock(values, width), st, base)
+        keep = ~((1 << count) - 1)
+        for i, old in enumerate(noise):
+            got = st.load_row(f"D{i}")
+            if not base <= i < base + width:
+                assert got == old
+                continue
+            assert got & keep == old & keep
+            bit = i - base
+            assert all((got >> j) & 1 == (v >> bit) & 1 for j, v in enumerate(values))
+        before = st.dump_rows()
+        assert to_horizontal(st, base, width, count).values == values
+        assert st.dump_rows() == before
