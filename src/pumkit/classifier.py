@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import enum
 import io
+import math
 from dataclasses import dataclass
 
 from .errors import MetricsError, MetricsRangeError
@@ -43,8 +44,8 @@ class Thresholds:
     def __post_init__(self):
         for name in ("mpki_high", "locality_high", "ai_high", "lfmr_high",
                      "trend_epsilon"):
-            if getattr(self, name) <= 0:
-                raise MetricsRangeError(f"threshold {name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise MetricsRangeError(f"threshold {name} must be finite and positive")
         for name in ("locality_high", "lfmr_high"):
             if not 0 < getattr(self, name) < 1:
                 raise MetricsRangeError(f"threshold {name} must lie in (0,1)")
@@ -59,15 +60,15 @@ class MetricsRecord:
     lfmr_by_cores: dict[int, float]
 
     def __post_init__(self):
-        if self.llc_mpki < 0:
-            raise MetricsRangeError(f"{self.function_name}: llc_mpki must be >= 0")
+        if not 0 <= self.llc_mpki < math.inf:
+            raise MetricsRangeError(f"{self.function_name}: llc_mpki must be finite and >= 0")
         if not 0 <= self.temporal_locality <= 1:
             raise MetricsRangeError(
                 f"{self.function_name}: temporal_locality must lie in [0,1]"
             )
-        if self.arithmetic_intensity < 0:
+        if not 0 <= self.arithmetic_intensity < math.inf:
             raise MetricsRangeError(
-                f"{self.function_name}: arithmetic_intensity must be >= 0"
+                f"{self.function_name}: arithmetic_intensity must be finite and >= 0"
             )
         if not self.lfmr_by_cores:
             raise MetricsRangeError(f"{self.function_name}: need at least one LFMR entry")

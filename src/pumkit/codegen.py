@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import ArityError, CapacityError, ConfigError, MicroProgramError
-from .logic import CONST_ONE, CONST_ZERO, Edge, MajGraph, input_index, node_index
+from .logic import REF_ONE, REF_ZERO, MajGraph, ref_name
 
 COMPUTE_ROWS = ("T0", "T1", "T2", "T3")
 DCC_ROWS = ("DCC0", "DCC1")
@@ -261,177 +261,180 @@ def allocate_rows(graph: MajGraph, cfg: SubarrayConfig) -> RowMap:
 
 
 def _live_nodes(graph: MajGraph) -> list[bool]:
-    live = [False] * len(graph.nodes)
-    stack = [node_index(ref) for ref, _ in graph.outputs if node_index(ref) is not None]
+    live = [False] * graph.node_count
+    stack = [e >> 1 for e in graph.packed_outputs if e >= 0]
     while stack:
         k = stack.pop()
         if live[k]:
             continue
         live[k] = True
-        for ref, _ in graph.nodes[k]:
-            j = node_index(ref)
-            if j is not None and not live[j]:
-                stack.append(j)
+        stack.extend(e >> 1 for e in graph.packed_nodes[k] if e >= 0 and not live[e >> 1])
     return live
+
+
+_DCC = (4, 5)  # scheduler row indices of DCC0/DCC1 in COMPUTE_ROWS + DCC_ROWS
+
+
+def _non_dcc_first(r: int) -> tuple[bool, int]:
+    return (r in _DCC, r)
+
+
+def _dcc_first(r: int) -> tuple[bool, int]:
+    return (r not in _DCC, r)
 
 
 class _Scheduler:
     """Linear-sweep scheduler with copy tracking and LRU spilling.
 
-    Values are (ref, complemented) pairs over graph refs.  In estimate
-    mode the compute-row pool grows on demand and spilling never happens,
-    which makes the command count a lower bound for any real config.
+    Values are packed edges (``ref << 1 | neg``, see `logic`).  Rows are
+    indices into ``names``: T0-T3, DCC0, DCC1, then the virtual ``V<i>``
+    rows of estimate mode; a row becomes a token only in an emitted
+    command.  ``dead`` holds every row that is free or holds an input or
+    constant (always rematerializable) or a node with no uses left, so
+    allocation takes a row from it instead of scanning the pool.  Ties
+    between rows break in pool order, non-DCC rows first unless a DCC row
+    is preferred.  In estimate mode the compute-row pool grows on demand
+    and spilling never happens (see `estimate_cost_static`).
     """
 
-    def __init__(self, graph: MajGraph, rowmap: RowMap, cfg: SubarrayConfig | None,
-                 estimate: bool = False):
+    def __init__(self, graph: MajGraph, rowmap: RowMap | None, estimate: bool = False):
         self.graph = graph
-        self.rowmap = rowmap
         self.estimate = estimate
         self.commands: list[tuple[str, tuple[str, ...]]] = []
-        self.pool = list(COMPUTE_ROWS + DCC_ROWS)
-        self.row_val: dict[str, tuple[str, bool] | None] = {r: None for r in self.pool}
-        self.copies: dict[tuple[str, bool], set[str]] = {}
-        self.spilled: dict[tuple[str, bool], str] = {}
-        self.spill_free: list[int] = []
-        if rowmap is not None:
-            self.spill_free = list(range(rowmap.spill_start, rowmap.spill_end))
-        heapq.heapify(self.spill_free)
+        self.names = list(COMPUTE_ROWS + DCC_ROWS)
+        self.row_val: list[int | None] = [None] * len(self.names)
+        self.lru = [0] * len(self.names)
+        self.dead = set(range(len(self.names)))
+        self.copies: dict[int, set[int]] = {}
+        self.spilled: dict[int, int] = {}  # value -> spill data-row index
+        if rowmap is None:  # estimate mode: default rows, no spill region
+            n_in = graph.input_count
+            rowmap = RowMap(tuple(f"D{i}" for i in range(n_in)),
+                            tuple(f"D{n_in + j}" for j in range(graph.output_count)), 0, 0)
+        self.rowmap = rowmap
+        self.spill_free = list(range(rowmap.spill_start, rowmap.spill_end))
         self.spill_rows_used = 0
-        self.lru: dict[str, int] = {r: 0 for r in self.pool}
         self.clock = 0
-        self.virtual = 0
         self.live = _live_nodes(graph)
-        self.uses: dict[str, int] = {}
-        self.wants_complement: set[str] = set()
-        for k, edges in enumerate(graph.nodes):
-            if not self.live[k]:
-                continue
-            for ref, neg in edges:
-                if ref not in (CONST_ZERO, CONST_ONE):
-                    self.uses[ref] = self.uses.get(ref, 0) + 1
-                    if neg:
-                        self.wants_complement.add(ref)
-        for ref, neg in graph.outputs:
-            if ref not in (CONST_ZERO, CONST_ONE):
-                self.uses[ref] = self.uses.get(ref, 0) + 1
-                if neg:
-                    self.wants_complement.add(ref)
+        self.uses = [0] * graph.node_count
+        self.wants_complement = [False] * graph.node_count
+        for k, edges in enumerate(graph.packed_nodes):
+            if self.live[k]:
+                for e in edges:
+                    self._count_use(e)
+        for e in graph.packed_outputs:
+            self._count_use(e)
+
+    def _count_use(self, e: int):
+        if e >= 0:
+            self.uses[e >> 1] += 1
+            if e & 1:
+                self.wants_complement[e >> 1] = True
 
     # -- bookkeeping -------------------------------------------------------
 
-    def _touch(self, row: str):
+    def _touch(self, row: int):
         self.clock += 1
         self.lru[row] = self.clock
 
     def _emit(self, op: str, *rows: str):
         self.commands.append((op, rows))
 
-    def _set(self, row: str, val: tuple[str, bool] | None):
-        old = self.row_val.get(row)
+    def _set(self, row: int, val: int | None):
+        old = self.row_val[row]
         if old is not None:
-            peers = self.copies.get(old)
-            if peers:
-                peers.discard(row)
-                if not peers:
-                    del self.copies[old]
+            peers = self.copies[old]
+            peers.discard(row)
+            if not peers:
+                del self.copies[old]
         self.row_val[row] = val
-        if val is not None:
-            self.copies.setdefault(val, set()).add(row)
-        self._touch(row)
+        if val is None:
+            self.dead.add(row)
+        else:
+            peers = self.copies.get(val)
+            if peers is None:
+                self.copies[val] = {row}
+            else:
+                peers.add(row)
+            if val < 0 or self.uses[val >> 1] == 0:
+                self.dead.add(row)
+            else:
+                self.dead.discard(row)
+        self.clock += 1
+        self.lru[row] = self.clock
 
-    def _implicit_source(self, val: tuple[str, bool]) -> str | None:
+    def _new_row(self) -> int:
+        """Estimate mode: one more (virtual) compute row, free."""
+        r = len(self.names)
+        self.names.append(f"V{r - len(COMPUTE_ROWS + DCC_ROWS)}")
+        self.row_val.append(None)
+        self.lru.append(0)
+        self.dead.add(r)
+        return r
+
+    def _implicit_source(self, val: int) -> str | None:
         """Permanent backing row for inputs and constants."""
-        ref, neg = val
-        if ref == CONST_ZERO:
-            return "C1" if neg else "C0"
-        if ref == CONST_ONE:
-            return "C0" if neg else "C1"
-        i = input_index(ref)
-        if i is not None and not neg:
-            return self.rowmap.input_rows[i] if self.rowmap else f"D{i}"
+        r = val >> 1
+        if r == REF_ZERO:
+            return "C1" if val & 1 else "C0"
+        if r == REF_ONE:
+            return "C0" if val & 1 else "C1"
+        if r < 0 and not val & 1:
+            return self.rowmap.input_rows[-3 - r]
         return None
 
-    def _survives(self, ref: str, doomed: set[str]) -> bool:
-        """Can ref (either polarity) still be sourced if `doomed` rows die?"""
-        for neg in (False, True):
-            val = (ref, neg)
-            if self._implicit_source(val) is not None:
-                return True
+    def _survives(self, ref: int, doomed: set[int], row: int) -> bool:
+        """Can node `ref` (either polarity) still be sourced once `row` and
+        the `doomed` rows die?"""
+        for val in (ref << 1, ref << 1 | 1):
             if val in self.spilled:
                 return True
             for r in self.copies.get(val, ()):
-                if r not in doomed:
+                if r != row and r not in doomed:
                     return True
         return False
 
-    def _dead_value(self, val: tuple[str, bool] | None) -> bool:
-        if val is None:
-            return True
-        ref = val[0]
-        if ref in (CONST_ZERO, CONST_ONE) or input_index(ref) is not None:
-            return True  # always rematerializable
-        return self.uses.get(ref, 0) == 0
-
     # -- row allocation ------------------------------------------------------
 
-    def _candidate_order(self, prefer_dcc: bool) -> list[str]:
-        if prefer_dcc:
-            return [r for r in self.pool if r in DCC_ROWS] + \
-                   [r for r in self.pool if r not in DCC_ROWS]
-        return [r for r in self.pool if r not in DCC_ROWS] + \
-               [r for r in self.pool if r in DCC_ROWS]
-
-    def _alloc(self, excluded: set[str], prefer_dcc: bool = False,
-               dcc_only: bool = False) -> str:
-        order = self._candidate_order(prefer_dcc)
+    def _alloc(self, excluded: set[int], prefer_dcc: bool = False,
+               dcc_only: bool = False) -> int:
+        rank = _dcc_first if prefer_dcc else _non_dcc_first
         if dcc_only:
-            order = [r for r in order if r in DCC_ROWS]
-        cands = [r for r in order if r not in excluded]
+            cands = [r for r in _DCC if r not in excluded]
+            free = [r for r in cands if r in self.dead]
+        else:
+            cands = None
+            free = [r for r in self.dead if r not in excluded]
         # free or dead rows first
-        for r in cands:
-            if self._dead_value(self.row_val.get(r)):
-                self._set(r, None)
-                return r
+        if free:
+            r = min(free, key=rank)
+            self._set(r, None)
+            return r
+        if cands is None:
+            cands = [r for r in range(len(self.names)) if r not in excluded]
         # redundant copies evict silently; rows in `excluded` may be about
         # to be destroyed by the pending TRA, so they don't count as backup
         redundant = [r for r in cands
-                     if self._survives(self.row_val[r][0], {r} | excluded)]
+                     if self._survives(self.row_val[r] >> 1, excluded, r)]
         if redundant:
-            r = min(redundant, key=lambda x: (self.lru[x], order.index(x)))
+            r = min(redundant, key=lambda x: (self.lru[x], rank(x)))
             self._set(r, None)
             return r
         if self.estimate and not dcc_only:
-            r = f"V{self.virtual}"
-            self.virtual += 1
-            self.pool.append(r)
-            self.row_val[r] = None
-            self.lru[r] = 0
-            return r
+            return self._new_row()
         if not cands:
             raise CapacityError("compute-row pressure with no evictable row")
-        victim = min(cands, key=lambda x: (self.lru[x], order.index(x)))
+        victim = min(cands, key=lambda x: (self.lru[x], rank(x)))
         self._evict(victim, excluded)
         return victim
 
-    def _evict(self, row: str, excluded: set[str]):
+    def _evict(self, row: int, excluded: set[int]):
         val = self.row_val[row]
         # cheap migration if an idle row exists outside the exclusion set
-        for r in self.pool:
-            if r == row or r in excluded:
-                continue
-            if self._dead_value(self.row_val.get(r)):
-                self._emit("AAP", row, r)
-                self._set(r, val)
-                self._set(row, None)
-                return
-        if self.estimate:
-            r = f"V{self.virtual}"
-            self.virtual += 1
-            self.pool.append(r)
-            self.lru[r] = 0
-            self._emit("AAP", row, r)
-            self.row_val[r] = None
+        idle = [r for r in self.dead if r != row and r not in excluded]
+        if idle or self.estimate:
+            r = min(idle) if idle else self._new_row()
+            self._emit("AAP", self.names[row], self.names[r])
             self._set(r, val)
             self._set(row, None)
             return
@@ -442,158 +445,147 @@ class _Scheduler:
             )
         idx = heapq.heappop(self.spill_free)
         self.spill_rows_used = max(self.spill_rows_used, idx - self.rowmap.spill_start + 1)
-        token = f"D{idx}"
-        self._emit("AAP", row, token)
-        self.spilled[val] = token
+        self._emit("AAP", self.names[row], f"D{idx}")
+        self.spilled[val] = idx
         self._set(row, None)
 
     # -- value access --------------------------------------------------------
 
-    def _use(self, ref: str):
-        if ref in (CONST_ZERO, CONST_ONE):
+    def _use(self, ref: int):
+        if ref < 0:
             return
         self.uses[ref] -= 1
         if self.uses[ref] == 0:
-            # release any spill rows held by a now-dead node value
-            if node_index(ref) is not None:
-                for neg in (False, True):
-                    token = self.spilled.pop((ref, neg), None)
-                    if token is not None:
-                        heapq.heappush(self.spill_free, int(token[1:]))
+            # rows holding the value die; release any spill rows it held
+            for val in (ref << 1, ref << 1 | 1):
+                self.dead.update(self.copies.get(val, ()))
+                idx = self.spilled.pop(val, None)
+                if idx is not None:
+                    heapq.heappush(self.spill_free, idx)
 
-    def _any_source(self, val: tuple[str, bool], claimed: set[str]) -> str | None:
-        """A row (or alias) that an AAP can read `val` from, else None."""
-        rows = [r for r in self.copies.get(val, ())]
+    def _any_source(self, val: int) -> tuple[str | None, int]:
+        """A row token (or alias) an AAP can read `val` from, else None,
+        and the compute-group row behind it (-1 for data and constant rows)."""
+        rows = self.copies.get(val)
         if rows:
-            ordered = [r for r in self.pool if r in rows]
-            non_dcc = [r for r in ordered if r not in DCC_ROWS]
-            return (non_dcc or ordered)[0]
+            r = min(rows, key=_non_dcc_first)
+            return self.names[r], r
         if val in self.spilled:
-            return self.spilled[val]
+            return f"D{self.spilled[val]}", -1
         imp = self._implicit_source(val)
         if imp is not None:
-            return imp
+            return imp, -1
         # complement read straight off a dual-contact cell
-        flipped = (val[0], not val[1])
-        for r in self.copies.get(flipped, ()):
-            if r in DCC_ROWS:
-                return "~" + r
-        return None
+        flipped = self.copies.get(val ^ 1, ())
+        for r in _DCC:
+            if r in flipped:
+                return "~" + self.names[r], r
+        return None, -1
 
-    def _free_pinned_dcc(self, claimed: list[str], keep: set[str]) -> str:
+    def _free_pinned_dcc(self, claimed: list[int], keep: set[int]) -> int:
         """Both DCC rows are pinned by the pending TRA; move one aside."""
-        victim = next(r for r in claimed if r in DCC_ROWS)
+        victim = next(r for r in claimed if r in _DCC)
         val = self.row_val[victim]
         row = self._alloc(set(claimed) | keep | {victim})
-        self._emit("AAP", victim, row)
+        self._emit("AAP", self.names[victim], self.names[row])
         self._set(row, val)
         self._set(victim, None)
         claimed[claimed.index(victim)] = row
         return victim
 
-    def _materialize(self, val: tuple[str, bool], claimed: list[str]) -> str:
+    def _materialize(self, val: int, claimed: list[int]) -> int:
         """Place `val` into a fresh compute-group row and return it."""
-        ref, neg = val
+        ref = val >> 1
         taken = set(claimed)
-        prefer_dcc = node_index(ref) is not None and ref in self.wants_complement
-        src = self._any_source(val, taken)
+        prefer_dcc = ref >= 0 and self.wants_complement[ref]
+        src, base = self._any_source(val)
         if src is not None:
-            row = self._alloc(taken | {src if not src.startswith("~") else src[1:]},
-                              prefer_dcc=prefer_dcc)
-            self._emit("AAP", src, row)
+            row = self._alloc(taken | {base}, prefer_dcc=prefer_dcc)
+            self._emit("AAP", src, self.names[row])
             self._set(row, val)
             return row
         # only the flipped polarity exists somewhere: route through a DCC row
-        flipped = (ref, not neg)
-        src = self._any_source(flipped, taken)
+        src, base = self._any_source(val ^ 1)
         if src is None:
-            raise MicroProgramError(f"value for {ref} lost during scheduling")
-        src_base = src[1:] if src.startswith("~") else src
-        if all(d in taken for d in DCC_ROWS):
-            dcc = self._free_pinned_dcc(claimed, {src_base})
+            raise MicroProgramError(f"value for {ref_name(ref)} lost during scheduling")
+        if all(d in taken for d in _DCC):
+            dcc = self._free_pinned_dcc(claimed, {base})
             taken = set(claimed)
         else:
-            dcc = self._alloc(taken | {src_base}, dcc_only=True)
-        self._emit("AAP", src, dcc)
-        self._set(dcc, flipped)
+            dcc = self._alloc(taken | {base}, dcc_only=True)
+        self._emit("AAP", src, self.names[dcc])
+        self._set(dcc, val ^ 1)
         row = self._alloc(taken | {dcc}, prefer_dcc=False)
-        self._emit("AAP", "~" + dcc, row)
+        self._emit("AAP", "~" + self.names[dcc], self.names[row])
         self._set(row, val)
         return row
 
-    def _acquire_operand(self, edge: Edge, claimed: list[str]) -> str:
-        """Bring one TRA operand into a compute-group row it may destroy."""
-        ref, neg = edge
-        if ref == CONST_ZERO or ref == CONST_ONE:
-            bit = (ref == CONST_ONE) ^ neg
-            row = self._alloc(set(claimed))
-            self._emit("AAP", "C1" if bit else "C0", row)
-            self._set(row, (CONST_ONE if bit else CONST_ZERO, False))
+    def _spare(self, row: int, val: int, taken: set[int]) -> int:
+        """Copy `val` out of `row` first if the TRA destroying `row` and
+        `taken` would take its last copy while it still has uses."""
+        ref = val >> 1
+        if ref < 0 or self.uses[ref] == 0 or self._survives(ref, taken, row):
             return row
-        val = (ref, neg)
+        spare = self._alloc(taken | {row})
+        self._emit("AAP", self.names[row], self.names[spare])
+        self._set(spare, val)
+        return spare
+
+    def _acquire_operand(self, e: int, claimed: list[int]) -> int:
+        """Bring one TRA operand into a compute-group row it may destroy."""
+        ref = e >> 1
+        if ref == REF_ZERO or ref == REF_ONE:
+            bit = (ref == REF_ONE) ^ (e & 1)
+            row = self._alloc(set(claimed))
+            self._emit("AAP", "C1" if bit else "C0", self.names[row])
+            self._set(row, (REF_ONE if bit else REF_ZERO) << 1)
+            return row
         taken = set(claimed)
-        avail = [r for r in self.pool if r in self.copies.get(val, ()) and r not in taken]
+        avail = [r for r in self.copies.get(e, ()) if r not in taken]
         if avail:
-            non_dcc = [r for r in avail if r not in DCC_ROWS]
-            row = (non_dcc or avail)[0]
+            row = min(avail, key=_non_dcc_first)
             self._use(ref)
-            doomed = taken | {row}
-            if self.uses.get(ref, 0) > 0 and not self._survives(ref, doomed):
-                keep = row
-                row = self._alloc(doomed)
-                self._emit("AAP", keep, row)
-                self._set(row, val)
+            row = self._spare(row, e, taken)
             self._touch(row)
             return row
-        row = self._materialize(val, claimed)
+        row = self._materialize(e, claimed)
         self._use(ref)
-        doomed = set(claimed) | {row}
-        if self.uses.get(ref, 0) > 0 and not self._survives(ref, doomed):
-            keep = row
-            row = self._alloc(doomed)
-            self._emit("AAP", keep, row)
-            self._set(row, val)
-        return row
+        return self._spare(row, e, set(claimed))
 
     # -- main sweep ----------------------------------------------------------
 
     def run(self) -> list[tuple[str, tuple[str, ...]]]:
-        for k, edges in enumerate(self.graph.nodes):
+        for k, edges in enumerate(self.graph.packed_nodes):
             if not self.live[k]:
                 continue
-            claimed: list[str] = []
-            for edge in edges:
-                claimed.append(self._acquire_operand(edge, claimed))
-            self._emit("TRA", *claimed)
-            result = (f"n{k}", False)
+            claimed: list[int] = []
+            for e in edges:
+                claimed.append(self._acquire_operand(e, claimed))
+            self._emit("TRA", *(self.names[r] for r in claimed))
             for r in claimed:
-                self._set(r, None)
-            for r in claimed:
-                self._set(r, result)
-        for j, (ref, neg) in enumerate(self.graph.outputs):
-            self._emit_output(ref, neg, self.rowmap.output_rows[j] if self.rowmap
-                              else f"D{self.graph.input_count + j}")
+                self._set(r, k << 1)
+        for e, target in zip(self.graph.packed_outputs, self.rowmap.output_rows):
+            self._emit_output(e, target)
         return self.commands
 
-    def _emit_output(self, ref: str, neg: bool, target: str):
-        if ref == CONST_ZERO or ref == CONST_ONE:
-            bit = (ref == CONST_ONE) ^ neg
+    def _emit_output(self, e: int, target: str):
+        ref = e >> 1
+        if ref == REF_ZERO or ref == REF_ONE:
+            bit = (ref == REF_ONE) ^ (e & 1)
             self._emit("AAP", "C1" if bit else "C0", target)
             return
-        val = (ref, neg)
-        src = self._any_source(val, set())
+        src, _ = self._any_source(e)
         if src is not None:
             self._emit("AAP", src, target)
             self._use(ref)
             return
-        flipped = (ref, not neg)
-        src = self._any_source(flipped, set())
+        src, base = self._any_source(e ^ 1)
         if src is None:
-            raise MicroProgramError(f"output value for {ref} lost during scheduling")
-        dcc = self._alloc({src if not src.startswith("~") else src[1:]}, dcc_only=True)
-        self._emit("AAP", src, dcc)
-        self._set(dcc, flipped)
-        self._emit("AAP", "~" + dcc, target)
+            raise MicroProgramError(f"output value for {ref_name(ref)} lost during scheduling")
+        dcc = self._alloc({base}, dcc_only=True)
+        self._emit("AAP", src, self.names[dcc])
+        self._set(dcc, e ^ 1)
+        self._emit("AAP", "~" + self.names[dcc], target)
         self._use(ref)
 
 
@@ -603,7 +595,7 @@ def schedule(graph: MajGraph, rowmap: RowMap, cfg: SubarrayConfig,
     if len(rowmap.input_rows) != graph.input_count or \
        len(rowmap.output_rows) != graph.output_count:
         raise ArityError("row map does not cover the graph's inputs/outputs")
-    sched = _Scheduler(graph, rowmap, cfg)
+    sched = _Scheduler(graph, rowmap)
     commands = tuple(Command(op, rows) for op, rows in sched.run())
     return MicroProgram(name=name, width=width,
                         data_rows=rowmap.data_rows_used, commands=commands)
@@ -612,10 +604,14 @@ def schedule(graph: MajGraph, rowmap: RowMap, cfg: SubarrayConfig,
 def estimate_cost_static(graph: MajGraph) -> int:
     """Activation estimate from a spill-free dry run of the scheduler.
 
-    Lower bound for the scheduled program on any config; the difference
-    is exactly the spill traffic the real row budget forces.
+    The same `_Scheduler` sweep over the packed graph, in estimate mode:
+    the compute-row pool grows instead of spilling, and no row map is
+    needed.  Where the scheduled program has no spill traffic the two
+    counts are equal.  Otherwise the estimate is usually lower, but it is
+    no strict bound: a value spilled and reloaded into a DCC row can save
+    the ``~DCC`` routing that the spill-free run pays for.
     """
-    sched = _Scheduler(graph, None, None, estimate=True)
+    sched = _Scheduler(graph, None, estimate=True)
     commands = sched.run()
     aap = sum(1 for op, _ in commands if op == "AAP")
     tra = len(commands) - aap
@@ -669,22 +665,19 @@ def verify_program(graph: MajGraph, rowmap: RowMap, program: MicroProgram) -> bo
             for t in cmd.rows:
                 rows[t] = m
 
-    expected: dict[str, tuple[int, bool]] = {
-        CONST_ZERO: (mk(("const",)), False),
-        CONST_ONE: (mk(("const",)), True),
-    }
-    for i in range(graph.input_count):
-        expected[f"in{i}"] = (mk(("in", i)), False)
+    const = mk(("const",))
+    leaf = [(const, False), (const, True)] + \
+        [(mk(("in", i)), False) for i in range(graph.input_count)]
+    expected: list[tuple[int, bool]] = []  # per node
 
-    def edge_val(ref: str, neg: bool) -> tuple[int, bool]:
-        e, p = expected[ref]
-        return (e, p ^ neg)
+    def edge_val(e: int) -> tuple[int, bool]:
+        x, p = expected[e >> 1] if e >= 0 else leaf[-1 - (e >> 1)]
+        return (x, p ^ bool(e & 1))
 
-    for k, edges in enumerate(graph.nodes):
-        vals = [edge_val(ref, neg) for ref, neg in edges]
-        expected[f"n{k}"] = maj_of(*vals)
+    for a, b, c in graph.packed_nodes:
+        expected.append(maj_of(edge_val(a), edge_val(b), edge_val(c)))
 
-    for j, (ref, neg) in enumerate(graph.outputs):
-        if rows[rowmap.output_rows[j]] != edge_val(ref, neg):
+    for j, e in enumerate(graph.packed_outputs):
+        if rows[rowmap.output_rows[j]] != edge_val(e):
             return False
     return True

@@ -11,6 +11,7 @@ one precharge per command.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .codegen import MicroProgram, activation_count
@@ -32,8 +33,8 @@ class CostParams:
     def __post_init__(self):
         for name in ("t_aap_ns", "t_tra_ns", "e_act_pj", "e_pre_pj",
                      "transpose_ns_per_word", "banks", "columns_per_subarray"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"cost parameter {name} must be strictly positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"cost parameter {name} must be finite and strictly positive")
 
 
 @dataclass(frozen=True)

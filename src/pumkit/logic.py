@@ -11,6 +11,16 @@ Both evaluate bit-parallel: a value is a Python int whose bit ``c`` is
 lane ``c``.  Truth tables and equivalence checks ride on the same bulk
 evaluator with standard enumeration masks, so exhaustive comparison is
 cheap up to the 16-input guard.
+
+Inside the toolkit a majority-graph edge is one packed int, the
+complemented-edge literal ``ref << 1 | neg``: node k is ref ``k``,
+constant 0 is ``-1``, constant 1 is ``-2`` and input i is ``-(3 + i)``,
+so ``e >> 1`` is the ref, ``e & 1`` the complement bit and ``e ^ 1`` the
+complemented edge.  Lowering, rewriting, scheduling and verification all
+work on this form.  The ``(ref, complemented)`` string pairs (``"0"``,
+``"1"``, ``"in<i>"``, ``"n<k>"``) are only the public view of a
+``MajGraph``: its constructor parses them once, and ``nodes``/``outputs``
+render them back.
 """
 
 from __future__ import annotations
@@ -34,7 +44,6 @@ Edge = tuple[str, bool]
 
 _IN_RE = re.compile(r"^in(\d+)$")
 _GATE_RE = re.compile(r"^g(\d+)$")
-_NODE_RE = re.compile(r"^n(\d+)$")
 
 
 def input_index(ref: str) -> int | None:
@@ -42,9 +51,24 @@ def input_index(ref: str) -> int | None:
     return int(m.group(1)) if m else None
 
 
-def node_index(ref: str) -> int | None:
-    m = _NODE_RE.match(ref)
-    return int(m.group(1)) if m else None
+# Packed refs of the two constants; input i is -(3 + i), node k is k.
+REF_ZERO = -1
+REF_ONE = -2
+
+
+def ref_name(r: int) -> str:
+    """String form of a packed ref: "0", "1", "in<i>" or "n<k>"."""
+    if r >= 0:
+        return f"n{r}"
+    if r == REF_ZERO:
+        return CONST_ZERO
+    if r == REF_ONE:
+        return CONST_ONE
+    return f"in{-3 - r}"
+
+
+def _edge_view(e: int) -> Edge:
+    return (ref_name(e >> 1), bool(e & 1))
 
 
 def _maj(x: int, y: int, z: int) -> int:
@@ -157,9 +181,11 @@ class MajGraph:
 
     Node k is referenced as ``n<k>``; each node holds exactly three
     operand edges.  Complements live on edges, never as explicit nodes.
+    The graph is held as packed edges (``packed_nodes``/``packed_outputs``,
+    see the module docstring); ``nodes``/``outputs`` are the string view.
     """
 
-    __slots__ = ("input_count", "nodes", "outputs")
+    __slots__ = ("input_count", "packed_nodes", "packed_outputs", "_view")
 
     def __init__(
         self,
@@ -169,79 +195,91 @@ class MajGraph:
     ):
         if input_count < 0:
             raise ArityError("input count must be non-negative")
+        refs = {CONST_ZERO: REF_ZERO, CONST_ONE: REF_ONE}
+        refs.update((f"in{i}", -3 - i) for i in range(input_count))
+
+        def pack(edge: Edge, where: str) -> int:
+            ref, neg = edge
+            if ref not in refs:
+                raise NetlistFormatError(
+                    f"{where}: reference {ref!r} is not a constant, an input below "
+                    f"{input_count} or an earlier node")
+            return refs[ref] << 1 | bool(neg)
+
+        packed = []
         for k, edges in enumerate(nodes):
             if len(edges) != 3:
                 raise ArityError(f"n{k}: majority node takes exactly 3 edges")
-            for ref, neg in edges:
-                self._check_ref(ref, input_count, k, f"n{k}")
-        for ref, neg in outputs:
-            self._check_ref(ref, input_count, len(nodes), "outputs")
+            packed.append(tuple(pack(e, f"n{k}") for e in edges))
+            refs[f"n{k}"] = k
+        packed_outputs = tuple(pack(e, "outputs") for e in outputs)
+        self._init(input_count, tuple(packed), packed_outputs,
+                   (tuple(tuple(e) for e in nodes), tuple(outputs)))
+
+    @classmethod
+    def _from_packed(cls, input_count: int, nodes: Sequence[tuple[int, int, int]],
+                     outputs: Sequence[int]) -> "MajGraph":
+        """Wrap packed edges as they are; the caller guarantees every ref is
+        a constant, an input below `input_count` or an earlier node."""
+        g = object.__new__(cls)
+        g._init(input_count, tuple(nodes), tuple(outputs), None)
+        return g
+
+    def _init(self, input_count, packed_nodes, packed_outputs, view):
         object.__setattr__(self, "input_count", input_count)
-        object.__setattr__(self, "nodes", tuple(tuple(e) for e in nodes))
-        object.__setattr__(self, "outputs", tuple(outputs))
+        object.__setattr__(self, "packed_nodes", packed_nodes)
+        object.__setattr__(self, "packed_outputs", packed_outputs)
+        object.__setattr__(self, "_view", view)
 
     def __setattr__(self, name, value):
         raise AttributeError("MajGraph is immutable")
 
-    @staticmethod
-    def _check_ref(ref: str, input_count: int, before: int, where: str):
-        if ref in (CONST_ZERO, CONST_ONE):
-            return
-        idx = input_index(ref)
-        if idx is not None:
-            if idx >= input_count:
-                raise NetlistFormatError(f"{where}: input {ref!r} out of range")
-            return
-        idx = node_index(ref)
-        if idx is not None:
-            if idx >= before:
-                raise NetlistFormatError(f"{where}: forward reference {ref!r}")
-            return
-        raise NetlistFormatError(f"{where}: unknown reference {ref!r}")
+    def _string_view(self) -> tuple[tuple, tuple]:
+        if self._view is None:
+            object.__setattr__(self, "_view", (
+                tuple(tuple(map(_edge_view, nd)) for nd in self.packed_nodes),
+                tuple(map(_edge_view, self.packed_outputs)),
+            ))
+        return self._view
+
+    @property
+    def nodes(self) -> tuple[tuple[Edge, Edge, Edge], ...]:
+        return self._string_view()[0]
+
+    @property
+    def outputs(self) -> tuple[Edge, ...]:
+        return self._string_view()[1]
 
     @property
     def output_count(self) -> int:
-        return len(self.outputs)
+        return len(self.packed_outputs)
 
     @property
     def node_count(self) -> int:
-        return len(self.nodes)
+        return len(self.packed_nodes)
 
     def depth(self) -> int:
         """Longest node chain from any input/constant to any output."""
-        d = [0] * len(self.nodes)
-        for k, edges in enumerate(self.nodes):
-            best = 0
-            for ref, _ in edges:
-                j = node_index(ref)
-                if j is not None and d[j] > best:
-                    best = d[j]
-            d[k] = best + 1
-        out = 0
-        for ref, _ in self.outputs:
-            j = node_index(ref)
-            if j is not None and d[j] > out:
-                out = d[j]
-        return out
+        d: list[int] = []
+        for nd in self.packed_nodes:
+            d.append(1 + max(d[e >> 1] if e >= 0 else 0 for e in nd))
+        return max((d[e >> 1] for e in self.packed_outputs if e >= 0), default=0)
 
     def eval_bulk(self, words: Sequence[int], lanes: int) -> list[int]:
         if len(words) != self.input_count:
             raise ArityError(f"expected {self.input_count} input words, got {len(words)}")
         mask = (1 << lanes) - 1
-        vals: dict[str, int] = {CONST_ZERO: 0, CONST_ONE: mask}
-        for i, w in enumerate(words):
-            vals[f"in{i}"] = w & mask
-        for k, edges in enumerate(self.nodes):
-            ops = []
-            for ref, neg in edges:
-                v = vals[ref]
-                ops.append(v ^ mask if neg else v)
-            vals[f"n{k}"] = _maj(*ops)
-        out = []
-        for ref, neg in self.outputs:
-            v = vals[ref]
-            out.append(v ^ mask if neg else v)
-        return out
+        leaf = [0, mask] + [w & mask for w in words]  # ref r < 0 sits at -1 - r
+        vals: list[int] = []
+
+        def val(e: int) -> int:
+            r = e >> 1
+            v = vals[r] if r >= 0 else leaf[-1 - r]
+            return v ^ mask if e & 1 else v
+
+        for a, b, c in self.packed_nodes:
+            vals.append(_maj(val(a), val(b), val(c)))
+        return [val(e) for e in self.packed_outputs]
 
     def eval(self, assignment: Sequence[int]) -> tuple[int, ...]:
         if len(assignment) != self.input_count:

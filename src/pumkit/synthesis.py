@@ -31,60 +31,27 @@ from .errors import PumError, TableSizeError
 from .logic import (
     CONST_ONE,
     CONST_ZERO,
-    Edge,
+    REF_ONE,
+    REF_ZERO,
     MajGraph,
     Netlist,
+    _enum_masks,
+    _maj,
     equivalent,
-    input_index,
-    node_index,
 )
 
-# Internal ref encoding: node k >= 0; constants -1/-2; input i = -(3+i).
-# An edge packs as (ref << 1) | complemented, so edge ^ 1 complements it.
-_C0 = -1
-_C1 = -2
-
-_E_C0 = _C0 << 1
-_E_C1 = _C1 << 1
-
-
-def _ref_int(ref: str) -> int:
-    if ref == CONST_ZERO:
-        return _C0
-    if ref == CONST_ONE:
-        return _C1
-    i = input_index(ref)
-    if i is not None:
-        return -(3 + i)
-    return node_index(ref)
-
-
-def _ref_str(r: int) -> str:
-    if r == _C0:
-        return CONST_ZERO
-    if r == _C1:
-        return CONST_ONE
-    if r < 0:
-        return f"in{-r - 3}"
-    return f"n{r}"
+# Edges use the packed encoding of `logic`: (ref << 1) | complemented, so
+# edge ^ 1 complements it.
+_E_C0 = REF_ZERO << 1
+_E_C1 = REF_ONE << 1
 
 
 def _fold(e: int) -> int:
     """Complemented constants fold: ~0 -> 1, ~1 -> 0."""
     r = e >> 1
-    if (r == _C0 or r == _C1) and (e & 1):
+    if (r == REF_ZERO or r == REF_ONE) and (e & 1):
         return (-3 - r) << 1
     return e
-
-
-def _maj(x: int, y: int, z: int) -> int:
-    return (x & y) | (x & z) | (y & z)
-
-
-def _enum_masks(n: int) -> list[int]:
-    total = 1 << n
-    ones = (1 << total) - 1
-    return [(ones // ((1 << (1 << i)) + 1)) << (1 << i) for i in range(n)]
 
 
 # --- lowering ---------------------------------------------------------------
@@ -92,39 +59,31 @@ def _enum_masks(n: int) -> list[int]:
 
 def lower_to_maj(netlist: Netlist) -> MajGraph:
     """Direct, unoptimized translation of a gate netlist."""
-    nodes: list[tuple[Edge, Edge, Edge]] = []
+    nodes: list[tuple[int, int, int]] = []
 
-    def node(e1: Edge, e2: Edge, e3: Edge) -> Edge:
+    def node(e1: int, e2: int, e3: int) -> int:
         nodes.append((e1, e2, e3))
-        return (f"n{len(nodes) - 1}", False)
+        return (len(nodes) - 1) << 1
 
-    def invert(e: Edge) -> Edge:
-        ref, neg = e
-        if ref == CONST_ZERO:
-            return (CONST_ONE, False)
-        if ref == CONST_ONE:
-            return (CONST_ZERO, False)
-        return (ref, not neg)
-
-    env: dict[str, Edge] = {CONST_ZERO: (CONST_ZERO, False), CONST_ONE: (CONST_ONE, False)}
+    env: dict[str, int] = {CONST_ZERO: _E_C0, CONST_ONE: _E_C1}
     for i in range(netlist.input_count):
-        env[f"in{i}"] = (f"in{i}", False)
+        env[f"in{i}"] = (-3 - i) << 1
     for g in netlist.gates:
         a = env[g.operands[0]]
         if g.kind == "NOT":
-            env[g.gid] = invert(a)
+            env[g.gid] = _fold(a ^ 1)
             continue
         b = env[g.operands[1]]
         if g.kind == "AND":
-            env[g.gid] = node(a, b, (CONST_ZERO, False))
+            env[g.gid] = node(a, b, _E_C0)
         elif g.kind == "OR":
-            env[g.gid] = node(a, b, (CONST_ONE, False))
+            env[g.gid] = node(a, b, _E_C1)
         else:  # XOR(a,b) = AND(NAND(a,b), OR(a,b))
-            n_and = node(a, b, (CONST_ZERO, False))
-            n_or = node(a, b, (CONST_ONE, False))
-            env[g.gid] = node(invert(n_and), n_or, (CONST_ZERO, False))
+            n_and = node(a, b, _E_C0)
+            n_or = node(a, b, _E_C1)
+            env[g.gid] = node(n_and ^ 1, n_or, _E_C0)
     outputs = [env[ref] for ref in netlist.outputs]
-    return MajGraph(netlist.input_count, nodes, outputs)
+    return MajGraph._from_packed(netlist.input_count, nodes, outputs)
 
 
 # --- template library for cut rewriting --------------------------------------
@@ -151,9 +110,9 @@ def _template_table(tpl: _Template, nvars: int) -> int:
 
     def val(e: int) -> int:
         r, neg = e >> 1, e & 1
-        if r == _C0:
+        if r == REF_ZERO:
             v = 0
-        elif r == _C1:
+        elif r == REF_ONE:
             v = full
         elif r < 0:
             v = masks[-r - 3]
@@ -247,19 +206,12 @@ class _Builder:
     @classmethod
     def from_graph(cls, g: MajGraph) -> "_Builder":
         b = cls(g.input_count)
-        for edges in g.nodes:
-            b.nodes.append(tuple(
-                _fold((_ref_int(ref) << 1) | neg) for ref, neg in edges
-            ))
-        b.outputs = [_fold((_ref_int(ref) << 1) | neg) for ref, neg in g.outputs]
+        b.nodes = [tuple(map(_fold, nd)) for nd in g.packed_nodes]
+        b.outputs = list(map(_fold, g.packed_outputs))
         return b
 
     def to_graph(self) -> MajGraph:
-        nodes = []
-        for nd in self.nodes:
-            nodes.append(tuple((_ref_str(e >> 1), bool(e & 1)) for e in nd))
-        outputs = [(_ref_str(e >> 1), bool(e & 1)) for e in self.outputs]
-        return MajGraph(self.input_count, nodes, outputs)
+        return MajGraph._from_packed(self.input_count, self.nodes, self.outputs)
 
     def resolve(self, e: int) -> int:
         while True:
@@ -293,9 +245,9 @@ class _Builder:
                 simp, rule = e1, "absorb_complement"
             else:
                 refs = (e0 >> 1, e1 >> 1, e2 >> 1)
-                if _C0 in refs and _C1 in refs:
+                if REF_ZERO in refs and REF_ONE in refs:
                     for keep, x, y in ((e0, e1, e2), (e1, e0, e2), (e2, e0, e1)):
-                        if {x >> 1, y >> 1} == {_C0, _C1}:
+                        if {x >> 1, y >> 1} == {REF_ZERO, REF_ONE}:
                             simp, rule = keep, "absorb_complement"
                             break
             if simp is not None:
@@ -383,7 +335,7 @@ class _Builder:
             nonconst = 0
             for e in nd:
                 r = e >> 1
-                if r in (_C0, _C1):
+                if r in (REF_ZERO, REF_ONE):
                     continue
                 nonconst += 1
                 negs += (e & 1) ^ (1 if (r >= 0 and flipped[r]) else 0)
@@ -425,7 +377,7 @@ class _Builder:
             options = []
             for e in nd:
                 r = e >> 1
-                if r in (_C0, _C1):
+                if r in (REF_ZERO, REF_ONE):
                     options.append((frozenset(),))
                 elif r < 0:
                     options.append((frozenset((r,)),))
@@ -503,7 +455,7 @@ class _Builder:
         leaf_only = True
         for e in nd:
             r = e >> 1
-            if r < _C1:
+            if r < REF_ONE:
                 r = leaves[-r - 3]
             elif r >= 0:
                 leaf_only = False
@@ -526,7 +478,7 @@ class _Builder:
             key_map[edges] = idx
             ids.append(idx)
         r = tpl.out >> 1
-        if r < _C1:
+        if r < REF_ONE:
             out = ((leaves[-r - 3]) << 1) | (tpl.out & 1)
         elif r >= 0:
             out = (ids[r] << 1) | (tpl.out & 1)
@@ -578,9 +530,9 @@ class _Builder:
                     ops = []
                     for e in self.nodes[k]:
                         r = e >> 1
-                        if r == _C0:
+                        if r == REF_ZERO:
                             v = 0
-                        elif r == _C1:
+                        elif r == REF_ONE:
                             v = full
                         elif r in leaf_mask:
                             v = leaf_mask[r]
@@ -685,6 +637,9 @@ def optimize(graph: MajGraph, effort: int = 2) -> tuple[MajGraph, SynthesisRepor
             if b.cut_rewrite(round_counts):
                 b.clean_compact(round_counts)
             candidate = b.to_graph()
+            if (candidate.packed_nodes == best.packed_nodes
+                    and candidate.packed_outputs == best.packed_outputs):
+                break  # an unchanged round would score best_m again
             m = _metric(candidate)
             if m < best_m:
                 best, best_m = candidate, m

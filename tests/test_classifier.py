@@ -134,6 +134,14 @@ class TestRecordValidation:
         with pytest.raises(MetricsRangeError):
             record(lfmr={1: 1.2})
 
+    @pytest.mark.parametrize("field, value", [
+        ("mpki", float("nan")), ("mpki", float("inf")),
+        ("ai", float("nan")), ("ai", float("inf")),
+    ])
+    def test_non_finite_metric_names_the_function(self, field, value):
+        with pytest.raises(MetricsRangeError, match="^kern: .*finite"):
+            record("kern", **{field: value})
+
     def test_needs_one_lfmr(self):
         with pytest.raises(MetricsRangeError):
             MetricsRecord("f", 1, 0.5, 0.1, {})
@@ -164,6 +172,13 @@ class TestCsv:
         path.write_text(f"{HEADER}\na,1,1.5,0.05,0.5,0.5\n")
         with pytest.raises(MetricsRangeError, match="line 2"):
             ingest_csv(str(path))
+
+    @pytest.mark.parametrize("row", ["a,nan,0.5,0.1,0.4,0.4", "a,1,0.5,inf,0.4,0.4"])
+    def test_non_finite_metric_names_the_line(self, row):
+        with pytest.raises(MetricsRangeError, match="line 3: a: .*finite"):
+            parse_metrics_csv(f"{HEADER}\nb,1,0.5,0.1,0.4,0.4\n{row}\n")
+        with pytest.raises(MetricsRangeError, match="line 2"):
+            label_csv(f"{HEADER}\n{row}\n")
 
     def test_missing_lfmr_columns(self):
         with pytest.raises(MetricsError):

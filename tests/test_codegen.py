@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import pumkit
 from pumkit.codegen import (
     Command,
     MicroProgram,
@@ -99,6 +105,20 @@ class TestSchedule:
             a = format_microprogram(schedule(g, rm, CFG))
             b = format_microprogram(schedule(g, rm, CFG))
             assert a == b
+
+    def test_program_does_not_depend_on_hash_seed(self):
+        # div4/div8 read complements off ~DCC rows; which one must not follow set order
+        code = ("from pumkit.codegen import format_microprogram\n"
+                "from pumkit.oplib import compile_op\n"
+                "for w in (4, 8): print(format_microprogram(compile_op('div', w).program))")
+        src = str(Path(pumkit.__file__).resolve().parent.parent)
+        texts = set()
+        for seed in ("0", "1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+            done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                  capture_output=True, text=True, timeout=300)
+            texts.add(done.stdout)
+        assert len(texts) == 1
 
     def test_simulation_matches_eval_exhaustively(self, rng):
         for _ in range(15):

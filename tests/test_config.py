@@ -4,7 +4,7 @@ from pumkit.classifier import Thresholds
 from pumkit.codegen import SubarrayConfig
 from pumkit.config import RunConfig, build_config, load_config, parse_config_text
 from pumkit.costmodel import CostParams
-from pumkit.errors import ConfigError
+from pumkit.errors import ConfigError, MetricsRangeError
 
 
 def test_empty_config_is_the_dataclass_defaults():
@@ -36,3 +36,18 @@ def test_bad_override_names_the_item(item, message):
 def test_unknown_key_rejected_by_build_config():
     with pytest.raises(ConfigError):
         build_config({"subarray.banana": 7})
+
+
+@pytest.mark.parametrize("item, error, key", [
+    ("cost.t_aap_ns=nan", ConfigError, "t_aap_ns"),
+    ("cost.e_pre_pj=inf", ConfigError, "e_pre_pj"),
+    ("classify.mpki_high=inf", MetricsRangeError, "mpki_high"),
+    ("classify.trend_epsilon=nan", MetricsRangeError, "trend_epsilon"),
+])
+def test_non_finite_values_rejected_naming_the_key(tmp_path, item, error, key):
+    with pytest.raises(error, match=f"{key} must be finite"):
+        load_config(None, [item])
+    path = tmp_path / "run.cfg"
+    path.write_text(item.replace("=", " = ") + "\n")
+    with pytest.raises(error, match=f"{key} must be finite"):
+        load_config(str(path))
