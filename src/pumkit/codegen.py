@@ -272,7 +272,8 @@ def _live_nodes(graph: MajGraph) -> list[bool]:
     return live
 
 
-_DCC = (4, 5)  # scheduler row indices of DCC0/DCC1 in COMPUTE_ROWS + DCC_ROWS
+_ROW_NAMES = COMPUTE_ROWS + DCC_ROWS  # scheduler row index -> token
+_DCC = (4, 5)  # scheduler row indices of DCC0/DCC1
 
 
 def _non_dcc_first(r: int) -> tuple[bool, int]:
@@ -287,30 +288,25 @@ class _Scheduler:
     """Linear-sweep scheduler with copy tracking and LRU spilling.
 
     Values are packed edges (``ref << 1 | neg``, see `logic`).  Rows are
-    indices into ``names``: T0-T3, DCC0, DCC1, then the virtual ``V<i>``
-    rows of estimate mode; a row becomes a token only in an emitted
-    command.  ``dead`` holds every row that is free or holds an input or
-    constant (always rematerializable) or a node with no uses left, so
-    allocation takes a row from it instead of scanning the pool.  Ties
-    between rows break in pool order, non-DCC rows first unless a DCC row
-    is preferred.  In estimate mode the compute-row pool grows on demand
-    and spilling never happens (see `estimate_cost_static`).
+    indices into ``_ROW_NAMES`` (T0-T3, DCC0, DCC1); a row becomes a token
+    only in an emitted command.  ``dead`` holds every row that is free or
+    holds an input or constant (always rematerializable) or a node with no
+    uses left, so allocation takes a row from it instead of scanning the
+    pool.  Ties between rows break in pool order, non-DCC rows first
+    unless a DCC row is preferred.  Pressure beyond the six rows spills
+    to the row map's scratch region; `schedule` emits the sweep as a
+    program and `estimate_cost_static` (the optimizer's objective) counts
+    the activations of the same sweep.
     """
 
-    def __init__(self, graph: MajGraph, rowmap: RowMap | None, estimate: bool = False):
+    def __init__(self, graph: MajGraph, rowmap: RowMap):
         self.graph = graph
-        self.estimate = estimate
         self.commands: list[tuple[str, tuple[str, ...]]] = []
-        self.names = list(COMPUTE_ROWS + DCC_ROWS)
-        self.row_val: list[int | None] = [None] * len(self.names)
-        self.lru = [0] * len(self.names)
-        self.dead = set(range(len(self.names)))
+        self.row_val: list[int | None] = [None] * len(_ROW_NAMES)
+        self.lru = [0] * len(_ROW_NAMES)
+        self.dead = set(range(len(_ROW_NAMES)))
         self.copies: dict[int, set[int]] = {}
         self.spilled: dict[int, int] = {}  # value -> spill data-row index
-        if rowmap is None:  # estimate mode: default rows, no spill region
-            n_in = graph.input_count
-            rowmap = RowMap(tuple(f"D{i}" for i in range(n_in)),
-                            tuple(f"D{n_in + j}" for j in range(graph.output_count)), 0, 0)
         self.rowmap = rowmap
         self.spill_free = list(range(rowmap.spill_start, rowmap.spill_end))
         self.spill_rows_used = 0
@@ -363,15 +359,6 @@ class _Scheduler:
         self.clock += 1
         self.lru[row] = self.clock
 
-    def _new_row(self) -> int:
-        """Estimate mode: one more (virtual) compute row, free."""
-        r = len(self.names)
-        self.names.append(f"V{r - len(COMPUTE_ROWS + DCC_ROWS)}")
-        self.row_val.append(None)
-        self.lru.append(0)
-        self.dead.add(r)
-        return r
-
     def _implicit_source(self, val: int) -> str | None:
         """Permanent backing row for inputs and constants."""
         r = val >> 1
@@ -411,7 +398,7 @@ class _Scheduler:
             self._set(r, None)
             return r
         if cands is None:
-            cands = [r for r in range(len(self.names)) if r not in excluded]
+            cands = [r for r in range(len(_ROW_NAMES)) if r not in excluded]
         # redundant copies evict silently; rows in `excluded` may be about
         # to be destroyed by the pending TRA, so they don't count as backup
         redundant = [r for r in cands
@@ -420,8 +407,6 @@ class _Scheduler:
             r = min(redundant, key=lambda x: (self.lru[x], rank(x)))
             self._set(r, None)
             return r
-        if self.estimate and not dcc_only:
-            return self._new_row()
         if not cands:
             raise CapacityError("compute-row pressure with no evictable row")
         victim = min(cands, key=lambda x: (self.lru[x], rank(x)))
@@ -432,9 +417,9 @@ class _Scheduler:
         val = self.row_val[row]
         # cheap migration if an idle row exists outside the exclusion set
         idle = [r for r in self.dead if r != row and r not in excluded]
-        if idle or self.estimate:
-            r = min(idle) if idle else self._new_row()
-            self._emit("AAP", self.names[row], self.names[r])
+        if idle:
+            r = min(idle)
+            self._emit("AAP", _ROW_NAMES[row], _ROW_NAMES[r])
             self._set(r, val)
             self._set(row, None)
             return
@@ -445,7 +430,7 @@ class _Scheduler:
             )
         idx = heapq.heappop(self.spill_free)
         self.spill_rows_used = max(self.spill_rows_used, idx - self.rowmap.spill_start + 1)
-        self._emit("AAP", self.names[row], f"D{idx}")
+        self._emit("AAP", _ROW_NAMES[row], f"D{idx}")
         self.spilled[val] = idx
         self._set(row, None)
 
@@ -469,7 +454,7 @@ class _Scheduler:
         rows = self.copies.get(val)
         if rows:
             r = min(rows, key=_non_dcc_first)
-            return self.names[r], r
+            return _ROW_NAMES[r], r
         if val in self.spilled:
             return f"D{self.spilled[val]}", -1
         imp = self._implicit_source(val)
@@ -479,7 +464,7 @@ class _Scheduler:
         flipped = self.copies.get(val ^ 1, ())
         for r in _DCC:
             if r in flipped:
-                return "~" + self.names[r], r
+                return "~" + _ROW_NAMES[r], r
         return None, -1
 
     def _free_pinned_dcc(self, claimed: list[int], keep: set[int]) -> int:
@@ -487,7 +472,7 @@ class _Scheduler:
         victim = next(r for r in claimed if r in _DCC)
         val = self.row_val[victim]
         row = self._alloc(set(claimed) | keep | {victim})
-        self._emit("AAP", self.names[victim], self.names[row])
+        self._emit("AAP", _ROW_NAMES[victim], _ROW_NAMES[row])
         self._set(row, val)
         self._set(victim, None)
         claimed[claimed.index(victim)] = row
@@ -501,7 +486,7 @@ class _Scheduler:
         src, base = self._any_source(val)
         if src is not None:
             row = self._alloc(taken | {base}, prefer_dcc=prefer_dcc)
-            self._emit("AAP", src, self.names[row])
+            self._emit("AAP", src, _ROW_NAMES[row])
             self._set(row, val)
             return row
         # only the flipped polarity exists somewhere: route through a DCC row
@@ -513,10 +498,10 @@ class _Scheduler:
             taken = set(claimed)
         else:
             dcc = self._alloc(taken | {base}, dcc_only=True)
-        self._emit("AAP", src, self.names[dcc])
+        self._emit("AAP", src, _ROW_NAMES[dcc])
         self._set(dcc, val ^ 1)
         row = self._alloc(taken | {dcc}, prefer_dcc=False)
-        self._emit("AAP", "~" + self.names[dcc], self.names[row])
+        self._emit("AAP", "~" + _ROW_NAMES[dcc], _ROW_NAMES[row])
         self._set(row, val)
         return row
 
@@ -527,7 +512,7 @@ class _Scheduler:
         if ref < 0 or self.uses[ref] == 0 or self._survives(ref, taken, row):
             return row
         spare = self._alloc(taken | {row})
-        self._emit("AAP", self.names[row], self.names[spare])
+        self._emit("AAP", _ROW_NAMES[row], _ROW_NAMES[spare])
         self._set(spare, val)
         return spare
 
@@ -537,7 +522,7 @@ class _Scheduler:
         if ref == REF_ZERO or ref == REF_ONE:
             bit = (ref == REF_ONE) ^ (e & 1)
             row = self._alloc(set(claimed))
-            self._emit("AAP", "C1" if bit else "C0", self.names[row])
+            self._emit("AAP", "C1" if bit else "C0", _ROW_NAMES[row])
             self._set(row, (REF_ONE if bit else REF_ZERO) << 1)
             return row
         taken = set(claimed)
@@ -561,7 +546,7 @@ class _Scheduler:
             claimed: list[int] = []
             for e in edges:
                 claimed.append(self._acquire_operand(e, claimed))
-            self._emit("TRA", *(self.names[r] for r in claimed))
+            self._emit("TRA", *(_ROW_NAMES[r] for r in claimed))
             for r in claimed:
                 self._set(r, k << 1)
         for e, target in zip(self.graph.packed_outputs, self.rowmap.output_rows):
@@ -583,9 +568,9 @@ class _Scheduler:
         if src is None:
             raise MicroProgramError(f"output value for {ref_name(ref)} lost during scheduling")
         dcc = self._alloc({base}, dcc_only=True)
-        self._emit("AAP", src, self.names[dcc])
+        self._emit("AAP", src, _ROW_NAMES[dcc])
         self._set(dcc, e ^ 1)
-        self._emit("AAP", "~" + self.names[dcc], target)
+        self._emit("AAP", "~" + _ROW_NAMES[dcc], target)
         self._use(ref)
 
 
@@ -601,21 +586,16 @@ def schedule(graph: MajGraph, rowmap: RowMap, cfg: SubarrayConfig,
                         data_rows=rowmap.data_rows_used, commands=commands)
 
 
-def estimate_cost_static(graph: MajGraph) -> int:
-    """Activation estimate from a spill-free dry run of the scheduler.
+def estimate_cost_static(graph: MajGraph, cfg: SubarrayConfig | None = None) -> int:
+    """Activations of the program `schedule` emits for `graph` under `cfg`.
 
-    The same `_Scheduler` sweep over the packed graph, in estimate mode:
-    the compute-row pool grows instead of spilling, and no row map is
-    needed.  Where the scheduled program has no spill traffic the two
-    counts are equal.  Otherwise the estimate is usually lower, but it is
-    no strict bound: a value spilled and reloaded into a DCC row can save
-    the ``~DCC`` routing that the spill-free run pays for.
+    The optimizer's objective: the same `_Scheduler` sweep, spills
+    included, counted without building `Command`s.  Raises
+    `CapacityError` when `cfg` cannot hold the graph.
     """
-    sched = _Scheduler(graph, None, estimate=True)
-    commands = sched.run()
+    commands = _Scheduler(graph, allocate_rows(graph, cfg or SubarrayConfig())).run()
     aap = sum(1 for op, _ in commands if op == "AAP")
-    tra = len(commands) - aap
-    return 2 * aap + 3 * tra
+    return 2 * aap + 3 * (len(commands) - aap)
 
 
 # --- dataflow audit -------------------------------------------------------

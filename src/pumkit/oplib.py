@@ -21,6 +21,7 @@ clamps negatives to zero.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 
@@ -30,6 +31,7 @@ from .codegen import (
     SubarrayConfig,
     allocate_rows,
     schedule,
+    verify_program,
 )
 from .errors import ArityError, CapacityError, PumError
 from .logic import Gate, MajGraph, Netlist
@@ -332,6 +334,20 @@ class CompiledOp:
     verified_cases: int
 
 
+def _corner_lanes(kind, widths, rng) -> list[tuple[int, ...]]:
+    """0, 1, all-ones and MSB-only per operand, crossed over the first four
+    operands (later n-ary operands repeat the fourth), then lanes with
+    every operand equal and, for div, a zero divisor."""
+    per_operand = [sorted({0, 1, (1 << w) - 1, 1 << (w - 1)}) for w in widths[:4]]
+    cases = [c + c[-1:] * (len(widths) - len(c)) for c in itertools.product(*per_operand)]
+    for _ in range(4):
+        v = rng.getrandbits(max(widths))
+        cases.append(tuple(v & ((1 << w) - 1) for w in widths))
+        if kind == "div":
+            cases.append((v & ((1 << widths[0]) - 1), 0))
+    return cases
+
+
 def _verify_compiled(kind, width, widths, out_width, program, cfg, n_inputs) -> int:
     in_bits = sum(widths)
     if in_bits <= 12:
@@ -341,8 +357,11 @@ def _verify_compiled(kind, width, widths, out_width, program, cfg, n_inputs) -> 
                  for s, wk in zip(shifts, widths)]
     else:
         rng = random.Random(f"{kind}:{width}:{n_inputs}")
-        n_cases = 4096 if width <= 8 else 256
-        lanes = [[rng.getrandbits(wk) for _ in range(n_cases)] for wk in widths]
+        n_random = 4096 if width <= 8 else 256
+        lanes = [[rng.getrandbits(wk) for _ in range(n_random)] for wk in widths]
+        corners = _corner_lanes(kind, widths, rng)
+        lanes = [list(col) + lane for col, lane in zip(zip(*corners), lanes)]
+        n_cases = len(corners) + n_random
     vcfg = SubarrayConfig(total_rows=cfg.total_rows, columns=n_cases,
                           data_row_count=cfg.data_row_count)
     got, _ = _run_lanes(program, widths, out_width, lanes, vcfg)
@@ -358,14 +377,18 @@ def _verify_compiled(kind, width, widths, out_width, program, cfg, n_inputs) -> 
 
 def compile_op(kind: str, width: int, cfg: SubarrayConfig | None = None,
                effort: int = 2, n_inputs: int = 2) -> CompiledOp:
-    """Run the full pipeline for one operation and verify the result."""
+    """Run the full pipeline for one operation and verify the result:
+    symbolically (`verify_program`), then on simulated lanes."""
     widths, out_width = op_signature(kind, width, n_inputs)
     if cfg is None:
         cfg = SubarrayConfig()
     netlist = build_netlist(kind, width, n_inputs)
-    graph, report = optimize(lower_to_maj(netlist), effort)
+    graph, report = optimize(lower_to_maj(netlist), effort, cfg)
     rowmap = allocate_rows(graph, cfg)
     program = schedule(graph, rowmap, cfg, name=kind, width=width)
+    if not verify_program(graph, rowmap, program):
+        raise PumError(f"compiled {kind} width {width} fails the symbolic "
+                       "check: an output row does not hold its graph expression")
     cases = _verify_compiled(kind, width, widths, out_width, program, cfg, n_inputs)
     return CompiledOp(kind, width, n_inputs, widths, out_width, netlist,
                       graph, rowmap, program, report, cases)

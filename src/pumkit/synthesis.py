@@ -6,7 +6,8 @@ edge complement, and XOR expands to the three-node template
 AND(NAND(a,b), OR(a,b)).
 
 ``optimize`` then shrinks the graph with a greedy rewrite loop whose
-objective is the statically estimated row-activation count:
+objective is the row-activation count of the program the scheduler
+emits for the graph under the configured subarray, spills included:
 
 * node canonicalization + constant folding + majority absorption,
 * structural hashing (common-subexpression merging) and dead-node removal,
@@ -16,8 +17,9 @@ objective is the statically estimated row-activation count:
   a precomputed minimal-template library (single-majority functions,
   two-node compositions, and the XOR/XNOR templates).
 
-A round is kept only when (activations, nodes, depth) strictly improves,
-which gives monotone cost and a stable fixpoint.
+A round is kept only when (does_not_fit, activations, nodes, depth)
+strictly improves, which gives monotone cost and a stable fixpoint; a
+graph the subarray cannot hold ranks below every graph that fits.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 
-from .codegen import estimate_cost_static
-from .errors import PumError, TableSizeError
+from .codegen import SubarrayConfig, estimate_cost_static
+from .errors import CapacityError, PumError, TableSizeError
 from .logic import (
     CONST_ONE,
     CONST_ZERO,
@@ -586,12 +588,16 @@ class _Builder:
 
 @dataclass(frozen=True)
 class SynthesisReport:
+    """Before/after figures of one `optimize` call.  The activation counts
+    are those of the scheduled program, None for a graph that does not
+    fit the subarray."""
+
     node_count_before: int
     node_count_after: int
     depth_before: int
     depth_after: int
-    estimated_activations_before: int
-    estimated_activations_after: int
+    estimated_activations_before: int | None
+    estimated_activations_after: int | None
     rules_applied: tuple[tuple[str, int], ...]
 
     def render(self) -> str:
@@ -600,7 +606,7 @@ class SynthesisReport:
             f"depth:       {self.depth_before} -> {self.depth_after}",
             "activations: "
             f"{self.estimated_activations_before} -> {self.estimated_activations_after}"
-            " (static estimate)",
+            " (scheduled)",
         ]
         if self.rules_applied:
             applied = ", ".join(f"{name} x{cnt}" for name, cnt in self.rules_applied)
@@ -608,24 +614,31 @@ class SynthesisReport:
         return "\n".join(lines)
 
 
-def _metric(g: MajGraph) -> tuple[int, int, int]:
-    return (estimate_cost_static(g), g.node_count, g.depth())
+def _metric(g: MajGraph, cfg: SubarrayConfig | None) -> tuple[bool, int, int, int]:
+    """(does_not_fit, scheduled activations or 0, nodes, depth)."""
+    try:
+        return (False, estimate_cost_static(g, cfg), g.node_count, g.depth())
+    except CapacityError:
+        return (True, 0, g.node_count, g.depth())
 
 
-def optimize(graph: MajGraph, effort: int = 2) -> tuple[MajGraph, SynthesisReport]:
-    """Rewrite `graph` to reduce estimated row activations.
+def optimize(graph: MajGraph, effort: int = 2,
+             cfg: SubarrayConfig | None = None) -> tuple[MajGraph, SynthesisReport]:
+    """Rewrite `graph` to reduce the activations of its scheduled program.
 
-    effort 0: identity; effort 1: one greedy pass; effort 2: iterate to a
-    fixpoint (64-pass cap).  Rounds that fail to strictly improve the
-    (activations, nodes, depth) metric are rolled back, so the result is
-    never worse than the input.
+    The objective is `estimate_cost_static`: the activation count of the
+    program `schedule` emits under `cfg` (the default subarray if None),
+    spills included.  effort 0: identity; effort 1: one greedy pass;
+    effort 2: iterate to a fixpoint (64-pass cap).  Rounds that fail to
+    strictly improve (does_not_fit, activations, nodes, depth) are rolled
+    back, so the result is never worse than the input, and never fails to
+    fit when the input fits.
     """
     if effort not in (0, 1, 2):
         raise ValueError(f"effort must be 0, 1, or 2, got {effort!r}")
-    before = (graph.node_count, graph.depth(), estimate_cost_static(graph))
     rules: Counter = Counter()
     best = graph
-    best_m = (before[2], before[0], before[1])
+    before = best_m = _metric(graph, cfg)
     if effort > 0:
         passes = 1 if effort == 1 else 64
         for _ in range(passes):
@@ -640,19 +653,19 @@ def optimize(graph: MajGraph, effort: int = 2) -> tuple[MajGraph, SynthesisRepor
             if (candidate.packed_nodes == best.packed_nodes
                     and candidate.packed_outputs == best.packed_outputs):
                 break  # an unchanged round would score best_m again
-            m = _metric(candidate)
+            m = _metric(candidate, cfg)
             if m < best_m:
                 best, best_m = candidate, m
                 rules.update(round_counts)
             else:
                 break
     report = SynthesisReport(
-        node_count_before=before[0],
-        node_count_after=best.node_count,
-        depth_before=before[1],
-        depth_after=best.depth(),
-        estimated_activations_before=before[2],
-        estimated_activations_after=best_m[0],
+        node_count_before=before[2],
+        node_count_after=best_m[2],
+        depth_before=before[3],
+        depth_after=best_m[3],
+        estimated_activations_before=None if before[0] else before[1],
+        estimated_activations_after=None if best_m[0] else best_m[1],
         rules_applied=tuple(sorted(rules.items())),
     )
     return best, report

@@ -12,6 +12,7 @@ from pumkit.codegen import (
     SubarrayConfig,
     activation_count,
     allocate_rows,
+    data_row_index,
     estimate_cost_static,
     format_microprogram,
     parse_microprogram,
@@ -215,22 +216,44 @@ class TestCosts:
 
     def test_estimate_matches_minimal_schedule(self):
         assert estimate_cost_static(MAJ_AB0) == 11
+        assert estimate_cost_static(MAJ_AB0, CFG) == 11
 
     def test_estimate_empty_graph_is_copy_cost(self):
         passthrough = MajGraph(1, [], [("in0", False)])
         assert estimate_cost_static(passthrough) == 2  # one AAP
+        assert estimate_cost_static(passthrough, CFG) == 2
 
     def test_estimate_lower_bounds_schedule(self, rng):
+        """The objective is the scheduled count itself, spills included,
+        and fails where `schedule` fails."""
+        spilled = 0
         for _ in range(15):
             g = random_majgraph(rng, n_inputs=5, n_nodes=12)
-            rm = allocate_rows(g, CFG)
-            actual = activation_count(schedule(g, rm, CFG)).total
-            assert estimate_cost_static(g) <= actual
+            need = g.input_count + g.output_count
+            tight = SubarrayConfig(total_rows=need + 10, columns=16,
+                                   data_row_count=need + 2)
+            for cfg in (CFG, tight):
+                rm = allocate_rows(g, cfg)
+                try:
+                    prog = schedule(g, rm, cfg)
+                except CapacityError:
+                    with pytest.raises(CapacityError):
+                        estimate_cost_static(g, cfg)
+                    continue
+                spilled += any(c.op == "AAP" and (data_row_index(c.rows[1]) or 0)
+                               >= rm.spill_start for c in prog.commands)
+                assert estimate_cost_static(g, cfg) == activation_count(prog).total
+        assert spilled, "expected some schedules with spill traffic"
 
     def test_no_spill_means_estimate_exact(self):
         rm = allocate_rows(MAJ_AB0, CFG)
         prog = schedule(MAJ_AB0, rm, CFG)
-        assert estimate_cost_static(MAJ_AB0) == activation_count(prog).total
+        assert estimate_cost_static(MAJ_AB0, CFG) == activation_count(prog).total
+
+    def test_estimate_raises_when_the_graph_does_not_fit(self):
+        cfg = SubarrayConfig(total_rows=10, columns=16, data_row_count=2)
+        with pytest.raises(CapacityError):
+            estimate_cost_static(MAJ_AB0, cfg)
 
 
 class TestTextFormat:

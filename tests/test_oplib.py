@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
-from pumkit.codegen import SubarrayConfig, activation_count
-from pumkit.errors import ArityError, CapacityError
+import pumkit.oplib
+from pumkit.codegen import MicroProgram, SubarrayConfig, activation_count, verify_program
+from pumkit.errors import ArityError, CapacityError, PumError
 from pumkit.logic import eval_netlist, truth_table
 from pumkit.oplib import (
     N_ARY,
@@ -127,6 +130,53 @@ class TestCompile:
         b = compile_op_cached("eq", 4, CFG)
         assert a is b
 
+    def test_symbolic_check_rejects_a_dropped_tra(self, monkeypatch):
+        real_schedule = pumkit.oplib.schedule
+
+        def drop_last_tra(*args, **kwargs):
+            program = real_schedule(*args, **kwargs)
+            cmds = list(program.commands)
+            i = max(k for k, c in enumerate(cmds) if c.op == "TRA")
+            return MicroProgram(program.name, program.width, program.data_rows,
+                                tuple(cmds[:i] + cmds[i + 1:]))
+
+        monkeypatch.setattr(pumkit.oplib, "schedule", drop_last_tra)
+        with pytest.raises(PumError, match="add width 8 fails the symbolic check"):
+            compile_op("add", 8, CFG)
+
+    def test_seeded_lanes_include_corners(self):
+        compiled = compile_op_cached("div", 8, CFG)
+        # 4 x 4 crossed corners, 4 equal-operand and 4 zero-divisor lanes
+        assert compiled.verified_cases == 4096 + 16 + 4 + 4
+        cases = pumkit.oplib._corner_lanes("div", (8, 8), random.Random(0))
+        assert {(0, 0), (1, 1), (255, 255), (128, 128), (255, 0), (128, 1)} <= set(cases)
+        assert sum(a == b for a, b in cases[16:]) >= 4
+        assert sum(b == 0 for _, b in cases[16:]) >= 4
+        wide = pumkit.oplib._corner_lanes("xor_n", (8,) * 6, random.Random(0))
+        assert len(wide) == 4 ** 4 + 4 and all(c[5] == c[3] for c in wide[:256])
+
+
+# Smallest spare data rows (beyond inputs and outputs) with which each op
+# compiled when the objective was a spill-free estimate; the exact objective
+# must still compile every one of them.
+TIGHT_SPARE_ROWS = [("mul", 8, 2, 19), ("div", 8, 2, 19), ("add", 16, 2, 14),
+                    ("bitcount", 16, 2, 12), ("max", 8, 2, 4), ("xor_n", 8, 4, 7)]
+
+
+@pytest.mark.parametrize("kind,width,n_inputs,spare", TIGHT_SPARE_ROWS)
+def test_tight_subarray_still_compiles(kind, width, n_inputs, spare):
+    widths, out_width = op_signature(kind, width, n_inputs)
+    data_rows = sum(widths) + out_width + spare
+    cfg = SubarrayConfig(total_rows=data_rows + 8, columns=64, data_row_count=data_rows)
+    compiled = compile_op(kind, width, cfg, n_inputs=n_inputs)
+    assert verify_program(compiled.graph, compiled.rowmap, compiled.program)
+    assert compiled.report.estimated_activations_after == \
+        activation_count(compiled.program).total
+    rng = random.Random(f"{kind}{width}")
+    lanes = [[rng.getrandbits(w) for _ in range(64)] for w in widths]
+    want = [oracle(kind, width, case) for case in zip(*lanes)]
+    assert execute_op(compiled, lanes, cfg) == want
+
 
 class TestExecute:
     def test_add_with_carry_lane(self):
@@ -199,4 +249,6 @@ class TestOptimizationBenefit:
         n_inputs = 3 if kind in N_ARY else 2
         e0 = compile_op_cached(kind, 4, CFG, effort=0, n_inputs=n_inputs)
         e2 = compile_op_cached(kind, 4, CFG, effort=2, n_inputs=n_inputs)
-        assert estimate_cost_static(e2.graph) <= estimate_cost_static(e0.graph)
+        assert estimate_cost_static(e2.graph, CFG) <= estimate_cost_static(e0.graph, CFG)
+        for c in (e0, e2):
+            assert c.report.estimated_activations_after == activation_count(c.program).total

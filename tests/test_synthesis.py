@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pumkit.codegen import estimate_cost_static
+from pumkit.codegen import SubarrayConfig, estimate_cost_static
+from pumkit.errors import CapacityError
 from pumkit.logic import Gate, MajGraph, Netlist, equivalent, truth_table
 from pumkit.oplib import build_netlist
 from pumkit.synthesis import (
@@ -79,12 +80,24 @@ class TestOptimize:
 
     @pytest.mark.parametrize("effort", [0, 1, 2])
     def test_monotone_cost(self, effort, rng):
+        """Also under a subarray with two spare data rows, where schedules
+        spill or do not fit at all."""
+        tight_fits = 0
         for _ in range(10):
             g = lower_to_maj(random_netlist(rng, n_gates=15))
-            before = estimate_cost_static(g)
-            opt, report = optimize(g, effort)
-            assert estimate_cost_static(opt) <= before
-            assert report.estimated_activations_after <= before
+            need = g.input_count + g.output_count
+            tight = SubarrayConfig(total_rows=need + 10, data_row_count=need + 2)
+            for cfg in (None, tight):
+                try:
+                    before = estimate_cost_static(g, cfg)
+                except CapacityError:
+                    assert optimize(g, effort, cfg)[1].estimated_activations_before is None
+                    continue
+                tight_fits += cfg is tight
+                opt, report = optimize(g, effort, cfg)
+                assert estimate_cost_static(opt, cfg) <= before
+                assert report.estimated_activations_after <= before
+        assert tight_fits
 
     def test_fixpoint_idempotence(self, rng):
         for _ in range(10):
