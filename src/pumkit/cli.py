@@ -75,6 +75,7 @@ def cmd_compile(args, cfg: RunConfig) -> int:
         fh.write(format_microprogram(compiled.program))
     print(f"compiled {args.op} width {args.width} -> {args.output}")
     print(f"verified against the host oracle on {compiled.verified_cases} cases")
+    print(f"spill rows: {compiled.spill_rows}")
     print(compiled.report.render())
     print(costmodel.estimate(compiled.program, cfg.cost).render())
     return EXIT_OK

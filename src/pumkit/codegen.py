@@ -17,13 +17,16 @@ A TRA may name any three distinct rows of the six-row compute group
 three with the per-column majority.  Compute rows are recycled by
 liveness: a value's row is reusable once every consumer has read it, and
 pressure beyond the six rows spills the least-recently-used row to a
-reserved data-row scratch region.
+reserved data-row scratch region.  The scheduler holds sets of these six
+rows as bit masks.  The optimizer's objective (`estimate_cost_static`)
+runs the scheduler sweep once per graph it scores and leaves the command
+list on the graph, so `schedule` emits the shipped graph's program from
+the sweep that scored it.
 """
 
 from __future__ import annotations
 
 import heapq
-import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -35,11 +38,15 @@ DCC_ROWS = ("DCC0", "DCC1")
 CONST_ROWS = ("C0", "C1")
 SPECIAL_ROWS = COMPUTE_ROWS + DCC_ROWS + CONST_ROWS
 
-_ROW_RE = re.compile(r"^(?:D(\d+)|T[0-3]|DCC[01]|C[01]|~DCC[01])$")
+_FIXED_TOKENS = frozenset(SPECIAL_ROWS + ("~DCC0", "~DCC1"))
 
 
-def is_row_token(token: str) -> bool:
-    return _ROW_RE.match(token) is not None
+def _is_data_token(token: str) -> bool:
+    """Canonical ``D<n>``: ASCII digits, no leading zero, so every data
+    row has exactly one spelling."""
+    n = token[1:]
+    return (token[:1] == "D" and n.isascii() and n.isdigit()
+            and (n[0] != "0" or n == "0"))
 
 
 def alias_base(token: str) -> str | None:
@@ -48,10 +55,7 @@ def alias_base(token: str) -> str | None:
 
 
 def data_row_index(token: str) -> int | None:
-    m = _ROW_RE.match(token)
-    if m and m.group(1) is not None:
-        return int(m.group(1))
-    return None
+    return int(token[1:]) if _is_data_token(token) else None
 
 
 def in_compute_group(token: str) -> bool:
@@ -110,7 +114,7 @@ class Command:
 
     def __post_init__(self):
         for t in self.rows:
-            if not is_row_token(t):
+            if t not in _FIXED_TOKENS and not _is_data_token(t):
                 raise MicroProgramError(f"unknown row token {t!r}")
         if self.op == "AAP":
             if len(self.rows) != 2:
@@ -273,15 +277,19 @@ def _live_nodes(graph: MajGraph) -> list[bool]:
 
 
 _ROW_NAMES = COMPUTE_ROWS + DCC_ROWS  # scheduler row index -> token
-_DCC = (4, 5)  # scheduler row indices of DCC0/DCC1
+_ALL = (1 << len(_ROW_NAMES)) - 1  # row sets are bit masks, bit r = row r
+_DCC_MASK = 0b110000  # DCC0/DCC1 are rows 4 and 5
+_FIRST = tuple((m & -m).bit_length() - 1 for m in range(_ALL + 1))  # lowest row, T0 first
+_FIRST_DCC = tuple(_FIRST[m & _DCC_MASK or m] for m in range(_ALL + 1))  # DCC rows first
+_ROWS_OF = tuple(tuple(r for r in range(len(_ROW_NAMES)) if m >> r & 1)
+                 for m in range(_ALL + 1))
 
 
-def _non_dcc_first(r: int) -> tuple[bool, int]:
-    return (r in _DCC, r)
-
-
-def _dcc_first(r: int) -> tuple[bool, int]:
-    return (r not in _DCC, r)
+def _mask(rows) -> int:
+    m = 0
+    for r in rows:
+        m |= 1 << r
+    return m
 
 
 class _Scheduler:
@@ -289,14 +297,17 @@ class _Scheduler:
 
     Values are packed edges (``ref << 1 | neg``, see `logic`).  Rows are
     indices into ``_ROW_NAMES`` (T0-T3, DCC0, DCC1); a row becomes a token
-    only in an emitted command.  ``dead`` holds every row that is free or
-    holds an input or constant (always rematerializable) or a node with no
-    uses left, so allocation takes a row from it instead of scanning the
-    pool.  Ties between rows break in pool order, non-DCC rows first
+    only in an emitted command.  Every set of rows is a 6-bit mask:
+    ``copies[val]`` (the rows holding a value), the rows a pending TRA
+    claims, and ``dead``, the rows that are free or hold an input or
+    constant (always rematerializable) or a node with no uses left.
+    Allocation takes a row from ``dead`` by table lookup instead of
+    scanning the pool; ties break in pool order, non-DCC rows first
     unless a DCC row is preferred.  Pressure beyond the six rows spills
-    to the row map's scratch region; `schedule` emits the sweep as a
-    program and `estimate_cost_static` (the optimizer's objective) counts
-    the activations of the same sweep.
+    to the row map's scratch region.  `estimate_cost_static` (the
+    optimizer's objective) counts the sweep's activations and leaves the
+    command list on the graph, so `schedule` emits the shipped graph's
+    program without sweeping it again.
     """
 
     def __init__(self, graph: MajGraph, rowmap: RowMap):
@@ -304,12 +315,11 @@ class _Scheduler:
         self.commands: list[tuple[str, tuple[str, ...]]] = []
         self.row_val: list[int | None] = [None] * len(_ROW_NAMES)
         self.lru = [0] * len(_ROW_NAMES)
-        self.dead = set(range(len(_ROW_NAMES)))
-        self.copies: dict[int, set[int]] = {}
+        self.dead = _ALL
+        self.copies: dict[int, int] = {}  # value -> mask of rows holding it
         self.spilled: dict[int, int] = {}  # value -> spill data-row index
         self.rowmap = rowmap
         self.spill_free = list(range(rowmap.spill_start, rowmap.spill_end))
-        self.spill_rows_used = 0
         self.clock = 0
         self.live = _live_nodes(graph)
         self.uses = [0] * graph.node_count
@@ -337,25 +347,22 @@ class _Scheduler:
         self.commands.append((op, rows))
 
     def _set(self, row: int, val: int | None):
+        bit = 1 << row
+        copies = self.copies
         old = self.row_val[row]
         if old is not None:
-            peers = self.copies[old]
-            peers.discard(row)
-            if not peers:
-                del self.copies[old]
+            peers = copies[old] & ~bit
+            if peers:
+                copies[old] = peers
+            else:
+                del copies[old]
         self.row_val[row] = val
-        if val is None:
-            self.dead.add(row)
+        if val is not None:
+            copies[val] = copies.get(val, 0) | bit
+        if val is None or val < 0 or self.uses[val >> 1] == 0:
+            self.dead |= bit
         else:
-            peers = self.copies.get(val)
-            if peers is None:
-                self.copies[val] = {row}
-            else:
-                peers.add(row)
-            if val < 0 or self.uses[val >> 1] == 0:
-                self.dead.add(row)
-            else:
-                self.dead.discard(row)
+            self.dead &= ~bit
         self.clock += 1
         self.lru[row] = self.clock
 
@@ -370,55 +377,44 @@ class _Scheduler:
             return self.rowmap.input_rows[-3 - r]
         return None
 
-    def _survives(self, ref: int, doomed: set[int], row: int) -> bool:
-        """Can node `ref` (either polarity) still be sourced once `row` and
-        the `doomed` rows die?"""
-        for val in (ref << 1, ref << 1 | 1):
-            if val in self.spilled:
-                return True
-            for r in self.copies.get(val, ()):
-                if r != row and r not in doomed:
-                    return True
-        return False
+    def _survives(self, ref: int, doomed: int) -> bool:
+        """Can node `ref` (either polarity) still be sourced once the
+        `doomed` rows die?"""
+        val = ref << 1
+        return bool((self.copies.get(val, 0) | self.copies.get(val | 1, 0)) & ~doomed) \
+            or val in self.spilled or val | 1 in self.spilled
 
     # -- row allocation ------------------------------------------------------
 
-    def _alloc(self, excluded: set[int], prefer_dcc: bool = False,
+    def _alloc(self, excluded: int, prefer_dcc: bool = False,
                dcc_only: bool = False) -> int:
-        rank = _dcc_first if prefer_dcc else _non_dcc_first
-        if dcc_only:
-            cands = [r for r in _DCC if r not in excluded]
-            free = [r for r in cands if r in self.dead]
-        else:
-            cands = None
-            free = [r for r in self.dead if r not in excluded]
+        cands = (_DCC_MASK if dcc_only else _ALL) & ~excluded
         # free or dead rows first
+        free = cands & self.dead
         if free:
-            r = min(free, key=rank)
+            r = (_FIRST_DCC if prefer_dcc else _FIRST)[free]
             self._set(r, None)
             return r
-        if cands is None:
-            cands = [r for r in range(len(_ROW_NAMES)) if r not in excluded]
-        # redundant copies evict silently; rows in `excluded` may be about
-        # to be destroyed by the pending TRA, so they don't count as backup
-        redundant = [r for r in cands
-                     if self._survives(self.row_val[r] >> 1, excluded, r)]
-        if redundant:
-            r = min(redundant, key=lambda x: (self.lru[x], rank(x)))
-            self._set(r, None)
-            return r
-        if not cands:
+        # every candidate now holds a live node set at its own clock tick,
+        # so LRU order has no ties.  The least recently used redundant copy
+        # evicts silently; rows in `excluded` may be about to be destroyed
+        # by the pending TRA, so they don't count as backup
+        rows = sorted(_ROWS_OF[cands], key=self.lru.__getitem__)
+        for r in rows:
+            if self._survives(self.row_val[r] >> 1, excluded | 1 << r):
+                self._set(r, None)
+                return r
+        if not rows:
             raise CapacityError("compute-row pressure with no evictable row")
-        victim = min(cands, key=lambda x: (self.lru[x], rank(x)))
-        self._evict(victim, excluded)
-        return victim
+        self._evict(rows[0], excluded)
+        return rows[0]
 
-    def _evict(self, row: int, excluded: set[int]):
+    def _evict(self, row: int, excluded: int):
         val = self.row_val[row]
         # cheap migration if an idle row exists outside the exclusion set
-        idle = [r for r in self.dead if r != row and r not in excluded]
+        idle = self.dead & ~excluded & ~(1 << row)
         if idle:
-            r = min(idle)
+            r = _FIRST[idle]
             self._emit("AAP", _ROW_NAMES[row], _ROW_NAMES[r])
             self._set(r, val)
             self._set(row, None)
@@ -429,7 +425,6 @@ class _Scheduler:
                 "reserved data-row scratch space"
             )
         idx = heapq.heappop(self.spill_free)
-        self.spill_rows_used = max(self.spill_rows_used, idx - self.rowmap.spill_start + 1)
         self._emit("AAP", _ROW_NAMES[row], f"D{idx}")
         self.spilled[val] = idx
         self._set(row, None)
@@ -443,35 +438,36 @@ class _Scheduler:
         if self.uses[ref] == 0:
             # rows holding the value die; release any spill rows it held
             for val in (ref << 1, ref << 1 | 1):
-                self.dead.update(self.copies.get(val, ()))
+                self.dead |= self.copies.get(val, 0)
                 idx = self.spilled.pop(val, None)
                 if idx is not None:
                     heapq.heappush(self.spill_free, idx)
 
     def _any_source(self, val: int) -> tuple[str | None, int]:
         """A row token (or alias) an AAP can read `val` from, else None,
-        and the compute-group row behind it (-1 for data and constant rows)."""
+        and the mask of the compute-group row behind it (0 for data and
+        constant rows)."""
         rows = self.copies.get(val)
         if rows:
-            r = min(rows, key=_non_dcc_first)
-            return _ROW_NAMES[r], r
+            r = _FIRST[rows]
+            return _ROW_NAMES[r], 1 << r
         if val in self.spilled:
-            return f"D{self.spilled[val]}", -1
+            return f"D{self.spilled[val]}", 0
         imp = self._implicit_source(val)
         if imp is not None:
-            return imp, -1
-        # complement read straight off a dual-contact cell
-        flipped = self.copies.get(val ^ 1, ())
-        for r in _DCC:
-            if r in flipped:
-                return "~" + _ROW_NAMES[r], r
-        return None, -1
+            return imp, 0
+        # complement read straight off a dual-contact cell, DCC0 first
+        flipped = self.copies.get(val ^ 1, 0) & _DCC_MASK
+        if flipped:
+            r = _FIRST[flipped]
+            return "~" + _ROW_NAMES[r], 1 << r
+        return None, 0
 
-    def _free_pinned_dcc(self, claimed: list[int], keep: set[int]) -> int:
+    def _free_pinned_dcc(self, claimed: list[int], keep: int) -> int:
         """Both DCC rows are pinned by the pending TRA; move one aside."""
-        victim = next(r for r in claimed if r in _DCC)
+        victim = next(r for r in claimed if 1 << r & _DCC_MASK)
         val = self.row_val[victim]
-        row = self._alloc(set(claimed) | keep | {victim})
+        row = self._alloc(_mask(claimed) | keep)
         self._emit("AAP", _ROW_NAMES[victim], _ROW_NAMES[row])
         self._set(row, val)
         self._set(victim, None)
@@ -481,11 +477,11 @@ class _Scheduler:
     def _materialize(self, val: int, claimed: list[int]) -> int:
         """Place `val` into a fresh compute-group row and return it."""
         ref = val >> 1
-        taken = set(claimed)
+        taken = _mask(claimed)
         prefer_dcc = ref >= 0 and self.wants_complement[ref]
         src, base = self._any_source(val)
         if src is not None:
-            row = self._alloc(taken | {base}, prefer_dcc=prefer_dcc)
+            row = self._alloc(taken | base, prefer_dcc=prefer_dcc)
             self._emit("AAP", src, _ROW_NAMES[row])
             self._set(row, val)
             return row
@@ -493,25 +489,26 @@ class _Scheduler:
         src, base = self._any_source(val ^ 1)
         if src is None:
             raise MicroProgramError(f"value for {ref_name(ref)} lost during scheduling")
-        if all(d in taken for d in _DCC):
-            dcc = self._free_pinned_dcc(claimed, {base})
-            taken = set(claimed)
+        if taken & _DCC_MASK == _DCC_MASK:
+            dcc = self._free_pinned_dcc(claimed, base)
+            taken = _mask(claimed)
         else:
-            dcc = self._alloc(taken | {base}, dcc_only=True)
+            dcc = self._alloc(taken | base, dcc_only=True)
         self._emit("AAP", src, _ROW_NAMES[dcc])
         self._set(dcc, val ^ 1)
-        row = self._alloc(taken | {dcc}, prefer_dcc=False)
+        row = self._alloc(taken | 1 << dcc)
         self._emit("AAP", "~" + _ROW_NAMES[dcc], _ROW_NAMES[row])
         self._set(row, val)
         return row
 
-    def _spare(self, row: int, val: int, taken: set[int]) -> int:
+    def _spare(self, row: int, val: int, taken: int) -> int:
         """Copy `val` out of `row` first if the TRA destroying `row` and
         `taken` would take its last copy while it still has uses."""
         ref = val >> 1
-        if ref < 0 or self.uses[ref] == 0 or self._survives(ref, taken, row):
+        doomed = taken | 1 << row
+        if ref < 0 or self.uses[ref] == 0 or self._survives(ref, doomed):
             return row
-        spare = self._alloc(taken | {row})
+        spare = self._alloc(doomed)
         self._emit("AAP", _ROW_NAMES[row], _ROW_NAMES[spare])
         self._set(spare, val)
         return spare
@@ -519,23 +516,23 @@ class _Scheduler:
     def _acquire_operand(self, e: int, claimed: list[int]) -> int:
         """Bring one TRA operand into a compute-group row it may destroy."""
         ref = e >> 1
+        taken = _mask(claimed)
         if ref == REF_ZERO or ref == REF_ONE:
             bit = (ref == REF_ONE) ^ (e & 1)
-            row = self._alloc(set(claimed))
+            row = self._alloc(taken)
             self._emit("AAP", "C1" if bit else "C0", _ROW_NAMES[row])
             self._set(row, (REF_ONE if bit else REF_ZERO) << 1)
             return row
-        taken = set(claimed)
-        avail = [r for r in self.copies.get(e, ()) if r not in taken]
+        avail = self.copies.get(e, 0) & ~taken
         if avail:
-            row = min(avail, key=_non_dcc_first)
+            row = _FIRST[avail]
             self._use(ref)
             row = self._spare(row, e, taken)
             self._touch(row)
             return row
         row = self._materialize(e, claimed)
         self._use(ref)
-        return self._spare(row, e, set(claimed))
+        return self._spare(row, e, _mask(claimed))
 
     # -- main sweep ----------------------------------------------------------
 
@@ -567,7 +564,7 @@ class _Scheduler:
         src, base = self._any_source(e ^ 1)
         if src is None:
             raise MicroProgramError(f"output value for {ref_name(ref)} lost during scheduling")
-        dcc = self._alloc({base}, dcc_only=True)
+        dcc = self._alloc(base, dcc_only=True)
         self._emit("AAP", src, _ROW_NAMES[dcc])
         self._set(dcc, e ^ 1)
         self._emit("AAP", "~" + _ROW_NAMES[dcc], target)
@@ -576,12 +573,20 @@ class _Scheduler:
 
 def schedule(graph: MajGraph, rowmap: RowMap, cfg: SubarrayConfig,
              *, name: str = "custom", width: int = 0) -> MicroProgram:
-    """Emit the command program realizing `graph` under `rowmap`."""
+    """Emit the command program realizing `graph` under `rowmap`.
+
+    Takes over the sweep `estimate_cost_static` left on `graph` when it
+    was made under an equal row map; sweeps afresh otherwise."""
     if len(rowmap.input_rows) != graph.input_count or \
        len(rowmap.output_rows) != graph.output_count:
         raise ArityError("row map does not cover the graph's inputs/outputs")
-    sched = _Scheduler(graph, rowmap)
-    commands = tuple(Command(op, rows) for op, rows in sched.run())
+    kept = graph._sweep
+    if kept is not None and kept[0] == rowmap:
+        _drop_sweep(graph)
+        sweep = kept[1]
+    else:
+        sweep = _Scheduler(graph, rowmap).run()
+    commands = tuple(Command(op, rows) for op, rows in sweep)
     return MicroProgram(name=name, width=width,
                         data_rows=rowmap.data_rows_used, commands=commands)
 
@@ -590,12 +595,32 @@ def estimate_cost_static(graph: MajGraph, cfg: SubarrayConfig | None = None) -> 
     """Activations of the program `schedule` emits for `graph` under `cfg`.
 
     The optimizer's objective: the same `_Scheduler` sweep, spills
-    included, counted without building `Command`s.  Raises
-    `CapacityError` when `cfg` cannot hold the graph.
+    included, counted without building `Command`s.  The command list
+    stays on `graph` for `schedule` until `_drop_sweep` releases it.
+    Raises `CapacityError` when `cfg` cannot hold the graph.
     """
-    commands = _Scheduler(graph, allocate_rows(graph, cfg or SubarrayConfig())).run()
+    rowmap = allocate_rows(graph, cfg or SubarrayConfig())
+    commands = _Scheduler(graph, rowmap).run()
+    object.__setattr__(graph, "_sweep", (rowmap, commands))
     aap = sum(1 for op, _ in commands if op == "AAP")
     return 2 * aap + 3 * (len(commands) - aap)
+
+
+def _drop_sweep(graph: MajGraph):
+    """Release the command list `estimate_cost_static` left on `graph`."""
+    object.__setattr__(graph, "_sweep", None)
+
+
+def spill_rows_used(program: MicroProgram, rowmap: RowMap) -> int:
+    """Scratch rows `program` needs: the spill region is taken lowest row
+    first, so this is its highest written row, counted from the region's
+    start (0 when nothing spills)."""
+    top = rowmap.spill_start
+    for c in program.commands:
+        i = data_row_index(c.rows[-1])  # a TRA names no data row
+        if i is not None and top <= i < rowmap.spill_end:
+            top = i + 1
+    return top - rowmap.spill_start
 
 
 # --- dataflow audit -------------------------------------------------------

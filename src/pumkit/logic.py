@@ -185,7 +185,9 @@ class MajGraph:
     see the module docstring); ``nodes``/``outputs`` are the string view.
     """
 
-    __slots__ = ("input_count", "packed_nodes", "packed_outputs", "_view")
+    # _sweep: the scheduler's last command list for this graph, kept by
+    # codegen.estimate_cost_static for codegen.schedule
+    __slots__ = ("input_count", "packed_nodes", "packed_outputs", "_view", "_sweep")
 
     def __init__(
         self,
@@ -230,6 +232,7 @@ class MajGraph:
         object.__setattr__(self, "packed_nodes", packed_nodes)
         object.__setattr__(self, "packed_outputs", packed_outputs)
         object.__setattr__(self, "_view", view)
+        object.__setattr__(self, "_sweep", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("MajGraph is immutable")

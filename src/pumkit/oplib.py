@@ -31,6 +31,7 @@ from .codegen import (
     SubarrayConfig,
     allocate_rows,
     schedule,
+    spill_rows_used,
     verify_program,
 )
 from .errors import ArityError, CapacityError, PumError
@@ -332,6 +333,7 @@ class CompiledOp:
     program: MicroProgram
     report: SynthesisReport
     verified_cases: int
+    spill_rows: int  # scratch data rows the program spills into
 
 
 def _corner_lanes(kind, widths, rng) -> list[tuple[int, ...]]:
@@ -391,7 +393,8 @@ def compile_op(kind: str, width: int, cfg: SubarrayConfig | None = None,
                        "check: an output row does not hold its graph expression")
     cases = _verify_compiled(kind, width, widths, out_width, program, cfg, n_inputs)
     return CompiledOp(kind, width, n_inputs, widths, out_width, netlist,
-                      graph, rowmap, program, report, cases)
+                      graph, rowmap, program, report, cases,
+                      spill_rows_used(program, rowmap))
 
 
 _COMPILE_CACHE: dict[tuple, CompiledOp] = {}

@@ -28,7 +28,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 
-from .codegen import SubarrayConfig, estimate_cost_static
+from .codegen import SubarrayConfig, _drop_sweep, estimate_cost_static
 from .errors import CapacityError, PumError, TableSizeError
 from .logic import (
     CONST_ONE,
@@ -655,6 +655,7 @@ def optimize(graph: MajGraph, effort: int = 2,
                 break  # an unchanged round would score best_m again
             m = _metric(candidate, cfg)
             if m < best_m:
+                _drop_sweep(best)  # only the best graph keeps its sweep
                 best, best_m = candidate, m
                 rules.update(round_counts)
             else:

@@ -25,6 +25,13 @@ class TestCompile:
         assert "activations" in stdout
         assert "not hardware-calibrated" in stdout
 
+    def test_reports_spill_rows(self, tmp_path, capsys):
+        # add4 keeps 13 data rows for operands and result; two more spill
+        assert main(["--set", "subarray.rows=23", "--set", "subarray.data_rows=15",
+                     "compile", "--op", "add", "--width", "4",
+                     "-o", str(tmp_path / "add4.up")]) == 0
+        assert "spill rows: 2\n" in capsys.readouterr().out
+
     def test_unknown_op_exits_2(self, tmp_path, capsys):
         assert main(["compile", "--op", "nosuch", "--width", "4",
                      "-o", str(tmp_path / "x.up")]) == 2

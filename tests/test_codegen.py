@@ -1,9 +1,12 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pumkit
 from pumkit.codegen import (
@@ -294,6 +297,20 @@ class TestTextFormat:
         with pytest.raises(MicroProgramError, match="line 3: header"):
             parse_microprogram(text)
 
+    @pytest.mark.parametrize("token", ["D03", "D00", "D\u0663", "D+3", "D", "d3"])
+    def test_rejects_non_canonical_data_rows_naming_the_line(self, token):
+        # D03 and D<Arabic-Indic 3> would both reach physical row 3 while
+        # the symbolic replay keys rows by spelling; only D3 names it
+        text = f"UP/1\nop=x width=1 data_rows=4\n\nAAP T0 {token}\nEND\n"
+        with pytest.raises(MicroProgramError, match=re.escape(f"line 4: unknown row token '{token}'")):
+            parse_microprogram(text)
+        assert data_row_index(token) is None
+
+    def test_accepts_canonical_data_rows(self):
+        prog = parse_microprogram("UP/1\nop=x width=1 data_rows=4\nAAP D0 T0\nAAP T0 D30\nEND\n")
+        assert [c.rows for c in prog.commands] == [("D0", "T0"), ("T0", "D30")]
+        assert CFG.row_index("D30") == 30
+
     def test_accepts_zero_data_rows(self):
         assert parse_microprogram("UP/1\nop=x width=1 data_rows=0\nEND\n").data_rows == 0
 
@@ -302,3 +319,55 @@ class TestTextFormat:
             Command("AAP", ("C0", "C1"))
         with pytest.raises(MicroProgramError):
             Command("TRA", ("T0", "T1", "C0"))
+
+
+_TOKENS = ["D0", "D1", "D7", "D12", "D03", "D\u0663", "D", "T0", "T3", "T4", "DCC0", "DCC1",
+           "~DCC0", "~DCC1", "~T0", "C0", "C1", "AAP", "TRA", "END", "#", "=", "x"]
+
+
+@st.composite
+def up_texts(draw):
+    """Mostly well-formed `.up` text with random damage: header fields,
+    values and command tokens are drawn from valid and invalid spellings."""
+    lines = [draw(st.sampled_from(["UP/1", "UP/1", "UP/1 ", "UP/2", "# c", ""]))]
+    fields = draw(st.lists(st.sampled_from(["op", "width", "data_rows", "rows", ""]),
+                           max_size=4))
+    values = st.one_of(st.integers(-3, 70).map(str), st.text(max_size=4),
+                       st.sampled_from(["\u0663", "1_0", "+2", "0x1", "9" * 30]))
+    lines.append(" ".join(f"{k}={draw(values)}" if draw(st.booleans()) else k
+                          for k in fields))
+    for _ in range(draw(st.integers(0, 6))):
+        op = draw(st.sampled_from(["AAP", "TRA", "ZAP", "aap"]))
+        rows = draw(st.lists(st.sampled_from(_TOKENS), max_size=4))
+        lines.append(" ".join([op, *rows]) + draw(st.sampled_from(["", "  # note"])))
+    if draw(st.booleans()):
+        lines.append("END")
+    lines.extend(draw(st.lists(st.sampled_from(["", "# tail", "END", "AAP D0 T0"]),
+                               max_size=2)))
+    return "\n".join(lines) + draw(st.sampled_from(["\n", "", "\r\n"]))
+
+
+def _assert_round_trips_or_is_rejected(text: str):
+    try:
+        prog = parse_microprogram(text)
+    except MicroProgramError:
+        return
+    again = parse_microprogram(format_microprogram(prog))
+    assert (again.name, again.width, again.data_rows) == (prog.name, prog.width, prog.data_rows)
+    assert again.commands == prog.commands
+    assert format_microprogram(again) == format_microprogram(prog)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=up_texts())
+def test_up_text_round_trips_or_raises_microprogram_error(text):
+    """Parsing never fails with anything but `MicroProgramError`, and what
+    it accepts formats back to the same program."""
+    _assert_round_trips_or_is_rejected(text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=st.text(max_size=80))
+def test_arbitrary_text_round_trips_or_raises_microprogram_error(text):
+    _assert_round_trips_or_is_rejected(text)
+

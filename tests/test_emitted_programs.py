@@ -1,0 +1,131 @@
+"""The programs the compiler emits, pinned, and the hand-off of the
+scheduler sweep from the optimizer's objective to `schedule`."""
+
+import hashlib
+
+import pytest
+
+import pumkit.codegen as codegen
+import pumkit.synthesis as synthesis
+from pumkit.codegen import (
+    SubarrayConfig,
+    allocate_rows,
+    data_row_index,
+    estimate_cost_static,
+    format_microprogram,
+    schedule,
+)
+from pumkit.errors import CapacityError
+from pumkit.logic import MajGraph
+from pumkit.oplib import N_ARY, build_netlist, compile_op, compile_op_cached, op_signature
+from pumkit.synthesis import lower_to_maj, optimize
+
+# sha256 of format_microprogram per op at widths 4 and 8: effort 2, default
+# subarray, n-ary ops with 4 operands.  A change that alters emitted
+# programs on purpose regenerates this table and says so.
+PINNED = {
+    "and_n": ("e95f4fd87e7f20f0040aa7f4428b2c5dbc1e0bade2369420373e8f69943a5c0c",
+              "b6b40aba295157d5cb17800400146d0fbfc9b46327019f94bf338ed481283733"),
+    "or_n": ("6c96a0ae13dc1cb68f70610785ba6c532e469791aab3b8cf5581ffd51d90986f",
+             "5d7bd6c7a7469b0129bdcf93df5969ffbc43a74cd354b891734232e0c76f22fa"),
+    "xor_n": ("7d5e7a270c469e75d67313c2764a63142593c1e86daa7a4cafe42c6dc57c809a",
+              "1437a0c90135b05d5fe80434b30608a3727f8e5351d80c13598dd2b09b49ccb3"),
+    "eq": ("7a710d8b47816177189d6ef5915332361d5ad71310dda59aaad8e22131b6c495",
+           "a92f417b5709e953941f05c69de58f84f9dee9e8ea3ae82ba2de6fb703ffcab1"),
+    "neq": ("e73c5a89d02e2cd7bce3ea16fed0791152f5e3b0e36a7c112e6c84920e7aca3b",
+            "d0ca73757e6f9b2603d16ebb305798adf59b0c5c1d0bf14649089826e79ea306"),
+    "gt": ("34cb4f6daa27ec7e4e08684abc6e07edfd21ab4c82c9e5ff31cc33d406656deb",
+           "2417229e7ff2b43ed94a93f7bc10832f6a04383b0c0f43f09831b6ca11acecca"),
+    "lt": ("841469c669d549162077379ee19389b6656bd87c57b61f45788384d1f4f84fe1",
+           "1bf048a2ffaf2f165b52f47e717aa8951be02ad2a90791dfae511736e94ea83c"),
+    "max": ("234b0a96bb03c677bc7e9e02b1c9f6d0c4df810d154fa46a313b8770788417bc",
+            "21524454bb70f3313198337371bc2847134f3d01adc20ad611d8005715e3b643"),
+    "min": ("348ae891d88316ad738f6d355bea8f0eb09ab9fb72e745aaffd6303376bfd2e2",
+            "a94e9f1abd80a3801becfced9b119b44ea176723e5d5bd0d700679896e6d9280"),
+    "add": ("517a2c0e8c4e0e69f7d5a0e187839fd6c0959123c49c7db344c1f5ab4830c6a4",
+            "d925fb2c6605a72880c39698e984b7e5c6fe847c0d86ddab486147024179c8e0"),
+    "sub": ("e444a538bd879d041b57ae74c3d24cd18e67388255610efa5628a0db86353745",
+            "0d73b0e482072824b83e70b869f527c7aea3465bdfd78d516365938fabaaf1df"),
+    "mul": ("48eb33cbdc6b67ee773746abd3f44b7fdab0c65a29a45a3a79c4600c592f09aa",
+            "6f21813a298c54f45f53ec33e287cce6058328e41936c6719389d3bc6a1f8e0d"),
+    "div": ("475ad219381b31470aeebb795d77e18acbd0dbb919f2bacb2f3d54de2f54b08e",
+            "df023c033740368344d512d645b7bd3911fbb33079ae3219441ddb01e6b8a668"),
+    "if_then_else": ("8f36817a7237d6c902f2d50110cd3cd515d88ae9940ed348c58fc3665c2d115f",
+                     "e25c7a6531f56d52aae073a6029d62a6df03a91c94dd83048e7dfeb2cacd4a68"),
+    "bitcount": ("e9bd4bb0a907d7a53f8b2e7cea03c4ce40aec0cb678cfe96262321350777f929",
+                 "190a426e03d311fb805fa22ed003d974b6425fc4ea7994437d3c627e0f62f423"),
+    "relu": ("5ca789746108d1c4a9e3f971d20a96fd3432bf15843cbcf7dec7a5bae549ec54",
+             "897ba75c40e3ee1762fb5836b12e3541baec048d6925e496b40fa142b9264e45"),
+}
+
+
+@pytest.mark.parametrize("width", [4, 8])
+@pytest.mark.parametrize("kind", sorted(PINNED))
+def test_emitted_program_is_pinned(kind, width):
+    compiled = compile_op_cached(kind, width, effort=2, n_inputs=4 if kind in N_ARY else 2)
+    text = format_microprogram(compiled.program)
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED[kind][width == 8]
+
+
+def _two_spare_rows(g: MajGraph) -> SubarrayConfig:
+    rows = g.input_count + g.output_count + 2
+    return SubarrayConfig(total_rows=rows + 8, columns=64, data_row_count=rows)
+
+
+def _program_or_capacity(g: MajGraph, cfg: SubarrayConfig) -> str:
+    try:
+        return format_microprogram(schedule(g, allocate_rows(g, cfg), cfg))
+    except CapacityError as e:
+        return f"CapacityError: {e}"
+
+
+@pytest.mark.parametrize("kind,width", [("sub", 4), ("add", 4), ("mul", 4)])
+def test_schedule_does_not_reuse_a_sweep_made_under_another_subarray(kind, width):
+    """Lowered sub4 spills into both spare rows; add4 needs three and mul4
+    eight, so under two spare rows they must raise, not ship the program
+    swept under the default subarray."""
+    g = lower_to_maj(build_netlist(kind, width))
+    fresh = _program_or_capacity(MajGraph._from_packed(
+        g.input_count, g.packed_nodes, g.packed_outputs), _two_spare_rows(g))
+    estimate_cost_static(g)
+    assert _program_or_capacity(g, _two_spare_rows(g)) == fresh
+    if kind == "sub":
+        rowmap = allocate_rows(g, _two_spare_rows(g))
+        assert any(c.endswith(f" D{rowmap.spill_end - 1}") for c in fresh.splitlines())
+    else:
+        assert fresh.startswith("CapacityError")
+
+
+def test_compile_op_sweeps_only_the_graphs_it_scores(monkeypatch):
+    """`schedule` ships the sweep the objective made for the winning graph,
+    and no graph the optimizer moved past keeps its command list."""
+    sweeps, scored = [], []
+    real_run, real_objective = codegen._Scheduler.run, synthesis.estimate_cost_static
+
+    def counted_run(self):
+        sweeps.append(self.graph)
+        return real_run(self)
+
+    def objective(g, cfg=None):
+        scored.append(g)
+        return real_objective(g, cfg)
+
+    monkeypatch.setattr(codegen._Scheduler, "run", counted_run)
+    monkeypatch.setattr(synthesis, "estimate_cost_static", objective)
+    compiled = compile_op("bitcount", 8)
+    assert len(scored) > 2 and sweeps == scored
+    assert compiled.graph._sweep is None  # handed to the program
+    scored.clear()
+    best, _ = optimize(lower_to_maj(build_netlist("bitcount", 8)), 2)
+    kept = [g for g in scored if g._sweep is not None]
+    assert best in kept and all(g is best or g is scored[-1] for g in kept)
+
+
+def test_spill_rows_reported_on_a_tight_subarray():
+    widths, out_width = op_signature("add", 4)
+    rows = sum(widths) + out_width + 2
+    cfg = SubarrayConfig(total_rows=rows + 8, columns=64, data_row_count=rows)
+    compiled = compile_op("add", 4, cfg)
+    written = {c.rows[1] for c in compiled.program.commands
+               if c.op == "AAP" and (data_row_index(c.rows[1]) or 0) >= compiled.rowmap.spill_start}
+    assert compiled.spill_rows == len(written) == 2
