@@ -1,0 +1,55 @@
+"""Byte-identity digest of the compiled op grid.
+
+    python3 scripts/grid_digest.py [--widths 4 8 16 32]
+
+Compiles the 16 library ops at each width (effort 2, default subarray,
+n-ary ops with 4 operands) and prints, per width, the first 16 hex digits
+of one sha256 fed, in `OP_KINDS` order, each cell's
+`format_microprogram` text, `repr` of its `SynthesisReport` and its
+`verified_cases`; then the total row activations of the grid.  Two
+commits that print the same lines emit the same programs and reports, so
+a change meant to leave compiler output alone can be checked by running
+this on both.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from pumkit.codegen import activation_count, format_microprogram  # noqa: E402
+from pumkit.oplib import N_ARY, OP_KINDS, compile_op  # noqa: E402
+
+
+def width_digest(width: int) -> tuple[str, int]:
+    """(digest of the width's cells, their total activations)."""
+    h = hashlib.sha256()
+    total = 0
+    for kind in OP_KINDS:
+        c = compile_op(kind, width, effort=2, n_inputs=4 if kind in N_ARY else 2)
+        h.update(format_microprogram(c.program).encode())
+        h.update(repr(c.report).encode())
+        h.update(str(c.verified_cases).encode())
+        total += activation_count(c.program).total
+    return h.hexdigest()[:16], total
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--widths", type=int, nargs="+", default=[4, 8, 16, 32])
+    args = ap.parse_args(argv)
+    grid_total = 0
+    for width in args.widths:
+        digest, total = width_digest(width)
+        grid_total += total
+        print(f"width {width}: {digest}  ({total} activations)")
+    print(f"grid total: {grid_total} activations")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

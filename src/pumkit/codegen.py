@@ -41,12 +41,17 @@ SPECIAL_ROWS = COMPUTE_ROWS + DCC_ROWS + CONST_ROWS
 _FIXED_TOKENS = frozenset(SPECIAL_ROWS + ("~DCC0", "~DCC1"))
 
 
+# Digits a data row index may have: no subarray has 10**18 rows, and int()
+# refuses digit strings past a few thousand.
+_MAX_ROW_DIGITS = 18
+
+
 def _is_data_token(token: str) -> bool:
     """Canonical ``D<n>``: ASCII digits, no leading zero, so every data
-    row has exactly one spelling."""
+    row has exactly one spelling, and at most _MAX_ROW_DIGITS of them."""
     n = token[1:]
     return (token[:1] == "D" and n.isascii() and n.isdigit()
-            and (n[0] != "0" or n == "0"))
+            and (n[0] != "0" or n == "0") and len(n) <= _MAX_ROW_DIGITS)
 
 
 def alias_base(token: str) -> str | None:
@@ -115,6 +120,10 @@ class Command:
     def __post_init__(self):
         for t in self.rows:
             if t not in _FIXED_TOKENS and not _is_data_token(t):
+                if len(t) > _MAX_ROW_DIGITS + 1:
+                    raise MicroProgramError(
+                        f"row token {t[:_MAX_ROW_DIGITS]!r}... has {len(t)} characters; "
+                        f"a data row index has at most {_MAX_ROW_DIGITS} digits")
                 raise MicroProgramError(f"unknown row token {t!r}")
         if self.op == "AAP":
             if len(self.rows) != 2:

@@ -20,10 +20,22 @@ emits for the graph under the configured subarray, spills included:
 A round is kept only when (does_not_fit, activations, nodes, depth)
 strictly improves, which gives monotone cost and a stable fixpoint; a
 graph the subarray cannot hold ranks below every graph that fits.
+
+Cut rewriting keeps what it learns across the rounds of one `optimize`
+call in a `_CutStore`: per node its pruned cuts, per cut the cone and truth
+table, per group of cuts the gain.  Nodes carry an id through every pass,
+and entries are keyed by id and checked against the node's structural
+key (its folded, sorted edges with child ids substituted), so later rounds
+enumerate, simulate and weigh only the cones whose structure, fanout,
+complements or order changed, in the way DAG-aware rewriting re-examines
+only the fanout of rewritten nodes (Mishchenko, Chatterjee and Brayton,
+DAC 2006).  The rewrites chosen are the same as with nothing kept.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass
@@ -193,23 +205,135 @@ def _build_library() -> dict[tuple[int, int], _Template]:
 
 
 _LIBRARY = _build_library()
+_MASKS = [_enum_masks(nv) for nv in range(4)]
+_NO_GAIN = (0, (), None)  # a group gain bounded at no more than 0
+
+
+def _probe_shape(tpl: _Template) -> tuple[int, tuple]:
+    """(nodes over other template nodes, which never match an existing
+    node; the other nodes' edges as (leaf variable, complement) pairs or
+    (-1, constant edge))."""
+    leaf_nodes = tuple(
+        tuple((-(e >> 1) - 3, e & 1) if e >> 1 < REF_ONE else (-1, e) for e in nd)
+        for nd in tpl.nodes if max(nd) < 0)
+    return len(tpl.nodes) - len(leaf_nodes), leaf_nodes
+
+
+# library templates by number, as cut records name them, with their shapes
+_TEMPLATES = list({id(t): t for t in _LIBRARY.values()}.values())
+_TEMPLATE_ID = {id(t): k for k, t in enumerate(_TEMPLATES)}
+_SHAPES = [_probe_shape(t) for t in _TEMPLATES]
+
+
+@functools.cache  # at most a few thousand (nvars, places, table) keys
+def _expand(nv: int, places: tuple[int, ...], table: int) -> int:
+    """A truth table over len(places) variables as one over nv variables,
+    its variable u being variable places[u] of the wider table."""
+    out = 0
+    for t in range(1 << nv):
+        b = sum(((t >> p) & 1) << u for u, p in enumerate(places))
+        out |= ((table >> b) & 1) << t
+    return out
 
 
 # --- mutable working form -----------------------------------------------------
 
 
+class _CutStore:
+    """What `cut_rewrite` learnt about the graph, kept for later rounds of
+    one `optimize` call.
+
+    Nodes carry an id through `clean`, `compact` and `dual_push`
+    (`_Builder.tags` holds id << 1 | phase; a self-duality flip toggles
+    the phase), and a rewritten root hands its id to the node that
+    replaces it.  Each id's entry is valid for one structural key: the
+    node's folded, sorted edges with child ids substituted, normalized by
+    its phase so that a flip changes no key.  Per id the store keeps that
+    key, the phase and index the node had, its pruned cuts and, per cut,
+    a record of its cone; per group of cuts it keeps the gain.  A round
+    reuses an entry unless something it was read from has changed since
+    the previous round, so it re-examines only the cones that rewrites,
+    merges and reorderings touched.
+
+    A cut is a sorted tuple of leaf refs: node ids and input refs.  A cut
+    record is (cone ids, truth table, template number), extended by
+    (serial, root id) when there is a template; past _CONE_CAP the table is
+    None and the cone holds the nodes walked.  A recomputed record gets a
+    new serial.  A group's gain, keyed by its records' serials, is (gain,
+    cone ids, dying ids), dying None when the gain is an upper bound that
+    is not positive.  All of it is tuples of ints, which the garbage
+    collector stops tracking.
+    """
+
+    def __init__(self):
+        self.next_id = 0  # ids handed out so far
+        self.serial = 0  # records with a template made so far
+        # per id, as the previous cut_rewrite saw the node
+        self.key: dict[int, tuple[int, ...]] = {}
+        self.phase: dict[int, int] = {}
+        self.pos: dict[int, int] = {}  # its index
+        self.cuts: dict[int, tuple[tuple[int, ...], ...]] = {}
+        self.recs: dict[int, tuple[tuple | None, ...]] = {}  # per cut, in order
+        # per group: one serial, or a tuple of them
+        self.gains: dict[int | tuple[int, ...], tuple] = {}
+        self.outs: frozenset[int] = frozenset()  # ids the outputs read
+
+    def new_tags(self, count: int) -> list[int]:
+        first = self.next_id
+        self.next_id += count
+        return [d << 1 for d in range(first, first + count)]
+
+
+def _structural_key(nd, tags: list[int], phase: int) -> tuple[int, ...]:
+    """A node's sorted edges with each child's id and phase for its index,
+    all complemented when the node's own phase is set."""
+    return tuple(sorted([_fold(e ^ phase) if e < 0 else tags[e >> 1] ^ (e & 1) ^ phase
+                         for e in nd]))
+
+
+def _displaced(seq: list[tuple[int, int]]) -> list[int]:
+    """Ids (second items) off one longest run of increasing old positions
+    (first items): of every pair of ids whose order changed, one is here."""
+    tails: list[int] = []
+    tail_at: list[int] = []
+    back: list[int | None] = []
+    for j, (p, _) in enumerate(seq):
+        k = bisect.bisect_left(tails, p)
+        back.append(tail_at[k - 1] if k else None)
+        if k == len(tails):
+            tails.append(p)
+            tail_at.append(j)
+        else:
+            tails[k] = p
+            tail_at[k] = j
+    kept = set()
+    j = tail_at[-1] if tail_at else None
+    while j is not None:
+        kept.add(j)
+        j = back[j]
+    return [d for j, (_, d) in enumerate(seq) if j not in kept]
+
+
 class _Builder:
-    def __init__(self, input_count: int):
+    def __init__(self, input_count: int, store: _CutStore | None = None):
         self.input_count = input_count
         self.nodes: list[tuple[int, int, int] | None] = []
         self.outputs: list[int] = []
         self.repl: dict[int, int] = {}
+        self.store = store if store is not None else _CutStore()
+        self.tags: list[int] = []
 
     @classmethod
-    def from_graph(cls, g: MajGraph) -> "_Builder":
-        b = cls(g.input_count)
-        b.nodes = [tuple(map(_fold, nd)) for nd in g.packed_nodes]
+    def from_graph(cls, g: MajGraph, store: _CutStore | None = None,
+                   tags: list[int] | None = None) -> "_Builder":
+        """`tags` are those the builder that made `g` ended with, under
+        `store`; None gives every node a fresh id."""
+        b = cls(g.input_count, store)
+        # -1 and -3 are the complemented constants, the only edges _fold changes
+        b.nodes = [tuple(map(_fold, nd)) if -1 in nd or -3 in nd else nd
+                   for nd in g.packed_nodes]
         b.outputs = list(map(_fold, g.packed_outputs))
+        b.tags = list(tags) if tags is not None else b.store.new_tags(len(b.nodes))
         return b
 
     def to_graph(self) -> MajGraph:
@@ -229,11 +353,16 @@ class _Builder:
 
     def clean(self, counts: Counter):
         key2node: dict[tuple[int, int, int], int] = {}
+        repl = self.repl
         for i, nd in enumerate(self.nodes):
             if nd is None:
                 continue
-            edges = sorted(_fold(self.resolve(e)) for e in nd)
-            e0, e1, e2 = edges
+            # stored edges are folded; only replaced children need resolving
+            e0, e1, e2 = key = nd
+            if e0 >> 1 in repl or e1 >> 1 in repl or e2 >> 1 in repl:
+                e0, e1, e2 = key = tuple(sorted([_fold(self.resolve(e)) for e in nd]))
+            elif not e0 <= e1 <= e2:
+                e0, e1, e2 = key = tuple(sorted(nd))
             simp = None
             rule = None
             if e0 == e1 or e1 == e2:
@@ -257,7 +386,6 @@ class _Builder:
                 self.nodes[i] = None
                 counts[rule] += 1
                 continue
-            key = (e0, e1, e2)
             hit = key2node.get(key)
             if hit is not None:
                 self.repl[i] = hit << 1
@@ -276,36 +404,43 @@ class _Builder:
         valid topological order here.
         """
         alive_before = sum(1 for nd in self.nodes if nd is not None)
+        nodes, repl = self.nodes, self.repl
         order: list[int] = []
-        visited: set[int] = set()
-        stack: list[tuple[int, bool]] = []
+        visited = bytearray(len(nodes))
+        stack: list[int] = []  # node r to visit, or ~r once its children are ordered
         for e in reversed(self.outputs):
             r = self.resolve(e) >> 1
             if r >= 0:
-                stack.append((r, False))
+                stack.append(r)
         while stack:
-            r, done = stack.pop()
-            if done:
-                order.append(r)
+            r = stack.pop()
+            if r < 0:
+                order.append(~r)
                 continue
-            if r in visited:
+            if visited[r]:
                 continue
-            visited.add(r)
-            stack.append((r, True))
-            for e in reversed(self.nodes[r]):
-                cr = self.resolve(e) >> 1
-                if cr >= 0 and cr not in visited:
-                    stack.append((cr, False))
+            visited[r] = 1
+            stack.append(~r)
+            for e in reversed(nodes[r]):
+                cr = e >> 1
+                if cr in repl:
+                    cr = self.resolve(e) >> 1
+                if cr >= 0 and not visited[cr]:
+                    stack.append(cr)
         mapping = {old: new for new, old in enumerate(order)}
 
         def remap(e: int) -> int:
-            e = _fold(self.resolve(e))
+            if e >> 1 in repl:  # stored edges are folded already
+                e = _fold(self.resolve(e))
             r = e >> 1
             if r < 0:
                 return e
             return (mapping[r] << 1) | (e & 1)
 
-        self.nodes = [tuple(remap(e) for e in self.nodes[old]) for old in order]
+        self.nodes = [tuple([e if e < 0 else mapping[e >> 1] << 1 | (e & 1)
+                             if e >> 1 not in repl else remap(e) for e in nodes[old]])
+                      for old in order]
+        self.tags = [self.tags[old] for old in order]
         self.outputs = [remap(e) for e in self.outputs]
         self.repl = {}
         counts["dead_node"] += alive_before - len(order)
@@ -340,11 +475,12 @@ class _Builder:
                 if r in (REF_ZERO, REF_ONE):
                     continue
                 nonconst += 1
-                negs += (e & 1) ^ (1 if (r >= 0 and flipped[r]) else 0)
+                negs += (e & 1) ^ (r >= 0 and flipped[r])
             before = negs + neg_refs[i]
             after = (nonconst - negs) + (total_refs[i] - neg_refs[i])
             if after < before:
                 flipped[i] = True
+                self.tags[i] ^= 1
                 counts["dual_push"] += 1
         if not any(flipped):
             return
@@ -373,55 +509,146 @@ class _Builder:
     _CUT_CAP = 6
     _CONE_CAP = 16
 
-    def _enumerate_cuts(self) -> list[list[frozenset[int]]]:
-        cuts: list[list[frozenset[int]]] = []
-        for nd in self.nodes:
-            options = []
-            for e in nd:
-                r = e >> 1
-                if r in (REF_ZERO, REF_ONE):
-                    options.append((frozenset(),))
-                elif r < 0:
-                    options.append((frozenset((r,)),))
-                else:
-                    options.append(tuple(cuts[r]) + (frozenset((r,)),))
-            merged = set()
-            for c1 in options[0]:
-                for c2 in options[1]:
-                    u12 = c1 | c2
-                    if len(u12) > 3:
-                        continue
-                    for c3 in options[2]:
-                        u = u12 | c3
-                        if len(u) <= 3:
-                            merged.add(u)
-            ordered = sorted(merged, key=lambda s: (len(s), sorted(s)))
-            keep: list[frozenset[int]] = []
-            for c in ordered:
+    def _node_cuts(self, key: tuple[int, ...], cuts: dict, sets: dict,
+                   pos: dict[int, int]) -> tuple:
+        """The pruned <= 3-leaf cuts of a node from its children's, as
+        frozensets and as sorted tuples.  `sets` caches children's cuts as
+        frozensets for this round.
+
+        The smallest cuts not containing another are kept, at most
+        _CUT_CAP; when more qualify, ties in size go to the leaf sets that
+        come first by node index.
+        """
+        options = []
+        for q in key:
+            r = q >> 1
+            if r == REF_ZERO or r == REF_ONE:
+                options.append((frozenset(),))
+            elif r < 0:
+                options.append((frozenset((r,)),))
+            else:
+                options.append([*self._cut_sets(r, cuts, sets), frozenset((r,))])
+        merged = set()
+        for c1 in options[0]:
+            for c2 in options[1]:
+                u12 = c1 | c2
+                if len(u12) > 3:
+                    continue
+                for c3 in options[2]:
+                    u = u12 | c3
+                    if len(u) <= 3:
+                        merged.add(u)
+        keep: list[frozenset[int]] = []
+        for c in sorted(merged, key=len):
+            if not any(k <= c for k in keep):
+                keep.append(c)
+        if len(keep) > self._CUT_CAP:
+            keep = []
+            for c in sorted(merged, key=lambda s: (len(s), sorted(
+                    r if r < 0 else pos[r] for r in s))):
                 if not any(k <= c for k in keep):
                     keep.append(c)
                 if len(keep) >= self._CUT_CAP:
                     break
-            cuts.append(keep)
-        return cuts
+        return keep, tuple([tuple(sorted(c)) for c in keep])
 
-    def _cone(self, root: int, cut: frozenset[int]) -> list[int] | None:
-        cone: set[int] = set()
-        stack = [root]
+    @staticmethod
+    def _cut_sets(d: int, cuts: dict, sets: dict) -> list[frozenset[int]]:
+        found = sets.get(d)
+        if found is None:
+            found = sets[d] = [frozenset(c) for c in cuts[d]]
+        return found
+
+    def _fanin(self, key: tuple[int, ...], pos: dict[int, int], cuts: dict,
+               sets: dict, recs_of: dict) -> list[tuple]:
+        """Per key edge: (ref, complement relative to the child's phase,
+        and for a node child its cuts as frozensets and its records)."""
+        tags = self.tags
+        fanin = []
+        for q in key:
+            r = q >> 1
+            if r < 0:
+                fanin.append((r, q & 1, None, None))
+            else:
+                fanin.append((r, (q ^ tags[pos[r]]) & 1, self._cut_sets(r, cuts, sets),
+                              recs_of[r]))
+        return fanin
+
+    def _cut_rec(self, i: int, fanin: list[tuple], cut: tuple[int, ...], ids: list[int],
+                 pos: dict[int, int]) -> tuple:
+        """The cut record (see `_CutStore`) of node i over `cut` (ids).
+
+        Each child that is not a leaf contributes the cone and table of
+        one of its own cuts inside `cut`; that is exact when no leaf lies
+        inside the child's cone, and the cone is walked and simulated when
+        no such child cut exists.  The table is None (and the cone the
+        nodes walked) past _CONE_CAP.
+        """
+        order = sorted([(r if r < 0 else pos[r], r) for r in cut])
+        where = {r: v for v, (_, r) in enumerate(order)}  # leaf -> table variable
+        nv = len(order)
+        full = (1 << (1 << nv)) - 1
+        masks = _MASKS[nv]
+        inside = frozenset(cut)
+        cone = {ids[i]}
+        vals = []
+        for r, bit, subs, sub_recs in fanin:
+            if r in where:
+                v = masks[where[r]]
+            elif r < 0:
+                v = 0 if r == REF_ZERO else full
+            else:
+                for j, sub in enumerate(subs):
+                    if sub and sub <= inside:
+                        sub_cone, sub_table = sub_recs[j][:2]
+                        if sub_table is not None and inside.isdisjoint(sub_cone):
+                            break
+                else:
+                    return self._walk_cut(i, [x for x, _ in order], ids)
+                cone.update(sub_cone)
+                v = _expand(nv, tuple(sorted([where[x] for x in sub])), sub_table)
+            vals.append(v ^ (-bit & full))
+        if len(cone) > self._CONE_CAP:
+            return tuple(cone), None, None
+        x, y, z = vals
+        return self._record(i, tuple(cone), nv,
+                            ((x & y) | (x & z) | (y & z)) ^ (-(self.tags[i] & 1) & full))
+
+    def _walk_cut(self, i: int, leaves: list[int], ids: list[int]) -> tuple:
+        """`_cut_rec` by walking the cone from node i down to `leaves`
+        (indices, sorted) and simulating it."""
+        stop = frozenset(leaves)
+        nodes = self.nodes
+        seen = {i}
+        stack = [i]
         while stack:
-            k = stack.pop()
-            if k in cone:
-                continue
-            cone.add(k)
-            if len(cone) > self._CONE_CAP:
-                return None
-            for e in self.nodes[k]:
+            for e in nodes[stack.pop()]:
                 r = e >> 1
-                if r >= 0 and r not in cut and r not in cone:
+                if r >= 0 and r not in stop and r not in seen:
+                    seen.add(r)
+                    if len(seen) > self._CONE_CAP:
+                        return tuple([ids[k] for k in seen]), None, None
                     stack.append(r)
-        return sorted(cone)
+        nv = len(leaves)
+        full = (1 << (1 << nv)) - 1
+        vals = dict(zip(leaves, _MASKS[nv]))
+        vals[REF_ZERO], vals[REF_ONE] = 0, full
+        for k in sorted(seen):
+            e0, e1, e2 = nodes[k]
+            x = vals[e0 >> 1] ^ (-(e0 & 1) & full)
+            y = vals[e1 >> 1] ^ (-(e1 & 1) & full)
+            z = vals[e2 >> 1] ^ (-(e2 & 1) & full)
+            vals[k] = (x & y) | (x & z) | (y & z)
+        return self._record(i, tuple([ids[k] for k in seen]), nv, vals[i])
 
-    def _dying_set(self, roots: tuple[int, ...], cone_union: set[int],
+    def _record(self, i: int, cone: tuple[int, ...], nv: int, table: int) -> tuple:
+        tpl = _LIBRARY.get((nv, table))
+        if tpl is None:
+            return cone, table, None
+        self.store.serial += 1
+        return cone, table, _TEMPLATE_ID[id(tpl)], self.store.serial, self.tags[i] >> 1
+
+    def _dying_set(self, roots: list[int], cone_union: set[int],
                    fanout: list[list[int]]) -> set[int]:
         """Cone nodes whose every consumer also dies once `roots` are replaced."""
         dying = set(roots)
@@ -430,29 +657,63 @@ class _Builder:
                 dying.add(m)
         return dying
 
-    def _group_cost(self, entries, leaves, dying: set[int],
-                    key_map: dict, removed: set[int]) -> int:
-        """New nodes a group of templates needs, after structural sharing."""
-        seen: set = set()
-        cost = 0
-        for _, tpl, _ in entries:
-            for idx, nd in enumerate(tpl.nodes):
-                edges, leaf_only = self._map_template_node(nd, leaves, None)
-                if leaf_only:
-                    hit = key_map.get(edges)
-                    if hit is not None and hit not in dying and hit not in removed:
-                        continue
-                    key = edges
-                else:
-                    key = ("deep", tpl.nodes, idx)
-                if key not in seen:
-                    seen.add(key)
-                    cost += 1
-        return cost
+    @staticmethod
+    def _probe(rec: tuple, leaves: tuple[int, ...], key_map: dict) -> list[tuple]:
+        """(edges, existing node with them or None) per leaf-only node of
+        the record's template."""
+        found = []
+        for spec in _SHAPES[rec[2]][1]:
+            edges = tuple(sorted([(leaves[v] << 1) | b if v >= 0 else b for v, b in spec]))
+            found.append((edges, key_map.get(edges)))
+        return found
+
+    def _group_gain(self, group: tuple, leaves: tuple[int, ...], pos: dict[int, int],
+                    fanout: list[list[int]], key_map: dict, probes: dict) -> tuple:
+        """(nodes freed minus new nodes needed after structural sharing,
+        cone ids, dying ids) of rewriting the roots of a group of cut
+        records.
+
+        A template node over leaves only is free when an existing node
+        outside the dying set has its edges; a node over other template
+        nodes never is.  At most every cone node is freed, so the dying
+        set is computed only when that bound leaves a positive gain.
+        `probes` holds `_probe` per serial, for records in several groups.
+        """
+        if len(group) == 1:
+            rec = group[0]
+            cone = rec[0]
+            deep = _SHAPES[rec[2]][0]
+            if len(cone) <= deep:
+                return _NO_GAIN
+            found = probes.get(rec[3]) or self._probe(rec, leaves, key_map)
+            hits = [h for _, h in found]
+        else:
+            cone = tuple(set().union(*(rec[0] for rec in group)))
+            shapes = {_TEMPLATES[rec[2]].nodes: _SHAPES[rec[2]] for rec in group}
+            deep = sum(shape[0] for shape in shapes.values())
+            if len(cone) <= deep:
+                return _NO_GAIN
+            unique: dict = {}  # one template node per distinct edges
+            for rec in group:
+                found = probes.get(rec[3])
+                if found is None:
+                    found = probes[rec[3]] = self._probe(rec, leaves, key_map)
+                unique.update(found)
+            hits = list(unique.values())
+        roots = [pos[rec[4]] for rec in group]
+        shared = 0
+        for h in hits:
+            if h is not None and h not in roots:
+                shared += 1
+        if len(cone) - deep - len(hits) + shared <= 0:
+            return _NO_GAIN
+        dying = self._dying_set(roots, {pos[d] for d in cone}, fanout)
+        cost = deep + sum(1 for h in hits if h is None or h in dying)
+        return len(dying) - cost, cone, tuple(self.tags[k] >> 1 for k in dying)
 
     @staticmethod
     def _map_template_node(nd, leaves, ids):
-        """Template node -> builder edges; ids=None probes leaf-only nodes."""
+        """Template node -> builder edges, and whether it reads leaves only."""
         edges = []
         leaf_only = True
         for e in nd:
@@ -461,7 +722,7 @@ class _Builder:
                 r = leaves[-r - 3]
             elif r >= 0:
                 leaf_only = False
-                r = ids[r] if ids is not None else r
+                r = ids[r]
             edges.append(_fold((r << 1) | (e & 1)))
         return tuple(sorted(edges)), leaf_only
 
@@ -477,6 +738,7 @@ class _Builder:
                     continue
             idx = len(self.nodes)
             self.nodes.append(edges)
+            self.tags.extend(self.store.new_tags(1))
             key_map[edges] = idx
             ids.append(idx)
         r = tpl.out >> 1
@@ -488,17 +750,10 @@ class _Builder:
             out = tpl.out
         return _fold(out)
 
-    def cut_rewrite(self, counts: Counter) -> bool:
-        """Match small cones against the template library and replace them.
-
-        Roots sharing one cut are grouped and rewritten jointly, so
-        structures like a full adder (XOR3 sum + majority carry over the
-        same three leaves) collapse even though neither root's fanout-free
-        cone pays for the rewrite alone.
-        """
+    def _fanout(self) -> list[list[int]]:
+        """Consumer indices per node; len(nodes) stands for a graph output."""
         n = len(self.nodes)
         fanout: list[list[int]] = [[] for _ in range(n)]
-        OUT = n  # sentinel consumer for graph outputs
         for i, nd in enumerate(self.nodes):
             for e in nd:
                 r = e >> 1
@@ -507,66 +762,158 @@ class _Builder:
         for e in self.outputs:
             r = e >> 1
             if r >= 0:
-                fanout[r].append(OUT)
+                fanout[r].append(n)
+        return fanout
 
+    def _refresh_store(self, fanout: list[list[int]]):
+        """Bring the store's cuts and cut records up to date with the graph.
+
+        Returns the library hits grouped by cut, the index of each id, the
+        ids whose fanout changed and the leaves of nodes that appeared,
+        vanished, changed or flipped (a template node probing for an
+        existing node over those leaves may now find another answer) since
+        the store last saw the graph.
+        """
+        store, tags = self.store, self.tags
+        keys = [_structural_key(nd, tags, t & 1) for nd, t in zip(self.nodes, tags)]
+        ids = [t >> 1 for t in tags]
+        # A cut record reads the structure of its cone's nodes, and the
+        # phase and index order of its root and leaves.
+        restructured: set[int] = set()
+        moved: set[int] = set()  # flipped or reordered
+        fan_changed: set[int] = set()
+        probe_leaves: set[int] = set()
+        old_key, old_phase = store.key, store.phase
+
+        def changed(key, fanout_too=True):
+            refs = [q >> 1 for q in key if q >= 0 or q >> 1 < REF_ONE]
+            probe_leaves.update(refs)
+            if fanout_too:
+                fan_changed.update(r for r in refs if r >= 0)
+
+        outs = frozenset(tags[e >> 1] >> 1 for e in self.outputs if e >= 0)
+        if old_key:  # a cold store has nothing to invalidate
+            for d, k, t in zip(ids, keys, tags):
+                old = old_key.get(d)
+                if old == k:
+                    if old_phase[d] != t & 1:
+                        moved.add(d)
+                        changed(k, fanout_too=False)
+                    continue
+                restructured.add(d)
+                changed(k)
+                if old is not None:
+                    changed(old)
+                    if old_phase[d] != t & 1:
+                        moved.add(d)
+            live = set(ids)
+            for d in [d for d in old_key if d not in live]:
+                old_phase.pop(d)
+                changed(old_key.pop(d))
+                del store.pos[d]
+                store.cuts.pop(d, None)
+                store.recs.pop(d, None)
+            seq = [(store.pos[d], d) for d in ids if d in store.pos]
+            if any(a[0] > b[0] for a, b in zip(seq, seq[1:])):
+                moved.update(_displaced(seq))
+            fan_changed |= outs ^ store.outs
+        store.outs = outs
+        store.pos = pos = dict(zip(ids, range(len(ids))))
+        old_key.update(zip(ids, keys))
+        old_phase.update(zip(ids, [t & 1 for t in tags]))
+
+        # Per id: its cuts and their records, in one order.  Plain tuples
+        # of ints, so the garbage collector can stop tracking them.
+        cuts, recs_of = store.cuts, store.recs
+        stale: set[int] = set()  # indices whose children's cuts changed
+        sets: dict[int, list[frozenset[int]]] = {}
+        by_cut: dict[tuple[int, ...], list[tuple]] = {}  # records with a template
+        for i, (d, k) in enumerate(zip(ids, keys)):
+            cl = cuts.get(d)
+            recs = recs_of.get(d)
+            if (cl is None or i in stale or d in restructured
+                    or len(cl) >= self._CUT_CAP):
+                new_sets, new = self._node_cuts(k, cuts, sets, pos)
+                if cl is None:
+                    recs = (None,) * len(new)
+                elif set(new) != set(cl):
+                    # consumers of a new node are new or restructured anyway
+                    stale.update(fanout[i])
+                    old = dict(zip(cl, recs))
+                    recs = tuple([old.get(c) for c in new])
+                else:
+                    new_sets, new = None, cl
+                if new_sets is not None:
+                    cl = cuts[d] = new
+                    sets[d] = new_sets
+            fresh = None
+            for j, cut in enumerate(cl):
+                if not cut:
+                    continue
+                rec = recs[j]
+                if rec is None or not (restructured.isdisjoint(rec[0]) and d not in moved
+                                       and moved.isdisjoint(cut)):
+                    if fresh is None:
+                        fresh = list(recs)
+                        fanin = self._fanin(k, pos, cuts, sets, recs_of)
+                    rec = fresh[j] = self._cut_rec(i, fanin, cut, ids, pos)
+                if rec[2] is not None:
+                    bucket = by_cut.get(cut)
+                    if bucket is None:
+                        by_cut[cut] = [rec]
+                    else:
+                        bucket.append(rec)
+            recs_of[d] = recs if fresh is None else tuple(fresh)
+        return by_cut, pos, fan_changed, probe_leaves
+
+    def cut_rewrite(self, counts: Counter) -> bool:
+        """Match small cones against the template library and replace them.
+
+        Roots sharing one cut are grouped and rewritten jointly, so
+        structures like a full adder (XOR3 sum + majority carry over the
+        same three leaves) collapse even though neither root's fanout-free
+        cone pays for the rewrite alone.  Cuts, cone functions and group
+        gains come from the builder's store where nothing they were read
+        from has changed since the previous call.
+        """
+        fanout = self._fanout()
+        by_cut, pos, fan_changed, probe_leaves = self._refresh_store(fanout)
         key_map: dict = {}
         for i, nd in enumerate(self.nodes):
             key_map.setdefault(tuple(sorted(nd)), i)
 
-        cuts = self._enumerate_cuts()
-        by_cut: dict[frozenset[int], list] = {}
-        for i in range(n):
-            for cut in cuts[i]:
-                if not cut:
-                    continue
-                cone = self._cone(i, cut)
-                if cone is None:
-                    continue
-                leaves = sorted(cut)
-                nv = len(leaves)
-                full = (1 << (1 << nv)) - 1
-                masks = _enum_masks(nv)
-                leaf_mask = {ref: masks[v] for v, ref in enumerate(leaves)}
-                vals: dict[int, int] = {}
-                for k in cone:
-                    ops = []
-                    for e in self.nodes[k]:
-                        r = e >> 1
-                        if r == REF_ZERO:
-                            v = 0
-                        elif r == REF_ONE:
-                            v = full
-                        elif r in leaf_mask:
-                            v = leaf_mask[r]
-                        else:
-                            v = vals[r]
-                        ops.append(v ^ full if e & 1 else v)
-                    vals[k] = _maj(*ops)
-                tpl = _LIBRARY.get((nv, vals[i]))
-                if tpl is None:
-                    continue
-                by_cut.setdefault(cut, []).append((i, tpl, frozenset(cone)))
-
-        removed: set[int] = set()
+        store = self.store
+        cached, gains = store.gains, {}
+        probes: dict = {}
         candidates = []
-        for cut, entries in by_cut.items():
-            entries.sort(key=lambda t: t[0])
-            leaves = tuple(sorted(cut))
-            groups = [entries]
-            if len(entries) > 1:
-                groups.extend([e] for e in entries)
+        for cut, recs in by_cut.items():
+            fresh = not probe_leaves.isdisjoint(cut)
+            leaves = None
+            groups = [tuple(recs)]
+            if len(recs) > 1:
+                groups.extend((rec,) for rec in recs)
             for group in groups:
-                roots = tuple(e[0] for e in group)
-                cone_union = set().union(*(e[2] for e in group))
-                dying = self._dying_set(roots, cone_union, fanout)
-                cost = self._group_cost(group, leaves, dying, key_map, removed)
-                gain = len(dying) - cost
-                if gain > 0:
-                    candidates.append((-gain, roots, leaves, tuple(group),
-                                       frozenset(cone_union), frozenset(dying)))
+                serials = group[0][3] if len(group) == 1 else tuple(rec[3] for rec in group)
+                g = cached.pop(serials, None)
+                if (g is None or fresh
+                        or (g[2] is not None and not fan_changed.isdisjoint(g[1]))):
+                    if leaves is None:
+                        leaves = tuple(sorted([r if r < 0 else pos[r] for r in cut]))
+                    g = self._group_gain(group, leaves, pos, fanout, key_map, probes)
+                gains[serials] = g
+                if g[0] > 0:
+                    if leaves is None:
+                        leaves = tuple(sorted([r if r < 0 else pos[r] for r in cut]))
+                    candidates.append((
+                        -g[0], tuple(pos[rec[4]] for rec in group), leaves,
+                        tuple((pos[rec[4]], _TEMPLATES[rec[2]]) for rec in group),
+                        frozenset(pos[d] for d in g[1]),
+                        frozenset(pos[d] for d in g[2])))
+        store.gains = gains
         if not candidates:
             return False
         candidates.sort(key=lambda c: (c[0], c[1], c[2]))
+        removed: set[int] = set()
         applied = False
         for _, roots, leaves, group, cone_union, dying in candidates:
             # leaves may reference replaced roots (the replacement edge
@@ -574,8 +921,12 @@ class _Builder:
             # the gain accounting for this candidate
             if cone_union & removed:
                 continue
-            for root, tpl, _ in group:
-                self.repl[root] = self._instantiate(tpl, leaves, dying, key_map, removed)
+            for root, tpl in group:
+                first_new = len(self.nodes)
+                out = self._instantiate(tpl, leaves, dying, key_map, removed)
+                if out >> 1 >= first_new:  # a new node takes over the root's id
+                    self.tags[out >> 1] = self.tags[root] ^ (out & 1)
+                self.repl[root] = out
                 self.nodes[root] = None
                 counts[tpl.name] += 1
             removed |= dying
@@ -641,8 +992,9 @@ def optimize(graph: MajGraph, effort: int = 2,
     before = best_m = _metric(graph, cfg)
     if effort > 0:
         passes = 1 if effort == 1 else 64
+        store, best_tags = _CutStore(), None
         for _ in range(passes):
-            b = _Builder.from_graph(best)
+            b = _Builder.from_graph(best, store, best_tags)
             round_counts: Counter = Counter()
             b.clean_compact(round_counts)
             b.dual_push(round_counts)
@@ -656,7 +1008,7 @@ def optimize(graph: MajGraph, effort: int = 2,
             m = _metric(candidate, cfg)
             if m < best_m:
                 _drop_sweep(best)  # only the best graph keeps its sweep
-                best, best_m = candidate, m
+                best, best_m, best_tags = candidate, m, b.tags
                 rules.update(round_counts)
             else:
                 break
@@ -679,9 +1031,11 @@ def optimize(graph: MajGraph, effort: int = 2,
 class RewriteRule:
     """A truth-preserving identity over a handful of variables.
 
-    The engine's passes implement these identities; each rule here is the
-    checkable statement of one of them (lhs and rhs must have identical
-    truth tables).
+    Each default rule is the checkable statement of an identity a pass
+    applies (lhs and rhs must have identical truth tables), named as
+    `optimize` counts it in `SynthesisReport.rules_applied`; `commute` and
+    `const_fold` are the edge canonicalization every pass applies
+    uncounted.
     """
 
     name: str
@@ -701,16 +1055,16 @@ def _g(n_inputs: int, nodes, outputs) -> MajGraph:
 
 
 def _default_rules() -> tuple[RewriteRule, ...]:
-    a, b, c, u = ("in0", False), ("in1", False), ("in2", False), ("in3", False)
+    a, b, c = ("in0", False), ("in1", False), ("in2", False)
     na = ("in0", True)
     zero, one = ("0", False), ("1", False)
     rules = [
-        RewriteRule(
+        RewriteRule(  # clean: edges are kept sorted
             "commute",
             _g(3, [(a, b, c)], [("n0", False)]),
             _g(3, [(c, a, b)], [("n0", False)]),
         ),
-        RewriteRule(
+        RewriteRule(  # every pass folds complemented constants
             "const_fold",
             _g(2, [(a, b, ("0", True))], [("n0", False)]),
             _g(2, [(a, b, one)], [("n0", False)]),
@@ -725,8 +1079,8 @@ def _default_rules() -> tuple[RewriteRule, ...]:
             _g(2, [(a, na, b)], [("n0", False)]),
             _g(2, [], [b]),
         ),
-        RewriteRule(
-            "absorb_complement_const",
+        RewriteRule(  # the constant pair: 1 is ~0
+            "absorb_complement",
             _g(1, [(zero, one, a)], [("n0", False)]),
             _g(1, [], [a]),
         ),
@@ -736,20 +1090,14 @@ def _default_rules() -> tuple[RewriteRule, ...]:
             _g(3, [(a, b, c)], [("n0", False), ("n0", False)]),
         ),
         RewriteRule(
+            "dead_node",
+            _g(3, [(a, b, c), (a, b, zero)], [("n0", False)]),
+            _g(3, [(a, b, c)], [("n0", False)]),
+        ),
+        RewriteRule(
             "dual_push",
             _g(3, [(a, b, c)], [("n0", True)]),
             _g(3, [(("in0", True), ("in1", True), ("in2", True))], [("n0", False)]),
-        ),
-        RewriteRule(
-            "associativity",
-            _g(4, [(b, u, c), (a, u, ("n0", False))], [("n1", False)]),
-            _g(4, [(b, u, a), (c, u, ("n0", False))], [("n1", False)]),
-        ),
-        RewriteRule(
-            "distributivity",
-            _g(5, [(c, u, ("in4", False)), (a, b, ("n0", False))], [("n1", False)]),
-            _g(5, [(a, b, c), (a, b, u), (("n0", False), ("n1", False), ("in4", False))],
-               [("n2", False)]),
         ),
         # XOR3 refactor: the lowered XOR(XOR(a,b),c) chain equals the
         # shared-majority template.
@@ -777,7 +1125,9 @@ def _xor3_netlist() -> Netlist:
 
 
 def verify_rules(rules: tuple[RewriteRule, ...] | None = None) -> list[RuleCheck]:
-    """Exhaustively check every rewrite rule; also audits the cut library."""
+    """Exhaustively check every rewrite rule.  The default set adds one
+    check per cut-rewrite template name, auditing every library template
+    of that name against the truth table it is filed under."""
     checks = []
     for rule in rules if rules is not None else _default_rules():
         if rule.lhs.input_count > 5:
@@ -791,13 +1141,15 @@ def verify_rules(rules: tuple[RewriteRule, ...] | None = None) -> list[RuleCheck
         detail = "" if ok else "truth tables differ"
         checks.append(RuleCheck(rule.name, ok, detail))
     if rules is None:
-        bad = []
+        bad: dict[str, list] = {}
         for (nvars, table), tpl in sorted(_LIBRARY.items()):
+            wrong = bad.setdefault(tpl.name, [])
             if _template_table(tpl, nvars) != table:
-                bad.append((nvars, table))
-        checks.append(RuleCheck(
-            "cut_library",
-            not bad,
-            "" if not bad else f"{len(bad)} templates disagree: {bad[:3]}",
-        ))
+                wrong.append((nvars, table))
+        for name, wrong in bad.items():
+            checks.append(RuleCheck(
+                name,
+                not wrong,
+                "" if not wrong else f"{len(wrong)} templates disagree: {wrong[:3]}",
+            ))
     return checks

@@ -119,6 +119,15 @@ class TestRun:
         assert main(["run", str(bad), "--inputs", str(a), str(a)]) == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_over_long_row_index_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "long.up"
+        bad.write_text(f"UP/1\nop=add width=1 data_rows=3\nAAP D{'1' * 4301} T0\nEND\n")
+        a = tmp_path / "a.txt"
+        write(a, [1])
+        assert main(["run", str(bad), "--inputs", str(a), str(a)]) == 2
+        err = capsys.readouterr().err
+        assert "line 3" in err and "at most 18 digits" in err
+
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(op=hst.sampled_from([("add", 4, 2), ("mul", 3, 2), ("xor_n", 2, 3),

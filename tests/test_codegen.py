@@ -306,6 +306,18 @@ class TestTextFormat:
             parse_microprogram(text)
         assert data_row_index(token) is None
 
+    @pytest.mark.parametrize("digits", [19, 4301])
+    def test_rejects_over_long_row_index_naming_the_line(self, digits):
+        token = "D" + "1" * digits
+        text = f"UP/1\nop=x width=1 data_rows=4\nAAP D0 T0\nAAP {token} T0\nEND\n"
+        with pytest.raises(MicroProgramError, match="line 4: row token 'D1111"):
+            parse_microprogram(text)
+        assert data_row_index(token) is None
+
+    def test_accepts_an_eighteen_digit_row_index(self):
+        prog = parse_microprogram(f"UP/1\nop=x width=1 data_rows=4\nAAP D{'9' * 18} T0\nEND\n")
+        assert data_row_index(prog.commands[0].rows[0]) == 10 ** 18 - 1
+
     def test_accepts_canonical_data_rows(self):
         prog = parse_microprogram("UP/1\nop=x width=1 data_rows=4\nAAP D0 T0\nAAP T0 D30\nEND\n")
         assert [c.rows for c in prog.commands] == [("D0", "T0"), ("T0", "D30")]

@@ -20,51 +20,70 @@ from pumkit.logic import MajGraph
 from pumkit.oplib import N_ARY, build_netlist, compile_op, compile_op_cached, op_signature
 from pumkit.synthesis import lower_to_maj, optimize
 
-# sha256 of format_microprogram per op at widths 4 and 8: effort 2, default
-# subarray, n-ary ops with 4 operands.  A change that alters emitted
+# sha256 of format_microprogram per op at widths 4, 8 and 16: effort 2,
+# default subarray, n-ary ops with 4 operands.  A change that alters emitted
 # programs on purpose regenerates this table and says so.
 PINNED = {
     "and_n": ("e95f4fd87e7f20f0040aa7f4428b2c5dbc1e0bade2369420373e8f69943a5c0c",
-              "b6b40aba295157d5cb17800400146d0fbfc9b46327019f94bf338ed481283733"),
+              "b6b40aba295157d5cb17800400146d0fbfc9b46327019f94bf338ed481283733",
+              "6c64eac6a0677a12508dc9f706c40972854ae5c23eb203b215302a99d1dc0b87"),
     "or_n": ("6c96a0ae13dc1cb68f70610785ba6c532e469791aab3b8cf5581ffd51d90986f",
-             "5d7bd6c7a7469b0129bdcf93df5969ffbc43a74cd354b891734232e0c76f22fa"),
+             "5d7bd6c7a7469b0129bdcf93df5969ffbc43a74cd354b891734232e0c76f22fa",
+             "ce51d4a8a2790acce287aa4e8334525f4e52b789adace3422b4a4a0bbd716c6b"),
     "xor_n": ("7d5e7a270c469e75d67313c2764a63142593c1e86daa7a4cafe42c6dc57c809a",
-              "1437a0c90135b05d5fe80434b30608a3727f8e5351d80c13598dd2b09b49ccb3"),
+              "1437a0c90135b05d5fe80434b30608a3727f8e5351d80c13598dd2b09b49ccb3",
+              "148e77630c7347ffe63f4aa05942abef7ad01ba373464a3caf3c2640d4f9d31b"),
     "eq": ("7a710d8b47816177189d6ef5915332361d5ad71310dda59aaad8e22131b6c495",
-           "a92f417b5709e953941f05c69de58f84f9dee9e8ea3ae82ba2de6fb703ffcab1"),
+           "a92f417b5709e953941f05c69de58f84f9dee9e8ea3ae82ba2de6fb703ffcab1",
+           "a91bb5c25062d34ab5648d9c91f4ddfd97bfbf128395c5860d4b5349c0fbd95f"),
     "neq": ("e73c5a89d02e2cd7bce3ea16fed0791152f5e3b0e36a7c112e6c84920e7aca3b",
-            "d0ca73757e6f9b2603d16ebb305798adf59b0c5c1d0bf14649089826e79ea306"),
+            "d0ca73757e6f9b2603d16ebb305798adf59b0c5c1d0bf14649089826e79ea306",
+            "f5c68e7c86520ddc1b1571c339a9ca5762ea81ef989e268e864337a4c554b7bb"),
     "gt": ("34cb4f6daa27ec7e4e08684abc6e07edfd21ab4c82c9e5ff31cc33d406656deb",
-           "2417229e7ff2b43ed94a93f7bc10832f6a04383b0c0f43f09831b6ca11acecca"),
+           "2417229e7ff2b43ed94a93f7bc10832f6a04383b0c0f43f09831b6ca11acecca",
+           "6707ef4ab9fdb7b39b6b87227b04d1cc31dea757ba76d9f85ba283c257274a34"),
     "lt": ("841469c669d549162077379ee19389b6656bd87c57b61f45788384d1f4f84fe1",
-           "1bf048a2ffaf2f165b52f47e717aa8951be02ad2a90791dfae511736e94ea83c"),
+           "1bf048a2ffaf2f165b52f47e717aa8951be02ad2a90791dfae511736e94ea83c",
+           "c05c5981027a85df55be6aa28402f19f340fb7dd594f8de090fad3722fcb13f7"),
     "max": ("234b0a96bb03c677bc7e9e02b1c9f6d0c4df810d154fa46a313b8770788417bc",
-            "21524454bb70f3313198337371bc2847134f3d01adc20ad611d8005715e3b643"),
+            "21524454bb70f3313198337371bc2847134f3d01adc20ad611d8005715e3b643",
+            "ac4532bcc7c00f12e9e5843c69051e43ea83ae1ba24201a2441c3ec56fcb6645"),
     "min": ("348ae891d88316ad738f6d355bea8f0eb09ab9fb72e745aaffd6303376bfd2e2",
-            "a94e9f1abd80a3801becfced9b119b44ea176723e5d5bd0d700679896e6d9280"),
+            "a94e9f1abd80a3801becfced9b119b44ea176723e5d5bd0d700679896e6d9280",
+            "c71cd583e268ca6f14713ac34cca84e7f36947c2eef53ab9f17bb2faa7af6088"),
     "add": ("517a2c0e8c4e0e69f7d5a0e187839fd6c0959123c49c7db344c1f5ab4830c6a4",
-            "d925fb2c6605a72880c39698e984b7e5c6fe847c0d86ddab486147024179c8e0"),
+            "d925fb2c6605a72880c39698e984b7e5c6fe847c0d86ddab486147024179c8e0",
+            "020c957ef5a2c6e87a31b187203bb400bf2614b3dfa216d47cb4c8971d7969a7"),
     "sub": ("e444a538bd879d041b57ae74c3d24cd18e67388255610efa5628a0db86353745",
-            "0d73b0e482072824b83e70b869f527c7aea3465bdfd78d516365938fabaaf1df"),
+            "0d73b0e482072824b83e70b869f527c7aea3465bdfd78d516365938fabaaf1df",
+            "5c3a3ed9b1f4d62c38630fe64b71160ef03d9b713bf10022a27c72c0eb0d8cc8"),
     "mul": ("48eb33cbdc6b67ee773746abd3f44b7fdab0c65a29a45a3a79c4600c592f09aa",
-            "6f21813a298c54f45f53ec33e287cce6058328e41936c6719389d3bc6a1f8e0d"),
+            "6f21813a298c54f45f53ec33e287cce6058328e41936c6719389d3bc6a1f8e0d",
+            "7e2e712b58ffb83f3e01377a17fc84aa680f0d6020af301072f29c3d5e9bb46f"),
     "div": ("475ad219381b31470aeebb795d77e18acbd0dbb919f2bacb2f3d54de2f54b08e",
-            "df023c033740368344d512d645b7bd3911fbb33079ae3219441ddb01e6b8a668"),
+            "df023c033740368344d512d645b7bd3911fbb33079ae3219441ddb01e6b8a668",
+            "0b7857ed1b1865451d86e65647b2276f728bbceac303b1dc8ba13e2ef346d5cf"),
     "if_then_else": ("8f36817a7237d6c902f2d50110cd3cd515d88ae9940ed348c58fc3665c2d115f",
-                     "e25c7a6531f56d52aae073a6029d62a6df03a91c94dd83048e7dfeb2cacd4a68"),
+                     "e25c7a6531f56d52aae073a6029d62a6df03a91c94dd83048e7dfeb2cacd4a68",
+                     "4e8703acad847ca85aef3a8c2a844524687ff8da2010e789007169d8846e6bc3"),
     "bitcount": ("e9bd4bb0a907d7a53f8b2e7cea03c4ce40aec0cb678cfe96262321350777f929",
-                 "190a426e03d311fb805fa22ed003d974b6425fc4ea7994437d3c627e0f62f423"),
+                 "190a426e03d311fb805fa22ed003d974b6425fc4ea7994437d3c627e0f62f423",
+                 "f10d551d80d03fae7629a16d23da7bf4ed6de1ddcf4e6e7f868772948926d5f2"),
     "relu": ("5ca789746108d1c4a9e3f971d20a96fd3432bf15843cbcf7dec7a5bae549ec54",
-             "897ba75c40e3ee1762fb5836b12e3541baec048d6925e496b40fa142b9264e45"),
+             "897ba75c40e3ee1762fb5836b12e3541baec048d6925e496b40fa142b9264e45",
+             "dd52b58c8a0fb6c6ca6895e76b570ce006d93252eb3f2c2f210c8544f230b2df"),
 }
 
 
-@pytest.mark.parametrize("width", [4, 8])
+PINNED_WIDTHS = (4, 8, 16)
+
+
+@pytest.mark.parametrize("width", PINNED_WIDTHS)
 @pytest.mark.parametrize("kind", sorted(PINNED))
 def test_emitted_program_is_pinned(kind, width):
     compiled = compile_op_cached(kind, width, effort=2, n_inputs=4 if kind in N_ARY else 2)
     text = format_microprogram(compiled.program)
-    assert hashlib.sha256(text.encode()).hexdigest() == PINNED[kind][width == 8]
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED[kind][PINNED_WIDTHS.index(width)]
 
 
 def _two_spare_rows(g: MajGraph) -> SubarrayConfig:

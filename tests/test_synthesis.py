@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -7,15 +8,19 @@ from hypothesis import strategies as st
 from pumkit.codegen import SubarrayConfig, estimate_cost_static
 from pumkit.errors import CapacityError
 from pumkit.logic import Gate, MajGraph, Netlist, equivalent, truth_table
-from pumkit.oplib import build_netlist
+from pumkit.oplib import N_ARY, OP_KINDS, build_netlist
 from pumkit.synthesis import (
     RewriteRule,
+    _LIBRARY,
+    _Builder,
+    _CutStore,
+    _fold,
     lower_to_maj,
     optimize,
     verify_rules,
 )
 
-from conftest import random_netlist
+from conftest import random_majgraph, random_netlist
 
 
 class TestLowering:
@@ -130,11 +135,25 @@ class TestVerifyRules:
         failing = [c.name for c in checks if not c.passed]
         assert failing == []
 
-    def test_rule_names_cover_engine_passes(self):
-        names = {c.name for c in verify_rules()}
-        for expected in ("commute", "absorb_equal", "absorb_complement",
-                         "cse", "dual_push", "cut_xor", "cut_library"):
-            assert expected in names
+    def test_rule_names_cover_engine_passes(self, rng):
+        """Every rule `optimize` counts has a checked identity, and every
+        checked identity is one a pass applies: the counted rules of
+        `clean`, `compact` and `dual_push`, the template names of the cut
+        library, and the canonical edge order and constant folding every
+        pass applies uncounted."""
+        checked = {c.name for c in verify_rules()}
+        passes = {"absorb_equal", "absorb_complement", "cse", "dead_node", "dual_push"}
+        templates = {tpl.name for tpl in _LIBRARY.values()}
+        assert checked == passes | templates | {"commute", "const_fold"}
+        counted = set()
+        graphs = [lower_to_maj(build_netlist(kind, width, 3 if kind in N_ARY else 2))
+                  for kind in OP_KINDS for width in (2, 4)]
+        graphs += [lower_to_maj(random_netlist(rng, n_gates=15)) for _ in range(20)]
+        graphs += [random_majgraph(rng) for _ in range(20)]
+        for g in graphs:
+            counted |= {name for name, _ in optimize(g, 2)[1].rules_applied}
+        assert counted <= checked
+        assert counted >= passes
 
     def test_corrupted_rule_fails_with_name(self):
         bogus = RewriteRule(
@@ -174,3 +193,109 @@ class TestReport:
         _, report = optimize(lower_to_maj(build_netlist("add", 2)), 1)
         text = report.render()
         assert "activations" in text and "->" in text
+
+
+def _random_graph(seed: int) -> MajGraph:
+    """A lowered random netlist or a random majority graph."""
+    rng = random.Random(seed)
+    if rng.random() < 0.5:
+        return lower_to_maj(random_netlist(rng, n_inputs=rng.randint(1, 6),
+                                           n_gates=rng.randint(1, 40)))
+    return random_majgraph(rng, n_inputs=rng.randint(1, 6), n_nodes=rng.randint(1, 30))
+
+
+def _rewrite_ready(g: MajGraph, store=None, tags=None, flip=True) -> _Builder:
+    """A builder as `optimize` hands it to `cut_rewrite` in one round
+    (without the complement pushing unless `flip`)."""
+    b = _Builder.from_graph(g, store, tags)
+    b.clean_compact(Counter())
+    if flip:
+        b.dual_push(Counter())
+        b.clean_compact(Counter())
+    return b
+
+
+def _with_cold_store(b: _Builder) -> _Builder:
+    cold = _Builder(b.input_count)
+    cold.nodes, cold.outputs, cold.repl = list(b.nodes), list(b.outputs), dict(b.repl)
+    cold.tags = cold.store.new_tags(len(cold.nodes))
+    return cold
+
+
+class TestCutStore:
+    """The store `optimize` keeps across rounds changes no rewrite."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_warm_store_rewrites_like_a_cold_one(self, seed):
+        """Rounds as `optimize` runs them, some without complement pushing,
+        after edits that change fanouts: each round drops the outputs the
+        previous one added, then may pin a random share of the nodes as
+        outputs and add pinned nodes, some the complement of an existing
+        one.  A pinned node cannot die with a rewritten cone, and an added
+        node can stand in for a template node, so rounds block and unblock
+        rewrites whose cones are unchanged."""
+        rng = random.Random(seed)
+        g, store = _random_graph(seed), _CutStore()
+        kept = g.output_count
+        b = _Builder.from_graph(g, store)
+        for _ in range(5):
+            del b.outputs[kept:]
+            refs = [(-3 - i) << 1 for i in range(b.input_count)]
+            refs += [k << 1 for k in range(len(b.nodes))]
+            if rng.random() < 0.7:
+                share = rng.random()
+                b.outputs += [e for e in refs if e >= 0 and rng.random() < share]
+            for _ in range(rng.randint(0, 3)):
+                if b.nodes and rng.random() < 0.5:  # the complement of a node
+                    edges = [_fold(e ^ 1) for e in rng.choice(b.nodes)]
+                else:
+                    edges = [rng.choice(refs) ^ rng.randint(0, 1) for _ in range(3)]
+                b.nodes.append(tuple(sorted(edges)))
+                b.tags.extend(store.new_tags(1))
+                b.outputs.append(len(b.nodes) - 1 << 1)
+            warm = _rewrite_ready(b.to_graph(), store, b.tags, flip=rng.random() < 0.5)
+            cold = _with_cold_store(warm)
+            warm_counts, cold_counts = Counter(), Counter()
+            assert warm.cut_rewrite(warm_counts) == cold.cut_rewrite(cold_counts)
+            assert warm.nodes == cold.nodes
+            assert warm.outputs == cold.outputs
+            assert warm.repl == cold.repl
+            assert warm_counts == cold_counts
+            b = warm
+            b.clean_compact(Counter())
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_optimize_equals_a_store_cleared_every_round(self, seed):
+        g = _random_graph(seed)
+        warm, warm_report = optimize(g, 2)
+        real = _Builder.cut_rewrite
+
+        def cleared(self, counts):
+            self.store = _CutStore()
+            self.tags = self.store.new_tags(len(self.nodes))
+            return real(self, counts)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_Builder, "cut_rewrite", cleared)
+            cold, cold_report = optimize(g, 2)
+        assert warm.packed_nodes == cold.packed_nodes
+        assert warm.packed_outputs == cold.packed_outputs
+        assert repr(warm_report) == repr(cold_report)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_composed_cut_records_match_a_cone_walk(self, seed):
+        b = _rewrite_ready(_random_graph(seed))
+        b._refresh_store(b._fanout())
+        ids = [t >> 1 for t in b.tags]
+        pos = {d: i for i, d in enumerate(ids)}
+        for i, d in enumerate(ids):
+            for cut, rec in zip(b.store.cuts[d], b.store.recs[d]):
+                if not cut:
+                    continue
+                walked = b._walk_cut(i, sorted(r if r < 0 else pos[r] for r in cut), ids)
+                assert rec[1:3] == walked[1:3]  # truth table, template
+                if rec[1] is not None:
+                    assert set(rec[0]) == set(walked[0])  # cone
