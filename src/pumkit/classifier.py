@@ -197,15 +197,21 @@ def _parse_header(header: list[str]) -> list[int]:
     return cores
 
 
-def parse_metrics_csv(text: str) -> list[MetricsRecord]:
-    reader = csv.reader(io.StringIO(text))
-    rows = [(lineno, row) for lineno, row in enumerate(reader, start=1) if row]
-    if not rows:
+def parse_metrics_csv(text: str, *,
+                      rows: list[list[str]] | None = None) -> list[MetricsRecord]:
+    """Records of a metrics CSV, one per non-blank row after the header.
+    The non-blank rows as read, header first, are appended to `rows` when
+    it is given."""
+    numbered = [(lineno, row) for lineno, row in
+                enumerate(csv.reader(io.StringIO(text)), start=1) if row]
+    if rows is not None:
+        rows.extend(row for _, row in numbered)
+    if not numbered:
         return []
-    _, header = rows[0]
+    _, header = numbered[0]
     cores = _parse_header([h.strip() for h in header])
     records = []
-    for lineno, row in rows[1:]:
+    for lineno, row in numbered[1:]:
         if len(row) != 4 + len(cores):
             raise MetricsError(
                 f"line {lineno}: expected {4 + len(cores)} fields, got {len(row)}"
@@ -237,13 +243,12 @@ def ingest_csv(path: str) -> list[MetricsRecord]:
 
 def label_csv(text: str, thresholds: Thresholds | None = None) -> str:
     """Augment a metrics CSV with class, recommendation, and rationale."""
-    records = parse_metrics_csv(text)
-    reader = csv.reader(io.StringIO(text))
-    rows = [row for row in reader if row]
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
+    rows: list[list[str]] = []
+    records = parse_metrics_csv(text, rows=rows)
     if not rows:
         return ""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
     writer.writerow(rows[0] + ["class", "recommendation", "rationale"])
     for row, rec in zip(rows[1:], records):
         cls, why = classify(rec, thresholds)

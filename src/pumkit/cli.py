@@ -23,6 +23,7 @@ from . import classifier, costmodel, oplib
 from .codegen import activation_count, format_microprogram, parse_microprogram
 from .config import RunConfig, load_config
 from .errors import (
+    CapacityError,
     ConfigError,
     MetricsError,
     MetricsRangeError,
@@ -38,6 +39,8 @@ EXIT_DATA = 3
 
 BENCH_WIDTHS = (4, 8, 16, 32)
 BENCH_N_INPUTS = 4
+# Digits an operand value may have: 2**64 - 1 has 20.
+_MAX_VALUE_DIGITS = 20
 
 
 def _load_values(path: str) -> list[int]:
@@ -47,9 +50,10 @@ def _load_values(path: str) -> list[int]:
             line = raw.strip()
             if not line:
                 continue
-            if not line.isdigit():
+            if not (line.isascii() and line.isdigit() and len(line) <= _MAX_VALUE_DIGITS):
                 raise MicroProgramError(
-                    f"{path}:{lineno}: expected an unsigned decimal, got {line!r}"
+                    f"{path}:{lineno}: expected an unsigned decimal of at most "
+                    f"{_MAX_VALUE_DIGITS} ASCII digits, got {line[:40]!r}"
                 )
             values.append(int(line))
     return values
@@ -89,17 +93,21 @@ def cmd_run(args, cfg: RunConfig) -> int:
         print(f"program op {kind!r} is not in the operation vocabulary",
               file=sys.stderr)
         return EXIT_USAGE
-    if kind in oplib.N_ARY:
-        _, out_w = oplib.op_signature(kind, width, 2)
-        n_inputs, rem = divmod(program.data_rows - out_w, width)
-        if rem or n_inputs < 2:
-            raise MicroProgramError(
-                f"header data_rows={program.data_rows} inconsistent with "
-                f"{kind} width {width}"
-            )
-    else:
-        n_inputs = 2
+    if program.data_rows > cfg.subarray.data_row_count:
+        raise CapacityError(
+            f"program needs {program.data_rows} data rows, config provides "
+            f"{cfg.subarray.data_row_count}"
+        )
+    n_inputs = 2
+    if kind in oplib.N_ARY:  # n operands and the result, `width` rows each
+        n_inputs = max(2, program.data_rows // width - 1)
     widths, out_w = oplib.op_signature(kind, width, n_inputs)
+    if sum(widths) + out_w != program.data_rows:
+        raise MicroProgramError(
+            f"header data_rows={program.data_rows} inconsistent with "
+            f"{kind} width {width}: operands and result take "
+            f"{sum(widths)} + {out_w} rows"
+        )
     if len(args.inputs) != len(widths):
         print(f"{kind} width {width} takes {len(widths)} operand files, "
               f"got {len(args.inputs)}", file=sys.stderr)

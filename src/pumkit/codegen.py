@@ -41,17 +41,21 @@ SPECIAL_ROWS = COMPUTE_ROWS + DCC_ROWS + CONST_ROWS
 _FIXED_TOKENS = frozenset(SPECIAL_ROWS + ("~DCC0", "~DCC1"))
 
 
-# Digits a data row index may have: no subarray has 10**18 rows, and int()
-# refuses digit strings past a few thousand.
+# Digits a data row index or header number may have: no subarray has
+# 10**18 rows, and int() refuses digit strings past a few thousand.
 _MAX_ROW_DIGITS = 18
 
 
+def _is_canonical_number(n: str) -> bool:
+    """ASCII digits, no leading zero, so every number has exactly one
+    spelling, and at most _MAX_ROW_DIGITS of them."""
+    return (n.isascii() and n.isdigit() and (n[0] != "0" or n == "0")
+            and len(n) <= _MAX_ROW_DIGITS)
+
+
 def _is_data_token(token: str) -> bool:
-    """Canonical ``D<n>``: ASCII digits, no leading zero, so every data
-    row has exactly one spelling, and at most _MAX_ROW_DIGITS of them."""
-    n = token[1:]
-    return (token[:1] == "D" and n.isascii() and n.isdigit()
-            and (n[0] != "0" or n == "0") and len(n) <= _MAX_ROW_DIGITS)
+    """Canonical ``D<n>``."""
+    return token[:1] == "D" and _is_canonical_number(token[1:])
 
 
 def alias_base(token: str) -> str | None:
@@ -210,17 +214,19 @@ def parse_microprogram(text: str) -> MicroProgram:
                 if "=" not in tok:
                     raise MicroProgramError(f"line {lineno}: bad header field {tok!r}")
                 k, v = tok.split("=", 1)
+                if k in fields:
+                    raise MicroProgramError(f"line {lineno}: header repeats {k!r}")
                 fields[k] = v
             if set(fields) != {"op", "width", "data_rows"}:
                 raise MicroProgramError(f"line {lineno}: header needs op/width/data_rows")
-            try:
-                header = (fields["op"], int(fields["width"]), int(fields["data_rows"]))
-            except ValueError as e:
-                raise MicroProgramError(f"line {lineno}: {e}") from e
-            if header[1] < 1 or header[2] < 0:
-                raise MicroProgramError(
-                    f"line {lineno}: header needs width >= 1 and data_rows >= 0"
-                )
+            for k in ("width", "data_rows"):
+                if not _is_canonical_number(fields[k]):
+                    raise MicroProgramError(
+                        f"line {lineno}: header {k}={fields[k][:_MAX_ROW_DIGITS + 1]!r} "
+                        "is not a number in canonical ASCII digits")
+            header = (fields["op"], int(fields["width"]), int(fields["data_rows"]))
+            if header[1] < 1:
+                raise MicroProgramError(f"line {lineno}: header needs width >= 1")
             continue
         if line == "END":
             ended = True

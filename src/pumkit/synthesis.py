@@ -22,14 +22,16 @@ strictly improves, which gives monotone cost and a stable fixpoint; a
 graph the subarray cannot hold ranks below every graph that fits.
 
 Cut rewriting keeps what it learns across the rounds of one `optimize`
-call in a `_CutStore`: per node its pruned cuts, per cut the cone and truth
-table, per group of cuts the gain.  Nodes carry an id through every pass,
-and entries are keyed by id and checked against the node's structural
-key (its folded, sorted edges with child ids substituted), so later rounds
-enumerate, simulate and weigh only the cones whose structure, fanout,
-complements or order changed, in the way DAG-aware rewriting re-examines
-only the fanout of rewritten nodes (Mishchenko, Chatterjee and Brayton,
-DAC 2006).  The rewrites chosen are the same as with nothing kept.
+call in a `_CutStore`: per node its pruned cuts, per cut the cone, truth
+table and template.  Nodes carry an id through every pass, and entries
+are keyed by id and checked against the node's structural key (its
+folded, sorted edges with child ids substituted), so later rounds
+enumerate and simulate only the cones whose structure, complements or
+order changed, in the way DAG-aware rewriting re-examines only the fanout
+of rewritten nodes (Mishchenko, Chatterjee and Brayton, DAC 2006).  What
+each rewrite would save depends on fanout and on the nodes elsewhere in
+the graph, so every round weighs it afresh from the kept records.  The
+rewrites chosen are the same as with nothing kept.
 """
 
 from __future__ import annotations
@@ -206,7 +208,6 @@ def _build_library() -> dict[tuple[int, int], _Template]:
 
 _LIBRARY = _build_library()
 _MASKS = [_enum_masks(nv) for nv in range(4)]
-_NO_GAIN = (0, (), None)  # a group gain bounded at no more than 0
 
 
 def _probe_shape(tpl: _Template) -> tuple[int, tuple]:
@@ -250,33 +251,27 @@ class _CutStore:
     node's folded, sorted edges with child ids substituted, normalized by
     its phase so that a flip changes no key.  Per id the store keeps that
     key, the phase and index the node had, its pruned cuts and, per cut,
-    a record of its cone; per group of cuts it keeps the gain.  A round
-    reuses an entry unless something it was read from has changed since
-    the previous round, so it re-examines only the cones that rewrites,
-    merges and reorderings touched.
+    a record of its cone.  A round reuses an entry unless something it
+    was read from has changed since the previous round, so it re-examines
+    only the cones that rewrites, merges and reorderings touched.  A
+    gain also depends on fanout and on which nodes exist elsewhere, so
+    none is kept: `cut_rewrite` weighs every group afresh.
 
     A cut is a sorted tuple of leaf refs: node ids and input refs.  A cut
-    record is (cone ids, truth table, template number), extended by
-    (serial, root id) when there is a template; past _CONE_CAP the table is
-    None and the cone holds the nodes walked.  A recomputed record gets a
-    new serial.  A group's gain, keyed by its records' serials, is (gain,
-    cone ids, dying ids), dying None when the gain is an upper bound that
-    is not positive.  All of it is tuples of ints, which the garbage
-    collector stops tracking.
+    record is (cone ids, truth table, template number), extended by the
+    root id when there is a template; past _CONE_CAP the table is None and
+    the cone holds the nodes walked.  All of it is tuples of ints, which
+    the garbage collector stops tracking.
     """
 
     def __init__(self):
         self.next_id = 0  # ids handed out so far
-        self.serial = 0  # records with a template made so far
         # per id, as the previous cut_rewrite saw the node
         self.key: dict[int, tuple[int, ...]] = {}
         self.phase: dict[int, int] = {}
         self.pos: dict[int, int] = {}  # its index
         self.cuts: dict[int, tuple[tuple[int, ...], ...]] = {}
         self.recs: dict[int, tuple[tuple | None, ...]] = {}  # per cut, in order
-        # per group: one serial, or a tuple of them
-        self.gains: dict[int | tuple[int, ...], tuple] = {}
-        self.outs: frozenset[int] = frozenset()  # ids the outputs read
 
     def new_tags(self, count: int) -> list[int]:
         first = self.next_id
@@ -645,8 +640,7 @@ class _Builder:
         tpl = _LIBRARY.get((nv, table))
         if tpl is None:
             return cone, table, None
-        self.store.serial += 1
-        return cone, table, _TEMPLATE_ID[id(tpl)], self.store.serial, self.tags[i] >> 1
+        return cone, table, _TEMPLATE_ID[id(tpl)], self.tags[i] >> 1
 
     def _dying_set(self, roots: list[int], cone_union: set[int],
                    fanout: list[list[int]]) -> set[int]:
@@ -668,48 +662,44 @@ class _Builder:
         return found
 
     def _group_gain(self, group: tuple, leaves: tuple[int, ...], pos: dict[int, int],
-                    fanout: list[list[int]], key_map: dict, probes: dict) -> tuple:
+                    fanout: list[list[int]], key_map: dict) -> tuple | None:
         """(nodes freed minus new nodes needed after structural sharing,
-        cone ids, dying ids) of rewriting the roots of a group of cut
-        records.
+        cone indices, dying indices) of rewriting the roots of a group of
+        cut records, or None when that gain is not positive.
 
         A template node over leaves only is free when an existing node
         outside the dying set has its edges; a node over other template
         nodes never is.  At most every cone node is freed, so the dying
         set is computed only when that bound leaves a positive gain.
-        `probes` holds `_probe` per serial, for records in several groups.
         """
         if len(group) == 1:
             rec = group[0]
             cone = rec[0]
             deep = _SHAPES[rec[2]][0]
             if len(cone) <= deep:
-                return _NO_GAIN
-            found = probes.get(rec[3]) or self._probe(rec, leaves, key_map)
-            hits = [h for _, h in found]
+                return None
+            hits = [h for _, h in self._probe(rec, leaves, key_map)]
         else:
-            cone = tuple(set().union(*(rec[0] for rec in group)))
+            cone = set().union(*(rec[0] for rec in group))
             shapes = {_TEMPLATES[rec[2]].nodes: _SHAPES[rec[2]] for rec in group}
             deep = sum(shape[0] for shape in shapes.values())
             if len(cone) <= deep:
-                return _NO_GAIN
+                return None
             unique: dict = {}  # one template node per distinct edges
             for rec in group:
-                found = probes.get(rec[3])
-                if found is None:
-                    found = probes[rec[3]] = self._probe(rec, leaves, key_map)
-                unique.update(found)
+                unique.update(self._probe(rec, leaves, key_map))
             hits = list(unique.values())
-        roots = [pos[rec[4]] for rec in group]
+        roots = [pos[rec[3]] for rec in group]
         shared = 0
         for h in hits:
             if h is not None and h not in roots:
                 shared += 1
         if len(cone) - deep - len(hits) + shared <= 0:
-            return _NO_GAIN
-        dying = self._dying_set(roots, {pos[d] for d in cone}, fanout)
-        cost = deep + sum(1 for h in hits if h is None or h in dying)
-        return len(dying) - cost, cone, tuple(self.tags[k] >> 1 for k in dying)
+            return None
+        cone_at = {pos[d] for d in cone}
+        dying = self._dying_set(roots, cone_at, fanout)
+        gain = len(dying) - deep - sum(1 for h in hits if h is None or h in dying)
+        return (gain, cone_at, dying) if gain > 0 else None
 
     @staticmethod
     def _map_template_node(nd, leaves, ids):
@@ -768,11 +758,7 @@ class _Builder:
     def _refresh_store(self, fanout: list[list[int]]):
         """Bring the store's cuts and cut records up to date with the graph.
 
-        Returns the library hits grouped by cut, the index of each id, the
-        ids whose fanout changed and the leaves of nodes that appeared,
-        vanished, changed or flipped (a template node probing for an
-        existing node over those leaves may now find another answer) since
-        the store last saw the graph.
+        Returns the library hits grouped by cut and the index of each id.
         """
         store, tags = self.store, self.tags
         keys = [_structural_key(nd, tags, t & 1) for nd, t in zip(self.nodes, tags)]
@@ -781,43 +767,22 @@ class _Builder:
         # phase and index order of its root and leaves.
         restructured: set[int] = set()
         moved: set[int] = set()  # flipped or reordered
-        fan_changed: set[int] = set()
-        probe_leaves: set[int] = set()
         old_key, old_phase = store.key, store.phase
-
-        def changed(key, fanout_too=True):
-            refs = [q >> 1 for q in key if q >= 0 or q >> 1 < REF_ONE]
-            probe_leaves.update(refs)
-            if fanout_too:
-                fan_changed.update(r for r in refs if r >= 0)
-
-        outs = frozenset(tags[e >> 1] >> 1 for e in self.outputs if e >= 0)
         if old_key:  # a cold store has nothing to invalidate
             for d, k, t in zip(ids, keys, tags):
                 old = old_key.get(d)
-                if old == k:
-                    if old_phase[d] != t & 1:
-                        moved.add(d)
-                        changed(k, fanout_too=False)
-                    continue
-                restructured.add(d)
-                changed(k)
-                if old is not None:
-                    changed(old)
-                    if old_phase[d] != t & 1:
-                        moved.add(d)
+                if old != k:
+                    restructured.add(d)
+                if old is not None and old_phase[d] != t & 1:
+                    moved.add(d)
             live = set(ids)
             for d in [d for d in old_key if d not in live]:
-                old_phase.pop(d)
-                changed(old_key.pop(d))
-                del store.pos[d]
+                del old_key[d], old_phase[d], store.pos[d]
                 store.cuts.pop(d, None)
                 store.recs.pop(d, None)
             seq = [(store.pos[d], d) for d in ids if d in store.pos]
             if any(a[0] > b[0] for a, b in zip(seq, seq[1:])):
                 moved.update(_displaced(seq))
-            fan_changed |= outs ^ store.outs
-        store.outs = outs
         store.pos = pos = dict(zip(ids, range(len(ids))))
         old_key.update(zip(ids, keys))
         old_phase.update(zip(ids, [t & 1 for t in tags]))
@@ -864,7 +829,7 @@ class _Builder:
                     else:
                         bucket.append(rec)
             recs_of[d] = recs if fresh is None else tuple(fresh)
-        return by_cut, pos, fan_changed, probe_leaves
+        return by_cut, pos
 
     def cut_rewrite(self, counts: Counter) -> bool:
         """Match small cones against the template library and replace them.
@@ -872,44 +837,30 @@ class _Builder:
         Roots sharing one cut are grouped and rewritten jointly, so
         structures like a full adder (XOR3 sum + majority carry over the
         same three leaves) collapse even though neither root's fanout-free
-        cone pays for the rewrite alone.  Cuts, cone functions and group
-        gains come from the builder's store where nothing they were read
-        from has changed since the previous call.
+        cone pays for the rewrite alone.  Cuts and cut records come from
+        the builder's store where nothing they were read from has changed
+        since the previous call; every group's gain is weighed afresh.
         """
         fanout = self._fanout()
-        by_cut, pos, fan_changed, probe_leaves = self._refresh_store(fanout)
+        by_cut, pos = self._refresh_store(fanout)
         key_map: dict = {}
         for i, nd in enumerate(self.nodes):
             key_map.setdefault(tuple(sorted(nd)), i)
 
-        store = self.store
-        cached, gains = store.gains, {}
-        probes: dict = {}
         candidates = []
         for cut, recs in by_cut.items():
-            fresh = not probe_leaves.isdisjoint(cut)
-            leaves = None
+            leaves = tuple(sorted([r if r < 0 else pos[r] for r in cut]))
             groups = [tuple(recs)]
             if len(recs) > 1:
                 groups.extend((rec,) for rec in recs)
             for group in groups:
-                serials = group[0][3] if len(group) == 1 else tuple(rec[3] for rec in group)
-                g = cached.pop(serials, None)
-                if (g is None or fresh
-                        or (g[2] is not None and not fan_changed.isdisjoint(g[1]))):
-                    if leaves is None:
-                        leaves = tuple(sorted([r if r < 0 else pos[r] for r in cut]))
-                    g = self._group_gain(group, leaves, pos, fanout, key_map, probes)
-                gains[serials] = g
-                if g[0] > 0:
-                    if leaves is None:
-                        leaves = tuple(sorted([r if r < 0 else pos[r] for r in cut]))
+                g = self._group_gain(group, leaves, pos, fanout, key_map)
+                if g is not None:
+                    gain, cone, dying = g
                     candidates.append((
-                        -g[0], tuple(pos[rec[4]] for rec in group), leaves,
-                        tuple((pos[rec[4]], _TEMPLATES[rec[2]]) for rec in group),
-                        frozenset(pos[d] for d in g[1]),
-                        frozenset(pos[d] for d in g[2])))
-        store.gains = gains
+                        -gain, tuple(pos[rec[3]] for rec in group), leaves,
+                        tuple((pos[rec[3]], _TEMPLATES[rec[2]]) for rec in group),
+                        cone, dying))
         if not candidates:
             return False
         candidates.sort(key=lambda c: (c[0], c[1], c[2]))

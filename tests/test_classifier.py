@@ -1,3 +1,5 @@
+import csv
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -207,3 +209,16 @@ class TestCsv:
 
     def test_label_csv_empty(self):
         assert label_csv("") == ""
+
+    def test_label_csv_reads_the_csv_once(self, monkeypatch):
+        real, calls = csv.reader, []
+        monkeypatch.setattr(csv, "reader", lambda *a, **k: calls.append(1) or real(*a, **k))
+        out = label_csv(f"{HEADER}\n\na,50,0.03,0.05,0.95,0.93\nb,1,0.5,0.1,0.4,0.4\n")
+        assert len(calls) == 1
+        assert [line.split(",")[0] for line in out.splitlines()] == ["function", "a", "b"]
+
+    def test_parse_metrics_csv_hands_back_the_rows_it_read(self):
+        rows = []
+        records = parse_metrics_csv(f"{HEADER}\n\na, 1,0.5,0.1,0.4,\n", rows=rows)
+        assert rows == [HEADER.split(","), ["a", " 1", "0.5", "0.1", "0.4", ""]]
+        assert records[0].llc_mpki == 1.0

@@ -128,6 +128,39 @@ class TestRun:
         err = capsys.readouterr().err
         assert "line 3" in err and "at most 18 digits" in err
 
+    @pytest.mark.parametrize("header", [
+        "op=add width=4 data_rows=3", "op=add width=4 data_rows=14",
+        "op=relu width=4 data_rows=4", "op=or_n width=2 data_rows=7",
+        "op=and_n width=2 data_rows=4",
+    ])
+    def test_inconsistent_data_rows_exit_2(self, tmp_path, capsys, header):
+        bad = tmp_path / "bad.up"
+        bad.write_text(f"UP/1\n{header}\nEND\n")
+        a = tmp_path / "a.txt"
+        write(a, [1])
+        assert main(["run", str(bad), "--inputs", str(a), str(a)]) == 2
+        assert "inconsistent" in capsys.readouterr().err
+
+    def test_more_data_rows_than_the_config_exit_3(self, tmp_path, capsys):
+        bad = tmp_path / "big.up"
+        bad.write_text(f"UP/1\nop=and_n width=1 data_rows={10 ** 17}\nEND\n")
+        a = tmp_path / "a.txt"
+        write(a, [1])
+        assert main(["run", str(bad), "--inputs", str(a), str(a)]) == 3
+        assert "504" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["\u00b2", "\u0663", "1" * 5000, "1" * 21],
+                             ids=["superscript", "arabic-indic", "5000-digits", "21-digits"])
+    def test_bad_operand_value_names_file_and_line(self, tmp_path, capsys, line):
+        prog = self.compile_add(tmp_path)
+        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+        write(a, [1, 2])
+        b.write_text(f"3\n\n{line}\n", encoding="utf-8")
+        assert main(["run", str(prog), "--inputs", str(a), str(b)]) == 2
+        err = capsys.readouterr().err
+        assert f"{b}:3: expected an unsigned decimal" in err
+        assert len(err) < 200
+
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(op=hst.sampled_from([("add", 4, 2), ("mul", 3, 2), ("xor_n", 2, 3),
@@ -226,6 +259,12 @@ class TestTranspose:
         assert main(["transpose", str(rows), "--width", "4", "--reverse",
                      "-o", str(back)]) == 0
         assert back.read_text() == values.read_text()
+
+    def test_twenty_digit_value_is_accepted(self, tmp_path):
+        values, rows = tmp_path / "v.txt", tmp_path / "rows.txt"
+        write(values, [2 ** 64 - 1, 0])
+        assert main(["transpose", str(values), "--width", "64", "-o", str(rows)]) == 0
+        assert rows.read_text().splitlines() == ["10"] * 64
 
 
 class TestConfigHandling:

@@ -291,6 +291,11 @@ class TestTextFormat:
 
     @pytest.mark.parametrize("fields", [
         "width=-3 data_rows=-1", "width=0 data_rows=2", "width=1 data_rows=-1",
+        # a repeated field, and numbers int() takes that are not canonical digits
+        "op=add width=10 data_rows=13", "width=1_0 data_rows=13", "width=\u0663 data_rows=13",
+        "width=04 data_rows=13", "width=+4 data_rows=13", "width= data_rows=13",
+        "width=4 data_rows=\uff11\uff13",
+        pytest.param("width=4 data_rows=1" + "3" * 4301, id="4302-digit data_rows"),
     ])
     def test_rejects_bad_header_values_naming_the_line(self, fields):
         text = f"UP/1\n# header next\nop=x {fields}\nAAP D0 T0\nEND\n"

@@ -2,6 +2,8 @@
 scheduler sweep from the optimizer's objective to `schedule`."""
 
 import hashlib
+import importlib.util
+from pathlib import Path
 
 import pytest
 
@@ -84,6 +86,24 @@ def test_emitted_program_is_pinned(kind, width):
     compiled = compile_op_cached(kind, width, effort=2, n_inputs=4 if kind in N_ARY else 2)
     text = format_microprogram(compiled.program)
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED[kind][PINNED_WIDTHS.index(width)]
+
+
+def _grid_digest_script():
+    path = Path(__file__).resolve().parent.parent / "scripts" / "grid_digest.py"
+    spec = importlib.util.spec_from_file_location("grid_digest", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("width,digest,activations", [
+    (4, "fbf805bee9602762", 2533),
+    (8, "7f0ac682867745d3", 8671),
+])
+def test_grid_digest_is_pinned(width, digest, activations):
+    """The digest also covers each cell's `SynthesisReport` repr and its
+    `verified_cases`, which `PINNED` does not."""
+    assert _grid_digest_script().width_digest(width) == (digest, activations)
 
 
 def _two_spare_rows(g: MajGraph) -> SubarrayConfig:
