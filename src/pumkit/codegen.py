@@ -31,7 +31,14 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import ArityError, CapacityError, ConfigError, MicroProgramError
-from .logic import REF_ONE, REF_ZERO, MajGraph, ref_name
+from .logic import (
+    _MAX_DIGITS,
+    REF_ONE,
+    REF_ZERO,
+    MajGraph,
+    _is_canonical_number,
+    ref_name,
+)
 
 COMPUTE_ROWS = ("T0", "T1", "T2", "T3")
 DCC_ROWS = ("DCC0", "DCC1")
@@ -39,18 +46,6 @@ CONST_ROWS = ("C0", "C1")
 SPECIAL_ROWS = COMPUTE_ROWS + DCC_ROWS + CONST_ROWS
 
 _FIXED_TOKENS = frozenset(SPECIAL_ROWS + ("~DCC0", "~DCC1"))
-
-
-# Digits a data row index or header number may have: no subarray has
-# 10**18 rows, and int() refuses digit strings past a few thousand.
-_MAX_ROW_DIGITS = 18
-
-
-def _is_canonical_number(n: str) -> bool:
-    """ASCII digits, no leading zero, so every number has exactly one
-    spelling, and at most _MAX_ROW_DIGITS of them."""
-    return (n.isascii() and n.isdigit() and (n[0] != "0" or n == "0")
-            and len(n) <= _MAX_ROW_DIGITS)
 
 
 def _is_data_token(token: str) -> bool:
@@ -124,10 +119,10 @@ class Command:
     def __post_init__(self):
         for t in self.rows:
             if t not in _FIXED_TOKENS and not _is_data_token(t):
-                if len(t) > _MAX_ROW_DIGITS + 1:
+                if len(t) > _MAX_DIGITS + 1:
                     raise MicroProgramError(
-                        f"row token {t[:_MAX_ROW_DIGITS]!r}... has {len(t)} characters; "
-                        f"a data row index has at most {_MAX_ROW_DIGITS} digits")
+                        f"row token {t[:_MAX_DIGITS]!r}... has {len(t)} characters; "
+                        f"a data row index has at most {_MAX_DIGITS} digits")
                 raise MicroProgramError(f"unknown row token {t!r}")
         if self.op == "AAP":
             if len(self.rows) != 2:
@@ -222,7 +217,7 @@ def parse_microprogram(text: str) -> MicroProgram:
             for k in ("width", "data_rows"):
                 if not _is_canonical_number(fields[k]):
                     raise MicroProgramError(
-                        f"line {lineno}: header {k}={fields[k][:_MAX_ROW_DIGITS + 1]!r} "
+                        f"line {lineno}: header {k}={fields[k][:_MAX_DIGITS + 1]!r} "
                         "is not a number in canonical ASCII digits")
             header = (fields["op"], int(fields["width"]), int(fields["data_rows"]))
             if header[1] < 1:

@@ -25,7 +25,6 @@ render them back.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -42,13 +41,25 @@ CONST_ONE = "1"
 # "g<j>" / "n<j>" for netlist gates / majority nodes.
 Edge = tuple[str, bool]
 
-_IN_RE = re.compile(r"^in(\d+)$")
-_GATE_RE = re.compile(r"^g(\d+)$")
+# Digits a number in a netlist or `.up` text may have: no subarray has
+# 10**18 rows, and int() refuses digit strings past a few thousand.
+_MAX_DIGITS = 18
+
+
+def _is_canonical_number(n: str) -> bool:
+    """ASCII digits, no leading zero, so every number has exactly one
+    spelling, and at most _MAX_DIGITS of them."""
+    return (n.isascii() and n.isdigit() and (n[0] != "0" or n == "0")
+            and len(n) <= _MAX_DIGITS)
+
+
+def _numbered(ref: str, prefix: str) -> bool:
+    """`ref` is `prefix` followed by a canonical number."""
+    return ref.startswith(prefix) and _is_canonical_number(ref[len(prefix):])
 
 
 def input_index(ref: str) -> int | None:
-    m = _IN_RE.match(ref)
-    return int(m.group(1)) if m else None
+    return int(ref[2:]) if _numbered(ref, "in") else None
 
 
 # Packed refs of the two constants; input i is -(3 + i), node k is k.
@@ -96,14 +107,14 @@ class Gate:
 class Netlist:
     """Topologically ordered AND/OR/NOT/XOR gate DAG."""
 
-    __slots__ = ("input_count", "gates", "outputs", "_order")
+    __slots__ = ("input_count", "gates", "outputs")
 
     def __init__(self, input_count: int, gates: Sequence[Gate], outputs: Sequence[str]):
         if input_count < 0:
             raise ArityError("input count must be non-negative")
-        defined: dict[str, int] = {}
-        for pos, g in enumerate(gates):
-            if _GATE_RE.match(g.gid) is None:
+        defined: set[str] = set()
+        for g in gates:
+            if not _numbered(g.gid, "g"):
                 raise NetlistFormatError(f"bad gate id {g.gid!r}")
             if g.gid in defined:
                 raise NetlistFormatError(f"duplicate gate id {g.gid!r}")
@@ -115,19 +126,18 @@ class Netlist:
                 )
             for ref in g.operands:
                 self._check_ref(ref, input_count, defined, g.gid)
-            defined[g.gid] = pos
+            defined.add(g.gid)
         for ref in outputs:
             self._check_ref(ref, input_count, defined, "outputs")
         object.__setattr__(self, "input_count", input_count)
         object.__setattr__(self, "gates", tuple(gates))
         object.__setattr__(self, "outputs", tuple(outputs))
-        object.__setattr__(self, "_order", defined)
 
     def __setattr__(self, name, value):  # immutable after construction
         raise AttributeError("Netlist is immutable")
 
     @staticmethod
-    def _check_ref(ref: str, input_count: int, defined: dict[str, int], where: str):
+    def _check_ref(ref: str, input_count: int, defined: set[str], where: str):
         if ref in (CONST_ZERO, CONST_ONE):
             return
         idx = input_index(ref)
@@ -135,7 +145,7 @@ class Netlist:
             if idx >= input_count:
                 raise NetlistFormatError(f"{where}: input {ref!r} out of range")
             return
-        if _GATE_RE.match(ref):
+        if _numbered(ref, "g"):
             if ref not in defined:
                 raise NetlistFormatError(f"{where}: reference to undefined gate {ref!r}")
             return
@@ -366,7 +376,7 @@ def parse_netlist(text: str) -> Netlist:
             continue
         toks = line.split()
         if input_count is None:
-            if toks[0] != "inputs" or len(toks) != 2 or not toks[1].isdigit():
+            if toks[0] != "inputs" or len(toks) != 2 or not _is_canonical_number(toks[1]):
                 raise NetlistFormatError(f"line {lineno}: expected 'inputs <n>' header")
             input_count = int(toks[1])
             continue

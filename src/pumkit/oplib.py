@@ -51,6 +51,8 @@ OP_KINDS = (
 N_ARY = frozenset(("and_n", "or_n", "xor_n"))
 
 MAX_WIDTH = 64
+# Operands an n-ary kind may take: twice the default subarray's 512 rows.
+MAX_N_INPUTS = 1024
 
 
 def op_signature(kind: str, width: int, n_inputs: int = 2) -> tuple[tuple[int, ...], int]:
@@ -83,8 +85,8 @@ def _check_kind_width(kind: str, width: int, n_inputs: int):
         raise ValueError(f"unknown operation {kind!r}")
     if not 1 <= width <= MAX_WIDTH:
         raise ValueError(f"width {width} outside 1..{MAX_WIDTH}")
-    if kind in N_ARY and n_inputs < 2:
-        raise ValueError(f"{kind} needs at least 2 operands")
+    if kind in N_ARY and not 2 <= n_inputs <= MAX_N_INPUTS:
+        raise ValueError(f"{kind} takes 2..{MAX_N_INPUTS} operands, got {n_inputs}")
 
 
 # --- host oracle -------------------------------------------------------------

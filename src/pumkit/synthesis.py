@@ -23,10 +23,10 @@ graph the subarray cannot hold ranks below every graph that fits.
 
 Cut rewriting keeps what it learns across the rounds of one `optimize`
 call in a `_CutStore`: per node its pruned cuts, per cut the cone, truth
-table and template.  Nodes carry an id through every pass, and entries
-are keyed by id and checked against the node's structural key (its
-folded, sorted edges with child ids substituted), so later rounds
-enumerate and simulate only the cones whose structure, complements or
+table and template.  Nodes carry a plain int id through every pass of
+the call, and entries are keyed by id and checked against the node's
+structural key (its folded, sorted edges with child ids substituted), so
+later rounds enumerate and simulate only the cones whose structure or
 order changed, in the way DAG-aware rewriting re-examines only the fanout
 of rewritten nodes (Mishchenko, Chatterjee and Brayton, DAC 2006).  What
 each rewrite would save depends on fanout and on the nodes elsewhere in
@@ -54,6 +54,7 @@ from .logic import (
     _enum_masks,
     _maj,
     equivalent,
+    truth_table,
 )
 
 # Edges use the packed encoding of `logic`: (ref << 1) | complemented, so
@@ -117,29 +118,6 @@ class _Template:
     cost: int
     nodes: tuple[tuple[int, int, int], ...]
     out: int
-
-
-def _template_table(tpl: _Template, nvars: int) -> int:
-    lanes = 1 << nvars
-    full = (1 << lanes) - 1
-    masks = _enum_masks(nvars)
-
-    def val(e: int) -> int:
-        r, neg = e >> 1, e & 1
-        if r == REF_ZERO:
-            v = 0
-        elif r == REF_ONE:
-            v = full
-        elif r < 0:
-            v = masks[-r - 3]
-        else:
-            v = node_vals[r]
-        return v ^ full if neg else v
-
-    node_vals: list[int] = []
-    for nd in tpl.nodes:
-        node_vals.append(_maj(*(val(e) for e in nd)))
-    return val(tpl.out)
 
 
 def _build_library() -> dict[tuple[int, int], _Template]:
@@ -244,18 +222,18 @@ class _CutStore:
     """What `cut_rewrite` learnt about the graph, kept for later rounds of
     one `optimize` call.
 
-    Nodes carry an id through `clean`, `compact` and `dual_push`
-    (`_Builder.tags` holds id << 1 | phase; a self-duality flip toggles
-    the phase), and a rewritten root hands its id to the node that
+    Nodes carry an id (`_Builder.ids`) through `clean`, `compact` and
+    `dual_push`, and a rewritten root hands its id to the node that
     replaces it.  Each id's entry is valid for one structural key: the
-    node's folded, sorted edges with child ids substituted, normalized by
-    its phase so that a flip changes no key.  Per id the store keeps that
-    key, the phase and index the node had, its pruned cuts and, per cut,
-    a record of its cone.  A round reuses an entry unless something it
-    was read from has changed since the previous round, so it re-examines
-    only the cones that rewrites, merges and reorderings touched.  A
-    gain also depends on fanout and on which nodes exist elsewhere, so
-    none is kept: `cut_rewrite` weighs every group afresh.
+    node's folded, sorted edges with child ids substituted, so a
+    complement flip changes the keys of the node and its consumers.  Per
+    id the store keeps that key, the index the node had, its pruned cuts
+    and, per cut, a record of its cone.  A round reuses an entry unless
+    something it was read from has changed since the previous round, so
+    it re-examines only the cones that rewrites, merges, flips and
+    reorderings touched.  A gain also depends on fanout and on which
+    nodes exist elsewhere, so none is kept: `cut_rewrite` weighs every
+    group afresh.
 
     A cut is a sorted tuple of leaf refs: node ids and input refs.  A cut
     record is (cone ids, truth table, template number), extended by the
@@ -268,22 +246,19 @@ class _CutStore:
         self.next_id = 0  # ids handed out so far
         # per id, as the previous cut_rewrite saw the node
         self.key: dict[int, tuple[int, ...]] = {}
-        self.phase: dict[int, int] = {}
         self.pos: dict[int, int] = {}  # its index
         self.cuts: dict[int, tuple[tuple[int, ...], ...]] = {}
         self.recs: dict[int, tuple[tuple | None, ...]] = {}  # per cut, in order
 
-    def new_tags(self, count: int) -> list[int]:
+    def new_ids(self, count: int) -> list[int]:
         first = self.next_id
         self.next_id += count
-        return [d << 1 for d in range(first, first + count)]
+        return list(range(first, first + count))
 
 
-def _structural_key(nd, tags: list[int], phase: int) -> tuple[int, ...]:
-    """A node's sorted edges with each child's id and phase for its index,
-    all complemented when the node's own phase is set."""
-    return tuple(sorted([_fold(e ^ phase) if e < 0 else tags[e >> 1] ^ (e & 1) ^ phase
-                         for e in nd]))
+def _structural_key(nd, ids: list[int]) -> tuple[int, ...]:
+    """A node's sorted edges with each child's id for its index."""
+    return tuple(sorted([e if e < 0 else ids[e >> 1] << 1 | (e & 1) for e in nd]))
 
 
 def _displaced(seq: list[tuple[int, int]]) -> list[int]:
@@ -310,25 +285,22 @@ def _displaced(seq: list[tuple[int, int]]) -> list[int]:
 
 
 class _Builder:
-    def __init__(self, input_count: int, store: _CutStore | None = None):
+    def __init__(self, input_count: int):
         self.input_count = input_count
         self.nodes: list[tuple[int, int, int] | None] = []
         self.outputs: list[int] = []
         self.repl: dict[int, int] = {}
-        self.store = store if store is not None else _CutStore()
-        self.tags: list[int] = []
+        self.store = _CutStore()
+        self.ids: list[int] = []
 
     @classmethod
-    def from_graph(cls, g: MajGraph, store: _CutStore | None = None,
-                   tags: list[int] | None = None) -> "_Builder":
-        """`tags` are those the builder that made `g` ended with, under
-        `store`; None gives every node a fresh id."""
-        b = cls(g.input_count, store)
+    def from_graph(cls, g: MajGraph) -> "_Builder":
+        b = cls(g.input_count)
         # -1 and -3 are the complemented constants, the only edges _fold changes
         b.nodes = [tuple(map(_fold, nd)) if -1 in nd or -3 in nd else nd
                    for nd in g.packed_nodes]
         b.outputs = list(map(_fold, g.packed_outputs))
-        b.tags = list(tags) if tags is not None else b.store.new_tags(len(b.nodes))
+        b.ids = b.store.new_ids(len(b.nodes))
         return b
 
     def to_graph(self) -> MajGraph:
@@ -435,7 +407,7 @@ class _Builder:
         self.nodes = [tuple([e if e < 0 else mapping[e >> 1] << 1 | (e & 1)
                              if e >> 1 not in repl else remap(e) for e in nodes[old]])
                       for old in order]
-        self.tags = [self.tags[old] for old in order]
+        self.ids = [self.ids[old] for old in order]
         self.outputs = [remap(e) for e in self.outputs]
         self.repl = {}
         counts["dead_node"] += alive_before - len(order)
@@ -475,7 +447,6 @@ class _Builder:
             after = (nonconst - negs) + (total_refs[i] - neg_refs[i])
             if after < before:
                 flipped[i] = True
-                self.tags[i] ^= 1
                 counts["dual_push"] += 1
         if not any(flipped):
             return
@@ -556,20 +527,18 @@ class _Builder:
 
     def _fanin(self, key: tuple[int, ...], pos: dict[int, int], cuts: dict,
                sets: dict, recs_of: dict) -> list[tuple]:
-        """Per key edge: (ref, complement relative to the child's phase,
-        and for a node child its cuts as frozensets and its records)."""
-        tags = self.tags
+        """Per key edge: (ref, complement, and for a node child its cuts as
+        frozensets and its records)."""
         fanin = []
         for q in key:
             r = q >> 1
             if r < 0:
                 fanin.append((r, q & 1, None, None))
             else:
-                fanin.append((r, (q ^ tags[pos[r]]) & 1, self._cut_sets(r, cuts, sets),
-                              recs_of[r]))
+                fanin.append((r, q & 1, self._cut_sets(r, cuts, sets), recs_of[r]))
         return fanin
 
-    def _cut_rec(self, i: int, fanin: list[tuple], cut: tuple[int, ...], ids: list[int],
+    def _cut_rec(self, i: int, fanin: list[tuple], cut: tuple[int, ...],
                  pos: dict[int, int]) -> tuple:
         """The cut record (see `_CutStore`) of node i over `cut` (ids).
 
@@ -585,7 +554,7 @@ class _Builder:
         full = (1 << (1 << nv)) - 1
         masks = _MASKS[nv]
         inside = frozenset(cut)
-        cone = {ids[i]}
+        cone = {self.ids[i]}
         vals = []
         for r, bit, subs, sub_recs in fanin:
             if r in where:
@@ -599,21 +568,20 @@ class _Builder:
                         if sub_table is not None and inside.isdisjoint(sub_cone):
                             break
                 else:
-                    return self._walk_cut(i, [x for x, _ in order], ids)
+                    return self._walk_cut(i, [x for x, _ in order])
                 cone.update(sub_cone)
                 v = _expand(nv, tuple(sorted([where[x] for x in sub])), sub_table)
             vals.append(v ^ (-bit & full))
         if len(cone) > self._CONE_CAP:
             return tuple(cone), None, None
         x, y, z = vals
-        return self._record(i, tuple(cone), nv,
-                            ((x & y) | (x & z) | (y & z)) ^ (-(self.tags[i] & 1) & full))
+        return self._record(i, tuple(cone), nv, (x & y) | (x & z) | (y & z))
 
-    def _walk_cut(self, i: int, leaves: list[int], ids: list[int]) -> tuple:
+    def _walk_cut(self, i: int, leaves: list[int]) -> tuple:
         """`_cut_rec` by walking the cone from node i down to `leaves`
         (indices, sorted) and simulating it."""
         stop = frozenset(leaves)
-        nodes = self.nodes
+        nodes, ids = self.nodes, self.ids
         seen = {i}
         stack = [i]
         while stack:
@@ -640,7 +608,7 @@ class _Builder:
         tpl = _LIBRARY.get((nv, table))
         if tpl is None:
             return cone, table, None
-        return cone, table, _TEMPLATE_ID[id(tpl)], self.tags[i] >> 1
+        return cone, table, _TEMPLATE_ID[id(tpl)], self.ids[i]
 
     def _dying_set(self, roots: list[int], cone_union: set[int],
                    fanout: list[list[int]]) -> set[int]:
@@ -702,8 +670,9 @@ class _Builder:
         return (gain, cone_at, dying) if gain > 0 else None
 
     @staticmethod
-    def _map_template_node(nd, leaves, ids):
-        """Template node -> builder edges, and whether it reads leaves only."""
+    def _map_template_node(nd, leaves, made):
+        """Template node -> builder edges, and whether it reads leaves only;
+        `made` holds the builder index of each earlier template node."""
         edges = []
         leaf_only = True
         for e in nd:
@@ -712,30 +681,30 @@ class _Builder:
                 r = leaves[-r - 3]
             elif r >= 0:
                 leaf_only = False
-                r = ids[r]
+                r = made[r]
             edges.append(_fold((r << 1) | (e & 1)))
         return tuple(sorted(edges)), leaf_only
 
     def _instantiate(self, tpl: _Template, leaves, dying: set[int],
                      key_map: dict, removed: set[int]) -> int:
-        ids: list[int] = []
+        made: list[int] = []
         for nd in tpl.nodes:
-            edges, leaf_only = self._map_template_node(nd, leaves, ids)
+            edges, leaf_only = self._map_template_node(nd, leaves, made)
             if leaf_only:
                 hit = key_map.get(edges)
                 if hit is not None and hit not in dying and hit not in removed:
-                    ids.append(hit)
+                    made.append(hit)
                     continue
             idx = len(self.nodes)
             self.nodes.append(edges)
-            self.tags.extend(self.store.new_tags(1))
+            self.ids.extend(self.store.new_ids(1))
             key_map[edges] = idx
-            ids.append(idx)
+            made.append(idx)
         r = tpl.out >> 1
         if r < REF_ONE:
             out = ((leaves[-r - 3]) << 1) | (tpl.out & 1)
         elif r >= 0:
-            out = (ids[r] << 1) | (tpl.out & 1)
+            out = (made[r] << 1) | (tpl.out & 1)
         else:
             out = tpl.out
         return _fold(out)
@@ -760,24 +729,20 @@ class _Builder:
 
         Returns the library hits grouped by cut and the index of each id.
         """
-        store, tags = self.store, self.tags
-        keys = [_structural_key(nd, tags, t & 1) for nd, t in zip(self.nodes, tags)]
-        ids = [t >> 1 for t in tags]
+        store, ids = self.store, self.ids
+        keys = [_structural_key(nd, ids) for nd in self.nodes]
         # A cut record reads the structure of its cone's nodes, and the
-        # phase and index order of its root and leaves.
+        # index order of its root and leaves.
         restructured: set[int] = set()
-        moved: set[int] = set()  # flipped or reordered
-        old_key, old_phase = store.key, store.phase
+        moved: set[int] = set()  # reordered
+        old_key = store.key
         if old_key:  # a cold store has nothing to invalidate
-            for d, k, t in zip(ids, keys, tags):
-                old = old_key.get(d)
-                if old != k:
+            for d, k in zip(ids, keys):
+                if old_key.get(d) != k:
                     restructured.add(d)
-                if old is not None and old_phase[d] != t & 1:
-                    moved.add(d)
             live = set(ids)
             for d in [d for d in old_key if d not in live]:
-                del old_key[d], old_phase[d], store.pos[d]
+                del old_key[d], store.pos[d]
                 store.cuts.pop(d, None)
                 store.recs.pop(d, None)
             seq = [(store.pos[d], d) for d in ids if d in store.pos]
@@ -785,7 +750,6 @@ class _Builder:
                 moved.update(_displaced(seq))
         store.pos = pos = dict(zip(ids, range(len(ids))))
         old_key.update(zip(ids, keys))
-        old_phase.update(zip(ids, [t & 1 for t in tags]))
 
         # Per id: its cuts and their records, in one order.  Plain tuples
         # of ints, so the garbage collector can stop tracking them.
@@ -821,7 +785,7 @@ class _Builder:
                     if fresh is None:
                         fresh = list(recs)
                         fanin = self._fanin(k, pos, cuts, sets, recs_of)
-                    rec = fresh[j] = self._cut_rec(i, fanin, cut, ids, pos)
+                    rec = fresh[j] = self._cut_rec(i, fanin, cut, pos)
                 if rec[2] is not None:
                     bucket = by_cut.get(cut)
                     if bucket is None:
@@ -876,7 +840,7 @@ class _Builder:
                 first_new = len(self.nodes)
                 out = self._instantiate(tpl, leaves, dying, key_map, removed)
                 if out >> 1 >= first_new:  # a new node takes over the root's id
-                    self.tags[out >> 1] = self.tags[root] ^ (out & 1)
+                    self.ids[out >> 1] = self.ids[root]
                 self.repl[root] = out
                 self.nodes[root] = None
                 counts[tpl.name] += 1
@@ -943,9 +907,8 @@ def optimize(graph: MajGraph, effort: int = 2,
     before = best_m = _metric(graph, cfg)
     if effort > 0:
         passes = 1 if effort == 1 else 64
-        store, best_tags = _CutStore(), None
+        b = _Builder.from_graph(graph)  # carries its ids and store across rounds
         for _ in range(passes):
-            b = _Builder.from_graph(best, store, best_tags)
             round_counts: Counter = Counter()
             b.clean_compact(round_counts)
             b.dual_push(round_counts)
@@ -959,7 +922,7 @@ def optimize(graph: MajGraph, effort: int = 2,
             m = _metric(candidate, cfg)
             if m < best_m:
                 _drop_sweep(best)  # only the best graph keeps its sweep
-                best, best_m, best_tags = candidate, m, b.tags
+                best, best_m = candidate, m
                 rules.update(round_counts)
             else:
                 break
@@ -1001,10 +964,6 @@ class RuleCheck:
     detail: str = ""
 
 
-def _g(n_inputs: int, nodes, outputs) -> MajGraph:
-    return MajGraph(n_inputs, nodes, outputs)
-
-
 def _default_rules() -> tuple[RewriteRule, ...]:
     a, b, c = ("in0", False), ("in1", False), ("in2", False)
     na = ("in0", True)
@@ -1012,50 +971,50 @@ def _default_rules() -> tuple[RewriteRule, ...]:
     rules = [
         RewriteRule(  # clean: edges are kept sorted
             "commute",
-            _g(3, [(a, b, c)], [("n0", False)]),
-            _g(3, [(c, a, b)], [("n0", False)]),
+            MajGraph(3, [(a, b, c)], [("n0", False)]),
+            MajGraph(3, [(c, a, b)], [("n0", False)]),
         ),
         RewriteRule(  # every pass folds complemented constants
             "const_fold",
-            _g(2, [(a, b, ("0", True))], [("n0", False)]),
-            _g(2, [(a, b, one)], [("n0", False)]),
+            MajGraph(2, [(a, b, ("0", True))], [("n0", False)]),
+            MajGraph(2, [(a, b, one)], [("n0", False)]),
         ),
         RewriteRule(
             "absorb_equal",
-            _g(2, [(a, a, b)], [("n0", False)]),
-            _g(2, [], [a]),
+            MajGraph(2, [(a, a, b)], [("n0", False)]),
+            MajGraph(2, [], [a]),
         ),
         RewriteRule(
             "absorb_complement",
-            _g(2, [(a, na, b)], [("n0", False)]),
-            _g(2, [], [b]),
+            MajGraph(2, [(a, na, b)], [("n0", False)]),
+            MajGraph(2, [], [b]),
         ),
         RewriteRule(  # the constant pair: 1 is ~0
             "absorb_complement",
-            _g(1, [(zero, one, a)], [("n0", False)]),
-            _g(1, [], [a]),
+            MajGraph(1, [(zero, one, a)], [("n0", False)]),
+            MajGraph(1, [], [a]),
         ),
         RewriteRule(
             "cse",
-            _g(3, [(a, b, c), (a, b, c)], [("n0", False), ("n1", False)]),
-            _g(3, [(a, b, c)], [("n0", False), ("n0", False)]),
+            MajGraph(3, [(a, b, c), (a, b, c)], [("n0", False), ("n1", False)]),
+            MajGraph(3, [(a, b, c)], [("n0", False), ("n0", False)]),
         ),
         RewriteRule(
             "dead_node",
-            _g(3, [(a, b, c), (a, b, zero)], [("n0", False)]),
-            _g(3, [(a, b, c)], [("n0", False)]),
+            MajGraph(3, [(a, b, c), (a, b, zero)], [("n0", False)]),
+            MajGraph(3, [(a, b, c)], [("n0", False)]),
         ),
         RewriteRule(
             "dual_push",
-            _g(3, [(a, b, c)], [("n0", True)]),
-            _g(3, [(("in0", True), ("in1", True), ("in2", True))], [("n0", False)]),
+            MajGraph(3, [(a, b, c)], [("n0", True)]),
+            MajGraph(3, [(("in0", True), ("in1", True), ("in2", True))], [("n0", False)]),
         ),
         # XOR3 refactor: the lowered XOR(XOR(a,b),c) chain equals the
         # shared-majority template.
         RewriteRule(
             "cut_xor",
             lower_to_maj(_xor3_netlist()),
-            _g(3, [
+            MajGraph(3, [
                 (a, b, c),
                 (a, b, ("in2", True)),
                 (("n0", True), ("n1", False), c),
@@ -1095,7 +1054,8 @@ def verify_rules(rules: tuple[RewriteRule, ...] | None = None) -> list[RuleCheck
         bad: dict[str, list] = {}
         for (nvars, table), tpl in sorted(_LIBRARY.items()):
             wrong = bad.setdefault(tpl.name, [])
-            if _template_table(tpl, nvars) != table:
+            graph = MajGraph._from_packed(nvars, tpl.nodes, (tpl.out,))
+            if truth_table(graph).masks != (table,):
                 wrong.append((nvars, table))
         for name, wrong in bad.items():
             checks.append(RuleCheck(

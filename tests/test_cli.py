@@ -45,6 +45,12 @@ class TestCompile:
                      "compile", "--op", "add", "--width", "4",
                      "-o", str(tmp_path / "x.up")]) == 3
 
+    def test_too_many_inputs_exits_2(self, tmp_path, capsys):
+        assert main(["compile", "--op", "and_n", "--width", "1",
+                     "--inputs", "100000000000000000",
+                     "-o", str(tmp_path / "x.up")]) == 2
+        assert "and_n takes 2..1024 operands" in capsys.readouterr().err
+
     def test_n_input_logic(self, tmp_path):
         out = tmp_path / "and4.up"
         assert main(["compile", "--op", "and_n", "--inputs", "4",

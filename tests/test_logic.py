@@ -159,10 +159,30 @@ class TestTextFormat:
         "inputs 2\ng0 = AND in0 g1\noutputs g0\n",     # forward reference
         "inputs 2\ng0 = AND in0 in1\ng0 = OR in0 in1\noutputs g0\n",  # dup id
         "inputs 2\ng0 = AND in0 in1\noutputs g0\ng1 = OR in0 in1\n",  # after footer
+        "inputs 2\ng0 = AND in01 in1\noutputs g0\n",   # leading zero
+        "inputs 2\ng0 = AND in\u0661 in0\noutputs g0\n",  # Arabic-Indic digit
     ])
     def test_rejects_malformed(self, text):
         with pytest.raises(NetlistFormatError):
             parse_netlist(text)
+
+    @pytest.mark.parametrize("count", ["\u00b2", "\u0663", "02", "+2", "2_0", "\uff12"])
+    def test_header_count_is_canonical_digits(self, count):
+        with pytest.raises(NetlistFormatError, match="^line 1: "):
+            parse_netlist(f"inputs {count}\ng0 = AND in0 in1\noutputs g0\n")
+
+
+@pytest.mark.parametrize("gates, outputs", [
+    ([Gate("g0", "AND", ("in01", "in1"))], ["g0"]),
+    ([Gate("g0", "AND", ("in\u0663", "in1"))], ["g0"]),
+    ([], ["in\uff11"]),
+    ([Gate("g\u0660", "AND", ("in0", "in1"))], ["g\u0660"]),
+])
+def test_netlist_refs_take_canonical_ascii_digits(gates, outputs):
+    """One digit spelling per reference, as in `.up` text: a ref that
+    names an input or gate under another spelling is not one."""
+    with pytest.raises(NetlistFormatError):
+        Netlist(4, gates, outputs)
 
 
 def test_netlist_immutable():

@@ -7,6 +7,7 @@ from pumkit.codegen import MicroProgram, SubarrayConfig, activation_count, verif
 from pumkit.errors import ArityError, CapacityError, PumError
 from pumkit.logic import eval_netlist, truth_table
 from pumkit.oplib import (
+    MAX_N_INPUTS,
     N_ARY,
     OP_KINDS,
     build_netlist,
@@ -73,6 +74,12 @@ class TestSignatures:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             op_signature("nosuch", 4)
+
+    def test_n_ary_operand_bounds(self):
+        assert op_signature("and_n", 1, MAX_N_INPUTS) == ((1,) * MAX_N_INPUTS, 1)
+        for n in (1, MAX_N_INPUTS + 1, 10**17):
+            with pytest.raises(ValueError, match="operands"):
+                op_signature("and_n", 1, n)
 
     def test_width_bounds(self):
         with pytest.raises(ValueError):

@@ -196,18 +196,35 @@ class TestReport:
 
 
 def _random_graph(seed: int) -> MajGraph:
-    """A lowered random netlist or a random majority graph."""
+    """A lowered random netlist, a random majority graph or a long chain."""
     rng = random.Random(seed)
-    if rng.random() < 0.5:
+    kind = rng.randrange(3)
+    if kind == 0:
         return lower_to_maj(random_netlist(rng, n_inputs=rng.randint(1, 6),
                                            n_gates=rng.randint(1, 40)))
-    return random_majgraph(rng, n_inputs=rng.randint(1, 6), n_nodes=rng.randint(1, 30))
+    if kind == 1:
+        return random_majgraph(rng, n_inputs=rng.randint(1, 6),
+                               n_nodes=rng.randint(1, 30))
+    return _chain_graph(rng)
 
 
-def _rewrite_ready(g: MajGraph, store=None, tags=None, flip=True) -> _Builder:
-    """A builder as `optimize` hands it to `cut_rewrite` in one round
-    (without the complement pushing unless `flip`)."""
-    b = _Builder.from_graph(g, store, tags)
+def _chain_graph(rng: random.Random) -> MajGraph:
+    """17-24 majority nodes over in0-in2, each reading the one before.
+    The cone of a deep node's cut {in0, in1, in2} outgrows _CONE_CAP, so
+    its child has no record to compose from and `_cut_rec` walks it."""
+    def lit(v: int) -> tuple[str, bool]:
+        return f"in{v}", rng.random() < 0.5
+
+    nodes = [(lit(0), lit(1), lit(2))]
+    for k in range(rng.randint(16, 23)):
+        a, b = rng.sample(range(3), 2)
+        nodes.append(((f"n{k}", rng.random() < 0.5), lit(a), lit(b)))
+    return MajGraph(3, nodes, [(f"n{len(nodes) - 1}", rng.random() < 0.5)])
+
+
+def _rewrite_ready(b: _Builder, flip=True) -> _Builder:
+    """`b` as `optimize` hands it to `cut_rewrite` in one round (without
+    the complement pushing unless `flip`)."""
     b.clean_compact(Counter())
     if flip:
         b.dual_push(Counter())
@@ -218,7 +235,7 @@ def _rewrite_ready(g: MajGraph, store=None, tags=None, flip=True) -> _Builder:
 def _with_cold_store(b: _Builder) -> _Builder:
     cold = _Builder(b.input_count)
     cold.nodes, cold.outputs, cold.repl = list(b.nodes), list(b.outputs), dict(b.repl)
-    cold.tags = cold.store.new_tags(len(cold.nodes))
+    cold.ids = cold.store.new_ids(len(cold.nodes))
     return cold
 
 
@@ -236,9 +253,9 @@ class TestCutStore:
         node can stand in for a template node, so rounds block and unblock
         rewrites whose cones are unchanged."""
         rng = random.Random(seed)
-        g, store = _random_graph(seed), _CutStore()
+        g = _random_graph(seed)
         kept = g.output_count
-        b = _Builder.from_graph(g, store)
+        b = _Builder.from_graph(g)
         for _ in range(5):
             del b.outputs[kept:]
             refs = [(-3 - i) << 1 for i in range(b.input_count)]
@@ -252,9 +269,9 @@ class TestCutStore:
                 else:
                     edges = [rng.choice(refs) ^ rng.randint(0, 1) for _ in range(3)]
                 b.nodes.append(tuple(sorted(edges)))
-                b.tags.extend(store.new_tags(1))
+                b.ids.extend(b.store.new_ids(1))
                 b.outputs.append(len(b.nodes) - 1 << 1)
-            warm = _rewrite_ready(b.to_graph(), store, b.tags, flip=rng.random() < 0.5)
+            warm = _rewrite_ready(b, flip=rng.random() < 0.5)
             cold = _with_cold_store(warm)
             warm_counts, cold_counts = Counter(), Counter()
             assert warm.cut_rewrite(warm_counts) == cold.cut_rewrite(cold_counts)
@@ -262,7 +279,6 @@ class TestCutStore:
             assert warm.outputs == cold.outputs
             assert warm.repl == cold.repl
             assert warm_counts == cold_counts
-            b = warm
             b.clean_compact(Counter())
 
     @settings(max_examples=40, deadline=None)
@@ -274,7 +290,7 @@ class TestCutStore:
 
         def cleared(self, counts):
             self.store = _CutStore()
-            self.tags = self.store.new_tags(len(self.nodes))
+            self.ids = self.store.new_ids(len(self.nodes))
             return real(self, counts)
 
         with pytest.MonkeyPatch.context() as mp:
@@ -287,15 +303,28 @@ class TestCutStore:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10**9))
     def test_composed_cut_records_match_a_cone_walk(self, seed):
-        b = _rewrite_ready(_random_graph(seed))
+        b = _rewrite_ready(_Builder.from_graph(_random_graph(seed)))
         b._refresh_store(b._fanout())
-        ids = [t >> 1 for t in b.tags]
-        pos = {d: i for i, d in enumerate(ids)}
-        for i, d in enumerate(ids):
+        pos = {d: i for i, d in enumerate(b.ids)}
+        for i, d in enumerate(b.ids):
             for cut, rec in zip(b.store.cuts[d], b.store.recs[d]):
                 if not cut:
                     continue
-                walked = b._walk_cut(i, sorted(r if r < 0 else pos[r] for r in cut), ids)
+                walked = b._walk_cut(i, sorted(r if r < 0 else pos[r] for r in cut))
                 assert rec[1:3] == walked[1:3]  # truth table, template
                 if rec[1] is not None:
                     assert set(rec[0]) == set(walked[0])  # cone
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_long_chains_reach_the_cone_walk(self, seed, monkeypatch):
+        walks = []
+        real = _Builder._walk_cut
+
+        def spy(self, i, leaves):
+            walks.append(i)
+            return real(self, i, leaves)
+
+        monkeypatch.setattr(_Builder, "_walk_cut", spy)
+        b = _rewrite_ready(_Builder.from_graph(_chain_graph(random.Random(seed))))
+        b._refresh_store(b._fanout())
+        assert walks
