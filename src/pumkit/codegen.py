@@ -27,7 +27,7 @@ the sweep that scored it.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import ArityError, CapacityError, ConfigError, MicroProgramError
@@ -160,6 +160,8 @@ class MicroProgram:
     data_rows: int
     commands: tuple[Command, ...]
     lines: tuple[int, ...] | None = None  # source line numbers when parsed
+    # row-index ops per (total_rows, data_row_count), kept by subarray._lower
+    _lowered: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def line_of(self, i: int) -> int:
         # serialized layout: two header lines, then one command per line

@@ -85,8 +85,11 @@ def _check_kind_width(kind: str, width: int, n_inputs: int):
         raise ValueError(f"unknown operation {kind!r}")
     if not 1 <= width <= MAX_WIDTH:
         raise ValueError(f"width {width} outside 1..{MAX_WIDTH}")
-    if kind in N_ARY and not 2 <= n_inputs <= MAX_N_INPUTS:
-        raise ValueError(f"{kind} takes 2..{MAX_N_INPUTS} operands, got {n_inputs}")
+    if kind in N_ARY:
+        if not 2 <= n_inputs <= MAX_N_INPUTS:
+            raise ValueError(f"{kind} takes 2..{MAX_N_INPUTS} operands, got {n_inputs}")
+    elif n_inputs != 2:  # the default; fixed-arity kinds take no operand count
+        raise ValueError(f"{kind} takes a fixed number of operands, not {n_inputs}")
 
 
 # --- host oracle -------------------------------------------------------------

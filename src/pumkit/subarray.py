@@ -12,8 +12,13 @@ Row semantics follow the command set the code generator targets:
 * ``TRA r1 r2 r3``   per-column majority over three compute-group rows,
   destructively overwriting all three.
 
-Constant rows C0/C1 are write-protected and re-checked after every
-program run.
+`run_program` lowers a program once per row geometry (total rows, data
+rows) to a list of row-index ops, cached on the program, and replays
+that list in one loop: the only geometry-dependent check, rows in
+range, runs while lowering, so a failing program changes nothing.
+`exec_aap`/`exec_tra` are the checked single-step form of the same
+commands.  Constant rows C0/C1 are write-protected and re-checked after
+every program run.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import ConfigError, ExecutionError, MicroProgramError, PumError, RowSafetyError
+from .errors import ConfigError, ExecutionError, MicroProgramError, RowSafetyError
 from .codegen import (
     CONST_ROWS,
     MicroProgram,
@@ -44,9 +49,9 @@ class ExecutionReport:
 class SubarrayState:
     """Mutable subarray: a row-major bit matrix plus a command log.
 
-    Row tokens are resolved to (physical index, read mask) once per state
-    and cached in `_index`, so commands run as list operations on the row
-    ints.
+    For host access and single steps, row tokens are resolved to
+    (physical index, read mask) once per state and cached in `_index`.
+    `run_program` and the data-row methods work on row indices directly.
     """
 
     __slots__ = ("cfg", "_rows", "_mask", "_index", "report")
@@ -81,6 +86,25 @@ class SubarrayState:
         if token in CONST_ROWS:
             raise RowSafetyError(f"constant row {token} is write-protected")
         self._rows[self._resolve(token)[0]] = word & self._mask
+
+    def load_data_rows(self, base: int, count: int) -> list[int]:
+        """Packed contents of data rows base..base+count-1."""
+        self._check_data_rows(base, count)
+        return self._rows[base:base + count]
+
+    def store_data_rows(self, base: int, words: Sequence[int]):
+        """Write `words` into data rows base, base+1, ..."""
+        self._check_data_rows(base, len(words))
+        mask = self._mask
+        self._rows[base:base + len(words)] = [w & mask for w in words]
+
+    def _check_data_rows(self, base: int, count: int):
+        # data row i is physical row i
+        if base < 0 or base + count > self.cfg.data_row_count:
+            raise RowSafetyError(
+                f"data rows {base}..{base + count - 1} outside "
+                f"0..{self.cfg.data_row_count - 1}"
+            )
 
     def read_row(self, token: str) -> tuple[int, ...]:
         word = self.load_row(token)
@@ -140,32 +164,86 @@ class SubarrayState:
         self.report.tra_count += 1
 
     def run_program(self, program: MicroProgram) -> ExecutionReport:
-        """Execute commands in order; abort on the first failing line.
+        """Run `program`'s lowered row ops (see `_lower`) in one loop.
 
-        Each command is counted once, into `self.report`; the returned
-        report is this run's share of it.
+        A program naming a row outside this geometry raises
+        `ExecutionError` with its line before any command runs.  Each
+        command is counted once, into `self.report`; the returned report
+        is this run's share of it.
         """
-        aap0, tra0 = self.report.aap_count, self.report.tra_count
-        aap, tra = self.exec_aap, self.exec_tra
-        for i, cmd in enumerate(program.commands):
-            try:
-                if cmd.op == "AAP":
-                    aap(*cmd.rows)
-                else:
-                    tra(*cmd.rows)
-            except PumError as e:
-                raise ExecutionError(
-                    f"line {program.line_of(i)}: {cmd.render()}: {e}"
-                ) from e
+        ops, aap, tra = _lower(program, self.cfg)
+        rows, mask = self._rows, self._mask
+        for op, a, b, c in ops:
+            if op == _COPY:
+                rows[b] = rows[a]
+            elif op == _READ_NOT:
+                rows[b] = rows[a] ^ mask
+            else:
+                x, y, z = rows[a], rows[b], rows[c]
+                rows[a] = rows[b] = rows[c] = (x & y) | (z & (x | y))
+        self.report.aap_count += aap
+        self.report.tra_count += tra
         self._check_constants()
-        return ExecutionReport(self.report.aap_count - aap0,
-                               self.report.tra_count - tra0)
+        return ExecutionReport(aap, tra)
 
     def _check_constants(self):
         if self.load_row("C0") != 0:
             raise RowSafetyError("constant row C0 corrupted")
         if self.load_row("C1") != self._mask:
             raise RowSafetyError("constant row C1 corrupted")
+
+
+# Lowered op codes: (code, a, b, c) with row indices a, b, c.
+_COPY = 0      # AAP: rows[b] = rows[a]
+_READ_NOT = 1  # AAP from ~DCC: rows[b] = complement of rows[a]
+_TRA = 2       # rows a, b, c all take their majority
+
+
+def _lower(program: MicroProgram, cfg: SubarrayConfig) -> tuple[list, int, int]:
+    """(ops, AAP count, TRA count) of `program` under `cfg`'s row geometry.
+
+    Cached on the program per (total_rows, data_row_count); columns do not
+    enter, since a ``~DCC`` read takes the running state's mask.  Each
+    distinct command is lowered once and its op shared.  The static rules
+    (arity, compute group, distinct rows, writable destination) hold by
+    construction of `Command`; the one left to check is that every row
+    is in range, reported as `ExecutionError` naming the command's line.
+    """
+    geometry = (cfg.total_rows, cfg.data_row_count)
+    cache = program._lowered
+    if cache is None:
+        cache = {}
+        object.__setattr__(program, "_lowered", cache)
+    hit = cache.get(geometry)
+    if hit is not None:
+        return hit
+    index: dict[str, int] = {}  # token -> physical row, resolved once
+    by_rows: dict[tuple[str, ...], tuple[int, int, int, int]] = {}
+    ops = []
+    tra = 0
+    for n, cmd in enumerate(program.commands):
+        op = by_rows.get(cmd.rows)
+        if op is None:
+            try:
+                for t in reversed(cmd.rows):  # AAP: destination first
+                    if t not in index:
+                        index[t] = cfg.row_index(alias_base(t) or t)
+            except MicroProgramError as e:
+                raise ExecutionError(
+                    f"line {program.line_of(n)}: {cmd.render()}: {e}"
+                ) from e
+            if cmd.op == "TRA":
+                a, b, c = cmd.rows
+                op = (_TRA, index[a], index[b], index[c])
+            else:
+                src, dst = cmd.rows
+                op = (_COPY if alias_base(src) is None else _READ_NOT,
+                      index[src], index[dst], 0)
+            by_rows[cmd.rows] = op
+        tra += op[0] == _TRA
+        ops.append(op)
+    hit = cache[geometry] = (ops, len(ops) - tra, tra)
+    return hit
 
 
 def new_subarray(cfg: SubarrayConfig) -> SubarrayState:

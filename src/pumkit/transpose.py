@@ -12,8 +12,12 @@ parsed with `int(..., 2)`.  Going back, each row is formatted
 once and written into a byte buffer with a strided slice assignment, and
 each lane is parsed from its own w-byte slice.
 
-Conversions touch only the addressed rows and columns; untouched cells
-are preserved exactly.
+Data rows are addressed by index (`SubarrayState.load_data_rows` /
+`store_data_rows`), one call per block, once `_check_region` has placed
+the block inside the data region.  Conversions touch only the addressed
+rows and columns; untouched cells are preserved exactly.  A block's
+values must be ints (bools count) that fit its width; anything else is
+a `CapacityError`.
 """
 
 from __future__ import annotations
@@ -32,15 +36,27 @@ class HorizontalBlock:
     bit_width: int
 
     def __post_init__(self):
-        if not 1 <= self.bit_width <= 64:
-            raise CapacityError(f"bit width {self.bit_width} outside 1..64")
-        limit = 1 << self.bit_width
-        for v in self.values:
-            if not 0 <= v < limit:
-                raise CapacityError(
-                    f"value {v} does not fit in {self.bit_width} bits"
-                )
-        object.__setattr__(self, "values", tuple(self.values))
+        width = self.bit_width
+        if not 1 <= width <= 64:
+            raise CapacityError(f"bit width {width} outside 1..64")
+        values = tuple(self.values)
+        try:
+            for v in values:
+                if v >> width:  # negative, or wider than `width` bits
+                    raise _misfit(values, width)
+        except TypeError:  # a value that is not an int
+            raise _misfit(values, width) from None
+        object.__setattr__(self, "values", values)
+
+
+def _misfit(values, width: int) -> CapacityError:
+    """The error naming the first value that is not an int of `width` bits."""
+    for i, v in enumerate(values):
+        if not isinstance(v, int):
+            return CapacityError(f"value {i} is {v!r:.40}, not an int")
+        if v >> width:  # str() refuses ints of over 4300 digits
+            shown = v if v.bit_length() <= 64 else f"a {v.bit_length()}-bit int"
+            return CapacityError(f"value {i} ({shown}) does not fit in {width} bits")
 
 
 @dataclass(frozen=True)
@@ -88,10 +104,10 @@ def to_vertical(block: HorizontalBlock, state: SubarrayState, base_row: int) -> 
     _check_region(state, base_row, block.bit_width, count)
     if count:
         keep_mask = ~((1 << count) - 1)
-        for i, row in enumerate(bit_rows(block.values, block.bit_width)):
-            token = f"D{base_row + i}"
-            old = state.load_row(token)
-            state.store_row(token, (old & keep_mask) | int(row[::-1], 2))
+        old = state.load_data_rows(base_row, block.bit_width)
+        state.store_data_rows(base_row, [
+            (word & keep_mask) | int(row[::-1], 2)
+            for word, row in zip(old, bit_rows(block.values, block.bit_width))])
     return VerticalBlock(base_row, block.bit_width, count)
 
 
@@ -101,6 +117,7 @@ def to_horizontal(state: SubarrayState, base_row: int, width: int, count: int) -
     if not count or width < 1:  # HorizontalBlock rejects the bad width
         return HorizontalBlock((), width)
     lane_mask = (1 << count) - 1
-    rows = [format(state.load_row(f"D{base_row + i}") & lane_mask,
-                   f"0{count}b")[::-1] for i in range(width)]
+    spec = f"0{count}b"
+    rows = [format(word & lane_mask, spec)[::-1]
+            for word in state.load_data_rows(base_row, width)]
     return HorizontalBlock(tuple(lane_values(rows, width)), width)

@@ -51,6 +51,12 @@ class TestCompile:
                      "-o", str(tmp_path / "x.up")]) == 2
         assert "and_n takes 2..1024 operands" in capsys.readouterr().err
 
+    def test_operand_count_on_a_fixed_arity_kind_exits_2(self, tmp_path, capsys):
+        assert main(["compile", "--op", "add", "--width", "4", "--inputs", "7",
+                     "-o", str(tmp_path / "x.up")]) == 2
+        assert "add takes a fixed number of operands, not 7" in capsys.readouterr().err
+        assert not (tmp_path / "x.up").exists()
+
     def test_n_input_logic(self, tmp_path):
         out = tmp_path / "and4.up"
         assert main(["compile", "--op", "and_n", "--inputs", "4",

@@ -81,6 +81,18 @@ class TestSignatures:
             with pytest.raises(ValueError, match="operands"):
                 op_signature("and_n", 1, n)
 
+    @pytest.mark.parametrize("kind", sorted(set(OP_KINDS) - N_ARY))
+    def test_fixed_arity_kinds_take_no_operand_count(self, kind):
+        op_signature(kind, 4, 2)  # the default is accepted
+        for n in (1, 3, 7):
+            with pytest.raises(ValueError, match=f"{kind} .*not {n}"):
+                op_signature(kind, 4, n)
+
+    def test_cache_does_not_compile_an_ignored_operand_count(self):
+        with pytest.raises(ValueError, match="add .*not 7"):
+            compile_op_cached("add", 4, n_inputs=7)
+        assert not [k for k in pumkit.oplib._COMPILE_CACHE if k[:4] == ("add", 4, 2, 7)]
+
     def test_width_bounds(self):
         with pytest.raises(ValueError):
             op_signature("add", 0)
@@ -233,6 +245,17 @@ class TestExecute:
     def test_empty_lanes(self):
         compiled = compile_op_cached("add", 4, CFG)
         assert execute_op(compiled, [[], []], CFG) == []
+
+    @pytest.mark.parametrize("bad,index", [(1.0, 0), ("1", 0), (None, 2), (2.5, 1)])
+    def test_non_int_operand_is_a_capacity_error_naming_its_index(self, bad, index):
+        compiled = compile_op_cached("add", 4, CFG)
+        lanes = [1, 2, 3]
+        lanes[index] = bad
+        with pytest.raises(CapacityError, match=f"value {index} is .*not an int"):
+            execute_op(compiled, [lanes, [2, 2, 2]], CFG)
+
+    def test_bool_operands_are_ints(self):
+        assert run("add", 4, [[True, False], [2, 2]]) == [3, 2]
 
 
 class TestOptimizationBenefit:

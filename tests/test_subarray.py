@@ -14,7 +14,8 @@ from pumkit.codegen import (
 )
 from pumkit.errors import ConfigError, ExecutionError, RowSafetyError
 from pumkit.logic import MajGraph
-from pumkit.subarray import new_subarray
+from pumkit.oplib import compile_op_cached
+from pumkit.subarray import ExecutionReport, new_subarray
 
 from conftest import random_majgraph
 
@@ -197,10 +198,77 @@ class TestRunProgram:
             run.store_row(f"D{i}", noise)
             step.store_row(f"D{i}", noise)
         report = run.run_program(prog)
-        for cmd in prog.commands:
-            (step.exec_aap if cmd.op == "AAP" else step.exec_tra)(*cmd.rows)
+        _step(step, prog)
         assert run.dump_rows() == step.dump_rows()
         assert report == run.report == step.report
+
+
+    def test_out_of_range_row_aborts_before_any_command_runs(self):
+        from pumkit.codegen import parse_microprogram
+        text = ("UP/1\nop=x width=1 data_rows=2\n# load\n"
+                "AAP D0 T0\nAAP D40 T1  # CFG has 32 data rows\n"
+                "TRA T0 T1 T2\nEND\n")
+        st = fresh()
+        st.store_row("D0", 0b1011)
+        before = st.dump_rows()
+        with pytest.raises(ExecutionError, match=r"^line 5: AAP D40 T1: row D40 out of range"):
+            st.run_program(parse_microprogram(text))
+        assert st.dump_rows() == before
+        assert st.report == ExecutionReport()
+
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    def test_one_program_under_two_geometries_equals_stepping(self, rng, order):
+        # the designated rows sit at different physical indices in the two
+        geometries = (CFG, SubarrayConfig(total_rows=80, columns=64, data_row_count=40))
+        g = random_majgraph(rng, n_inputs=4, n_nodes=16)
+        prog = schedule(g, allocate_rows(g, CFG), CFG)
+        for cfg in (geometries[k] for k in order):
+            run, step = new_subarray(cfg), new_subarray(cfg)
+            for i in range(cfg.data_row_count):
+                noise = rng.getrandbits(64)
+                run.store_row(f"D{i}", noise)
+                step.store_row(f"D{i}", noise)
+            run.run_program(prog)
+            _step(step, prog)
+            assert run.dump_rows() == step.dump_rows()
+            assert run.report == step.report
+
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    def test_row_range_is_checked_per_geometry(self, order):
+        prog = MicroProgram("x", 1, 36, (Command("AAP", ("D35", "T0")),))
+        geometries = (CFG, SubarrayConfig(total_rows=64, columns=64, data_row_count=40))
+        for k in order:
+            st = new_subarray(geometries[k])
+            if geometries[k].data_row_count > 35:
+                assert st.run_program(prog).aap_count == 1
+            else:
+                with pytest.raises(ExecutionError, match="line 3: AAP D35 T0"):
+                    st.run_program(prog)
+
+    @pytest.mark.parametrize("kind", ["add", "sub", "mul", "div"])
+    def test_compiled_programs_equal_stepping_with_noise_in_every_row(self, rng, kind):
+        cfg = SubarrayConfig(columns=64)
+        prog = compile_op_cached(kind, 4, cfg).program
+        assert any(c.rows[0].startswith("~") for c in prog.commands)
+        for _ in range(3):
+            run, step = new_subarray(cfg), new_subarray(cfg)
+            for token in _NOISY_ROWS:
+                noise = rng.getrandbits(64)
+                run.store_row(token, noise)
+                step.store_row(token, noise)
+            report = run.run_program(prog)
+            _step(step, prog)
+            assert run.dump_rows() == step.dump_rows()
+            assert report == run.report == step.report
+
+
+# every writable row of the default geometry
+_NOISY_ROWS = [f"D{i}" for i in range(504)] + ["T0", "T1", "T2", "T3", "DCC0", "DCC1"]
+
+
+def _step(state, prog):
+    for cmd in prog.commands:
+        (state.exec_aap if cmd.op == "AAP" else state.exec_tra)(*cmd.rows)
 
 
 class TestColumnIndependence:
@@ -233,6 +301,17 @@ class TestHostAccess:
         bits = tuple(rng.randint(0, 1) for _ in range(64))
         st.write_row("D0", bits)
         assert st.read_row("D0") == bits
+
+    def test_data_rows_by_index(self):
+        st = fresh()
+        st.store_data_rows(30, [5, 1 << 70])
+        assert st.load_data_rows(30, 2) == [5, 0]  # masked to the 64 columns
+        assert st.load_row("D30") == 5
+        for base, count in ((31, 2), (-1, 1)):
+            with pytest.raises(RowSafetyError, match="outside 0..31"):
+                st.load_data_rows(base, count)
+        with pytest.raises(RowSafetyError):
+            st.store_data_rows(32, [1])
 
     def test_read_constants(self):
         st = fresh()

@@ -50,6 +50,15 @@ class TestToVertical:
         with pytest.raises(CapacityError):
             HorizontalBlock((16,), 4)
 
+    @pytest.mark.parametrize("values,match", [
+        ((16,), r"^value 0 \(16\) does not fit in 4 bits$"),
+        ((3, -1), r"^value 1 \(-1\) does not fit"),
+        ((0, 10**5000), r"^value 1 \(a 16610-bit int\) does not fit"),
+    ])
+    def test_out_of_range_value_is_named_by_index(self, values, match):
+        with pytest.raises(CapacityError, match=match):
+            HorizontalBlock(values, 4)
+
     def test_width_out_of_range(self):
         with pytest.raises(CapacityError):
             HorizontalBlock((0,), 65)
