@@ -31,7 +31,7 @@ from .errors import (
     NetlistFormatError,
     PumError,
 )
-from .transpose import HorizontalBlock, bit_rows, lane_values
+from .transpose import HorizontalBlock, from_rows
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -201,10 +201,15 @@ def cmd_transpose(args, cfg: RunConfig) -> int:
                             for l in lines):
             print("bit rows must be equal-length strings of 0/1", file=sys.stderr)
             return EXIT_USAGE
-        _write_lines(args.output, [str(v) for v in lane_values(lines, args.width)])
+        # character j of line i is bit i of value j, so bit j of the row int
+        block = from_rows([int(l[::-1], 2) for l in lines], args.width, len(lines[0]))
+        _write_lines(args.output, [str(v) for v in block.values])
         return EXIT_OK
     block = HorizontalBlock(tuple(_load_values(args.values)), args.width)
-    _write_lines(args.output, bit_rows(block.values, block.bit_width))
+    count = len(block.values)
+    spec = f"0{count}b"
+    _write_lines(args.output, [format(row, spec)[::-1] if count else ""
+                               for row in block.rows()])
     return EXIT_OK
 
 

@@ -163,6 +163,10 @@ class MicroProgram:
     # row-index ops per (total_rows, data_row_count), kept by subarray._lower
     _lowered: dict | None = field(default=None, init=False, repr=False, compare=False)
 
+    def __reduce__(self):  # pickled without the `_lowered` cache
+        return MicroProgram, (self.name, self.width, self.data_rows,
+                              self.commands, self.lines)
+
     def line_of(self, i: int) -> int:
         # serialized layout: two header lines, then one command per line
         return self.lines[i] if self.lines is not None else i + 3

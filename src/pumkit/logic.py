@@ -136,6 +136,9 @@ class Netlist:
     def __setattr__(self, name, value):  # immutable after construction
         raise AttributeError("Netlist is immutable")
 
+    def __reduce__(self):  # pickle through the constructor, not attribute restores
+        return Netlist, (self.input_count, self.gates, self.outputs)
+
     @staticmethod
     def _check_ref(ref: str, input_count: int, defined: set[str], where: str):
         if ref in (CONST_ZERO, CONST_ONE):
@@ -246,6 +249,10 @@ class MajGraph:
 
     def __setattr__(self, name, value):
         raise AttributeError("MajGraph is immutable")
+
+    def __reduce__(self):  # the packed edges only; _view and _sweep are caches
+        return MajGraph._from_packed, (self.input_count, self.packed_nodes,
+                                       self.packed_outputs)
 
     def _string_view(self) -> tuple[tuple, tuple]:
         if self._view is None:

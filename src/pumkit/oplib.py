@@ -369,9 +369,7 @@ def _verify_compiled(kind, width, widths, out_width, program, cfg, n_inputs) -> 
         corners = _corner_lanes(kind, widths, rng)
         lanes = [list(col) + lane for col, lane in zip(zip(*corners), lanes)]
         n_cases = len(corners) + n_random
-    vcfg = SubarrayConfig(total_rows=cfg.total_rows, columns=n_cases,
-                          data_row_count=cfg.data_row_count)
-    got, _ = _run_lanes(program, widths, out_width, lanes, vcfg)
+    got, _ = _stage_lanes(program, widths, out_width, lanes, cfg)
     for case, out in zip(zip(*lanes), got):
         want = oracle(kind, width, case)
         if out != want:
@@ -419,9 +417,24 @@ def compile_op_cached(kind: str, width: int, cfg: SubarrayConfig | None = None,
 
 def _run_lanes(program: MicroProgram, widths, out_width, inputs,
                cfg) -> tuple[list[int], ExecutionReport]:
-    """Stage operand lanes in, run `program`, stage the results out."""
+    """Stage operand lanes in, run `program`, stage the results out, on a
+    subarray of `cfg`'s rows and as many columns as there are lanes.
+    More lanes than `cfg.columns` are a `CapacityError`."""
     lanes = len(inputs[0]) if inputs else 0
-    state = new_subarray(cfg)
+    if lanes > cfg.columns:
+        raise CapacityError(
+            f"{lanes} lanes exceed the {cfg.columns}-column subarray"
+        )
+    return _stage_lanes(program, widths, out_width, inputs, cfg)
+
+
+def _stage_lanes(program, widths, out_width, inputs, cfg):
+    """`_run_lanes` without the column bound: compile-time checks run
+    their cases on `cfg`'s rows whatever its width."""
+    lanes = len(inputs[0]) if inputs else 0
+    state = new_subarray(SubarrayConfig(total_rows=cfg.total_rows,
+                                        columns=max(1, lanes),
+                                        data_row_count=cfg.data_row_count))
     base = 0
     for k, w in enumerate(widths):
         to_vertical(HorizontalBlock(tuple(inputs[k]), w), state, base)
@@ -432,7 +445,8 @@ def _run_lanes(program: MicroProgram, widths, out_width, inputs,
 
 def execute_op(compiled: CompiledOp, inputs: list[list[int]],
                cfg: SubarrayConfig | None = None) -> list[int]:
-    """Transpose operands in, run the program, transpose results out."""
+    """Transpose operands in, run the program on a subarray sized to the
+    lanes (see `_run_lanes`), transpose results out."""
     if cfg is None:
         cfg = SubarrayConfig()
     if len(inputs) != len(compiled.operand_widths):
@@ -444,10 +458,6 @@ def execute_op(compiled: CompiledOp, inputs: list[list[int]],
     for lst in inputs[1:]:
         if len(lst) != lanes:
             raise ArityError("operand lists must have equal lane counts")
-    if lanes > cfg.columns:
-        raise CapacityError(
-            f"{lanes} lanes exceed the {cfg.columns}-column subarray"
-        )
     if lanes == 0:
         return []
     return _run_lanes(compiled.program, compiled.operand_widths,

@@ -5,14 +5,21 @@ column: bit i (LSB = bit 0) of value j sits at row base_row+i, column j.
 That makes a bit shift a row renaming and lets one row-activation
 sequence operate on every column in parallel.
 
-Both directions go through bit strings instead of per-bit loops: each
-value is formatted once as w binary digits into one string, and bit row
-i is the strided slice that picks the same character out of every value,
-parsed with `int(..., 2)`.  Going back, each row is formatted
-once and written into a byte buffer with a strided slice assignment, and
-each lane is parsed from its own w-byte slice.
+Both directions work on packed little-endian bytes, one item of 1, 2, 4
+or 8 bytes per value, and every step is one C-level pass over about
+`count` bytes; no Python loop runs per value or per lane.  In, the block
+is packed once (`bytes` or `array.tobytes`, which also checks type and
+range); bit row i is the strided byte column ``buf[i // 8::size]``
+(taken from the reversed buffer, so that lane 0 comes last), translated
+through a 256-entry table into ASCII 0/1 for bit ``i % 8`` and parsed
+once with ``int(..., 2)``.  Out, each row is formatted once and
+translated into one 0/1 byte per lane; up to 8 such rows are ORed as
+ints into one byte per lane, strided into the packed buffer, and
+`array.tolist` reads the lanes back.
 
-Data rows are addressed by index (`SubarrayState.load_data_rows` /
+`HorizontalBlock.rows` and `from_rows` are the two conversions on packed
+row ints; `to_vertical`/`to_horizontal` move them in and out of a
+subarray's data rows (`SubarrayState.load_data_rows` /
 `store_data_rows`), one call per block, once `_check_region` has placed
 the block inside the data region.  Conversions touch only the addressed
 rows and columns; untouched cells are preserved exactly.  A block's
@@ -22,10 +29,48 @@ a `CapacityError`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import sys
+from array import array
+from dataclasses import dataclass, field
 
 from .errors import CapacityError
 from .subarray import SubarrayState
+
+# Unsigned array typecode per item size, chosen by the platform's sizes.
+_CODES: dict[int, str] = {}
+for _code in "BHILQ":
+    _CODES.setdefault(array(_code).itemsize, _code)
+
+# _BIT_CHAR[k][b] is ASCII "1" when bit k of byte b is set, else "0".
+_BIT_CHAR = [(b"0" * (1 << k) + b"1" * (1 << k)) * (128 >> k) for k in range(8)]
+# ASCII "0"/"1" -> byte 0/1.
+_CHAR_BIT = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _item_size(width: int) -> int:
+    """Bytes per packed value: the smallest of 1, 2, 4, 8 holding `width` bits."""
+    return 1 if width <= 8 else 2 if width <= 16 else 4 if width <= 32 else 8
+
+
+def _pack(values: tuple, size: int) -> bytes:
+    """Little-endian packing of `values`, `size` bytes each.  Raises
+    TypeError, ValueError or OverflowError on a non-int or a value the
+    item size cannot hold."""
+    if size == 1:
+        return bytes(values)
+    packed = array(_CODES[size], values)
+    if sys.byteorder == "big":
+        packed.byteswap()
+    return packed.tobytes()
+
+
+def _unpack(buf: bytearray, size: int) -> list[int]:
+    if size == 1:
+        return list(buf)
+    packed = array(_CODES[size], buf)
+    if sys.byteorder == "big":
+        packed.byteswap()
+    return packed.tolist()
 
 
 @dataclass(frozen=True)
@@ -34,19 +79,59 @@ class HorizontalBlock:
 
     values: tuple[int, ...]
     bit_width: int
+    # the values packed little-endian, _item_size(bit_width) bytes each
+    _packed: bytes = field(default=b"", init=False, repr=False, compare=False)
 
     def __post_init__(self):
         width = self.bit_width
         if not 1 <= width <= 64:
             raise CapacityError(f"bit width {width} outside 1..64")
         values = tuple(self.values)
+        size = _item_size(width)
         try:
-            for v in values:
-                if v >> width:  # negative, or wider than `width` bits
-                    raise _misfit(values, width)
-        except TypeError:  # a value that is not an int
+            packed = _pack(values, size)
+        except (TypeError, ValueError, OverflowError):
             raise _misfit(values, width) from None
+        if width < 8 * size and max(values, default=0) >> width:
+            raise _misfit(values, width)
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "_packed", packed)
+
+    def rows(self) -> list[int]:
+        """Vertical bit rows as packed ints: bit j of row i is bit i of
+        values[j]."""
+        width, count = self.bit_width, len(self.values)
+        if not count:
+            return [0] * width
+        size = _item_size(width)
+        # Reversed, value 0's bytes come last and each value's top byte
+        # first, so one byte column reads MSB-first as int() wants it.
+        rev = self._packed[::-1]
+        return [int(rev[size - 1 - i // 8::size].translate(_BIT_CHAR[i % 8]), 2)
+                for i in range(width)]
+
+
+def from_rows(rows, width: int, count: int) -> HorizontalBlock:
+    """Inverse of `HorizontalBlock.rows`: the `count` values whose bit i is
+    bit j of rows[i]; bits at column `count` and above are ignored."""
+    if not count or not 1 <= width <= 64:
+        return HorizontalBlock((), width)  # rejects the bad width
+    size = _item_size(width)
+    buf = bytearray(size * count)
+    spec = f"0{count}b"
+    lane_mask = (1 << count) - 1
+    for k in range(0, width, 8):
+        byte = 0
+        for i, word in enumerate(rows[k:k + 8]):
+            # lane count-1 is formatted first, so big-endian puts lane j at byte j
+            bits = format(word & lane_mask, spec).encode().translate(_CHAR_BIT)
+            byte |= int.from_bytes(bits, "big") << i
+        buf[k // 8::size] = byte.to_bytes(count, "little")
+    block = object.__new__(HorizontalBlock)  # valid by construction
+    object.__setattr__(block, "values", tuple(_unpack(buf, size)))
+    object.__setattr__(block, "bit_width", width)
+    object.__setattr__(block, "_packed", bytes(buf))
+    return block
 
 
 def _misfit(values, width: int) -> CapacityError:
@@ -81,43 +166,19 @@ def _check_region(state: SubarrayState, base_row: int, width: int, count: int):
         )
 
 
-def bit_rows(values, width: int) -> list[str]:
-    """Vertical bit rows of `width`-bit values as 0/1 strings, value 0
-    first: character j of row i is bit i of values[j]."""
-    spec = "{:0%db}" % width  # one str.format call renders every value
-    big = (spec * len(values)).format(*values)
-    return [big[width - 1 - i::width] for i in range(width)]
-
-
-def lane_values(rows: list[str], width: int) -> list[int]:
-    """Inverse of `bit_rows`: the value whose bit i is character j of
-    rows[i], for each column j."""
-    buf = bytearray(width * len(rows[0]))
-    for i, row in enumerate(rows):
-        buf[width - 1 - i::width] = row.encode("ascii")
-    return [int(buf[k:k + width], 2) for k in range(0, len(buf), width)]
-
-
 def to_vertical(block: HorizontalBlock, state: SubarrayState, base_row: int) -> VerticalBlock:
     """Write `block` into the subarray in vertical layout, LSB at base_row."""
     count = len(block.values)
     _check_region(state, base_row, block.bit_width, count)
     if count:
-        keep_mask = ~((1 << count) - 1)
+        keep_mask = ~((1 << count) - 1)  # the columns beyond the block
         old = state.load_data_rows(base_row, block.bit_width)
         state.store_data_rows(base_row, [
-            (word & keep_mask) | int(row[::-1], 2)
-            for word, row in zip(old, bit_rows(block.values, block.bit_width))])
+            (word & keep_mask) | row for word, row in zip(old, block.rows())])
     return VerticalBlock(base_row, block.bit_width, count)
 
 
 def to_horizontal(state: SubarrayState, base_row: int, width: int, count: int) -> HorizontalBlock:
     """Read back `count` vertical values of `width` bits from base_row."""
     _check_region(state, base_row, width, count)
-    if not count or width < 1:  # HorizontalBlock rejects the bad width
-        return HorizontalBlock((), width)
-    lane_mask = (1 << count) - 1
-    spec = f"0{count}b"
-    rows = [format(word & lane_mask, spec)[::-1]
-            for word in state.load_data_rows(base_row, width)]
-    return HorizontalBlock(tuple(lane_values(rows, width)), width)
+    return from_rows(state.load_data_rows(base_row, width), width, count)

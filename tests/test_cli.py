@@ -203,6 +203,21 @@ class TestRun:
         write(b, [6, 6])
         assert main(["run", str(prog), "--inputs", str(a), str(b)]) == 2
 
+    def test_more_lanes_than_columns_exit_3(self, tmp_path, capsys):
+        prog = self.compile_add(tmp_path)
+        narrow = ["--set", "subarray.columns=16"]
+        a, b, out = tmp_path / "a.txt", tmp_path / "b.txt", tmp_path / "o.txt"
+        write(a, range(16))
+        write(b, [1] * 16)
+        assert main([*narrow, "run", str(prog), "--inputs", str(a), str(b),
+                     "-o", str(out)]) == 0
+        assert [int(l) for l in out.read_text().splitlines()] == list(range(1, 17))
+        write(a, [v % 16 for v in range(17)])
+        write(b, [1] * 17)
+        assert main([*narrow, "run", str(prog), "--inputs", str(a), str(b)]) == 3
+        err = capsys.readouterr().err
+        assert "17" in err and "16-column subarray" in err
+
     def test_out_of_range_operand_exits_3(self, tmp_path):
         prog = self.compile_add(tmp_path)
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
@@ -277,6 +292,22 @@ class TestTranspose:
         write(values, [2 ** 64 - 1, 0])
         assert main(["transpose", str(values), "--width", "64", "-o", str(rows)]) == 0
         assert rows.read_text().splitlines() == ["10"] * 64
+
+
+    @pytest.mark.parametrize("width", [9, 33])
+    def test_wide_values_round_trip(self, tmp_path, width):
+        rng = random.Random(width)
+        vals = [0, (1 << width) - 1, 1 << (width - 1)] + [
+            rng.getrandbits(width) for _ in range(10)]
+        values, rows, back = tmp_path / "v.txt", tmp_path / "rows.txt", tmp_path / "b.txt"
+        write(values, vals)
+        assert main(["transpose", str(values), "--width", str(width),
+                     "-o", str(rows)]) == 0
+        assert rows.read_text().splitlines() == [
+            "".join(str(v >> i & 1) for v in vals) for i in range(width)]
+        assert main(["transpose", str(rows), "--width", str(width), "--reverse",
+                     "-o", str(back)]) == 0
+        assert back.read_text() == values.read_text()
 
 
 class TestConfigHandling:

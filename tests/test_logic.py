@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -16,7 +18,7 @@ from pumkit.logic import (
 )
 from pumkit.oplib import build_netlist
 
-from conftest import random_majgraph
+from conftest import random_majgraph, random_netlist
 
 import random
 
@@ -188,6 +190,18 @@ def test_netlist_refs_take_canonical_ascii_digits(gates, outputs):
 def test_netlist_immutable():
     with pytest.raises(AttributeError):
         AND2.input_count = 3
+
+
+def test_netlist_and_graph_unpickle(rng):
+    net = random_netlist(rng, n_gates=12)
+    back = pickle.loads(pickle.dumps(net))
+    assert (back.input_count, back.gates, back.outputs) == (
+        net.input_count, net.gates, net.outputs)
+    g = random_majgraph(rng, n_nodes=12)
+    h = pickle.loads(pickle.dumps(g))
+    assert (h.input_count, h.packed_nodes, h.packed_outputs) == (
+        g.input_count, g.packed_nodes, g.packed_outputs)
+    assert h.nodes == g.nodes and h.outputs == g.outputs
 
 
 def test_majgraph_validates_structure():

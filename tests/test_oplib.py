@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -232,6 +233,12 @@ class TestExecute:
         with pytest.raises(CapacityError):
             execute_op(compiled, [[0] * 65, [0] * 65], CFG)
 
+    def test_lanes_filling_every_column(self, rng):
+        compiled = compile_op_cached("add", 4, CFG)
+        a = [rng.randrange(16) for _ in range(CFG.columns)]
+        b = [rng.randrange(16) for _ in range(CFG.columns)]
+        assert execute_op(compiled, [a, b], CFG) == [x + y for x, y in zip(a, b)]
+
     def test_unequal_lanes(self):
         compiled = compile_op_cached("add", 4, CFG)
         with pytest.raises(ArityError):
@@ -282,3 +289,20 @@ class TestOptimizationBenefit:
         assert estimate_cost_static(e2.graph, CFG) <= estimate_cost_static(e0.graph, CFG)
         for c in (e0, e2):
             assert c.report.estimated_activations_after == activation_count(c.program).total
+
+
+class TestPickle:
+    def test_compiled_op_round_trips(self, rng):
+        compiled = compile_op("mul", 4, CFG)
+        lanes = [[rng.randrange(16) for _ in range(40)] for _ in range(2)]
+        got = execute_op(compiled, lanes, CFG)  # fills the lowering cache
+        back = pickle.loads(pickle.dumps(compiled))
+        g, h = compiled.graph, back.graph
+        assert (h.input_count, h.packed_nodes, h.packed_outputs) == (
+            g.input_count, g.packed_nodes, g.packed_outputs)
+        assert h.nodes == g.nodes and h.outputs == g.outputs
+        n, m = compiled.netlist, back.netlist
+        assert (m.input_count, m.gates, m.outputs) == (n.input_count, n.gates, n.outputs)
+        assert back.program == compiled.program
+        assert back.program._lowered is None and h._sweep is None
+        assert execute_op(back, lanes, CFG) == got

@@ -7,7 +7,7 @@ from hypothesis import strategies as hst
 from pumkit.codegen import SubarrayConfig
 from pumkit.errors import CapacityError
 from pumkit.subarray import new_subarray
-from pumkit.transpose import HorizontalBlock, to_horizontal, to_vertical
+from pumkit.transpose import HorizontalBlock, from_rows, to_horizontal, to_vertical
 
 CFG = SubarrayConfig(total_rows=80, columns=64, data_row_count=72)
 
@@ -62,6 +62,24 @@ class TestToVertical:
     def test_width_out_of_range(self):
         with pytest.raises(CapacityError):
             HorizontalBlock((0,), 65)
+
+    @pytest.mark.parametrize("values,width,match", [
+        ((1, 1.5), 16, r"^value 1 is 1\.5, not an int$"),
+        (("7",), 33, r"^value 0 is '7', not an int$"),
+        ((0, 0, -1), 9, r"^value 2 \(-1\) does not fit in 9 bits$"),
+        ((512,), 9, r"^value 0 \(512\) does not fit in 9 bits$"),
+        ((1 << 33,), 33, r"^value 0 \(8589934592\) does not fit in 33 bits$"),
+        ((1 << 40,), 17, r"^value 0 \(1099511627776\) does not fit in 17 bits$"),
+        ((1 << 64,), 64, r"^value 0 \(a 65-bit int\) does not fit in 64 bits$"),
+        ((256,), 8, r"^value 0 \(256\) does not fit in 8 bits$"),
+    ])
+    def test_misfits_are_named_at_every_item_size(self, values, width, match):
+        with pytest.raises(CapacityError, match=match):
+            HorizontalBlock(values, width)
+
+    @pytest.mark.parametrize("width", [1, 8, 16, 64])
+    def test_bools_are_ints(self, width):
+        assert HorizontalBlock((True, False), width).rows() == [1] + [0] * (width - 1)
 
 
 class TestRoundTrip:
@@ -136,3 +154,49 @@ class TestProperties:
         before = st.dump_rows()
         assert to_horizontal(st, base, width, count).values == values
         assert st.dump_rows() == before
+
+
+def naive_rows(values, width):
+    """Bit rows built bit by bit: bit j of row i is bit i of values[j]."""
+    rows = [0] * width
+    for j, v in enumerate(values):
+        for i in range(width):
+            if v >> i & 1:
+                rows[i] |= 1 << j
+    return rows
+
+
+WIDE_CFG = SubarrayConfig(total_rows=80, columns=4096, data_row_count=72)
+
+
+class TestPackedRows:
+    @pytest.mark.parametrize("count", [0, 1, 7, 8, 9, 4096])
+    @pytest.mark.parametrize("width", [8, 9, 16, 17, 32, 33, 64])
+    def test_round_trip_against_naive_rows(self, width, count):
+        rng = random.Random(width * 10007 + count)
+        top = (1 << width) - 1
+        values = tuple(rng.choice((0, top, 1 << (width - 1), rng.getrandbits(width)))
+                       for _ in range(count))
+        want = naive_rows(values, width)
+        block = HorizontalBlock(values, width)
+        assert block.rows() == want
+        assert from_rows(want, width, count).values == values
+        st = new_subarray(WIDE_CFG)
+        to_vertical(block, st, 5)
+        assert st.load_data_rows(5, width) == want
+        assert to_horizontal(st, 5, width, count).values == values
+
+    @pytest.mark.parametrize("width", [3, 8, 9, 33, 64])
+    def test_bits_above_the_count_are_ignored(self, width, rng):
+        count = 13
+        values = tuple(rng.getrandbits(width) for _ in range(count))
+        noise = [rng.getrandbits(WIDE_CFG.columns) << count for _ in range(width)]
+        rows = [r | n for r, n in zip(naive_rows(values, width), noise)]
+        assert from_rows(rows, width, count).values == values
+        st = new_subarray(WIDE_CFG)
+        st.store_data_rows(0, rows)
+        assert to_horizontal(st, 0, width, count).values == values
+
+    def test_from_rows_rejects_a_bad_width(self):
+        with pytest.raises(CapacityError):
+            from_rows([1] * 65, 65, 1)
