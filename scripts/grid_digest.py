@@ -3,10 +3,11 @@
     python3 scripts/grid_digest.py [--widths 4 8 16 32]
 
 Compiles the 16 library ops at each width (effort 2, default subarray,
-n-ary ops with 4 operands) and prints, per width, the first 16 hex digits
-of one sha256 fed, in `OP_KINDS` order, each cell's
-`format_microprogram` text, `repr` of its `SynthesisReport` and its
-`verified_cases`; then the total row activations of the grid.  Two
+n-ary ops with `pumkit bench`'s operand count, `cli.BENCH_N_INPUTS`) and
+prints, per width, the first 16 hex digits of one sha256 fed, in
+`OP_KINDS` order, each cell's `format_microprogram` text, `repr` of its
+`SynthesisReport` and its `verified_cases`; then the total row
+activations of the grid.  Two
 commits that print the same lines emit the same programs and reports, so
 a change meant to leave compiler output alone can be checked by running
 this on both.
@@ -21,6 +22,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from pumkit.cli import BENCH_N_INPUTS  # noqa: E402
 from pumkit.codegen import activation_count, format_microprogram  # noqa: E402
 from pumkit.oplib import N_ARY, OP_KINDS, compile_op  # noqa: E402
 
@@ -30,7 +32,8 @@ def width_digest(width: int) -> tuple[str, int]:
     h = hashlib.sha256()
     total = 0
     for kind in OP_KINDS:
-        c = compile_op(kind, width, effort=2, n_inputs=4 if kind in N_ARY else 2)
+        c = compile_op(kind, width, effort=2,
+                       n_inputs=BENCH_N_INPUTS if kind in N_ARY else 2)
         h.update(format_microprogram(c.program).encode())
         h.update(repr(c.report).encode())
         h.update(str(c.verified_cases).encode())

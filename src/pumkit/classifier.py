@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import MetricsError, MetricsRangeError
+from .logic import _is_canonical_number
 
 
 class BottleneckClass(enum.Enum):
@@ -49,6 +50,9 @@ class Thresholds:
         for name in ("locality_high", "lfmr_high"):
             if not 0 < getattr(self, name) < 1:
                 raise MetricsRangeError(f"threshold {name} must lie in (0,1)")
+
+
+DEFAULT_THRESHOLDS = Thresholds()
 
 
 @dataclass(frozen=True)
@@ -95,10 +99,9 @@ def compute_lfmr(llc_misses: int, l1_misses: int) -> float:
     return llc_misses / l1_misses
 
 
-def classify(m: MetricsRecord, t: Thresholds | None = None) -> tuple[BottleneckClass, str]:
+def classify(m: MetricsRecord,
+             t: Thresholds = DEFAULT_THRESHOLDS) -> tuple[BottleneckClass, str]:
     """Total, deterministic decision tree over one record."""
-    if t is None:
-        t = Thresholds()
     high_mpki = m.llc_mpki >= t.mpki_high
     high_locality = m.temporal_locality >= t.locality_high
     high_ai = m.arithmetic_intensity >= t.ai_high
@@ -186,12 +189,10 @@ def _parse_header(header: list[str]) -> list[int]:
         )
     cores = []
     for col in header[4:]:
-        if not col.startswith("lfmr@"):
-            raise MetricsError(f"bad header column {col!r}: expected lfmr@<cores>")
-        try:
-            cores.append(int(col[5:]))
-        except ValueError as e:
-            raise MetricsError(f"bad header column {col!r}: {e}") from e
+        if not (col.startswith("lfmr@") and _is_canonical_number(col[5:])):
+            raise MetricsError(f"bad header column {col!r}: expected lfmr@<cores>, "
+                               "<cores> in ASCII digits without a leading zero")
+        cores.append(int(col[5:]))
     if cores != sorted(set(cores)) or any(c < 1 for c in cores):
         raise MetricsError("lfmr@ core counts must be strictly increasing")
     return cores
@@ -241,7 +242,7 @@ def ingest_csv(path: str) -> list[MetricsRecord]:
         return parse_metrics_csv(fh.read())
 
 
-def label_csv(text: str, thresholds: Thresholds | None = None) -> str:
+def label_csv(text: str, thresholds: Thresholds = DEFAULT_THRESHOLDS) -> str:
     """Augment a metrics CSV with class, recommendation, and rationale."""
     rows: list[list[str]] = []
     records = parse_metrics_csv(text, rows=rows)

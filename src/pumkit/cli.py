@@ -31,7 +31,7 @@ from .errors import (
     NetlistFormatError,
     PumError,
 )
-from .transpose import HorizontalBlock, from_rows
+from .transpose import MAX_WIDTH, HorizontalBlock, from_rows
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -39,8 +39,8 @@ EXIT_DATA = 3
 
 BENCH_WIDTHS = (4, 8, 16, 32)
 BENCH_N_INPUTS = 4
-# Digits an operand value may have: 2**64 - 1 has 20.
-_MAX_VALUE_DIGITS = 20
+# Digits an operand value may have: as many as the widest value has.
+_MAX_VALUE_DIGITS = len(str((1 << MAX_WIDTH) - 1))
 
 
 def _load_values(path: str) -> list[int]:
@@ -102,6 +102,7 @@ def cmd_run(args, cfg: RunConfig) -> int:
     if kind in oplib.N_ARY:  # n operands and the result, `width` rows each
         n_inputs = max(2, program.data_rows // width - 1)
     widths, out_w = oplib.op_signature(kind, width, n_inputs)
+    oplib._check_result_width(kind, width, out_w)
     if sum(widths) + out_w != program.data_rows:
         raise MicroProgramError(
             f"header data_rows={program.data_rows} inconsistent with "

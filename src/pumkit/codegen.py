@@ -105,10 +105,19 @@ class SubarrayConfig:
         raise MicroProgramError(f"unknown row {token!r}")
 
 
+# The default subarray: every `cfg` parameter's default.
+DEFAULT_SUBARRAY = SubarrayConfig()
+
+
 class ActivationCount(NamedTuple):
     aap: int
     tra: int
     total: int
+
+
+def row_activations(aap: int, tra: int) -> int:
+    """Rows activated by `aap` AAPs and `tra` TRAs: two per AAP, three per TRA."""
+    return 2 * aap + 3 * tra
 
 
 @dataclass(frozen=True)
@@ -173,10 +182,9 @@ class MicroProgram:
 
 
 def activation_count(program: MicroProgram) -> ActivationCount:
-    """AAP activates two rows, TRA three."""
     aap = sum(1 for c in program.commands if c.op == "AAP")
     tra = len(program.commands) - aap
-    return ActivationCount(aap, tra, 2 * aap + 3 * tra)
+    return ActivationCount(aap, tra, row_activations(aap, tra))
 
 
 # --- .up text format ------------------------------------------------------
@@ -382,17 +390,6 @@ class _Scheduler:
         self.clock += 1
         self.lru[row] = self.clock
 
-    def _implicit_source(self, val: int) -> str | None:
-        """Permanent backing row for inputs and constants."""
-        r = val >> 1
-        if r == REF_ZERO:
-            return "C1" if val & 1 else "C0"
-        if r == REF_ONE:
-            return "C0" if val & 1 else "C1"
-        if r < 0 and not val & 1:
-            return self.rowmap.input_rows[-3 - r]
-        return None
-
     def _survives(self, ref: int, doomed: int) -> bool:
         """Can node `ref` (either polarity) still be sourced once the
         `doomed` rows die?"""
@@ -460,18 +457,18 @@ class _Scheduler:
                     heapq.heappush(self.spill_free, idx)
 
     def _any_source(self, val: int) -> tuple[str | None, int]:
-        """A row token (or alias) an AAP can read `val` from, else None,
-        and the mask of the compute-group row behind it (0 for data and
-        constant rows)."""
+        """A row token (or alias) an AAP can read node or input value `val`
+        from, else None, and the mask of the compute-group row behind it
+        (0 for data rows).  Callers handle constants themselves."""
         rows = self.copies.get(val)
         if rows:
             r = _FIRST[rows]
             return _ROW_NAMES[r], 1 << r
         if val in self.spilled:
             return f"D{self.spilled[val]}", 0
-        imp = self._implicit_source(val)
-        if imp is not None:
-            return imp, 0
+        ref = val >> 1
+        if ref < REF_ONE and not val & 1:  # an input, read off its data row
+            return self.rowmap.input_rows[-3 - ref], 0
         # complement read straight off a dual-contact cell, DCC0 first
         flipped = self.copies.get(val ^ 1, 0) & _DCC_MASK
         if flipped:
@@ -587,7 +584,7 @@ class _Scheduler:
         self._use(ref)
 
 
-def schedule(graph: MajGraph, rowmap: RowMap, cfg: SubarrayConfig,
+def schedule(graph: MajGraph, rowmap: RowMap,
              *, name: str = "custom", width: int = 0) -> MicroProgram:
     """Emit the command program realizing `graph` under `rowmap`.
 
@@ -607,7 +604,7 @@ def schedule(graph: MajGraph, rowmap: RowMap, cfg: SubarrayConfig,
                         data_rows=rowmap.data_rows_used, commands=commands)
 
 
-def estimate_cost_static(graph: MajGraph, cfg: SubarrayConfig | None = None) -> int:
+def estimate_cost_static(graph: MajGraph, cfg: SubarrayConfig = DEFAULT_SUBARRAY) -> int:
     """Activations of the program `schedule` emits for `graph` under `cfg`.
 
     The optimizer's objective: the same `_Scheduler` sweep, spills
@@ -615,11 +612,11 @@ def estimate_cost_static(graph: MajGraph, cfg: SubarrayConfig | None = None) -> 
     stays on `graph` for `schedule` until `_drop_sweep` releases it.
     Raises `CapacityError` when `cfg` cannot hold the graph.
     """
-    rowmap = allocate_rows(graph, cfg or SubarrayConfig())
+    rowmap = allocate_rows(graph, cfg)
     commands = _Scheduler(graph, rowmap).run()
     object.__setattr__(graph, "_sweep", (rowmap, commands))
     aap = sum(1 for op, _ in commands if op == "AAP")
-    return 2 * aap + 3 * (len(commands) - aap)
+    return row_activations(aap, len(commands) - aap)
 
 
 def _drop_sweep(graph: MajGraph):

@@ -13,6 +13,7 @@ from .classifier import Thresholds
 from .codegen import SubarrayConfig
 from .costmodel import CostParams
 from .errors import ConfigError
+from .logic import _is_canonical_number
 
 # key -> (section, dataclass field, type); defaults live in the dataclasses
 _KEYS = {
@@ -42,8 +43,12 @@ def _parse_assignment(text: str, where: str) -> tuple[str, float | int]:
     key, val = key.strip(), val.strip()
     if key not in _KEYS:
         raise ConfigError(f"{where}unknown key {key!r}")
+    typ = _KEYS[key][2]
+    if typ is int and not _is_canonical_number(val):
+        raise ConfigError(f"{where}bad value for {key}: {val[:40]!r} is not "
+                          "ASCII digits without a leading zero")
     try:
-        return key, _KEYS[key][2](val)
+        return key, typ(val)
     except ValueError as e:
         raise ConfigError(f"{where}bad value for {key}: {e}") from e
 

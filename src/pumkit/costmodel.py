@@ -5,7 +5,7 @@ programs; none are calibrated against hardware.  Absolute platform
 comparisons are explicitly out of scope.
 
 Accounting: each command contributes its per-command latency; energy
-charges one activation per row touched (two for AAP, three for TRA) plus
+charges one activation per row touched (`codegen.row_activations`) plus
 one precharge per command.
 """
 
@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .codegen import MicroProgram, activation_count
+from .codegen import DEFAULT_SUBARRAY, MicroProgram, activation_count
 from .errors import ConfigError
 
 NOT_CALIBRATED = "analytical estimate with placeholder parameters; not hardware-calibrated"
@@ -28,13 +28,16 @@ class CostParams:
     e_pre_pj: float = 300.0
     transpose_ns_per_word: float = 10.0
     banks: int = 1
-    columns_per_subarray: int = 65536
+    columns_per_subarray: int = DEFAULT_SUBARRAY.columns
 
     def __post_init__(self):
         for name in ("t_aap_ns", "t_tra_ns", "e_act_pj", "e_pre_pj",
                      "transpose_ns_per_word", "banks", "columns_per_subarray"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ConfigError(f"cost parameter {name} must be finite and strictly positive")
+
+
+DEFAULT_COST = CostParams()
 
 
 @dataclass(frozen=True)
@@ -57,17 +60,13 @@ class CostReport:
         )
 
 
-def transpose_cost_ns(word_count: int, params: CostParams | None = None) -> float:
+def transpose_cost_ns(word_count: int, params: CostParams = DEFAULT_COST) -> float:
     """Layout-conversion overhead for moving `word_count` operand words."""
-    if params is None:
-        params = CostParams()
     return word_count * params.transpose_ns_per_word
 
 
-def estimate(program: MicroProgram, params: CostParams | None = None) -> CostReport:
+def estimate(program: MicroProgram, params: CostParams = DEFAULT_COST) -> CostReport:
     """Linear per-command cost roll-up for one program."""
-    if params is None:
-        params = CostParams()
     counts = activation_count(program)
     latency = counts.aap * params.t_aap_ns + counts.tra * params.t_tra_ns
     energy = (counts.total * params.e_act_pj

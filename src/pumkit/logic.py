@@ -195,12 +195,13 @@ class MajGraph:
     Node k is referenced as ``n<k>``; each node holds exactly three
     operand edges.  Complements live on edges, never as explicit nodes.
     The graph is held as packed edges (``packed_nodes``/``packed_outputs``,
-    see the module docstring); ``nodes``/``outputs`` are the string view.
+    see the module docstring); ``nodes``/``outputs`` render the string
+    view from them on each access.
     """
 
     # _sweep: the scheduler's last command list for this graph, kept by
     # codegen.estimate_cost_static for codegen.schedule
-    __slots__ = ("input_count", "packed_nodes", "packed_outputs", "_view", "_sweep")
+    __slots__ = ("input_count", "packed_nodes", "packed_outputs", "_sweep")
 
     def __init__(
         self,
@@ -228,8 +229,7 @@ class MajGraph:
             packed.append(tuple(pack(e, f"n{k}") for e in edges))
             refs[f"n{k}"] = k
         packed_outputs = tuple(pack(e, "outputs") for e in outputs)
-        self._init(input_count, tuple(packed), packed_outputs,
-                   (tuple(tuple(e) for e in nodes), tuple(outputs)))
+        self._init(input_count, tuple(packed), packed_outputs)
 
     @classmethod
     def _from_packed(cls, input_count: int, nodes: Sequence[tuple[int, int, int]],
@@ -237,38 +237,29 @@ class MajGraph:
         """Wrap packed edges as they are; the caller guarantees every ref is
         a constant, an input below `input_count` or an earlier node."""
         g = object.__new__(cls)
-        g._init(input_count, tuple(nodes), tuple(outputs), None)
+        g._init(input_count, tuple(nodes), tuple(outputs))
         return g
 
-    def _init(self, input_count, packed_nodes, packed_outputs, view):
+    def _init(self, input_count, packed_nodes, packed_outputs):
         object.__setattr__(self, "input_count", input_count)
         object.__setattr__(self, "packed_nodes", packed_nodes)
         object.__setattr__(self, "packed_outputs", packed_outputs)
-        object.__setattr__(self, "_view", view)
         object.__setattr__(self, "_sweep", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("MajGraph is immutable")
 
-    def __reduce__(self):  # the packed edges only; _view and _sweep are caches
+    def __reduce__(self):  # the packed edges only; _sweep is a cache
         return MajGraph._from_packed, (self.input_count, self.packed_nodes,
                                        self.packed_outputs)
 
-    def _string_view(self) -> tuple[tuple, tuple]:
-        if self._view is None:
-            object.__setattr__(self, "_view", (
-                tuple(tuple(map(_edge_view, nd)) for nd in self.packed_nodes),
-                tuple(map(_edge_view, self.packed_outputs)),
-            ))
-        return self._view
-
     @property
     def nodes(self) -> tuple[tuple[Edge, Edge, Edge], ...]:
-        return self._string_view()[0]
+        return tuple(tuple(map(_edge_view, nd)) for nd in self.packed_nodes)
 
     @property
     def outputs(self) -> tuple[Edge, ...]:
-        return self._string_view()[1]
+        return tuple(map(_edge_view, self.packed_outputs))
 
     @property
     def output_count(self) -> int:

@@ -15,6 +15,10 @@ Integer semantics are unsigned and modular.  Per-kind output widths:
 * ``bitcount``       bit_length(w) bits
 * ``and_n/or_n/xor_n``            w bits over n >= 2 operands
 
+Widths run 1..`MAX_WIDTH`, and so must results, which are staged out
+through `transpose`: ``add`` at the top width and ``mul`` above half of
+it are refused with a `CapacityError` before anything is compiled.
+
 ``relu`` alone reads the top input bit as a two's-complement sign and
 clamps negatives to zero.
 """
@@ -23,9 +27,10 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .codegen import (
+    DEFAULT_SUBARRAY,
     MicroProgram,
     RowMap,
     SubarrayConfig,
@@ -38,7 +43,7 @@ from .errors import ArityError, CapacityError, PumError
 from .logic import Gate, MajGraph, Netlist
 from .subarray import ExecutionReport, new_subarray
 from .synthesis import SynthesisReport, lower_to_maj, optimize
-from .transpose import HorizontalBlock, to_horizontal, to_vertical
+from .transpose import MAX_WIDTH, HorizontalBlock, to_horizontal, to_vertical
 
 OP_KINDS = (
     "and_n", "or_n", "xor_n",
@@ -50,9 +55,8 @@ OP_KINDS = (
 
 N_ARY = frozenset(("and_n", "or_n", "xor_n"))
 
-MAX_WIDTH = 64
-# Operands an n-ary kind may take: twice the default subarray's 512 rows.
-MAX_N_INPUTS = 1024
+# Operands an n-ary kind may take: twice the default subarray's rows.
+MAX_N_INPUTS = 2 * DEFAULT_SUBARRAY.total_rows
 
 
 def op_signature(kind: str, width: int, n_inputs: int = 2) -> tuple[tuple[int, ...], int]:
@@ -380,17 +384,24 @@ def _verify_compiled(kind, width, widths, out_width, program, cfg, n_inputs) -> 
     return n_cases
 
 
-def compile_op(kind: str, width: int, cfg: SubarrayConfig | None = None,
+def _check_result_width(kind: str, width: int, out_width: int):
+    """`CapacityError` when the result is wider than `transpose` stages."""
+    if out_width > MAX_WIDTH:
+        raise CapacityError(
+            f"{kind} width {width} has a {out_width}-bit result; results are "
+            f"staged at up to {MAX_WIDTH} bits")
+
+
+def compile_op(kind: str, width: int, cfg: SubarrayConfig = DEFAULT_SUBARRAY,
                effort: int = 2, n_inputs: int = 2) -> CompiledOp:
     """Run the full pipeline for one operation and verify the result:
     symbolically (`verify_program`), then on simulated lanes."""
     widths, out_width = op_signature(kind, width, n_inputs)
-    if cfg is None:
-        cfg = SubarrayConfig()
+    _check_result_width(kind, width, out_width)
     netlist = build_netlist(kind, width, n_inputs)
     graph, report = optimize(lower_to_maj(netlist), effort, cfg)
     rowmap = allocate_rows(graph, cfg)
-    program = schedule(graph, rowmap, cfg, name=kind, width=width)
+    program = schedule(graph, rowmap, name=kind, width=width)
     if not verify_program(graph, rowmap, program):
         raise PumError(f"compiled {kind} width {width} fails the symbolic "
                        "check: an output row does not hold its graph expression")
@@ -403,10 +414,8 @@ def compile_op(kind: str, width: int, cfg: SubarrayConfig | None = None,
 _COMPILE_CACHE: dict[tuple, CompiledOp] = {}
 
 
-def compile_op_cached(kind: str, width: int, cfg: SubarrayConfig | None = None,
+def compile_op_cached(kind: str, width: int, cfg: SubarrayConfig = DEFAULT_SUBARRAY,
                       effort: int = 2, n_inputs: int = 2) -> CompiledOp:
-    if cfg is None:
-        cfg = SubarrayConfig()
     key = (kind, width, effort, n_inputs, cfg.total_rows, cfg.data_row_count)
     hit = _COMPILE_CACHE.get(key)
     if hit is None:
@@ -432,9 +441,7 @@ def _stage_lanes(program, widths, out_width, inputs, cfg):
     """`_run_lanes` without the column bound: compile-time checks run
     their cases on `cfg`'s rows whatever its width."""
     lanes = len(inputs[0]) if inputs else 0
-    state = new_subarray(SubarrayConfig(total_rows=cfg.total_rows,
-                                        columns=max(1, lanes),
-                                        data_row_count=cfg.data_row_count))
+    state = new_subarray(replace(cfg, columns=max(1, lanes)))
     base = 0
     for k, w in enumerate(widths):
         to_vertical(HorizontalBlock(tuple(inputs[k]), w), state, base)
@@ -444,11 +451,9 @@ def _stage_lanes(program, widths, out_width, inputs, cfg):
 
 
 def execute_op(compiled: CompiledOp, inputs: list[list[int]],
-               cfg: SubarrayConfig | None = None) -> list[int]:
+               cfg: SubarrayConfig = DEFAULT_SUBARRAY) -> list[int]:
     """Transpose operands in, run the program on a subarray sized to the
     lanes (see `_run_lanes`), transpose results out."""
-    if cfg is None:
-        cfg = SubarrayConfig()
     if len(inputs) != len(compiled.operand_widths):
         raise ArityError(
             f"{compiled.kind} takes {len(compiled.operand_widths)} operand "

@@ -33,6 +33,7 @@ from .codegen import (
     SubarrayConfig,
     alias_base,
     in_compute_group,
+    row_activations,
 )
 
 
@@ -43,35 +44,29 @@ class ExecutionReport:
 
     @property
     def total_activations(self) -> int:
-        return 2 * self.aap_count + 3 * self.tra_count
+        return row_activations(self.aap_count, self.tra_count)
 
 
 class SubarrayState:
     """Mutable subarray: a row-major bit matrix plus a command log.
 
-    For host access and single steps, row tokens are resolved to
-    (physical index, read mask) once per state and cached in `_index`.
+    Host access and single steps resolve each row token on every call;
     `run_program` and the data-row methods work on row indices directly.
     """
 
-    __slots__ = ("cfg", "_rows", "_mask", "_index", "report")
+    __slots__ = ("cfg", "_rows", "_mask", "report")
 
     def __init__(self, cfg: SubarrayConfig):
         self.cfg = cfg
         self._mask = (1 << cfg.columns) - 1
         self._rows = [0] * cfg.total_rows
         self._rows[cfg.row_index("C1")] = self._mask
-        self._index: dict[str, tuple[int, int]] = {}
         self.report = ExecutionReport()
 
     def _resolve(self, token: str) -> tuple[int, int]:
         """(physical row index, XOR applied on read); ~DCC reads complemented."""
-        hit = self._index.get(token)
-        if hit is None:
-            base = alias_base(token)
-            hit = (self.cfg.row_index(base or token), 0 if base is None else self._mask)
-            self._index[token] = hit
-        return hit
+        base = alias_base(token)
+        return self.cfg.row_index(base or token), 0 if base is None else self._mask
 
     # -- host access ---------------------------------------------------------
 
@@ -135,11 +130,10 @@ class SubarrayState:
     def exec_aap(self, src: str, dst: str):
         if dst in CONST_ROWS:
             raise RowSafetyError(f"AAP may not write constant row {dst}")
-        index = self._index
-        d, complemented = index.get(dst) or self._resolve(dst)
+        d, complemented = self._resolve(dst)
         if complemented:
             raise MicroProgramError("complement alias is source-only")
-        s, flip = index.get(src) or self._resolve(src)
+        s, flip = self._resolve(src)
         if s == d:
             raise MicroProgramError("AAP source and destination must differ")
         rows = self._rows
@@ -152,10 +146,7 @@ class SubarrayState:
                 raise MicroProgramError(
                     f"TRA operand {t} outside the compute/dual-contact group"
                 )
-        index = self._index
-        i = (index.get(r1) or self._resolve(r1))[0]
-        j = (index.get(r2) or self._resolve(r2))[0]
-        k = (index.get(r3) or self._resolve(r3))[0]
+        i, j, k = (self._resolve(t)[0] for t in (r1, r2, r3))
         if i == j or i == k or j == k:
             raise MicroProgramError("TRA rows must be distinct")
         rows = self._rows

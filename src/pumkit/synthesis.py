@@ -42,7 +42,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 
-from .codegen import SubarrayConfig, _drop_sweep, estimate_cost_static
+from .codegen import DEFAULT_SUBARRAY, SubarrayConfig, _drop_sweep, estimate_cost_static
 from .errors import CapacityError, PumError, TableSizeError
 from .logic import (
     CONST_ONE,
@@ -335,12 +335,10 @@ class _Builder:
             if e0 == e1 or e1 == e2:
                 simp = e1
                 rule = "absorb_equal"
-            elif (e0 >> 1) == (e1 >> 1):
+            elif (e0 >> 1) == (e1 >> 1):  # sorted: a complement pair is adjacent
                 simp, rule = e2, "absorb_complement"
             elif (e1 >> 1) == (e2 >> 1):
                 simp, rule = e0, "absorb_complement"
-            elif (e0 >> 1) == (e2 >> 1):
-                simp, rule = e1, "absorb_complement"
             else:
                 refs = (e0 >> 1, e1 >> 1, e2 >> 1)
                 if REF_ZERO in refs and REF_ONE in refs:
@@ -880,7 +878,7 @@ class SynthesisReport:
         return "\n".join(lines)
 
 
-def _metric(g: MajGraph, cfg: SubarrayConfig | None) -> tuple[bool, int, int, int]:
+def _metric(g: MajGraph, cfg: SubarrayConfig) -> tuple[bool, int, int, int]:
     """(does_not_fit, scheduled activations or 0, nodes, depth)."""
     try:
         return (False, estimate_cost_static(g, cfg), g.node_count, g.depth())
@@ -889,16 +887,15 @@ def _metric(g: MajGraph, cfg: SubarrayConfig | None) -> tuple[bool, int, int, in
 
 
 def optimize(graph: MajGraph, effort: int = 2,
-             cfg: SubarrayConfig | None = None) -> tuple[MajGraph, SynthesisReport]:
+             cfg: SubarrayConfig = DEFAULT_SUBARRAY) -> tuple[MajGraph, SynthesisReport]:
     """Rewrite `graph` to reduce the activations of its scheduled program.
 
     The objective is `estimate_cost_static`: the activation count of the
-    program `schedule` emits under `cfg` (the default subarray if None),
-    spills included.  effort 0: identity; effort 1: one greedy pass;
-    effort 2: iterate to a fixpoint (64-pass cap).  Rounds that fail to
-    strictly improve (does_not_fit, activations, nodes, depth) are rolled
-    back, so the result is never worse than the input, and never fails to
-    fit when the input fits.
+    program `schedule` emits under `cfg`, spills included.  effort 0:
+    identity; effort 1: one greedy pass; effort 2: iterate to a fixpoint
+    (64-pass cap).  Rounds that fail to strictly improve (does_not_fit,
+    activations, nodes, depth) are rolled back, so the result is never
+    worse than the input, and never fails to fit when the input fits.
     """
     if effort not in (0, 1, 2):
         raise ValueError(f"effort must be 0, 1, or 2, got {effort!r}")

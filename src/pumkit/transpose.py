@@ -36,6 +36,9 @@ from dataclasses import dataclass, field
 from .errors import CapacityError
 from .subarray import SubarrayState
 
+# Widest value a block holds: the 8-byte packed item.
+MAX_WIDTH = 64
+
 # Unsigned array typecode per item size, chosen by the platform's sizes.
 _CODES: dict[int, str] = {}
 for _code in "BHILQ":
@@ -84,8 +87,8 @@ class HorizontalBlock:
 
     def __post_init__(self):
         width = self.bit_width
-        if not 1 <= width <= 64:
-            raise CapacityError(f"bit width {width} outside 1..64")
+        if not 1 <= width <= MAX_WIDTH:
+            raise CapacityError(f"bit width {width} outside 1..{MAX_WIDTH}")
         values = tuple(self.values)
         size = _item_size(width)
         try:
@@ -114,7 +117,7 @@ class HorizontalBlock:
 def from_rows(rows, width: int, count: int) -> HorizontalBlock:
     """Inverse of `HorizontalBlock.rows`: the `count` values whose bit i is
     bit j of rows[i]; bits at column `count` and above are ignored."""
-    if not count or not 1 <= width <= 64:
+    if not count or not 1 <= width <= MAX_WIDTH:
         return HorizontalBlock((), width)  # rejects the bad width
     size = _item_size(width)
     buf = bytearray(size * count)
@@ -140,7 +143,7 @@ def _misfit(values, width: int) -> CapacityError:
         if not isinstance(v, int):
             return CapacityError(f"value {i} is {v!r:.40}, not an int")
         if v >> width:  # str() refuses ints of over 4300 digits
-            shown = v if v.bit_length() <= 64 else f"a {v.bit_length()}-bit int"
+            shown = v if v.bit_length() <= MAX_WIDTH else f"a {v.bit_length()}-bit int"
             return CapacityError(f"value {i} ({shown}) does not fit in {width} bits")
 
 

@@ -179,7 +179,7 @@ def test_criterion_4_substrate_semantics():
         g = random_majgraph(random.Random(11), n_inputs=3, n_nodes=6)
         rm = allocate_rows(g, cfg)
         st2 = new_subarray(cfg)
-        st2.run_program(schedule(g, rm, cfg))
+        st2.run_program(schedule(g, rm))
         assert st2.load_row("C0") == 0
         assert st2.load_row("C1") == 0xFF
         elapsed = time.monotonic() - started
@@ -196,7 +196,7 @@ def test_criterion_5_column_independence():
             n_in = rng.randint(1, 5)
             g = random_majgraph(rng, n_inputs=n_in, n_nodes=rng.randint(1, 12))
             rm = allocate_rows(g, cfg16)
-            prog = schedule(g, rm, cfg16)
+            prog = schedule(g, rm)
             inputs = [rng.getrandbits(16) for _ in range(n_in)]
             wide = new_subarray(cfg16)
             for i, w in enumerate(inputs):

@@ -192,6 +192,12 @@ class TestCsv:
         with pytest.raises(MetricsError, match="bad header"):
             parse_metrics_csv("func,mpki\n")
 
+    @pytest.mark.parametrize("col", ["lfmr@\u0663", "lfmr@+16"],
+                             ids=["arabic-indic", "plus-sign"])
+    def test_core_count_must_be_ascii_digits(self, col):
+        with pytest.raises(MetricsError, match="bad header column"):
+            parse_metrics_csv(f"{HEADER},{col}\n")
+
     def test_malformed_row(self):
         with pytest.raises(MetricsError, match="line 2"):
             parse_metrics_csv(f"{HEADER}\na,1,0.5\n")
@@ -216,6 +222,15 @@ class TestCsv:
         out = label_csv(f"{HEADER}\n\na,50,0.03,0.05,0.95,0.93\nb,1,0.5,0.1,0.4,0.4\n")
         assert len(calls) == 1
         assert [line.split(",")[0] for line in out.splitlines()] == ["function", "a", "b"]
+
+    def test_label_csv_builds_no_thresholds(self, monkeypatch):
+        built = []
+        real = Thresholds.__post_init__
+        monkeypatch.setattr(Thresholds, "__post_init__",
+                            lambda self: built.append(1) or real(self))
+        rows = "".join(f"f{i},1,0.5,0.1,0.4,0.4\n" for i in range(1000))
+        assert len(label_csv(f"{HEADER}\n{rows}").splitlines()) == 1001
+        assert built == []
 
     def test_parse_metrics_csv_hands_back_the_rows_it_read(self):
         rows = []

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as hst
 
+import pumkit.oplib
 from pumkit.cli import main
 from pumkit.codegen import format_microprogram, parse_microprogram
 from pumkit.oplib import compile_op_cached, execute_op, oracle
@@ -152,6 +153,20 @@ class TestRun:
         write(a, [1])
         assert main(["run", str(bad), "--inputs", str(a), str(a)]) == 2
         assert "inconsistent" in capsys.readouterr().err
+
+    def test_result_wider_than_staging_exits_3_before_staging(
+            self, tmp_path, capsys, monkeypatch):
+        wide = tmp_path / "add64.up"
+        wide.write_text("UP/1\nop=add width=64 data_rows=193\nEND\n")
+        a = tmp_path / "a.txt"
+        write(a, [1])
+
+        def never(*args):
+            raise AssertionError("staged a result wider than the staging limit")
+
+        monkeypatch.setattr(pumkit.oplib, "_run_lanes", never)
+        assert main(["run", str(wide), "--inputs", str(a), str(a)]) == 3
+        assert "add width 64 has a 65-bit result" in capsys.readouterr().err
 
     def test_more_data_rows_than_the_config_exit_3(self, tmp_path, capsys):
         bad = tmp_path / "big.up"

@@ -85,7 +85,7 @@ class TestAllocateRows:
 class TestSchedule:
     def test_minimal_maj_program(self):
         rm = allocate_rows(MAJ_AB0, CFG)
-        prog = schedule(MAJ_AB0, rm, CFG, name="and", width=1)
+        prog = schedule(MAJ_AB0, rm, name="and", width=1)
         assert [c.render() for c in prog.commands] == [
             "AAP D0 T0",
             "AAP D1 T1",
@@ -96,7 +96,7 @@ class TestSchedule:
 
     def test_not_program(self):
         rm = allocate_rows(NOT_A, CFG)
-        prog = schedule(NOT_A, rm, CFG, name="not", width=1)
+        prog = schedule(NOT_A, rm, name="not", width=1)
         assert [c.render() for c in prog.commands] == [
             "AAP D0 DCC0",
             "AAP ~DCC0 D1",
@@ -106,8 +106,8 @@ class TestSchedule:
         for _ in range(10):
             g = random_majgraph(rng, n_inputs=4, n_nodes=10)
             rm = allocate_rows(g, CFG)
-            a = format_microprogram(schedule(g, rm, CFG))
-            b = format_microprogram(schedule(g, rm, CFG))
+            a = format_microprogram(schedule(g, rm))
+            b = format_microprogram(schedule(g, rm))
             assert a == b
 
     def test_program_does_not_depend_on_hash_seed(self):
@@ -129,7 +129,7 @@ class TestSchedule:
             n_in = rng.randint(1, 8)
             g = random_majgraph(rng, n_inputs=n_in, n_nodes=rng.randint(1, 12))
             rm = allocate_rows(g, CFG)
-            prog = schedule(g, rm, CFG)
+            prog = schedule(g, rm)
             lanes = 1 << n_in
             cfg = SubarrayConfig(total_rows=64, columns=lanes, data_row_count=32)
             state = new_subarray(cfg)
@@ -151,13 +151,13 @@ class TestSchedule:
         for _ in range(20):
             g = random_majgraph(rng, n_inputs=5, n_nodes=14)
             rm = allocate_rows(g, CFG)
-            prog = schedule(g, rm, CFG)
+            prog = schedule(g, rm)
             assert verify_program(g, rm, prog)
 
     def test_audit_catches_truncated_program(self):
         graph = optimize(lower_to_maj(build_netlist("add", 2)), 2)[0]
         rm = allocate_rows(graph, CFG)
-        prog = schedule(graph, rm, CFG)
+        prog = schedule(graph, rm)
         broken = MicroProgram(prog.name, prog.width, prog.data_rows,
                               prog.commands[:-1])
         assert verify_program(graph, rm, prog)
@@ -166,7 +166,7 @@ class TestSchedule:
     def test_rowmap_must_cover_graph(self):
         rm = allocate_rows(MAJ_AB0, CFG)
         with pytest.raises(Exception):
-            schedule(NOT_A, rm, CFG)
+            schedule(NOT_A, rm)
 
     def test_spill_under_row_pressure(self, rng):
         # wide fanin graph forces more than six simultaneously live values
@@ -187,7 +187,7 @@ class TestSchedule:
             alive = nxt
         g = MajGraph(13, nodes, [(alive[0], False)])
         rm = allocate_rows(g, CFG)
-        prog = schedule(g, rm, CFG)
+        prog = schedule(g, rm)
         spill_aaps = [c for c in prog.commands
                       if c.op == "AAP" and c.rows[1][0] == "D"
                       and c.rows[1][1:].isdigit()
@@ -206,7 +206,7 @@ class TestSchedule:
 class TestCosts:
     def test_activation_count_of_minimal_program(self):
         rm = allocate_rows(MAJ_AB0, CFG)
-        prog = schedule(MAJ_AB0, rm, CFG)
+        prog = schedule(MAJ_AB0, rm)
         assert activation_count(prog) == (4, 1, 11)
 
     def test_empty_program(self):
@@ -214,7 +214,7 @@ class TestCosts:
         assert activation_count(prog) == (0, 0, 0)
 
     def test_not_program_counts(self):
-        prog = schedule(NOT_A, allocate_rows(NOT_A, CFG), CFG)
+        prog = schedule(NOT_A, allocate_rows(NOT_A, CFG))
         assert activation_count(prog) == (2, 0, 4)
 
     def test_estimate_matches_minimal_schedule(self):
@@ -238,7 +238,7 @@ class TestCosts:
             for cfg in (CFG, tight):
                 rm = allocate_rows(g, cfg)
                 try:
-                    prog = schedule(g, rm, cfg)
+                    prog = schedule(g, rm)
                 except CapacityError:
                     with pytest.raises(CapacityError):
                         estimate_cost_static(g, cfg)
@@ -250,7 +250,7 @@ class TestCosts:
 
     def test_no_spill_means_estimate_exact(self):
         rm = allocate_rows(MAJ_AB0, CFG)
-        prog = schedule(MAJ_AB0, rm, CFG)
+        prog = schedule(MAJ_AB0, rm)
         assert estimate_cost_static(MAJ_AB0, CFG) == activation_count(prog).total
 
     def test_estimate_raises_when_the_graph_does_not_fit(self):
@@ -262,7 +262,7 @@ class TestCosts:
 class TestTextFormat:
     def test_round_trip_byte_identical(self):
         rm = allocate_rows(MAJ_AB0, CFG)
-        prog = schedule(MAJ_AB0, rm, CFG, name="and", width=1)
+        prog = schedule(MAJ_AB0, rm, name="and", width=1)
         text = format_microprogram(prog)
         assert format_microprogram(parse_microprogram(text)) == text
 

@@ -17,6 +17,12 @@ def test_cost_columns_follow_subarray_columns():
     assert cfg.cost.t_aap_ns == 5.0 and cfg.cost.t_tra_ns == CostParams().t_tra_ns
 
 
+def test_cost_columns_default_to_the_subarray_columns():
+    assert CostParams().columns_per_subarray == SubarrayConfig().columns
+    cfg = build_config({})
+    assert cfg.cost.columns_per_subarray == cfg.subarray.columns
+
+
 def test_overrides_parse_like_file_lines():
     text = "subarray.rows = 64\ncost.banks = 4\nclassify.mpki_high = 3.5\n"
     items = ["subarray.rows=64", "cost.banks = 4", "classify.mpki_high=3.5"]
@@ -27,6 +33,8 @@ def test_overrides_parse_like_file_lines():
     ("subarray.rows", "expected 'key = value'"),
     ("subarray.banana=7", "unknown key"),
     ("cost.banks=many", "bad value for cost.banks"),
+    ("subarray.rows=\u0665\u0661\u0662", "bad value for subarray.rows"),
+    ("subarray.columns=6_4", "bad value for subarray.columns"),
 ])
 def test_bad_override_names_the_item(item, message):
     with pytest.raises(ConfigError, match=message):

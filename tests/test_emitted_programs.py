@@ -113,7 +113,7 @@ def _two_spare_rows(g: MajGraph) -> SubarrayConfig:
 
 def _program_or_capacity(g: MajGraph, cfg: SubarrayConfig) -> str:
     try:
-        return format_microprogram(schedule(g, allocate_rows(g, cfg), cfg))
+        return format_microprogram(schedule(g, allocate_rows(g, cfg)))
     except CapacityError as e:
         return f"CapacityError: {e}"
 

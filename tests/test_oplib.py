@@ -145,6 +145,20 @@ class TestCompile:
         with pytest.raises(ValueError):
             compile_op("nosuch", 4, CFG)
 
+    @pytest.mark.parametrize("kind, width, out_width", [("add", 64, 65), ("mul", 33, 66)])
+    def test_result_wider_than_staging_fails_before_compiling(
+            self, monkeypatch, kind, width, out_width):
+        assert op_signature(kind, width)[1] == out_width  # still a valid signature
+
+        def never(*args, **kwargs):
+            raise AssertionError("compiled a result that cannot be staged")
+
+        monkeypatch.setattr(pumkit.oplib, "build_netlist", never)
+        monkeypatch.setattr(pumkit.oplib, "optimize", never)
+        with pytest.raises(CapacityError,
+                           match=f"{kind} width {width} has a {out_width}-bit result"):
+            compile_op(kind, width)
+
     def test_cache_returns_same_object(self):
         a = compile_op_cached("eq", 4, CFG)
         b = compile_op_cached("eq", 4, CFG)

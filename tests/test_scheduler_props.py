@@ -64,7 +64,7 @@ def _tight_config(g: MajGraph, spare: int) -> SubarrayConfig:
 def _schedule_or_none(g: MajGraph, cfg: SubarrayConfig):
     try:
         rowmap = allocate_rows(g, cfg)
-        return rowmap, schedule(g, rowmap, cfg)
+        return rowmap, schedule(g, rowmap)
     except CapacityError:
         return None
 
@@ -150,7 +150,7 @@ SPILL_SAVES_ROUTING = MajGraph(0, [
 def test_objective_counts_the_spilling_schedule():
     cfg = SubarrayConfig()
     g = SPILL_SAVES_ROUTING
-    program = schedule(g, allocate_rows(g, cfg), cfg)
+    program = schedule(g, allocate_rows(g, cfg))
     assert activation_count(program).total == 60
     assert estimate_cost_static(g, cfg) == 60
 

@@ -159,7 +159,7 @@ class TestRunProgram:
     def test_constants_intact_after_program(self, rng):
         g = random_majgraph(rng, n_inputs=4, n_nodes=10)
         rm = allocate_rows(g, CFG)
-        prog = schedule(g, rm, CFG)
+        prog = schedule(g, rm)
         st = fresh()
         for i in range(4):
             st.store_row(f"D{i}", rng.getrandbits(64))
@@ -170,7 +170,7 @@ class TestRunProgram:
     def test_log_consistency(self, rng):
         g = random_majgraph(rng, n_inputs=3, n_nodes=8)
         rm = allocate_rows(g, CFG)
-        prog = schedule(g, rm, CFG)
+        prog = schedule(g, rm)
         st = fresh()
         report = st.run_program(prog)
         aap = sum(1 for c in prog.commands if c.op == "AAP")
@@ -182,7 +182,7 @@ class TestRunProgram:
         st = fresh()
         first = st.run_program(self.AND_PROG)
         g = random_majgraph(rng, n_inputs=3, n_nodes=8)
-        second = st.run_program(schedule(g, allocate_rows(g, CFG), CFG))
+        second = st.run_program(schedule(g, allocate_rows(g, CFG)))
         assert (st.report.aap_count, st.report.tra_count) == (
             first.aap_count + second.aap_count, first.tra_count + second.tra_count)
 
@@ -191,7 +191,7 @@ class TestRunProgram:
     def test_run_program_equals_stepping_commands(self, seed, n_nodes):
         rng = random.Random(seed)
         g = random_majgraph(rng, n_inputs=rng.randint(1, 6), n_nodes=n_nodes)
-        prog = schedule(g, allocate_rows(g, CFG), CFG)
+        prog = schedule(g, allocate_rows(g, CFG))
         run, step = fresh(), fresh()
         for i in range(CFG.data_row_count):
             noise = rng.getrandbits(64)
@@ -221,7 +221,7 @@ class TestRunProgram:
         # the designated rows sit at different physical indices in the two
         geometries = (CFG, SubarrayConfig(total_rows=80, columns=64, data_row_count=40))
         g = random_majgraph(rng, n_inputs=4, n_nodes=16)
-        prog = schedule(g, allocate_rows(g, CFG), CFG)
+        prog = schedule(g, allocate_rows(g, CFG))
         for cfg in (geometries[k] for k in order):
             run, step = new_subarray(cfg), new_subarray(cfg)
             for i in range(cfg.data_row_count):
@@ -276,7 +276,7 @@ class TestColumnIndependence:
         for _ in range(5):
             g = random_majgraph(rng, n_inputs=3, n_nodes=8)
             rm = allocate_rows(g, CFG)
-            prog = schedule(g, rm, CFG)
+            prog = schedule(g, rm)
             cols = 16
             cfg_wide = SubarrayConfig(total_rows=64, columns=cols, data_row_count=32)
             cfg_one = SubarrayConfig(total_rows=64, columns=1, data_row_count=32)

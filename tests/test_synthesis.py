@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pumkit.codegen import SubarrayConfig, estimate_cost_static
+from pumkit.codegen import DEFAULT_SUBARRAY, SubarrayConfig, estimate_cost_static
 from pumkit.errors import CapacityError
 from pumkit.logic import Gate, MajGraph, Netlist, equivalent, truth_table
 from pumkit.oplib import N_ARY, OP_KINDS, build_netlist
@@ -92,7 +92,7 @@ class TestOptimize:
             g = lower_to_maj(random_netlist(rng, n_gates=15))
             need = g.input_count + g.output_count
             tight = SubarrayConfig(total_rows=need + 10, data_row_count=need + 2)
-            for cfg in (None, tight):
+            for cfg in (DEFAULT_SUBARRAY, tight):
                 try:
                     before = estimate_cost_static(g, cfg)
                 except CapacityError:
