@@ -198,6 +198,18 @@ def _parse_header(header: list[str]) -> list[int]:
     return cores
 
 
+def _check_plain_numbers(row: list[str], header: list[str], lineno: int):
+    """`MetricsError` naming the first number cell of `row` that is not
+    ASCII or holds an underscore."""
+    numbers = "".join(row[1:])
+    if numbers.isascii() and "_" not in numbers:
+        return
+    for column, cell in zip(header[1:], row[1:]):
+        if not cell.isascii() or "_" in cell:
+            raise MetricsError(f"line {lineno}: {column.strip()} {cell.strip()[:40]!r} "
+                               "is not a number in ASCII without underscores")
+
+
 def parse_metrics_csv(text: str, *,
                       rows: list[list[str]] | None = None) -> list[MetricsRecord]:
     """Records of a metrics CSV, one per non-blank row after the header.
@@ -211,12 +223,17 @@ def parse_metrics_csv(text: str, *,
         return []
     _, header = numbered[0]
     cores = _parse_header([h.strip() for h in header])
+    # `float` also reads digit-group underscores and non-ASCII digits;
+    # rows are checked for them only when the text has any such character
+    plain = text.isascii() and "_" not in text
     records = []
     for lineno, row in numbered[1:]:
         if len(row) != 4 + len(cores):
             raise MetricsError(
                 f"line {lineno}: expected {4 + len(cores)} fields, got {len(row)}"
             )
+        if not plain:
+            _check_plain_numbers(row, header, lineno)
         name = row[0].strip()
         try:
             mpki = float(row[1])

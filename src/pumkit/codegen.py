@@ -309,34 +309,30 @@ _ROWS_OF = tuple(tuple(r for r in range(len(_ROW_NAMES)) if m >> r & 1)
                  for m in range(_ALL + 1))
 
 
-def _mask(rows) -> int:
-    m = 0
-    for r in rows:
-        m |= 1 << r
-    return m
-
-
 class _Scheduler:
     """Linear-sweep scheduler with copy tracking and LRU spilling.
 
     Values are packed edges (``ref << 1 | neg``, see `logic`).  Rows are
     indices into ``_ROW_NAMES`` (T0-T3, DCC0, DCC1); a row becomes a token
     only in an emitted command.  Every set of rows is a 6-bit mask:
-    ``copies[val]`` (the rows holding a value), the rows a pending TRA
-    claims, and ``dead``, the rows that are free or hold an input or
-    constant (always rematerializable) or a node with no uses left.
-    Allocation takes a row from ``dead`` by table lookup instead of
-    scanning the pool; ties break in pool order, non-DCC rows first
-    unless a DCC row is preferred.  Pressure beyond the six rows spills
-    to the row map's scratch region.  `estimate_cost_static` (the
-    optimizer's objective) counts the sweep's activations and leaves the
-    command list on the graph, so `schedule` emits the shipped graph's
-    program without sweeping it again.
+    ``copies[val]`` (the rows holding a value), ``taken`` (the rows the
+    pending TRA claims, carried along as its operands are acquired), and
+    ``dead``, the rows that are free or hold an input or constant (always
+    rematerializable) or a node with no uses left.  Allocation takes a
+    row from ``dead`` by table lookup instead of scanning the pool; ties
+    break in pool order, non-DCC rows first unless a DCC row is
+    preferred.  An allocated row keeps its old value until the caller
+    overwrites it with `_set`, which every caller does at once.
+    Pressure beyond the six rows spills to the row map's scratch region.
+    `estimate_cost_static` (the optimizer's objective) counts the sweep's
+    activations and leaves the command list on the graph, so `schedule`
+    emits the shipped graph's program without sweeping it again.
     """
 
     def __init__(self, graph: MajGraph, rowmap: RowMap):
         self.graph = graph
         self.commands: list[tuple[str, tuple[str, ...]]] = []
+        self._emit = self.commands.append  # takes one (op, rows) command
         self.row_val: list[int | None] = [None] * len(_ROW_NAMES)
         self.lru = [0] * len(_ROW_NAMES)
         self.dead = _ALL
@@ -362,13 +358,6 @@ class _Scheduler:
                 self.wants_complement[e >> 1] = True
 
     # -- bookkeeping -------------------------------------------------------
-
-    def _touch(self, row: int):
-        self.clock += 1
-        self.lru[row] = self.clock
-
-    def _emit(self, op: str, *rows: str):
-        self.commands.append((op, rows))
 
     def _set(self, row: int, val: int | None):
         bit = 1 << row
@@ -401,13 +390,13 @@ class _Scheduler:
 
     def _alloc(self, excluded: int, prefer_dcc: bool = False,
                dcc_only: bool = False) -> int:
+        """A row outside `excluded` for the caller to overwrite at once
+        with `_set`: until then the row still holds its old value."""
         cands = (_DCC_MASK if dcc_only else _ALL) & ~excluded
         # free or dead rows first
         free = cands & self.dead
         if free:
-            r = (_FIRST_DCC if prefer_dcc else _FIRST)[free]
-            self._set(r, None)
-            return r
+            return (_FIRST_DCC if prefer_dcc else _FIRST)[free]
         # every candidate now holds a live node set at its own clock tick,
         # so LRU order has no ties.  The least recently used redundant copy
         # evicts silently; rows in `excluded` may be about to be destroyed
@@ -415,7 +404,6 @@ class _Scheduler:
         rows = sorted(_ROWS_OF[cands], key=self.lru.__getitem__)
         for r in rows:
             if self._survives(self.row_val[r] >> 1, excluded | 1 << r):
-                self._set(r, None)
                 return r
         if not rows:
             raise CapacityError("compute-row pressure with no evictable row")
@@ -423,14 +411,15 @@ class _Scheduler:
         return rows[0]
 
     def _evict(self, row: int, excluded: int):
+        """Keep `row`'s live value elsewhere: an idle row or a spill row.
+        `row` itself is left for `_alloc`'s caller to overwrite."""
         val = self.row_val[row]
         # cheap migration if an idle row exists outside the exclusion set
         idle = self.dead & ~excluded & ~(1 << row)
         if idle:
             r = _FIRST[idle]
-            self._emit("AAP", _ROW_NAMES[row], _ROW_NAMES[r])
+            self._emit(("AAP", (_ROW_NAMES[row], _ROW_NAMES[r])))
             self._set(r, val)
-            self._set(row, None)
             return
         if not self.spill_free:
             raise CapacityError(
@@ -438,9 +427,8 @@ class _Scheduler:
                 "reserved data-row scratch space"
             )
         idx = heapq.heappop(self.spill_free)
-        self._emit("AAP", _ROW_NAMES[row], f"D{idx}")
+        self._emit(("AAP", (_ROW_NAMES[row], f"D{idx}")))
         self.spilled[val] = idx
-        self._set(row, None)
 
     # -- value access --------------------------------------------------------
 
@@ -449,12 +437,16 @@ class _Scheduler:
             return
         self.uses[ref] -= 1
         if self.uses[ref] == 0:
-            # rows holding the value die; release any spill rows it held
-            for val in (ref << 1, ref << 1 | 1):
-                self.dead |= self.copies.get(val, 0)
-                idx = self.spilled.pop(val, None)
-                if idx is not None:
-                    heapq.heappush(self.spill_free, idx)
+            self._release(ref)
+
+    def _release(self, ref: int):
+        """Node `ref` has no uses left: rows holding it die and any spill
+        rows it held are freed."""
+        for val in (ref << 1, ref << 1 | 1):
+            self.dead |= self.copies.get(val, 0)
+            idx = self.spilled.pop(val, None)
+            if idx is not None:
+                heapq.heappush(self.spill_free, idx)
 
     def _any_source(self, val: int) -> tuple[str | None, int]:
         """A row token (or alias) an AAP can read node or input value `val`
@@ -476,87 +468,107 @@ class _Scheduler:
             return "~" + _ROW_NAMES[r], 1 << r
         return None, 0
 
-    def _free_pinned_dcc(self, claimed: list[int], keep: int) -> int:
-        """Both DCC rows are pinned by the pending TRA; move one aside."""
+    def _free_pinned_dcc(self, claimed: list[int], taken: int,
+                         keep: int) -> tuple[int, int]:
+        """Both DCC rows are pinned by the pending TRA; move one aside.
+        Returns that DCC row and the pending TRA's new `taken` mask."""
         victim = next(r for r in claimed if 1 << r & _DCC_MASK)
         val = self.row_val[victim]
-        row = self._alloc(_mask(claimed) | keep)
-        self._emit("AAP", _ROW_NAMES[victim], _ROW_NAMES[row])
+        row = self._alloc(taken | keep)
+        self._emit(("AAP", (_ROW_NAMES[victim], _ROW_NAMES[row])))
         self._set(row, val)
         self._set(victim, None)
         claimed[claimed.index(victim)] = row
-        return victim
+        return victim, taken & ~(1 << victim) | 1 << row
 
-    def _materialize(self, val: int, claimed: list[int]) -> int:
-        """Place `val` into a fresh compute-group row and return it."""
+    def _materialize(self, val: int, claimed: list[int],
+                     taken: int) -> tuple[int, int]:
+        """Place `val` into a fresh compute-group row; returns the row and
+        the pending TRA's `taken` mask, which moves if a DCC row must be
+        freed."""
         ref = val >> 1
-        taken = _mask(claimed)
         prefer_dcc = ref >= 0 and self.wants_complement[ref]
         src, base = self._any_source(val)
         if src is not None:
             row = self._alloc(taken | base, prefer_dcc=prefer_dcc)
-            self._emit("AAP", src, _ROW_NAMES[row])
+            self._emit(("AAP", (src, _ROW_NAMES[row])))
             self._set(row, val)
-            return row
+            return row, taken
         # only the flipped polarity exists somewhere: route through a DCC row
         src, base = self._any_source(val ^ 1)
         if src is None:
             raise MicroProgramError(f"value for {ref_name(ref)} lost during scheduling")
         if taken & _DCC_MASK == _DCC_MASK:
-            dcc = self._free_pinned_dcc(claimed, base)
-            taken = _mask(claimed)
+            dcc, taken = self._free_pinned_dcc(claimed, taken, base)
         else:
             dcc = self._alloc(taken | base, dcc_only=True)
-        self._emit("AAP", src, _ROW_NAMES[dcc])
+        self._emit(("AAP", (src, _ROW_NAMES[dcc])))
         self._set(dcc, val ^ 1)
         row = self._alloc(taken | 1 << dcc)
-        self._emit("AAP", "~" + _ROW_NAMES[dcc], _ROW_NAMES[row])
+        self._emit(("AAP", ("~" + _ROW_NAMES[dcc], _ROW_NAMES[row])))
         self._set(row, val)
-        return row
+        return row, taken
 
-    def _spare(self, row: int, val: int, taken: int) -> int:
-        """Copy `val` out of `row` first if the TRA destroying `row` and
-        `taken` would take its last copy while it still has uses."""
-        ref = val >> 1
-        doomed = taken | 1 << row
-        if ref < 0 or self.uses[ref] == 0 or self._survives(ref, doomed):
-            return row
+    def _spare(self, row: int, val: int, doomed: int) -> int:
+        """Copy `val` out of `row` into a row outside `doomed` (which holds
+        `row`): the TRA destroying `doomed` would take its last copy while
+        it still has uses."""
         spare = self._alloc(doomed)
-        self._emit("AAP", _ROW_NAMES[row], _ROW_NAMES[spare])
+        self._emit(("AAP", (_ROW_NAMES[row], _ROW_NAMES[spare])))
         self._set(spare, val)
         return spare
 
-    def _acquire_operand(self, e: int, claimed: list[int]) -> int:
-        """Bring one TRA operand into a compute-group row it may destroy."""
+    def _acquire_operand(self, e: int, claimed: list[int],
+                         taken: int) -> tuple[int, int]:
+        """Bring a TRA operand that is a constant or has no copy outside
+        `taken` into a compute-group row it may destroy; returns the row
+        and the pending TRA's `taken` mask (see `_materialize`)."""
         ref = e >> 1
-        taken = _mask(claimed)
         if ref == REF_ZERO or ref == REF_ONE:
             bit = (ref == REF_ONE) ^ (e & 1)
             row = self._alloc(taken)
-            self._emit("AAP", "C1" if bit else "C0", _ROW_NAMES[row])
+            self._emit(("AAP", ("C1" if bit else "C0", _ROW_NAMES[row])))
             self._set(row, (REF_ONE if bit else REF_ZERO) << 1)
-            return row
-        avail = self.copies.get(e, 0) & ~taken
-        if avail:
-            row = _FIRST[avail]
-            self._use(ref)
-            row = self._spare(row, e, taken)
-            self._touch(row)
-            return row
-        row = self._materialize(e, claimed)
+            return row, taken
+        row, taken = self._materialize(e, claimed, taken)
         self._use(ref)
-        return self._spare(row, e, _mask(claimed))
+        if ref >= 0 and self.uses[ref] and not self._survives(ref, taken | 1 << row):
+            row = self._spare(row, e, taken | 1 << row)
+        return row, taken
 
     # -- main sweep ----------------------------------------------------------
 
     def run(self) -> list[tuple[str, tuple[str, ...]]]:
+        copies, spilled, uses, lru = self.copies, self.spilled, self.uses, self.lru
         for k, edges in enumerate(self.graph.packed_nodes):
             if not self.live[k]:
                 continue
             claimed: list[int] = []
+            taken = 0  # the rows in `claimed`
             for e in edges:
-                claimed.append(self._acquire_operand(e, claimed))
-            self._emit("TRA", *(_ROW_NAMES[r] for r in claimed))
+                ref = e >> 1
+                avail = 0 if ref == REF_ZERO or ref == REF_ONE else copies.get(e, 0) & ~taken
+                if avail:
+                    # read a copy in place; spare it first if this TRA
+                    # would destroy the last copy of a node still in use
+                    row = _FIRST[avail]
+                    if ref >= 0:
+                        uses[ref] -= 1
+                        if not uses[ref]:
+                            self._release(ref)
+                        else:
+                            val = ref << 1
+                            doomed = taken | 1 << row
+                            if not ((copies.get(val, 0) | copies.get(val | 1, 0)) & ~doomed
+                                    or val in spilled or val | 1 in spilled):
+                                row = self._spare(row, e, doomed)
+                    self.clock += 1
+                    lru[row] = self.clock
+                else:
+                    row, taken = self._acquire_operand(e, claimed, taken)
+                claimed.append(row)
+                taken |= 1 << row
+            self._emit(("TRA", tuple([_ROW_NAMES[r] for r in claimed])))
             for r in claimed:
                 self._set(r, k << 1)
         for e, target in zip(self.graph.packed_outputs, self.rowmap.output_rows):
@@ -567,20 +579,20 @@ class _Scheduler:
         ref = e >> 1
         if ref == REF_ZERO or ref == REF_ONE:
             bit = (ref == REF_ONE) ^ (e & 1)
-            self._emit("AAP", "C1" if bit else "C0", target)
+            self._emit(("AAP", ("C1" if bit else "C0", target)))
             return
         src, _ = self._any_source(e)
         if src is not None:
-            self._emit("AAP", src, target)
+            self._emit(("AAP", (src, target)))
             self._use(ref)
             return
         src, base = self._any_source(e ^ 1)
         if src is None:
             raise MicroProgramError(f"output value for {ref_name(ref)} lost during scheduling")
         dcc = self._alloc(base, dcc_only=True)
-        self._emit("AAP", src, _ROW_NAMES[dcc])
+        self._emit(("AAP", (src, _ROW_NAMES[dcc])))
         self._set(dcc, e ^ 1)
-        self._emit("AAP", "~" + _ROW_NAMES[dcc], target)
+        self._emit(("AAP", ("~" + _ROW_NAMES[dcc], target)))
         self._use(ref)
 
 

@@ -47,6 +47,10 @@ def _parse_assignment(text: str, where: str) -> tuple[str, float | int]:
     if typ is int and not _is_canonical_number(val):
         raise ConfigError(f"{where}bad value for {key}: {val[:40]!r} is not "
                           "ASCII digits without a leading zero")
+    # `float` also reads digit-group underscores and non-ASCII digits
+    if typ is float and (not val.isascii() or "_" in val):
+        raise ConfigError(f"{where}bad value for {key}: {val[:40]!r} is not "
+                          "a number in ASCII without underscores")
     try:
         return key, typ(val)
     except ValueError as e:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import struct
 from dataclasses import dataclass, replace
 
 from .codegen import (
@@ -101,43 +102,54 @@ def _check_kind_width(kind: str, width: int, n_inputs: int):
 
 def oracle(kind: str, width: int, operands: tuple[int, ...] | list[int]) -> int:
     """Reference integer semantics for one lane (totalized, pure)."""
+    return oracle_lanes(kind, width, [[v] for v in operands])[0]
+
+
+def oracle_lanes(kind: str, width: int, columns: list[list[int]]) -> list[int]:
+    """`oracle` over operand columns: one result per lane, where lane i
+    takes operand k from ``columns[k][i]``."""
     w = width
     mask = (1 << w) - 1
     if kind in N_ARY:
-        acc = operands[0] & mask
-        for v in operands[1:]:
-            v &= mask
-            acc = acc & v if kind == "and_n" else (acc | v if kind == "or_n" else acc ^ v)
+        acc = [v & mask for v in columns[0]]
+        for col in columns[1:]:
+            if kind == "and_n":
+                acc = [x & v for x, v in zip(acc, col)]
+            elif kind == "or_n":
+                acc = [x | v & mask for x, v in zip(acc, col)]
+            else:
+                acc = [x ^ v & mask for x, v in zip(acc, col)]
         return acc
     if kind == "if_then_else":
-        cond, a, b = operands
-        return (a if cond & 1 else b) & mask
-    if kind in ("bitcount", "relu"):
-        a = operands[0] & mask
-        if kind == "bitcount":
-            return bin(a).count("1")
-        return 0 if (a >> (w - 1)) & 1 else a
-    a, b = operands[0] & mask, operands[1] & mask
+        cond, a, b = columns
+        return [(x if c & 1 else y) & mask for c, x, y in zip(cond, a, b)]
+    if kind == "bitcount":
+        return [(v & mask).bit_count() for v in columns[0]]
+    if kind == "relu":
+        sign = 1 << (w - 1)
+        return [0 if v & sign else v & mask for v in columns[0]]
+    a = [v & mask for v in columns[0]]
+    b = [v & mask for v in columns[1]]
     if kind == "eq":
-        return int(a == b)
+        return [int(x == y) for x, y in zip(a, b)]
     if kind == "neq":
-        return int(a != b)
+        return [int(x != y) for x, y in zip(a, b)]
     if kind == "gt":
-        return int(a > b)
+        return [int(x > y) for x, y in zip(a, b)]
     if kind == "lt":
-        return int(a < b)
+        return [int(x < y) for x, y in zip(a, b)]
     if kind == "max":
-        return max(a, b)
+        return [max(x, y) for x, y in zip(a, b)]
     if kind == "min":
-        return min(a, b)
+        return [min(x, y) for x, y in zip(a, b)]
     if kind == "add":
-        return a + b
+        return [x + y for x, y in zip(a, b)]
     if kind == "sub":
-        return (a - b) & mask
+        return [(x - y) & mask for x, y in zip(a, b)]
     if kind == "mul":
-        return a * b
+        return [x * y for x, y in zip(a, b)]
     if kind == "div":
-        return a // b if b else mask
+        return [x // y if y else mask for x, y in zip(a, b)]
     raise ValueError(f"unknown operation {kind!r}")
 
 
@@ -359,6 +371,19 @@ def _corner_lanes(kind, widths, rng) -> list[tuple[int, ...]]:
     return cases
 
 
+def _random_column(rng: random.Random, width: int, n: int) -> list[int]:
+    """``[rng.getrandbits(width) for _ in range(n)]``, drawn in one call
+    when `width` <= 32.  A k-bit draw, k <= 32, is the top k bits of one
+    32-bit word of the generator, and a 32n-bit draw is n such words,
+    least significant first, so both give the same lanes and leave `rng`
+    in the same state."""
+    if width > 32:
+        return [rng.getrandbits(width) for _ in range(n)]
+    words = struct.unpack(f"<{n}I", rng.getrandbits(32 * n).to_bytes(4 * n, "little"))
+    shift = 32 - width
+    return [v >> shift for v in words]
+
+
 def _verify_compiled(kind, width, widths, out_width, program, cfg, n_inputs) -> int:
     in_bits = sum(widths)
     if in_bits <= 12:
@@ -369,18 +394,19 @@ def _verify_compiled(kind, width, widths, out_width, program, cfg, n_inputs) -> 
     else:
         rng = random.Random(f"{kind}:{width}:{n_inputs}")
         n_random = 4096 if width <= 8 else 256
-        lanes = [[rng.getrandbits(wk) for _ in range(n_random)] for wk in widths]
+        lanes = [_random_column(rng, wk, n_random) for wk in widths]
         corners = _corner_lanes(kind, widths, rng)
         lanes = [list(col) + lane for col, lane in zip(zip(*corners), lanes)]
         n_cases = len(corners) + n_random
     got, _ = _stage_lanes(program, widths, out_width, lanes, cfg)
-    for case, out in zip(zip(*lanes), got):
-        want = oracle(kind, width, case)
-        if out != want:
-            raise PumError(
-                f"compiled {kind} width {width} disagrees with oracle on "
-                f"{case}: got {out}, want {want}"
-            )
+    want = oracle_lanes(kind, width, lanes)
+    if got != want:
+        for case, out, expected in zip(zip(*lanes), got, want):
+            if out != expected:
+                raise PumError(
+                    f"compiled {kind} width {width} disagrees with oracle on "
+                    f"{case}: got {out}, want {expected}"
+                )
     return n_cases
 
 

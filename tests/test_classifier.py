@@ -182,6 +182,20 @@ class TestCsv:
         with pytest.raises(MetricsRangeError, match="line 2"):
             label_csv(f"{HEADER}\n{row}\n")
 
+    @pytest.mark.parametrize("row, column", [
+        ("a,1_0,0.5,0.1,0.4,0.4", "llc_mpki"),
+        ("a,1,0.5,\u0661,0.4,0.4", "arithmetic_intensity"),
+        ("a,1,0.5,0.1,0.4,0.\u0665", "lfmr@16"),
+    ])
+    def test_non_ascii_or_underscored_number_names_the_line(self, row, column):
+        with pytest.raises(MetricsError, match=f"line 3: {column} "):
+            parse_metrics_csv(f"{HEADER}\nb,1,0.5,0.1,0.4,0.4\n{row}\n")
+
+    def test_names_may_hold_any_character(self):
+        records = parse_metrics_csv(f"{HEADER}\ncaf\u00e9_fn,1,0.5,0.1,0.4,0.4\n")
+        assert records[0].function_name == "caf\u00e9_fn"
+        assert records[0].llc_mpki == 1.0
+
     def test_missing_lfmr_columns(self):
         with pytest.raises(MetricsError):
             parse_metrics_csv(

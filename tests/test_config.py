@@ -35,10 +35,22 @@ def test_overrides_parse_like_file_lines():
     ("cost.banks=many", "bad value for cost.banks"),
     ("subarray.rows=\u0665\u0661\u0662", "bad value for subarray.rows"),
     ("subarray.columns=6_4", "bad value for subarray.columns"),
+    ("cost.t_aap_ns=1_0", "bad value for cost.t_aap_ns"),
+    ("classify.mpki_high=\u0663", "bad value for classify.mpki_high"),
+    ("cost.e_act_pj=1.\u0665", "bad value for cost.e_act_pj"),
 ])
 def test_bad_override_names_the_item(item, message):
     with pytest.raises(ConfigError, match=message):
         load_config(None, [item])
+
+
+def test_float_keys_take_ascii_spellings():
+    cfg = load_config(None, ["cost.t_aap_ns=1e1", "classify.mpki_high = 2.5",
+                             "cost.t_tra_ns=+7"])
+    assert (cfg.cost.t_aap_ns, cfg.thresholds.mpki_high, cfg.cost.t_tra_ns) == \
+        (10.0, 2.5, 7.0)
+    with pytest.raises(ConfigError, match="line 2: bad value for cost.t_tra_ns"):
+        parse_config_text("cost.t_aap_ns = 10\ncost.t_tra_ns = 4_9\n")
 
 
 def test_unknown_key_rejected_by_build_config():

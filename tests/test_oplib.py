@@ -4,7 +4,13 @@ import random
 import pytest
 
 import pumkit.oplib
-from pumkit.codegen import MicroProgram, SubarrayConfig, activation_count, verify_program
+from pumkit.codegen import (
+    Command,
+    MicroProgram,
+    SubarrayConfig,
+    activation_count,
+    verify_program,
+)
 from pumkit.errors import ArityError, CapacityError, PumError
 from pumkit.logic import eval_netlist, truth_table
 from pumkit.oplib import (
@@ -17,6 +23,7 @@ from pumkit.oplib import (
     execute_op,
     op_signature,
     oracle,
+    oracle_lanes,
 )
 
 CFG = SubarrayConfig(columns=64)
@@ -50,6 +57,59 @@ class TestOracle:
 
     def test_add_reports_carry(self):
         assert oracle("add", 4, (15, 1)) == 16
+
+
+def _lane_reference(kind, w, operands):
+    """Each kind's semantics for one lane, stated apart from `oplib`."""
+    mask = (1 << w) - 1
+    a = operands[0] & mask
+    if kind in ("and_n", "or_n", "xor_n"):
+        for v in operands[1:]:
+            v &= mask
+            a = a & v if kind == "and_n" else a | v if kind == "or_n" else a ^ v
+        return a
+    if kind == "if_then_else":
+        return (operands[1] if operands[0] & 1 else operands[2]) & mask
+    if kind == "bitcount":
+        return bin(a).count("1")
+    if kind == "relu":
+        return 0 if a >> (w - 1) else a
+    b = operands[1] & mask
+    return {"eq": a == b, "neq": a != b, "gt": a > b, "lt": a < b,
+            "max": max(a, b), "min": min(a, b), "add": a + b,
+            "sub": (a - b) & mask, "mul": a * b,
+            "div": a // b if b else mask}[kind]
+
+
+class TestColumnOracle:
+    @pytest.mark.parametrize("kind, n_inputs",
+                             [(k, n) for k in OP_KINDS for n in ((2, 5) if k in N_ARY else (2,))])
+    @pytest.mark.parametrize("width", [1, 4, 8, 33, 64])
+    def test_matches_the_per_lane_oracle(self, kind, n_inputs, width):
+        widths = op_signature(kind, width, n_inputs)[0]
+        rng = random.Random(f"{kind}:{width}:{n_inputs}")
+        # corners (0, 1, all-ones, MSB-only crossed, so relu's sign bit and
+        # a = b; zero divisors), then random lanes with bits above the width
+        cases = pumkit.oplib._corner_lanes(kind, widths, rng)
+        cases += [tuple(rng.getrandbits(wk + 3) for wk in widths) for _ in range(200)]
+        columns = [list(col) for col in zip(*cases)]
+        want = [int(_lane_reference(kind, width, case)) for case in cases]
+        assert [oracle(kind, width, case) for case in cases] == want
+        assert oracle_lanes(kind, width, columns) == want
+
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown operation"):
+            oracle_lanes("nosuch", 4, [[1], [2]])
+
+
+class TestRandomColumn:
+    @pytest.mark.parametrize("n", [1, 4096])
+    @pytest.mark.parametrize("width", [1, 4, 8, 16, 31, 32, 33, 64])
+    def test_equals_per_lane_draws(self, width, n):
+        one_call, per_lane = random.Random(width * n), random.Random(width * n)
+        column = pumkit.oplib._random_column(one_call, width, n)
+        assert column == [per_lane.getrandbits(width) for _ in range(n)]
+        assert one_call.getstate() == per_lane.getstate()
 
 
 class TestSignatures:
@@ -177,6 +237,30 @@ class TestCompile:
         monkeypatch.setattr(pumkit.oplib, "schedule", drop_last_tra)
         with pytest.raises(PumError, match="add width 8 fails the symbolic check"):
             compile_op("add", 8, CFG)
+
+    @pytest.mark.parametrize("width, first_failure", [
+        (4, "(1, 0): got 0, want 1"),  # exhaustive lanes: a + 16 * b in order
+        (8, "(0, 1): got 0, want 1"),  # crossed corners first: (0, 0), (0, 1), ...
+    ])
+    def test_lane_check_names_the_first_failing_lane(self, monkeypatch, width,
+                                                     first_failure):
+        # the program writes constant 0 to the sum's low bit; with the
+        # symbolic check bypassed, only the lane check can catch it
+        real_schedule = pumkit.oplib.schedule
+
+        def zero_low_bit(graph, rowmap, **kwargs):
+            program = real_schedule(graph, rowmap, **kwargs)
+            cmds = list(program.commands)
+            i = max(k for k, c in enumerate(cmds) if c.rows[-1] == rowmap.output_rows[0])
+            cmds[i] = Command("AAP", ("C0", rowmap.output_rows[0]))
+            return MicroProgram(program.name, program.width, program.data_rows, tuple(cmds))
+
+        monkeypatch.setattr(pumkit.oplib, "schedule", zero_low_bit)
+        monkeypatch.setattr(pumkit.oplib, "verify_program", lambda *args: True)
+        with pytest.raises(PumError) as err:
+            compile_op("add", width, CFG)
+        assert str(err.value) == \
+            f"compiled add width {width} disagrees with oracle on {first_failure}"
 
     def test_seeded_lanes_include_corners(self):
         compiled = compile_op_cached("div", 8, CFG)
