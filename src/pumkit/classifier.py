@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import MetricsError, MetricsRangeError
-from .logic import _is_canonical_number
+from .logic import _is_canonical_number, _is_plain_float_text
 
 
 class BottleneckClass(enum.Enum):
@@ -201,11 +201,10 @@ def _parse_header(header: list[str]) -> list[int]:
 def _check_plain_numbers(row: list[str], header: list[str], lineno: int):
     """`MetricsError` naming the first number cell of `row` that is not
     ASCII or holds an underscore."""
-    numbers = "".join(row[1:])
-    if numbers.isascii() and "_" not in numbers:
+    if _is_plain_float_text("".join(row[1:])):
         return
     for column, cell in zip(header[1:], row[1:]):
-        if not cell.isascii() or "_" in cell:
+        if not _is_plain_float_text(cell):
             raise MetricsError(f"line {lineno}: {column.strip()} {cell.strip()[:40]!r} "
                                "is not a number in ASCII without underscores")
 
@@ -223,9 +222,9 @@ def parse_metrics_csv(text: str, *,
         return []
     _, header = numbered[0]
     cores = _parse_header([h.strip() for h in header])
-    # `float` also reads digit-group underscores and non-ASCII digits;
-    # rows are checked for them only when the text has any such character
-    plain = text.isascii() and "_" not in text
+    # every row after the header starts past the text's first "\n"; when
+    # nothing there is non-ASCII or "_", no number cell can be either
+    plain = _is_plain_float_text(text[text.find("\n") + 1:])
     records = []
     for lineno, row in numbered[1:]:
         if len(row) != 4 + len(cores):

@@ -437,16 +437,12 @@ class _Scheduler:
             return
         self.uses[ref] -= 1
         if self.uses[ref] == 0:
-            self._release(ref)
-
-    def _release(self, ref: int):
-        """Node `ref` has no uses left: rows holding it die and any spill
-        rows it held are freed."""
-        for val in (ref << 1, ref << 1 | 1):
-            self.dead |= self.copies.get(val, 0)
-            idx = self.spilled.pop(val, None)
-            if idx is not None:
-                heapq.heappush(self.spill_free, idx)
+            # rows holding the value die; release any spill rows it held
+            for val in (ref << 1, ref << 1 | 1):
+                self.dead |= self.copies.get(val, 0)
+                idx = self.spilled.pop(val, None)
+                if idx is not None:
+                    heapq.heappush(self.spill_free, idx)
 
     def _any_source(self, val: int) -> tuple[str | None, int]:
         """A row token (or alias) an AAP can read node or input value `val`
@@ -531,15 +527,23 @@ class _Scheduler:
             self._set(row, (REF_ONE if bit else REF_ZERO) << 1)
             return row, taken
         row, taken = self._materialize(e, claimed, taken)
+        return self._read(e, row, taken), taken
+
+    def _read(self, e: int, row: int, taken: int) -> int:
+        """Operand `e`, held in `row`, is read by the pending TRA over
+        `taken`: count the use, and spare a copy first if that TRA would
+        destroy the last copy of a node still in use.  Returns the row
+        the TRA reads."""
+        ref = e >> 1
         self._use(ref)
         if ref >= 0 and self.uses[ref] and not self._survives(ref, taken | 1 << row):
             row = self._spare(row, e, taken | 1 << row)
-        return row, taken
+        return row
 
     # -- main sweep ----------------------------------------------------------
 
     def run(self) -> list[tuple[str, tuple[str, ...]]]:
-        copies, spilled, uses, lru = self.copies, self.spilled, self.uses, self.lru
+        copies, lru = self.copies, self.lru
         for k, edges in enumerate(self.graph.packed_nodes):
             if not self.live[k]:
                 continue
@@ -548,20 +552,8 @@ class _Scheduler:
             for e in edges:
                 ref = e >> 1
                 avail = 0 if ref == REF_ZERO or ref == REF_ONE else copies.get(e, 0) & ~taken
-                if avail:
-                    # read a copy in place; spare it first if this TRA
-                    # would destroy the last copy of a node still in use
-                    row = _FIRST[avail]
-                    if ref >= 0:
-                        uses[ref] -= 1
-                        if not uses[ref]:
-                            self._release(ref)
-                        else:
-                            val = ref << 1
-                            doomed = taken | 1 << row
-                            if not ((copies.get(val, 0) | copies.get(val | 1, 0)) & ~doomed
-                                    or val in spilled or val | 1 in spilled):
-                                row = self._spare(row, e, doomed)
+                if avail:  # read a copy in place
+                    row = self._read(e, _FIRST[avail], taken)
                     self.clock += 1
                     lru[row] = self.clock
                 else:

@@ -13,7 +13,7 @@ from .classifier import Thresholds
 from .codegen import SubarrayConfig
 from .costmodel import CostParams
 from .errors import ConfigError
-from .logic import _is_canonical_number
+from .logic import _is_canonical_number, _is_plain_float_text
 
 # key -> (section, dataclass field, type); defaults live in the dataclasses
 _KEYS = {
@@ -47,8 +47,7 @@ def _parse_assignment(text: str, where: str) -> tuple[str, float | int]:
     if typ is int and not _is_canonical_number(val):
         raise ConfigError(f"{where}bad value for {key}: {val[:40]!r} is not "
                           "ASCII digits without a leading zero")
-    # `float` also reads digit-group underscores and non-ASCII digits
-    if typ is float and (not val.isascii() or "_" in val):
+    if typ is float and not _is_plain_float_text(val):
         raise ConfigError(f"{where}bad value for {key}: {val[:40]!r} is not "
                           "a number in ASCII without underscores")
     try:

@@ -53,6 +53,12 @@ def _is_canonical_number(n: str) -> bool:
             and len(n) <= _MAX_DIGITS)
 
 
+def _is_plain_float_text(s: str) -> bool:
+    """ASCII without underscores: `float` also reads digit-group
+    underscores and any Unicode decimal digits, which this rules out."""
+    return s.isascii() and "_" not in s
+
+
 def _numbered(ref: str, prefix: str) -> bool:
     """`ref` is `prefix` followed by a canonical number."""
     return ref.startswith(prefix) and _is_canonical_number(ref[len(prefix):])

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pumkit import classifier
 from pumkit.classifier import (
     BottleneckClass,
     MetricsRecord,
@@ -187,9 +188,21 @@ class TestCsv:
         ("a,1,0.5,\u0661,0.4,0.4", "arithmetic_intensity"),
         ("a,1,0.5,0.1,0.4,0.\u0665", "lfmr@16"),
     ])
-    def test_non_ascii_or_underscored_number_names_the_line(self, row, column):
-        with pytest.raises(MetricsError, match=f"line 3: {column} "):
-            parse_metrics_csv(f"{HEADER}\nb,1,0.5,0.1,0.4,0.4\n{row}\n")
+    @pytest.mark.parametrize("header, eol", [
+        (HEADER, "\n"),
+        (HEADER, "\r\n"),
+        (HEADER.replace(",lfmr@16", ',"lfmr@16\n"'), "\n"),
+    ], ids=["lf", "crlf", "line-break-in-header"])
+    def test_non_ascii_or_underscored_number_names_the_line(self, row, column,
+                                                            header, eol):
+        with pytest.raises(MetricsError, match=f"line 2: {column} "):
+            parse_metrics_csv(f"{header}{eol}{row}{eol}b,1,0.5,0.1,0.4,0.4{eol}")
+
+    def test_plain_rows_skip_the_cell_check(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("cell check ran on plain rows")
+        monkeypatch.setattr(classifier, "_check_plain_numbers", fail)
+        assert len(parse_metrics_csv(f"{HEADER}\nb,1,0.5,0.1,0.4,0.4\n")) == 1
 
     def test_names_may_hold_any_character(self):
         records = parse_metrics_csv(f"{HEADER}\ncaf\u00e9_fn,1,0.5,0.1,0.4,0.4\n")
