@@ -19,6 +19,7 @@ import csv
 import enum
 import io
 import math
+import re
 from dataclasses import dataclass
 
 from .errors import MetricsError, MetricsRangeError
@@ -178,6 +179,7 @@ def recommend(cls: BottleneckClass) -> Recommendation:
 
 # --- CSV front end -----------------------------------------------------------
 
+_LINE_BREAK = re.compile("[\r\n]")
 _FIXED_COLUMNS = ("function", "llc_mpki", "temporal_locality", "arithmetic_intensity")
 
 
@@ -213,18 +215,26 @@ def parse_metrics_csv(text: str, *,
                       rows: list[list[str]] | None = None) -> list[MetricsRecord]:
     """Records of a metrics CSV, one per non-blank row after the header.
     The non-blank rows as read, header first, are appended to `rows` when
-    it is given."""
-    numbered = [(lineno, row) for lineno, row in
-                enumerate(csv.reader(io.StringIO(text)), start=1) if row]
+    it is given.  Lines end at LF, CR LF or a lone CR.  An error names the
+    last line of its row (a quoted cell may carry a row over several
+    lines), or, for text the `csv` module cannot read, the line it
+    stopped at."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        # line_num counts the lines read so far, up to the row's last one
+        numbered = [(reader.line_num, row) for row in reader if row]
+    except csv.Error as e:
+        raise MetricsError(f"line {reader.line_num}: {e}") from None
     if rows is not None:
         rows.extend(row for _, row in numbered)
     if not numbered:
         return []
     _, header = numbered[0]
     cores = _parse_header([h.strip() for h in header])
-    # every row after the header starts past the text's first "\n"; when
-    # nothing there is non-ASCII or "_", no number cell can be either
-    plain = _is_plain_float_text(text[text.find("\n") + 1:])
+    # every row after the header starts past the text's first line break;
+    # when nothing there is non-ASCII or "_", no number cell can be either
+    brk = _LINE_BREAK.search(text)
+    plain = _is_plain_float_text(text[brk.end() if brk else 0:])
     records = []
     for lineno, row in numbered[1:]:
         if len(row) != 4 + len(cores):

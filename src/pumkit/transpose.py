@@ -6,16 +6,19 @@ That makes a bit shift a row renaming and lets one row-activation
 sequence operate on every column in parallel.
 
 Both directions work on packed little-endian bytes, one item of 1, 2, 4
-or 8 bytes per value, and every step is one C-level pass over about
-`count` bytes; no Python loop runs per value or per lane.  In, the block
-is packed once (`bytes` or `array.tobytes`, which also checks type and
-range); bit row i is the strided byte column ``buf[i // 8::size]``
-(taken from the reversed buffer, so that lane 0 comes last), translated
-through a 256-entry table into ASCII 0/1 for bit ``i % 8`` and parsed
-once with ``int(..., 2)``.  Out, each row is formatted once and
-translated into one 0/1 byte per lane; up to 8 such rows are ORed as
-ints into one byte per lane, strided into the packed buffer, and
-`array.tolist` reads the lanes back.
+or 8 bytes per value; no Python loop runs per value or per lane.  In,
+the block is packed once (`bytes` or `array.tobytes`, which also checks
+type and range).  Byte column k, ``packed[k::size]``, holds bits 8k to
+8k+7 of every value; read as one little-endian int, each of its 64-bit
+words is an 8x8 bit matrix of 8 lanes by 8 bits, and three delta swaps
+(Warren, *Hacker's Delight*, 2nd ed., section 7-3) transpose all of them
+at once, so that byte b of word g holds bit 8k+b of lanes 8g to 8g+7.
+Bit row 8k+b is then the strided bytes ``[b::8]``, read as one int.
+Out, up to 8 rows are strided into one such buffer, the same swaps
+(a transpose is its own inverse) turn it back into a byte column, which
+is strided into the packed buffer, and `array.tolist` reads the lanes
+back.  Lane counts and widths that are not multiples of 8 pad with zero
+bytes.  Each byte column costs a fixed number of big-int operations.
 
 `HorizontalBlock.rows` and `from_rows` are the two conversions on packed
 row ints; `to_vertical`/`to_horizontal` move them in and out of a
@@ -44,10 +47,25 @@ _CODES: dict[int, str] = {}
 for _code in "BHILQ":
     _CODES.setdefault(array(_code).itemsize, _code)
 
-# _BIT_CHAR[k][b] is ASCII "1" when bit k of byte b is set, else "0".
-_BIT_CHAR = [(b"0" * (1 << k) + b"1" * (1 << k)) * (128 >> k) for k in range(8)]
-# ASCII "0"/"1" -> byte 0/1.
-_CHAR_BIT = bytes.maketrans(b"01", b"\x00\x01")
+# (shift, mask) of the three delta swaps that transpose a 64-bit word as
+# an 8x8 bit matrix: bit b of byte i trades places with bit i of byte b.
+_SWAPS = ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))
+
+
+def _swap_masks(words: int) -> list[tuple[int, int]]:
+    """`_SWAPS` with each mask repeated over `words` 64-bit words."""
+    return [(s, int.from_bytes(m.to_bytes(8, "little") * words, "little"))
+            for s, m in _SWAPS]
+
+
+def _transpose8(x: int, masks) -> int:
+    """`x` with each of its 64-bit words transposed as an 8x8 bit matrix
+    (bit b of byte i to bit i of byte b); `masks` is `_swap_masks` of at
+    least as many words.  Applied twice it gives `x` back."""
+    for s, m in masks:
+        t = (x ^ (x >> s)) & m
+        x ^= t ^ (t << s)
+    return x
 
 
 def _item_size(width: int) -> int:
@@ -103,15 +121,12 @@ class HorizontalBlock:
     def rows(self) -> list[int]:
         """Vertical bit rows as packed ints: bit j of row i is bit i of
         values[j]."""
-        width, count = self.bit_width, len(self.values)
-        if not count:
-            return [0] * width
-        size = _item_size(width)
-        # Reversed, value 0's bytes come last and each value's top byte
-        # first, so one byte column reads MSB-first as int() wants it.
-        rev = self._packed[::-1]
-        return [int(rev[size - 1 - i // 8::size].translate(_BIT_CHAR[i % 8]), 2)
-                for i in range(width)]
+        width, size = self.bit_width, _item_size(self.bit_width)
+        words = -(-len(self.values) // 8)
+        masks = _swap_masks(words)
+        cols = [_transpose8(int.from_bytes(self._packed[k::size], "little"), masks)
+                .to_bytes(8 * words, "little") for k in range(-(-width // 8))]
+        return [int.from_bytes(cols[i // 8][i % 8::8], "little") for i in range(width)]
 
 
 def from_rows(rows, width: int, count: int) -> HorizontalBlock:
@@ -120,16 +135,16 @@ def from_rows(rows, width: int, count: int) -> HorizontalBlock:
     if not count or not 1 <= width <= MAX_WIDTH:
         return HorizontalBlock((), width)  # rejects the bad width
     size = _item_size(width)
-    buf = bytearray(size * count)
-    spec = f"0{count}b"
+    words = -(-count // 8)
+    masks = _swap_masks(words)
     lane_mask = (1 << count) - 1
+    buf = bytearray(size * count)
     for k in range(0, width, 8):
-        byte = 0
-        for i, word in enumerate(rows[k:k + 8]):
-            # lane count-1 is formatted first, so big-endian puts lane j at byte j
-            bits = format(word & lane_mask, spec).encode().translate(_CHAR_BIT)
-            byte |= int.from_bytes(bits, "big") << i
-        buf[k // 8::size] = byte.to_bytes(count, "little")
+        col = bytearray(8 * words)
+        for b, row in enumerate(rows[k:k + 8]):
+            col[b::8] = (row & lane_mask).to_bytes(words, "little")
+        buf[k // 8::size] = _transpose8(int.from_bytes(col, "little"),
+                                        masks).to_bytes(8 * words, "little")[:count]
     block = object.__new__(HorizontalBlock)  # valid by construction
     object.__setattr__(block, "values", tuple(_unpack(buf, size)))
     object.__setattr__(block, "bit_width", width)

@@ -188,15 +188,36 @@ class TestCsv:
         ("a,1,0.5,\u0661,0.4,0.4", "arithmetic_intensity"),
         ("a,1,0.5,0.1,0.4,0.\u0665", "lfmr@16"),
     ])
-    @pytest.mark.parametrize("header, eol", [
-        (HEADER, "\n"),
-        (HEADER, "\r\n"),
-        (HEADER.replace(",lfmr@16", ',"lfmr@16\n"'), "\n"),
+    @pytest.mark.parametrize("header, eol, line", [
+        (HEADER, "\n", 2),
+        (HEADER, "\r\n", 2),
+        (HEADER.replace(",lfmr@16", ',"lfmr@16\n"'), "\n", 3),
     ], ids=["lf", "crlf", "line-break-in-header"])
     def test_non_ascii_or_underscored_number_names_the_line(self, row, column,
-                                                            header, eol):
-        with pytest.raises(MetricsError, match=f"line 2: {column} "):
+                                                            header, eol, line):
+        with pytest.raises(MetricsError, match=f"line {line}: {column} "):
             parse_metrics_csv(f"{header}{eol}{row}{eol}b,1,0.5,0.1,0.4,0.4{eol}")
+
+    def test_lone_cr_line_breaks_read_as_lf(self, monkeypatch):
+        text = f"{HEADER}\na,50,0.03,0.05,0.95,0.93\n\nb,1,0.5,0.1,0.4,\n"
+        want = parse_metrics_csv(text)
+        def fail(*args):
+            raise AssertionError("cell check ran on plain rows")
+        monkeypatch.setattr(classifier, "_check_plain_numbers", fail)
+        assert parse_metrics_csv(text.replace("\n", "\r")) == want
+        assert len(want) == 2
+
+    def test_oversized_cell_is_a_metrics_error(self):
+        text = f"{HEADER}\nb,1,0.5,0.1,0.4,0.4\n{'f' * 200_000},1,0.5,0.1,0.4,0.4\n"
+        with pytest.raises(MetricsError, match=r"^line 3: field larger than field limit"):
+            parse_metrics_csv(text)
+
+    def test_a_row_is_named_by_its_last_line(self):
+        text = f'{HEADER}\n"fn\na",1,0.5,0.1,0.4,0.4\nb,1,0.5,0.1,0.4,1.5\n'
+        with pytest.raises(MetricsRangeError, match="^line 4: b: "):
+            parse_metrics_csv(text)
+        with pytest.raises(MetricsError, match="^line 3: expected 6 fields"):
+            parse_metrics_csv(f'{HEADER}\n"fn\na",1,0.5\n')
 
     def test_plain_rows_skip_the_cell_check(self, monkeypatch):
         def fail(*args):

@@ -272,6 +272,12 @@ class TestClassify:
         src.write_text("who,what\n")
         assert main(["classify", str(src)]) == 2
 
+    def test_oversized_cell_exits_2(self, tmp_path, capsys):
+        src = tmp_path / "m.csv"
+        src.write_text(f"{self.HEADER}\n{'f' * 200_000},1,0.5,0.1,0.5,0.5\n")
+        assert main(["classify", str(src)]) == 2
+        assert "line 2: field larger than field limit" in capsys.readouterr().err
+
     def test_out_of_range_exits_3(self, tmp_path):
         src = tmp_path / "m.csv"
         src.write_text(f"{self.HEADER}\nf,1,1.5,0.1,0.5,0.5\n")

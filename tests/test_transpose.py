@@ -7,7 +7,14 @@ from hypothesis import strategies as hst
 from pumkit.codegen import SubarrayConfig
 from pumkit.errors import CapacityError
 from pumkit.subarray import new_subarray
-from pumkit.transpose import HorizontalBlock, from_rows, to_horizontal, to_vertical
+from pumkit.transpose import (
+    HorizontalBlock,
+    _swap_masks,
+    _transpose8,
+    from_rows,
+    to_horizontal,
+    to_vertical,
+)
 
 CFG = SubarrayConfig(total_rows=80, columns=64, data_row_count=72)
 
@@ -197,6 +204,39 @@ class TestPackedRows:
         st.store_data_rows(0, rows)
         assert to_horizontal(st, 0, width, count).values == values
 
+    def test_full_row_with_odd_lane_count_and_width(self):
+        rng = random.Random(65535)
+        values = tuple(rng.getrandbits(9) for _ in range(65535))
+        want = naive_rows(values, 9)
+        assert HorizontalBlock(values, 9).rows() == want
+        assert from_rows(want, 9, 65535).values == values
+
     def test_from_rows_rejects_a_bad_width(self):
         with pytest.raises(CapacityError):
             from_rows([1] * 65, 65, 1)
+
+
+def naive_transpose8(x: int, words: int) -> int:
+    """Each 64-bit word of `x` transposed bit by bit: bit b of byte i goes
+    to bit i of byte b."""
+    out = 0
+    for g in range(words):
+        for i in range(8):
+            for b in range(8):
+                if x >> (64 * g + 8 * i + b) & 1:
+                    out |= 1 << (64 * g + 8 * b + i)
+    return out
+
+
+class TestBlockTranspose:
+    @settings(max_examples=60, deadline=None)
+    @given(data=hst.integers(0, 6).flatmap(
+        lambda words: hst.tuples(hst.just(words), hst.integers(0, (1 << 64 * words) - 1))))
+    @example(data=(1, (1 << 64) - 1))
+    @example(data=(2, 1 << 127))
+    def test_matches_a_bitwise_transpose_and_undoes_itself(self, data):
+        words, x = data
+        masks = _swap_masks(words)
+        once = _transpose8(x, masks)
+        assert once == naive_transpose8(x, words)
+        assert _transpose8(once, masks) == x
