@@ -33,7 +33,6 @@ from typing import NamedTuple
 from .errors import ArityError, CapacityError, ConfigError, MicroProgramError
 from .logic import (
     _MAX_DIGITS,
-    REF_ONE,
     REF_ZERO,
     MajGraph,
     _is_canonical_number,
@@ -66,6 +65,11 @@ def in_compute_group(token: str) -> bool:
     return token in COMPUTE_ROWS or token in DCC_ROWS
 
 
+# Most rows a subarray may have: a large DRAM bank's row count, far above
+# any real subarray; the scheduler and the simulator keep per-row tables.
+MAX_TOTAL_ROWS = 65536
+
+
 @dataclass(frozen=True)
 class SubarrayConfig:
     """Geometry of one subarray: data region plus the designated rows.
@@ -79,6 +83,9 @@ class SubarrayConfig:
     data_row_count: int | None = None
 
     def __post_init__(self):
+        if self.total_rows > MAX_TOTAL_ROWS:
+            raise ConfigError(
+                f"total_rows (subarray.rows) exceeds the {MAX_TOTAL_ROWS}-row limit")
         if self.data_row_count is None:
             object.__setattr__(self, "data_row_count", self.total_rows - 8)
         if self.columns < 1:
@@ -455,8 +462,8 @@ class _Scheduler:
         if val in self.spilled:
             return f"D{self.spilled[val]}", 0
         ref = val >> 1
-        if ref < REF_ONE and not val & 1:  # an input, read off its data row
-            return self.rowmap.input_rows[-3 - ref], 0
+        if ref < REF_ZERO and not val & 1:  # an input, read off its data row
+            return self.rowmap.input_rows[-2 - ref], 0
         # complement read straight off a dual-contact cell, DCC0 first
         flipped = self.copies.get(val ^ 1, 0) & _DCC_MASK
         if flipped:
@@ -519,12 +526,10 @@ class _Scheduler:
         """Bring a TRA operand that is a constant or has no copy outside
         `taken` into a compute-group row it may destroy; returns the row
         and the pending TRA's `taken` mask (see `_materialize`)."""
-        ref = e >> 1
-        if ref == REF_ZERO or ref == REF_ONE:
-            bit = (ref == REF_ONE) ^ (e & 1)
+        if e >> 1 == REF_ZERO:  # constant e & 1, copied from its row
             row = self._alloc(taken)
-            self._emit(("AAP", ("C1" if bit else "C0", _ROW_NAMES[row])))
-            self._set(row, (REF_ONE if bit else REF_ZERO) << 1)
+            self._emit(("AAP", (CONST_ROWS[e & 1], _ROW_NAMES[row])))
+            self._set(row, e)
             return row, taken
         row, taken = self._materialize(e, claimed, taken)
         return self._read(e, row, taken), taken
@@ -550,8 +555,7 @@ class _Scheduler:
             claimed: list[int] = []
             taken = 0  # the rows in `claimed`
             for e in edges:
-                ref = e >> 1
-                avail = 0 if ref == REF_ZERO or ref == REF_ONE else copies.get(e, 0) & ~taken
+                avail = 0 if e >> 1 == REF_ZERO else copies.get(e, 0) & ~taken
                 if avail:  # read a copy in place
                     row = self._read(e, _FIRST[avail], taken)
                     self.clock += 1
@@ -569,9 +573,8 @@ class _Scheduler:
 
     def _emit_output(self, e: int, target: str):
         ref = e >> 1
-        if ref == REF_ZERO or ref == REF_ONE:
-            bit = (ref == REF_ONE) ^ (e & 1)
-            self._emit(("AAP", ("C1" if bit else "C0", target)))
+        if ref == REF_ZERO:
+            self._emit(("AAP", (CONST_ROWS[e & 1], target)))
             return
         src, _ = self._any_source(e)
         if src is not None:
@@ -688,8 +691,7 @@ def verify_program(graph: MajGraph, rowmap: RowMap, program: MicroProgram) -> bo
                 rows[t] = m
 
     const = mk(("const",))
-    leaf = [(const, False), (const, True)] + \
-        [(mk(("in", i)), False) for i in range(graph.input_count)]
+    leaf = [(const, False)] + [(mk(("in", i)), False) for i in range(graph.input_count)]
     expected: list[tuple[int, bool]] = []  # per node
 
     def edge_val(e: int) -> tuple[int, bool]:

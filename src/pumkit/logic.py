@@ -13,11 +13,12 @@ evaluator with standard enumeration masks, so exhaustive comparison is
 cheap up to the 16-input guard.
 
 Inside the toolkit a majority-graph edge is one packed int, the
-complemented-edge literal ``ref << 1 | neg``: node k is ref ``k``,
-constant 0 is ``-1``, constant 1 is ``-2`` and input i is ``-(3 + i)``,
-so ``e >> 1`` is the ref, ``e & 1`` the complement bit and ``e ^ 1`` the
-complemented edge.  Lowering, rewriting, scheduling and verification all
-work on this form.  The ``(ref, complemented)`` string pairs (``"0"``,
+complemented-edge literal ``ref << 1 | neg``: node k is ref ``k``, the
+constant is ``-1`` and input i is ``-(2 + i)``, so ``e >> 1`` is the ref,
+``e & 1`` the complement bit and ``e ^ 1`` the complemented edge.  As in
+AIGER, constant 1 is the complemented constant 0, so no value has two
+spellings.  Lowering, rewriting, scheduling and verification all work on
+this form.  The ``(ref, complemented)`` string pairs (``"0"``,
 ``"1"``, ``"in<i>"``, ``"n<k>"``) are only the public view of a
 ``MajGraph``: its constructor parses them once, and ``nodes``/``outputs``
 render them back.
@@ -68,23 +69,23 @@ def input_index(ref: str) -> int | None:
     return int(ref[2:]) if _numbered(ref, "in") else None
 
 
-# Packed refs of the two constants; input i is -(3 + i), node k is k.
+# Packed ref of the constant: edge REF_ZERO << 1 is 0 and its complement
+# is 1.  Input i is ref -(2 + i), node k is k.
 REF_ZERO = -1
-REF_ONE = -2
 
 
 def ref_name(r: int) -> str:
-    """String form of a packed ref: "0", "1", "in<i>" or "n<k>"."""
+    """String form of a packed ref: "0", "in<i>" or "n<k>"."""
     if r >= 0:
         return f"n{r}"
     if r == REF_ZERO:
         return CONST_ZERO
-    if r == REF_ONE:
-        return CONST_ONE
-    return f"in{-3 - r}"
+    return f"in{-2 - r}"
 
 
 def _edge_view(e: int) -> Edge:
+    if e >> 1 == REF_ZERO:  # a constant renders uncomplemented
+        return (CONST_ONE if e & 1 else CONST_ZERO, False)
     return (ref_name(e >> 1), bool(e & 1))
 
 
@@ -217,8 +218,8 @@ class MajGraph:
     ):
         if input_count < 0:
             raise ArityError("input count must be non-negative")
-        refs = {CONST_ZERO: REF_ZERO, CONST_ONE: REF_ONE}
-        refs.update((f"in{i}", -3 - i) for i in range(input_count))
+        refs = {CONST_ZERO: REF_ZERO << 1, CONST_ONE: REF_ZERO << 1 | 1}
+        refs.update((f"in{i}", (-2 - i) << 1) for i in range(input_count))
 
         def pack(edge: Edge, where: str) -> int:
             ref, neg = edge
@@ -226,14 +227,14 @@ class MajGraph:
                 raise NetlistFormatError(
                     f"{where}: reference {ref!r} is not a constant, an input below "
                     f"{input_count} or an earlier node")
-            return refs[ref] << 1 | bool(neg)
+            return refs[ref] ^ bool(neg)
 
         packed = []
         for k, edges in enumerate(nodes):
             if len(edges) != 3:
                 raise ArityError(f"n{k}: majority node takes exactly 3 edges")
             packed.append(tuple(pack(e, f"n{k}") for e in edges))
-            refs[f"n{k}"] = k
+            refs[f"n{k}"] = k << 1
         packed_outputs = tuple(pack(e, "outputs") for e in outputs)
         self._init(input_count, tuple(packed), packed_outputs)
 
@@ -286,7 +287,7 @@ class MajGraph:
         if len(words) != self.input_count:
             raise ArityError(f"expected {self.input_count} input words, got {len(words)}")
         mask = (1 << lanes) - 1
-        leaf = [0, mask] + [w & mask for w in words]  # ref r < 0 sits at -1 - r
+        leaf = [0] + [w & mask for w in words]  # ref r < 0 sits at -1 - r
         vals: list[int] = []
 
         def val(e: int) -> int:

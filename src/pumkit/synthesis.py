@@ -1,15 +1,15 @@
 """Lowering and rewrite-based optimization of majority graphs.
 
 ``lower_to_maj`` translates an AND/OR/NOT/XOR netlist into majority
-nodes: AND(a,b) -> MAJ(a,b,0), OR(a,b) -> MAJ(a,b,1), NOT folds into an
-edge complement, and XOR expands to the three-node template
-AND(NAND(a,b), OR(a,b)).
+nodes: AND(a,b) -> MAJ(a,b,0), OR(a,b) -> MAJ(a,b,1), NOT becomes an
+edge complement (of a constant too: 1 is ~0), and XOR expands to the
+three-node template AND(NAND(a,b), OR(a,b)).
 
 ``optimize`` then shrinks the graph with a greedy rewrite loop whose
 objective is the row-activation count of the program the scheduler
 emits for the graph under the configured subarray, spills included:
 
-* node canonicalization + constant folding + majority absorption,
+* node canonicalization + majority absorption,
 * structural hashing (common-subexpression merging) and dead-node removal,
 * complement pushing via majority self-duality, so complements migrate to
   where a dual-contact row copy picks them up for free,
@@ -25,7 +25,7 @@ Cut rewriting keeps what it learns across the rounds of one `optimize`
 call in a `_CutStore`: per node its pruned cuts, per cut the cone, truth
 table and template.  Nodes carry a plain int id through every pass of
 the call, and entries are keyed by id and checked against the node's
-structural key (its folded, sorted edges with child ids substituted), so
+structural key (its sorted edges with child ids substituted), so
 later rounds enumerate and simulate only the cones whose structure or
 order changed, in the way DAG-aware rewriting re-examines only the fanout
 of rewritten nodes (Mishchenko, Chatterjee and Brayton, DAC 2006).  What
@@ -47,7 +47,6 @@ from .errors import CapacityError, PumError, TableSizeError
 from .logic import (
     CONST_ONE,
     CONST_ZERO,
-    REF_ONE,
     REF_ZERO,
     MajGraph,
     Netlist,
@@ -58,17 +57,9 @@ from .logic import (
 )
 
 # Edges use the packed encoding of `logic`: (ref << 1) | complemented, so
-# edge ^ 1 complements it.
+# edge ^ 1 complements it and constant 1 is the complemented constant 0.
 _E_C0 = REF_ZERO << 1
-_E_C1 = REF_ONE << 1
-
-
-def _fold(e: int) -> int:
-    """Complemented constants fold: ~0 -> 1, ~1 -> 0."""
-    r = e >> 1
-    if (r == REF_ZERO or r == REF_ONE) and (e & 1):
-        return (-3 - r) << 1
-    return e
+_E_C1 = _E_C0 | 1
 
 
 # --- lowering ---------------------------------------------------------------
@@ -84,11 +75,11 @@ def lower_to_maj(netlist: Netlist) -> MajGraph:
 
     env: dict[str, int] = {CONST_ZERO: _E_C0, CONST_ONE: _E_C1}
     for i in range(netlist.input_count):
-        env[f"in{i}"] = (-3 - i) << 1
+        env[f"in{i}"] = (-2 - i) << 1
     for g in netlist.gates:
         a = env[g.operands[0]]
         if g.kind == "NOT":
-            env[g.gid] = _fold(a ^ 1)
+            env[g.gid] = a ^ 1
             continue
         b = env[g.operands[1]]
         if g.kind == "AND":
@@ -110,8 +101,8 @@ def lower_to_maj(netlist: Netlist) -> MajGraph:
 class _Template:
     """Minimal majority structure for one cut function.
 
-    Nodes reference leaves as negative ints (-(3+v) for leaf variable v)
-    and earlier template nodes by index; `out` is a packed edge.
+    Nodes reference leaf variable v as ref -(2+v), input v's ref, and
+    earlier template nodes by index; `out` is a packed edge.
     """
 
     name: str
@@ -135,8 +126,8 @@ def _build_library() -> dict[tuple[int, int], _Template]:
         masks = _enum_masks(nvars)
         lit_edges: list[tuple[int, int]] = []  # (packed edge, table)
         for v in range(nvars):
-            lit_edges.append(((-(3 + v)) << 1, masks[v]))
-            lit_edges.append((((-(3 + v)) << 1) | 1, masks[v] ^ full))
+            lit_edges.append(((-2 - v) << 1, masks[v]))
+            lit_edges.append((((-2 - v) << 1) | 1, masks[v] ^ full))
         lit_edges.append((_E_C0, 0))
         lit_edges.append((_E_C1, full))
 
@@ -166,14 +157,14 @@ def _build_library() -> dict[tuple[int, int], _Template]:
 
         # XOR/XNOR: three nodes sharing the majority core
         if nvars >= 2:
-            a, b = (-(3 + 0)) << 1, (-(3 + 1)) << 1
+            a, b = (-2 - 0) << 1, (-2 - 1) << 1
             if nvars == 2:
                 n0 = tuple(sorted((a, b, _E_C0)))
                 n1 = tuple(sorted((a, b, _E_C1)))
                 n2 = tuple(sorted(((0 << 1) | 1, 1 << 1, _E_C0)))
                 t = masks[0] ^ masks[1]
             else:
-                c = (-(3 + 2)) << 1
+                c = (-2 - 2) << 1
                 n0 = tuple(sorted((a, b, c)))          # majority
                 n1 = tuple(sorted((a, b, c | 1)))       # majority with ~c
                 n2 = tuple(sorted(((0 << 1) | 1, 1 << 1, c)))
@@ -193,7 +184,7 @@ def _probe_shape(tpl: _Template) -> tuple[int, tuple]:
     node; the other nodes' edges as (leaf variable, complement) pairs or
     (-1, constant edge))."""
     leaf_nodes = tuple(
-        tuple((-(e >> 1) - 3, e & 1) if e >> 1 < REF_ONE else (-1, e) for e in nd)
+        tuple((-2 - (e >> 1), e & 1) if e >> 1 < REF_ZERO else (-1, e) for e in nd)
         for nd in tpl.nodes if max(nd) < 0)
     return len(tpl.nodes) - len(leaf_nodes), leaf_nodes
 
@@ -225,7 +216,7 @@ class _CutStore:
     Nodes carry an id (`_Builder.ids`) through `clean`, `compact` and
     `dual_push`, and a rewritten root hands its id to the node that
     replaces it.  Each id's entry is valid for one structural key: the
-    node's folded, sorted edges with child ids substituted, so a
+    node's sorted edges with child ids substituted, so a
     complement flip changes the keys of the node and its consumers.  Per
     id the store keeps that key, the index the node had, its pruned cuts
     and, per cut, a record of its cone.  A round reuses an entry unless
@@ -296,10 +287,8 @@ class _Builder:
     @classmethod
     def from_graph(cls, g: MajGraph) -> "_Builder":
         b = cls(g.input_count)
-        # -1 and -3 are the complemented constants, the only edges _fold changes
-        b.nodes = [tuple(map(_fold, nd)) if -1 in nd or -3 in nd else nd
-                   for nd in g.packed_nodes]
-        b.outputs = list(map(_fold, g.packed_outputs))
+        b.nodes = list(g.packed_nodes)
+        b.outputs = list(g.packed_outputs)
         b.ids = b.store.new_ids(len(b.nodes))
         return b
 
@@ -324,10 +313,10 @@ class _Builder:
         for i, nd in enumerate(self.nodes):
             if nd is None:
                 continue
-            # stored edges are folded; only replaced children need resolving
+            # 1 is ~0, so edges need no folding; only replaced children need resolving
             e0, e1, e2 = key = nd
             if e0 >> 1 in repl or e1 >> 1 in repl or e2 >> 1 in repl:
-                e0, e1, e2 = key = tuple(sorted([_fold(self.resolve(e)) for e in nd]))
+                e0, e1, e2 = key = tuple(sorted([self.resolve(e) for e in nd]))
             elif not e0 <= e1 <= e2:
                 e0, e1, e2 = key = tuple(sorted(nd))
             simp = None
@@ -335,17 +324,10 @@ class _Builder:
             if e0 == e1 or e1 == e2:
                 simp = e1
                 rule = "absorb_equal"
-            elif (e0 >> 1) == (e1 >> 1):  # sorted: a complement pair is adjacent
+            elif (e0 >> 1) == (e1 >> 1):  # sorted: complement pairs (0, 1 too) are adjacent
                 simp, rule = e2, "absorb_complement"
             elif (e1 >> 1) == (e2 >> 1):
                 simp, rule = e0, "absorb_complement"
-            else:
-                refs = (e0 >> 1, e1 >> 1, e2 >> 1)
-                if REF_ZERO in refs and REF_ONE in refs:
-                    for keep, x, y in ((e0, e1, e2), (e1, e0, e2), (e2, e0, e1)):
-                        if {x >> 1, y >> 1} == {REF_ZERO, REF_ONE}:
-                            simp, rule = keep, "absorb_complement"
-                            break
             if simp is not None:
                 self.repl[i] = simp
                 self.nodes[i] = None
@@ -359,7 +341,7 @@ class _Builder:
             else:
                 key2node[key] = i
                 self.nodes[i] = key
-        self.outputs = [_fold(self.resolve(e)) for e in self.outputs]
+        self.outputs = [self.resolve(e) for e in self.outputs]
 
     def compact(self, counts: Counter):
         """Drop dead nodes and renumber in a DFS topological order.
@@ -395,8 +377,8 @@ class _Builder:
         mapping = {old: new for new, old in enumerate(order)}
 
         def remap(e: int) -> int:
-            if e >> 1 in repl:  # stored edges are folded already
-                e = _fold(self.resolve(e))
+            if e >> 1 in repl:
+                e = self.resolve(e)
             r = e >> 1
             if r < 0:
                 return e
@@ -437,7 +419,7 @@ class _Builder:
             nonconst = 0
             for e in nd:
                 r = e >> 1
-                if r in (REF_ZERO, REF_ONE):
+                if r == REF_ZERO:
                     continue
                 nonconst += 1
                 negs += (e & 1) ^ (r >= 0 and flipped[r])
@@ -449,24 +431,9 @@ class _Builder:
         if not any(flipped):
             return
         for i, nd in enumerate(self.nodes):
-            new = []
-            for e in nd:
-                r = e >> 1
-                neg = e & 1
-                if r >= 0 and flipped[r]:
-                    neg ^= 1
-                if flipped[i]:
-                    neg ^= 1
-                new.append(_fold((r << 1) | neg))
-            self.nodes[i] = tuple(sorted(new))
-        outs = []
-        for e in self.outputs:
-            r = e >> 1
-            neg = e & 1
-            if r >= 0 and flipped[r]:
-                neg ^= 1
-            outs.append(_fold((r << 1) | neg))
-        self.outputs = outs
+            self.nodes[i] = tuple(sorted([
+                e ^ flipped[i] ^ (e >= 0 and flipped[e >> 1]) for e in nd]))
+        self.outputs = [e ^ (e >= 0 and flipped[e >> 1]) for e in self.outputs]
 
     # -- cut rewriting ----------------------------------------------------------
 
@@ -486,7 +453,7 @@ class _Builder:
         options = []
         for q in key:
             r = q >> 1
-            if r == REF_ZERO or r == REF_ONE:
+            if r == REF_ZERO:
                 options.append((frozenset(),))
             elif r < 0:
                 options.append((frozenset((r,)),))
@@ -557,8 +524,8 @@ class _Builder:
         for r, bit, subs, sub_recs in fanin:
             if r in where:
                 v = masks[where[r]]
-            elif r < 0:
-                v = 0 if r == REF_ZERO else full
+            elif r < 0:  # the constant
+                v = 0
             else:
                 for j, sub in enumerate(subs):
                     if sub and sub <= inside:
@@ -593,7 +560,7 @@ class _Builder:
         nv = len(leaves)
         full = (1 << (1 << nv)) - 1
         vals = dict(zip(leaves, _MASKS[nv]))
-        vals[REF_ZERO], vals[REF_ONE] = 0, full
+        vals[REF_ZERO] = 0
         for k in sorted(seen):
             e0, e1, e2 = nodes[k]
             x = vals[e0 >> 1] ^ (-(e0 & 1) & full)
@@ -667,28 +634,19 @@ class _Builder:
         gain = len(dying) - deep - sum(1 for h in hits if h is None or h in dying)
         return (gain, cone_at, dying) if gain > 0 else None
 
-    @staticmethod
-    def _map_template_node(nd, leaves, made):
-        """Template node -> builder edges, and whether it reads leaves only;
-        `made` holds the builder index of each earlier template node."""
-        edges = []
-        leaf_only = True
-        for e in nd:
-            r = e >> 1
-            if r < REF_ONE:
-                r = leaves[-r - 3]
-            elif r >= 0:
-                leaf_only = False
-                r = made[r]
-            edges.append(_fold((r << 1) | (e & 1)))
-        return tuple(sorted(edges)), leaf_only
-
     def _instantiate(self, tpl: _Template, leaves, dying: set[int],
                      key_map: dict, removed: set[int]) -> int:
-        made: list[int] = []
+        made: list[int] = []  # builder index of each template node so far
+
+        def edge(e: int) -> int:  # template edge -> builder edge
+            r = e >> 1
+            if r < REF_ZERO:  # leaf variable -2 - r
+                return leaves[-2 - r] << 1 | (e & 1)
+            return made[r] << 1 | (e & 1) if r >= 0 else e
+
         for nd in tpl.nodes:
-            edges, leaf_only = self._map_template_node(nd, leaves, made)
-            if leaf_only:
+            edges = tuple(sorted(map(edge, nd)))
+            if max(nd) < 0:  # leaves only: an existing node may have the edges
                 hit = key_map.get(edges)
                 if hit is not None and hit not in dying and hit not in removed:
                     made.append(hit)
@@ -698,14 +656,7 @@ class _Builder:
             self.ids.extend(self.store.new_ids(1))
             key_map[edges] = idx
             made.append(idx)
-        r = tpl.out >> 1
-        if r < REF_ONE:
-            out = ((leaves[-r - 3]) << 1) | (tpl.out & 1)
-        elif r >= 0:
-            out = (made[r] << 1) | (tpl.out & 1)
-        else:
-            out = tpl.out
-        return _fold(out)
+        return edge(tpl.out)
 
     def _fanout(self) -> list[list[int]]:
         """Consumer indices per node; len(nodes) stands for a graph output."""
@@ -944,9 +895,9 @@ class RewriteRule:
 
     Each default rule is the checkable statement of an identity a pass
     applies (lhs and rhs must have identical truth tables), named as
-    `optimize` counts it in `SynthesisReport.rules_applied`; `commute` and
-    `const_fold` are the edge canonicalization every pass applies
-    uncounted.
+    `optimize` counts it in `SynthesisReport.rules_applied`; `commute` is
+    the edge canonicalization every pass applies uncounted, and
+    `const_fold` holds by the edge encoding itself.
     """
 
     name: str
@@ -971,7 +922,7 @@ def _default_rules() -> tuple[RewriteRule, ...]:
             MajGraph(3, [(a, b, c)], [("n0", False)]),
             MajGraph(3, [(c, a, b)], [("n0", False)]),
         ),
-        RewriteRule(  # every pass folds complemented constants
+        RewriteRule(  # the encoding: ~0 and 1 are one edge
             "const_fold",
             MajGraph(2, [(a, b, ("0", True))], [("n0", False)]),
             MajGraph(2, [(a, b, one)], [("n0", False)]),

@@ -38,10 +38,21 @@ def test_overrides_parse_like_file_lines():
     ("cost.t_aap_ns=1_0", "bad value for cost.t_aap_ns"),
     ("classify.mpki_high=\u0663", "bad value for classify.mpki_high"),
     ("cost.e_act_pj=1.\u0665", "bad value for cost.e_act_pj"),
+    ("subarray.rows=999999999999999999", "subarray.rows.*65536-row limit"),
 ])
 def test_bad_override_names_the_item(item, message):
     with pytest.raises(ConfigError, match=message):
         load_config(None, [item])
+
+
+def test_subarray_rows_above_the_limit_are_rejected(tmp_path):
+    with pytest.raises(ConfigError, match="65536-row limit"):
+        SubarrayConfig(total_rows=10**18)
+    assert SubarrayConfig(total_rows=65536).data_row_count == 65528
+    path = tmp_path / "run.cfg"
+    path.write_text("subarray.rows = 65537\n")
+    with pytest.raises(ConfigError, match="subarray.rows"):
+        load_config(str(path))
 
 
 def test_float_keys_take_ascii_spellings():

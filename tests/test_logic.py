@@ -17,6 +17,7 @@ from pumkit.logic import (
     truth_table,
 )
 from pumkit.oplib import build_netlist
+from pumkit.synthesis import lower_to_maj
 
 from conftest import random_majgraph, random_netlist
 
@@ -209,3 +210,27 @@ def test_majgraph_validates_structure():
         MajGraph(2, [(("in0", False), ("in1", False))], [("n0", False)])
     with pytest.raises(NetlistFormatError):
         MajGraph(1, [(("in0", False), ("n1", False), ("0", False))], [("n0", False)])
+
+
+def test_constant_one_is_the_complemented_constant_zero():
+    """One edge per constant value: ~0 and 1 pack alike, render as "1"
+    and round-trip through the string view."""
+    g = MajGraph(1, [(("in0", False), ("0", True), ("1", True))],
+                 [("0", True), ("1", False), ("1", True)])
+    assert g.packed_outputs[0] == g.packed_outputs[1] == g.packed_outputs[2] ^ 1
+    assert g.packed_nodes[0][1] == g.packed_outputs[0]
+    assert g.outputs == (("1", False), ("1", False), ("0", False))
+    assert g.nodes == ((("in0", False), ("1", False), ("0", False)),)
+    again = MajGraph(g.input_count, g.nodes, g.outputs)
+    assert (again.packed_nodes, again.packed_outputs) == (g.packed_nodes, g.packed_outputs)
+    assert g.eval([0]) == (1, 1, 0) and g.eval([1]) == (1, 1, 0)
+
+
+def test_lowered_not_of_a_constant_is_an_edge():
+    n = Netlist(0, [Gate("g0", "NOT", ("0",)), Gate("g1", "NOT", ("1",))],
+                ["g0", "g1"])
+    g = lower_to_maj(n)
+    one = MajGraph(0, [], [("1", False)]).packed_outputs[0]
+    assert g.node_count == 0
+    assert g.packed_outputs == (one, one ^ 1)
+    assert g.outputs == (("1", False), ("0", False))

@@ -1,6 +1,7 @@
 """Properties of the scheduler and the optimizer under tight row budgets,
 and of the packed edge form every stage shares (``ref << 1 | neg``: node
-k is k, constant 0 is -1, constant 1 is -2, input i is -(3 + i))."""
+k is k, the constant is -1 and input i is -(2 + i); constant 1 is the
+complemented constant 0, which the string view renders as "1")."""
 
 from collections import Counter
 
@@ -80,8 +81,9 @@ def _simulate(g: MajGraph, rowmap, program, cfg: SubarrayConfig) -> list[int]:
 
 def _decode(e: int) -> tuple[str, bool]:
     r = e >> 1
-    name = "0" if r == -1 else "1" if r == -2 else f"in{-3 - r}" if r < 0 else f"n{r}"
-    return (name, bool(e & 1))
+    if r == -1:
+        return ("1" if e & 1 else "0", False)
+    return (f"in{-2 - r}" if r < 0 else f"n{r}", bool(e & 1))
 
 
 def _assert_views_agree(g: MajGraph):

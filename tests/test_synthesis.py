@@ -14,7 +14,6 @@ from pumkit.synthesis import (
     _LIBRARY,
     _Builder,
     _CutStore,
-    _fold,
     lower_to_maj,
     optimize,
     verify_rules,
@@ -258,14 +257,14 @@ class TestCutStore:
         b = _Builder.from_graph(g)
         for _ in range(5):
             del b.outputs[kept:]
-            refs = [(-3 - i) << 1 for i in range(b.input_count)]
+            refs = [(-2 - i) << 1 for i in range(b.input_count)]
             refs += [k << 1 for k in range(len(b.nodes))]
             if rng.random() < 0.7:
                 share = rng.random()
                 b.outputs += [e for e in refs if e >= 0 and rng.random() < share]
             for _ in range(rng.randint(0, 3)):
                 if b.nodes and rng.random() < 0.5:  # the complement of a node
-                    edges = [_fold(e ^ 1) for e in rng.choice(b.nodes)]
+                    edges = [e ^ 1 for e in rng.choice(b.nodes)]
                 else:
                     edges = [rng.choice(refs) ^ rng.randint(0, 1) for _ in range(3)]
                 b.nodes.append(tuple(sorted(edges)))
