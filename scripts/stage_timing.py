@@ -4,14 +4,16 @@
 
 Compiles add32 and mul16 (effort 2, default subarray), then calls
 `oplib.execute_op` `--calls` times on `--lanes` seeded random lanes and
-prints, per op, the median over calls of the seconds spent transposing
+prints, per op, the median over calls of the microseconds spent transposing
 operands in (`to_vertical`), running the program
 (`SubarrayState.run_program`) and transposing results out
 (`to_horizontal`), of the rest of the call (packing the operands into
 `HorizontalBlock`s, making the subarray, checking arguments) and of the
 whole call.  The stages are timed by wrapping those functions where
 `execute_op` reaches them; every call's results are checked against
-`oplib.oracle_lanes`.
+`oplib.oracle_lanes`.  `--lanes 64` is the batch of perfbench's
+`execute-narrow` workload, where running the program dominates;
+`--lanes 4096` is `execute-wide`'s.
 """
 
 from __future__ import annotations
@@ -80,10 +82,10 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args(argv)
     rng = random.Random(args.seed)
-    print(f"median of {args.calls} calls at {args.lanes} lanes, seconds")
+    print(f"median of {args.calls} calls at {args.lanes} lanes, microseconds")
     for kind, width in OPS:
         medians = stage_seconds(kind, width, args.lanes, args.calls, rng)
-        print(f"{kind}{width}: " + "  ".join(f"{stage} {s:.4f}"
+        print(f"{kind}{width}: " + "  ".join(f"{stage} {s * 1e6:.0f}"
                                              for stage, s in medians.items()))
     return 0
 

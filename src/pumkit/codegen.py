@@ -176,7 +176,8 @@ class MicroProgram:
     data_rows: int
     commands: tuple[Command, ...]
     lines: tuple[int, ...] | None = None  # source line numbers when parsed
-    # row-index ops per (total_rows, data_row_count), kept by subarray._lower
+    # value ops over slots per (total_rows, data_row_count), in which a plain
+    # AAP copy is a rename and runs nothing; kept by subarray._lower
     _lowered: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __reduce__(self):  # pickled without the `_lowered` cache

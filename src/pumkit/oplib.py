@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import itertools
 import random
-import struct
 from dataclasses import dataclass, replace
 
 from .codegen import (
@@ -44,7 +43,7 @@ from .errors import ArityError, CapacityError, PumError
 from .logic import Gate, MajGraph, Netlist
 from .subarray import ExecutionReport, new_subarray
 from .synthesis import SynthesisReport, lower_to_maj, optimize
-from .transpose import MAX_WIDTH, HorizontalBlock, to_horizontal, to_vertical
+from .transpose import MAX_WIDTH, HorizontalBlock, _unpack, to_horizontal, to_vertical
 
 OP_KINDS = (
     "and_n", "or_n", "xor_n",
@@ -371,17 +370,30 @@ def _corner_lanes(kind, widths, rng) -> list[tuple[int, ...]]:
     return cases
 
 
+# _BYTE_SHIFTS[s] maps each byte b to b >> s, for s = 0..7; each table
+# is the one before it read through the table for s = 1.
+_BYTE_SHIFTS = [bytes(range(256)), bytes(b >> 1 for b in range(256))]
+for _ in range(6):
+    _BYTE_SHIFTS.append(_BYTE_SHIFTS[-1].translate(_BYTE_SHIFTS[1]))
+
+
 def _random_column(rng: random.Random, width: int, n: int) -> list[int]:
     """``[rng.getrandbits(width) for _ in range(n)]``, drawn in one call
     when `width` <= 32.  A k-bit draw, k <= 32, is the top k bits of one
     32-bit word of the generator, and a 32n-bit draw is n such words,
     least significant first, so both give the same lanes and leave `rng`
-    in the same state."""
+    in the same state.  Up to 8 bits, the lanes are the draw's top byte
+    of every word, cut through a byte table; wider, the top bits move
+    down in every word at once, and the words are read whole."""
     if width > 32:
         return [rng.getrandbits(width) for _ in range(n)]
-    words = struct.unpack(f"<{n}I", rng.getrandbits(32 * n).to_bytes(4 * n, "little"))
-    shift = 32 - width
-    return [v >> shift for v in words]
+    draw = rng.getrandbits(32 * n)
+    if width <= 8:
+        return list(draw.to_bytes(4 * n, "little")[3::4].translate(_BYTE_SHIFTS[8 - width]))
+    if width < 32:
+        draw = (draw >> (32 - width)) & int.from_bytes(
+            ((1 << width) - 1).to_bytes(4, "little") * n, "little")
+    return _unpack(draw.to_bytes(4 * n, "little"), 4)
 
 
 def _verify_compiled(kind, width, widths, out_width, program, cfg, n_inputs) -> int:

@@ -13,8 +13,12 @@ Row semantics follow the command set the code generator targets:
   destructively overwriting all three.
 
 `run_program` lowers a program once per row geometry (total rows, data
-rows) to a list of row-index ops, cached on the program, and replays
-that list in one loop: the only geometry-dependent check, rows in
+rows) to value ops over slots, cached on the program (`_lower`).  Since
+a row is one int, a plain AAP copy is a rename: its destination reads
+its source's value and nothing runs.  Only a TRA (one majority) and a
+``~DCC`` read (one complement) become ops, and a run executes them in
+one loop on the rows plus the computed slots, then writes back every
+row the program changed.  The only geometry-dependent check, rows in
 range, runs while lowering, so a failing program changes nothing.
 `exec_aap`/`exec_tra` are the checked single-step form of the same
 commands.  Constant rows C0/C1 are write-protected and re-checked after
@@ -29,6 +33,7 @@ from typing import Sequence
 from .errors import ConfigError, ExecutionError, MicroProgramError, RowSafetyError
 from .codegen import (
     CONST_ROWS,
+    Command,
     MicroProgram,
     SubarrayConfig,
     alias_base,
@@ -155,23 +160,27 @@ class SubarrayState:
         self.report.tra_count += 1
 
     def run_program(self, program: MicroProgram) -> ExecutionReport:
-        """Run `program`'s lowered row ops (see `_lower`) in one loop.
+        """Run `program` as its lowered value ops (see `_lower`).
 
-        A program naming a row outside this geometry raises
-        `ExecutionError` with its line before any command runs.  Each
+        The ops run on ``v``, the rows followed by `_lower`'s computed
+        slots: one majority per TRA, one complement per ``~DCC`` read;
+        then every row the program changed takes its final slot.  A
+        program naming a row outside this geometry raises
+        `ExecutionError` with its line before any row changes.  Each
         command is counted once, into `self.report`; the returned report
         is this run's share of it.
         """
-        ops, aap, tra = _lower(program, self.cfg)
+        ops, writes, slots, aap, tra = _lower(program, self.cfg)
         rows, mask = self._rows, self._mask
-        for op, a, b, c in ops:
-            if op == _COPY:
-                rows[b] = rows[a]
-            elif op == _READ_NOT:
-                rows[b] = rows[a] ^ mask
+        v = rows + [0] * slots
+        for x, y, z, d in ops:
+            if y < 0:
+                v[d] = v[x] ^ mask
             else:
-                x, y, z = rows[a], rows[b], rows[c]
-                rows[a] = rows[b] = rows[c] = (x & y) | (z & (x | y))
+                a, b = v[x], v[y]
+                v[d] = (a & b) | (v[z] & (a | b))
+        for r, s in writes:
+            rows[r] = v[s]
         self.report.aap_count += aap
         self.report.tra_count += tra
         self._check_constants()
@@ -184,21 +193,28 @@ class SubarrayState:
             raise RowSafetyError("constant row C1 corrupted")
 
 
-# Lowered op codes: (code, a, b, c) with row indices a, b, c.
-_COPY = 0      # AAP: rows[b] = rows[a]
-_READ_NOT = 1  # AAP from ~DCC: rows[b] = complement of rows[a]
-_TRA = 2       # rows a, b, c all take their majority
+def _lower(program: MicroProgram, cfg: SubarrayConfig) -> tuple[list, list, int, int, int]:
+    """(ops, writes, slots, AAP count, TRA count) of `program` under
+    `cfg`'s row geometry: the program as value ops over slots.
 
-
-def _lower(program: MicroProgram, cfg: SubarrayConfig) -> tuple[list, int, int]:
-    """(ops, AAP count, TRA count) of `program` under `cfg`'s row geometry.
+    Slot i < total_rows is row i's content before the run; slots from
+    total_rows on, `slots` of them, are computed.  Each row reads one
+    slot, at first its own.  A plain AAP is a rename: its destination
+    reads its source's slot, and nothing runs.  A ``~DCC`` read is the op
+    ``(x, -1, 0, d)``, slot d = the complement of slot x, and a TRA is
+    ``(x, y, z, d)``, slot d = the majority of slots x, y, z, which all
+    three of its rows then read.  `writes` is the (row, slot) pair of
+    every row that ends reading a slot not its own.  A computed slot no
+    row reads is free, and the next op reuses it, so computed slots are
+    at most the rows the program writes.
 
     Cached on the program per (total_rows, data_row_count); columns do not
-    enter, since a ``~DCC`` read takes the running state's mask.  Each
-    distinct command is lowered once and its op shared.  The static rules
-    (arity, compute group, distinct rows, writable destination) hold by
-    construction of `Command`; the one left to check is that every row
-    is in range, reported as `ExecutionError` naming the command's line.
+    enter, since a complement takes the running state's mask.  Each
+    distinct command is decoded, and each distinct token resolved, once.
+    The static rules (arity, compute group, distinct rows, writable
+    destination) hold by construction of `Command`; the one left to check
+    is that every row is in range, reported as `ExecutionError` naming
+    the command's line.
     """
     geometry = (cfg.total_rows, cfg.data_row_count)
     cache = program._lowered
@@ -208,33 +224,71 @@ def _lower(program: MicroProgram, cfg: SubarrayConfig) -> tuple[list, int, int]:
     hit = cache.get(geometry)
     if hit is not None:
         return hit
+    base = cfg.total_rows
     index: dict[str, int] = {}  # token -> physical row, resolved once
-    by_rows: dict[tuple[str, ...], tuple[int, int, int, int]] = {}
+    decoded: dict[tuple[str, ...], tuple[int, ...]] = {}  # rows -> op rows
+    slot = list(range(base))  # the slot each row reads
+    readers = [0] * base  # rows reading each computed slot, by slot
+    free: list[int] = []  # computed slots no row reads
     ops = []
     tra = 0
     for n, cmd in enumerate(program.commands):
-        op = by_rows.get(cmd.rows)
-        if op is None:
-            try:
-                for t in reversed(cmd.rows):  # AAP: destination first
-                    if t not in index:
-                        index[t] = cfg.row_index(alias_base(t) or t)
-            except MicroProgramError as e:
-                raise ExecutionError(
-                    f"line {program.line_of(n)}: {cmd.render()}: {e}"
-                ) from e
-            if cmd.op == "TRA":
-                a, b, c = cmd.rows
-                op = (_TRA, index[a], index[b], index[c])
-            else:
-                src, dst = cmd.rows
-                op = (_COPY if alias_base(src) is None else _READ_NOT,
-                      index[src], index[dst], 0)
-            by_rows[cmd.rows] = op
-        tra += op[0] == _TRA
-        ops.append(op)
-    hit = cache[geometry] = (ops, len(ops) - tra, tra)
+        rows = decoded.get(cmd.rows)
+        if rows is None:
+            rows = decoded[cmd.rows] = _decode(cmd, n, program, index, cfg)
+        if len(rows) == 2:  # plain AAP: the destination reads the source's slot
+            src, dst = rows
+            s, old = slot[src], slot[dst]
+            slot[dst] = s
+            if s >= base:
+                readers[s] += 1
+            if old >= base:
+                readers[old] -= 1
+                if not readers[old]:
+                    free.append(old)
+            continue
+        a, b, c = rows
+        if c < 0:  # AAP from ~DCC: the destination reads a complemented slot
+            op = (slot[a], -1, 0)
+            written = (b,)
+        else:
+            op = (slot[a], slot[b], slot[c])
+            written = rows
+            tra += 1
+        for r in written:
+            s = slot[r]
+            if s >= base:
+                readers[s] -= 1
+                if not readers[s]:
+                    free.append(s)
+        if free:
+            d = free.pop()
+        else:
+            d = len(readers)
+            readers.append(0)
+        readers[d] = len(written)
+        for r in written:
+            slot[r] = d
+        ops.append(op + (d,))
+    writes = [(r, slot[r]) for r in sorted(set(index.values())) if slot[r] != r]
+    hit = cache[geometry] = (ops, writes, len(readers) - base,
+                             len(program.commands) - tra, tra)
     return hit
+
+
+def _decode(cmd: Command, n: int, program: MicroProgram, index: dict[str, int],
+            cfg: SubarrayConfig) -> tuple[int, ...]:
+    """`cmd`'s physical rows: (src, dst) for a plain AAP, (DCC row, dst,
+    -1) for a ``~DCC`` read, the three rows of a TRA.  Tokens resolve
+    into `index`; a row out of range is `ExecutionError` naming line n."""
+    try:
+        for t in reversed(cmd.rows):  # AAP: destination first
+            if t not in index:
+                index[t] = cfg.row_index(alias_base(t) or t)
+    except MicroProgramError as e:
+        raise ExecutionError(f"line {program.line_of(n)}: {cmd.render()}: {e}") from e
+    rows = tuple(index[t] for t in cmd.rows)
+    return (*rows, -1) if cmd.rows[0][0] == "~" else rows
 
 
 def new_subarray(cfg: SubarrayConfig) -> SubarrayState:

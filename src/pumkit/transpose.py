@@ -79,10 +79,19 @@ def _pack(values: tuple, size: int) -> bytes:
     item size cannot hold."""
     if size == 1:
         return bytes(values)
-    packed = array(_CODES[size], values)
+    # 2-byte items pack as 4-byte ones, which `array` packs faster
+    packed = array(_CODES[max(size, 4)], values)
     if sys.byteorder == "big":
         packed.byteswap()
-    return packed.tobytes()
+    packed = packed.tobytes()
+    if size == 2:
+        n = len(values)
+        if packed[2::4].count(0) != n or packed[3::4].count(0) != n:
+            raise OverflowError("value does not fit in 2 bytes")
+        low = bytearray(2 * n)
+        low[0::2], low[1::2] = packed[0::4], packed[1::4]
+        packed = bytes(low)
+    return packed
 
 
 def _unpack(buf: bytearray, size: int) -> list[int]:

@@ -15,7 +15,7 @@ from pumkit.codegen import (
 from pumkit.errors import ConfigError, ExecutionError, RowSafetyError
 from pumkit.logic import MajGraph
 from pumkit.oplib import compile_op_cached
-from pumkit.subarray import ExecutionReport, new_subarray
+from pumkit.subarray import ExecutionReport, _lower, new_subarray
 
 from conftest import random_majgraph
 
@@ -117,6 +117,18 @@ class TestTra:
         st = fresh()
         with pytest.raises(Exception):
             st.exec_tra("T0", "T0", "T1")
+
+
+# a small geometry for arbitrary command sequences, with every row a
+# plain AAP may read or write, and TRAs over the compute group
+_SMALL = SubarrayConfig(total_rows=16, columns=8, data_row_count=8)
+_SMALL_WRITABLE = [f"D{i}" for i in range(8)] + ["T0", "T1", "T2", "T3", "DCC0", "DCC1"]
+_SMALL_AAP = hst.tuples(
+    hst.sampled_from(_SMALL_WRITABLE + ["~DCC0", "~DCC1", "C0", "C1"]),
+    hst.sampled_from(_SMALL_WRITABLE),
+).filter(lambda rows: rows[0].lstrip("~") != rows[1]).map(lambda rows: Command("AAP", rows))
+_SMALL_TRA = hst.permutations(["T0", "T1", "T2", "T3", "DCC0", "DCC1"]).map(
+    lambda rows: Command("TRA", tuple(rows[:3])))
 
 
 class TestRunProgram:
@@ -260,6 +272,40 @@ class TestRunProgram:
             _step(step, prog)
             assert run.dump_rows() == step.dump_rows()
             assert report == run.report == step.report
+
+    def test_copy_out_survives_a_later_tra_on_its_source(self):
+        prog = MicroProgram("x", 1, 2, (
+            Command("AAP", ("T0", "T1")),
+            Command("TRA", ("T0", "T2", "T3")),
+            Command("AAP", ("T1", "D1")),
+        ))
+        st = fresh()
+        for token, word in (("T0", 0b1100), ("T2", 0b1010), ("T3", 0b0110)):
+            st.store_row(token, word)
+        st.run_program(prog)
+        assert st.load_row("D1") == 0b1100
+        assert st.load_row("T0") == st.load_row("T3") == 0b1110
+
+    @settings(max_examples=200, deadline=None)
+    @given(commands=hst.lists(hst.one_of(_SMALL_AAP, _SMALL_TRA), min_size=1, max_size=60),
+           seed=hst.integers(0, 2**32 - 1))
+    def test_arbitrary_commands_equal_stepping(self, commands, seed):
+        prog = MicroProgram("x", 1, _SMALL.data_row_count, tuple(commands))
+        rng = random.Random(seed)
+        run, step = new_subarray(_SMALL), new_subarray(_SMALL)
+        for token in _SMALL_WRITABLE:
+            noise = rng.getrandbits(_SMALL.columns)
+            run.store_row(token, noise)
+            step.store_row(token, noise)
+        report = run.run_program(prog)
+        _step(step, prog)
+        assert run.dump_rows() == step.dump_rows()
+        assert report == run.report == step.report
+        ops, _, slots, _, _ = _lower(prog, _SMALL)
+        assert len(ops) == sum(c.op == "TRA" or c.rows[0].startswith("~")
+                               for c in commands)
+        written = {t for c in commands for t in (c.rows if c.op == "TRA" else c.rows[1:])}
+        assert slots <= len(written)
 
 
 # every writable row of the default geometry

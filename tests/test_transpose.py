@@ -79,6 +79,9 @@ class TestToVertical:
         ((1 << 40,), 17, r"^value 0 \(1099511627776\) does not fit in 17 bits$"),
         ((1 << 64,), 64, r"^value 0 \(a 65-bit int\) does not fit in 64 bits$"),
         ((256,), 8, r"^value 0 \(256\) does not fit in 8 bits$"),
+        ((65536,), 16, r"^value 0 \(65536\) does not fit in 16 bits$"),
+        ((2**32,), 16, r"^value 0 \(4294967296\) does not fit in 16 bits$"),
+        ((0, 65535, 1 << 24), 16, r"^value 2 \(16777216\) does not fit in 16 bits$"),
     ])
     def test_misfits_are_named_at_every_item_size(self, values, width, match):
         with pytest.raises(CapacityError, match=match):
