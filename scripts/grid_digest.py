@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import os
 import sys
 from pathlib import Path
 
@@ -46,11 +47,20 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--widths", type=int, nargs="+", default=[4, 8, 16, 32])
     args = ap.parse_args(argv)
     grid_total = 0
-    for width in args.widths:
-        digest, total = width_digest(width)
-        grid_total += total
-        print(f"width {width}: {digest}  ({total} activations)")
-    print(f"grid total: {grid_total} activations")
+    try:
+        for width in args.widths:
+            digest, total = width_digest(width)
+            grid_total += total
+            print(f"width {width}: {digest}  ({total} activations)", flush=True)
+        print(f"grid total: {grid_total} activations", flush=True)
+    except BrokenPipeError:
+        # The reader has gone (`| head -1`): stop without a traceback, and
+        # point stdout at devnull so the exit-time flush cannot fail again.
+        try:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except (OSError, ValueError):  # stdout is no file descriptor
+            pass
+        return 1
     return 0
 
 

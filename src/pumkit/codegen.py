@@ -651,18 +651,21 @@ def verify_program(graph: MajGraph, rowmap: RowMap, program: MicroProgram) -> bo
     """Symbolic replay: output rows must hold the graph's expressions.
 
     Rows carry hash-consed (expression, polarity) values; a TRA builds a
-    majority expression over the three operand values.  Catches any read
-    of a recycled row, independent of test vectors.
+    majority expression over the three operand values, normalised by
+    self-duality.  Catches any read of a recycled row, independent of
+    test vectors.
     """
     intern: dict[tuple, int] = {}
 
     def mk(key: tuple) -> int:
-        if key not in intern:
-            intern[key] = len(intern)
-        return intern[key]
+        return intern.setdefault(key, len(intern))
 
     def maj_of(v1, v2, v3) -> tuple[int, bool]:
-        return (mk(("maj", tuple(sorted((v1, v2, v3))))), False)
+        # M(~a,~b,~c) = ~M(a,b,c): intern with at most one operand complemented
+        flip = v1[1] + v2[1] + v3[1] >= 2
+        if flip:
+            v1, v2, v3 = (v1[0], not v1[1]), (v2[0], not v2[1]), (v3[0], not v3[1])
+        return (mk(("maj", tuple(sorted((v1, v2, v3))))), flip)
 
     rows: dict[str, tuple[int, bool]] = {}
     for r in COMPUTE_ROWS + DCC_ROWS:

@@ -12,22 +12,25 @@ lane ``c``.  Truth tables and equivalence checks ride on the same bulk
 evaluator with standard enumeration masks, so exhaustive comparison is
 cheap up to the 16-input guard.
 
-Inside the toolkit a majority-graph edge is one packed int, the
-complemented-edge literal ``ref << 1 | neg``: node k is ref ``k``, the
-constant is ``-1`` and input i is ``-(2 + i)``, so ``e >> 1`` is the ref,
-``e & 1`` the complement bit and ``e ^ 1`` the complemented edge.  As in
-AIGER, constant 1 is the complemented constant 0, so no value has two
-spellings.  Lowering, rewriting, scheduling and verification all work on
-this form.  The ``(ref, complemented)`` string pairs (``"0"``,
-``"1"``, ``"in<i>"``, ``"n<k>"``) are only the public view of a
-``MajGraph``: its constructor parses them once, and ``nodes``/``outputs``
-render them back.
+Inside the toolkit both forms hold an edge as one packed int, the
+complemented-edge literal ``ref << 1 | neg``: gate or node k is ref
+``k`` (its position), the constant is ``-1`` and input i is ``-(2 + i)``,
+so ``e >> 1`` is the ref, ``e & 1`` the complement bit and ``e ^ 1`` the
+complemented edge.  As in AIGER, constant 1 is the complemented constant
+0, so no value has two spellings; it is the only complemented edge a
+netlist holds, since NOT is a gate there.  Building, lowering, rewriting,
+scheduling and verification all work on this form.  Names exist only at
+the boundaries: the netlist text format spells edges ``"0"``, ``"1"``,
+``"in<i>"`` and ``"g<j>"`` (gate j), and the ``(ref, complemented)``
+string pairs (``"0"``, ``"1"``, ``"in<i>"``, ``"n<k>"``) are the public
+view of a ``MajGraph``: its constructor parses them once, and
+``nodes``/``outputs`` render them back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence
 
 from .errors import ArityError, NetlistFormatError, TableSizeError
 
@@ -38,8 +41,9 @@ GATE_ARITY = {"AND": 2, "OR": 2, "XOR": 2, "NOT": 1}
 CONST_ZERO = "0"
 CONST_ONE = "1"
 
-# An edge is (ref, complemented).  Refs are "0", "1", "in<i>", and
-# "g<j>" / "n<j>" for netlist gates / majority nodes.
+# The string view of a majority-graph edge: (ref, complemented), with
+# refs "0", "1", "in<i>" and "n<k>".  Netlists hold the same packed
+# edges as graphs; "g<j>", gate j by position, exists only in their text.
 Edge = tuple[str, bool]
 
 # Digits a number in a netlist or `.up` text may have: no subarray has
@@ -65,13 +69,28 @@ def _numbered(ref: str, prefix: str) -> bool:
     return ref.startswith(prefix) and _is_canonical_number(ref[len(prefix):])
 
 
-def input_index(ref: str) -> int | None:
-    return int(ref[2:]) if _numbered(ref, "in") else None
-
-
 # Packed ref of the constant: edge REF_ZERO << 1 is 0 and its complement
-# is 1.  Input i is ref -(2 + i), node k is k.
+# is 1.  Input i is ref -(2 + i), gate or node k is k.
 REF_ZERO = -1
+EDGE_ZERO = REF_ZERO << 1
+EDGE_ONE = EDGE_ZERO | 1
+
+
+def _named_edge(name: str, names: dict[str, int], input_count: int, where: str) -> int:
+    """Packed edge `name` spells: its entry in `names` (the gates or nodes
+    defined so far), else "0", "1" or "in<i>" with i below `input_count`.
+    Any other name is a `NetlistFormatError` prefixed with `where`."""
+    e = names.get(name)
+    if e is not None:
+        return e
+    if name == CONST_ZERO:
+        return EDGE_ZERO
+    if name == CONST_ONE:
+        return EDGE_ONE
+    if _numbered(name, "in") and int(name[2:]) < input_count:
+        return (-2 - int(name[2:])) << 1
+    raise NetlistFormatError(f"{where}: reference {name!r} is not a constant, an input "
+                             f"below {input_count} or an earlier gate or node")
 
 
 def ref_name(r: int) -> str:
@@ -104,62 +123,82 @@ def _enum_masks(n: int) -> list[int]:
     return masks
 
 
-@dataclass(frozen=True)
-class Gate:
-    gid: str
+class Circuit:
+    """What `Netlist` and `MajGraph` share: immutability, and evaluation
+    over packed edges, where gate or node k's value is k's entry."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):  # immutable after construction
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _evaluator(self, words: Sequence[int], lanes: int):
+        """(mask, vals, val) over `lanes` lanes: append gate or node k's
+        value to `vals`, and `val(e)` reads edge e."""
+        if len(words) != self.input_count:
+            raise ArityError(f"expected {self.input_count} input words, got {len(words)}")
+        mask = (1 << lanes) - 1
+        leaf = [0] + [w & mask for w in words]  # ref r < 0 sits at -1 - r
+        vals: list[int] = []
+
+        def val(e: int) -> int:
+            r = e >> 1
+            v = vals[r] if r >= 0 else leaf[-1 - r]
+            return v ^ mask if e & 1 else v
+
+        return mask, vals, val
+
+    def eval(self, assignment: Sequence[int]) -> tuple[int, ...]:
+        if len(assignment) != self.input_count:
+            raise ArityError(
+                f"expected {self.input_count} input bits, got {len(assignment)}"
+            )
+        return tuple(self.eval_bulk([b & 1 for b in assignment], 1))
+
+
+class Gate(NamedTuple):
+    """Gate j of a netlist; its operands are packed edges."""
+
     kind: str
-    operands: tuple[str, ...]
+    operands: tuple[int, ...]
 
 
-class Netlist:
-    """Topologically ordered AND/OR/NOT/XOR gate DAG."""
+class Netlist(Circuit):
+    """Topologically ordered AND/OR/NOT/XOR gate DAG over packed edges.
+
+    Gate j is edge ``j << 1`` and may read only constants, inputs below
+    `input_count` and earlier gates; `outputs` are edges too.
+    """
 
     __slots__ = ("input_count", "gates", "outputs")
 
-    def __init__(self, input_count: int, gates: Sequence[Gate], outputs: Sequence[str]):
+    def __init__(self, input_count: int, gates: Sequence[Gate], outputs: Sequence[int]):
         if input_count < 0:
             raise ArityError("input count must be non-negative")
-        defined: set[str] = set()
-        for g in gates:
-            if not _numbered(g.gid, "g"):
-                raise NetlistFormatError(f"bad gate id {g.gid!r}")
-            if g.gid in defined:
-                raise NetlistFormatError(f"duplicate gate id {g.gid!r}")
-            if g.kind not in GATE_ARITY:
-                raise NetlistFormatError(f"unknown gate kind {g.kind!r}")
-            if len(g.operands) != GATE_ARITY[g.kind]:
+        gates = [Gate(kind, tuple(ops)) for kind, ops in gates]
+        lowest = (-1 - input_count) << 1  # input input_count - 1
+
+        def check(edges, j: int):  # what gate j, or the outputs after the last gate, read
+            for e in edges:
+                if not (type(e) is int and lowest <= e < j << 1 and (not e & 1 or e == EDGE_ONE)):
+                    raise NetlistFormatError(
+                        f"{f'g{j}' if j < len(gates) else 'outputs'}: edge {e!r} is not "
+                        f"a constant, an input below {input_count} or an earlier gate")
+
+        for j, (kind, ops) in enumerate(gates):
+            if kind not in GATE_ARITY:
+                raise NetlistFormatError(f"g{j}: unknown gate kind {kind!r}")
+            if len(ops) != GATE_ARITY[kind]:
                 raise ArityError(
-                    f"{g.gid}: {g.kind} takes {GATE_ARITY[g.kind]} operands, got {len(g.operands)}"
-                )
-            for ref in g.operands:
-                self._check_ref(ref, input_count, defined, g.gid)
-            defined.add(g.gid)
-        for ref in outputs:
-            self._check_ref(ref, input_count, defined, "outputs")
+                    f"g{j}: {kind} takes {GATE_ARITY[kind]} operands, got {len(ops)}")
+            check(ops, j)
+        check(outputs, len(gates))
         object.__setattr__(self, "input_count", input_count)
         object.__setattr__(self, "gates", tuple(gates))
         object.__setattr__(self, "outputs", tuple(outputs))
 
-    def __setattr__(self, name, value):  # immutable after construction
-        raise AttributeError("Netlist is immutable")
-
     def __reduce__(self):  # pickle through the constructor, not attribute restores
         return Netlist, (self.input_count, self.gates, self.outputs)
-
-    @staticmethod
-    def _check_ref(ref: str, input_count: int, defined: set[str], where: str):
-        if ref in (CONST_ZERO, CONST_ONE):
-            return
-        idx = input_index(ref)
-        if idx is not None:
-            if idx >= input_count:
-                raise NetlistFormatError(f"{where}: input {ref!r} out of range")
-            return
-        if _numbered(ref, "g"):
-            if ref not in defined:
-                raise NetlistFormatError(f"{where}: reference to undefined gate {ref!r}")
-            return
-        raise NetlistFormatError(f"{where}: unknown reference {ref!r}")
 
     @property
     def output_count(self) -> int:
@@ -167,36 +206,23 @@ class Netlist:
 
     def eval_bulk(self, words: Sequence[int], lanes: int) -> list[int]:
         """Evaluate all lanes at once; word i packs input i across lanes."""
-        if len(words) != self.input_count:
-            raise ArityError(f"expected {self.input_count} input words, got {len(words)}")
-        mask = (1 << lanes) - 1
-        env: dict[str, int] = {CONST_ZERO: 0, CONST_ONE: mask}
-        for i, w in enumerate(words):
-            env[f"in{i}"] = w & mask
-        for g in self.gates:
-            a = env[g.operands[0]]
-            if g.kind == "NOT":
-                env[g.gid] = a ^ mask
+        mask, vals, val = self._evaluator(words, lanes)
+        for kind, ops in self.gates:
+            a = val(ops[0])
+            if kind == "NOT":
+                vals.append(a ^ mask)
                 continue
-            b = env[g.operands[1]]
-            if g.kind == "AND":
-                env[g.gid] = a & b
-            elif g.kind == "OR":
-                env[g.gid] = a | b
+            b = val(ops[1])
+            if kind == "AND":
+                vals.append(a & b)
+            elif kind == "OR":
+                vals.append(a | b)
             else:  # XOR
-                env[g.gid] = a ^ b
-        return [env[ref] for ref in self.outputs]
-
-    def eval(self, assignment: Sequence[int]) -> tuple[int, ...]:
-        if len(assignment) != self.input_count:
-            raise ArityError(
-                f"expected {self.input_count} input bits, got {len(assignment)}"
-            )
-        out = self.eval_bulk([b & 1 for b in assignment], 1)
-        return tuple(out)
+                vals.append(a ^ b)
+        return [val(e) for e in self.outputs]
 
 
-class MajGraph:
+class MajGraph(Circuit):
     """Majority-node DAG with complementable edges.
 
     Node k is referenced as ``n<k>``; each node holds exactly three
@@ -218,16 +244,11 @@ class MajGraph:
     ):
         if input_count < 0:
             raise ArityError("input count must be non-negative")
-        refs = {CONST_ZERO: REF_ZERO << 1, CONST_ONE: REF_ZERO << 1 | 1}
-        refs.update((f"in{i}", (-2 - i) << 1) for i in range(input_count))
+        refs: dict[str, int] = {}  # node names
 
         def pack(edge: Edge, where: str) -> int:
             ref, neg = edge
-            if ref not in refs:
-                raise NetlistFormatError(
-                    f"{where}: reference {ref!r} is not a constant, an input below "
-                    f"{input_count} or an earlier node")
-            return refs[ref] ^ bool(neg)
+            return _named_edge(ref, refs, input_count, where) ^ bool(neg)
 
         packed = []
         for k, edges in enumerate(nodes):
@@ -252,9 +273,6 @@ class MajGraph:
         object.__setattr__(self, "packed_nodes", packed_nodes)
         object.__setattr__(self, "packed_outputs", packed_outputs)
         object.__setattr__(self, "_sweep", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MajGraph is immutable")
 
     def __reduce__(self):  # the packed edges only; _sweep is a cache
         return MajGraph._from_packed, (self.input_count, self.packed_nodes,
@@ -284,38 +302,13 @@ class MajGraph:
         return max((d[e >> 1] for e in self.packed_outputs if e >= 0), default=0)
 
     def eval_bulk(self, words: Sequence[int], lanes: int) -> list[int]:
-        if len(words) != self.input_count:
-            raise ArityError(f"expected {self.input_count} input words, got {len(words)}")
-        mask = (1 << lanes) - 1
-        leaf = [0] + [w & mask for w in words]  # ref r < 0 sits at -1 - r
-        vals: list[int] = []
-
-        def val(e: int) -> int:
-            r = e >> 1
-            v = vals[r] if r >= 0 else leaf[-1 - r]
-            return v ^ mask if e & 1 else v
-
+        _, vals, val = self._evaluator(words, lanes)
         for a, b, c in self.packed_nodes:
             vals.append(_maj(val(a), val(b), val(c)))
         return [val(e) for e in self.packed_outputs]
 
-    def eval(self, assignment: Sequence[int]) -> tuple[int, ...]:
-        if len(assignment) != self.input_count:
-            raise ArityError(
-                f"expected {self.input_count} input bits, got {len(assignment)}"
-            )
-        return tuple(self.eval_bulk([b & 1 for b in assignment], 1))
 
-
-Circuit = Union[Netlist, MajGraph]
-
-
-def eval_netlist(netlist: Netlist, assignment: Sequence[int]) -> tuple[int, ...]:
-    return netlist.eval(assignment)
-
-
-def eval_majgraph(graph: MajGraph, assignment: Sequence[int]) -> tuple[int, ...]:
-    return graph.eval(assignment)
+eval_netlist = eval_majgraph = Circuit.eval
 
 
 @dataclass(frozen=True)
@@ -368,47 +361,62 @@ def equivalent(x: Circuit, y: Circuit) -> bool:
 #   g1 = NOT g0
 #   outputs g1
 #
-# '#' starts a comment; blank lines are ignored.
+# '#' starts a comment; blank lines are ignored.  Gate ids are any unique
+# canonical "g<n>" defined before use; they name gates by position once
+# parsed, and format_netlist writes gate j as "g<j>".
 
 
 def parse_netlist(text: str) -> Netlist:
     input_count = None
     gates: list[Gate] = []
-    outputs: list[str] | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    outputs: list[int] | None = None
+    names: dict[str, int] = {}  # gate ids
+    lines = text.splitlines()
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         toks = line.split()
+        where = f"line {lineno}"
         if input_count is None:
             if toks[0] != "inputs" or len(toks) != 2 or not _is_canonical_number(toks[1]):
-                raise NetlistFormatError(f"line {lineno}: expected 'inputs <n>' header")
+                raise NetlistFormatError(f"{where}: expected 'inputs <n>' header")
             input_count = int(toks[1])
             continue
         if outputs is not None:
-            raise NetlistFormatError(f"line {lineno}: content after outputs footer")
+            raise NetlistFormatError(f"{where}: content after outputs footer")
         if toks[0] == "outputs":
-            outputs = toks[1:]
+            outputs = [_named_edge(t, names, input_count, where) for t in toks[1:]]
             continue
         if len(toks) < 4 or toks[1] != "=":
-            raise NetlistFormatError(f"line {lineno}: expected '<gate> = <KIND> <ops...>'")
-        gid, kind, ops = toks[0], toks[2], tuple(toks[3:])
+            raise NetlistFormatError(f"{where}: expected '<gate> = <KIND> <ops...>'")
+        gid, kind, ops = toks[0], toks[2], toks[3:]
+        if not _numbered(gid, "g"):
+            raise NetlistFormatError(f"{where}: bad gate id {gid!r}")
+        if gid in names:
+            raise NetlistFormatError(f"{where}: duplicate gate id {gid!r}")
         if kind not in GATE_ARITY:
-            raise NetlistFormatError(f"line {lineno}: unknown gate kind {kind!r}")
-        gates.append(Gate(gid, kind, ops))
+            raise NetlistFormatError(f"{where}: unknown gate kind {kind!r}")
+        if len(ops) != GATE_ARITY[kind]:
+            raise NetlistFormatError(
+                f"{where}: {kind} takes {GATE_ARITY[kind]} operands, got {len(ops)}")
+        gates.append(Gate(kind, tuple(_named_edge(t, names, input_count, where) for t in ops)))
+        names[gid] = len(gates) - 1 << 1
+    end = f"line {len(lines) + 1}: end of text before"
     if input_count is None:
-        raise NetlistFormatError("missing 'inputs <n>' header")
+        raise NetlistFormatError(f"{end} the 'inputs <n>' header")
     if outputs is None:
-        raise NetlistFormatError("missing 'outputs ...' footer")
-    try:
-        return Netlist(input_count, gates, outputs)
-    except (NetlistFormatError, ArityError) as e:
-        raise NetlistFormatError(str(e)) from e
+        raise NetlistFormatError(f"{end} the 'outputs ...' footer")
+    return Netlist(input_count, gates, outputs)
+
+
+def _netlist_name(e: int) -> str:
+    return f"g{e >> 1}" if e >= 0 else _edge_view(e)[0]
 
 
 def format_netlist(netlist: Netlist) -> str:
     lines = [f"inputs {netlist.input_count}"]
-    for g in netlist.gates:
-        lines.append(f"{g.gid} = {g.kind} {' '.join(g.operands)}")
-    lines.append("outputs " + " ".join(netlist.outputs))
+    for j, (kind, ops) in enumerate(netlist.gates):
+        lines.append(f"g{j} = {kind} {' '.join(map(_netlist_name, ops))}")
+    lines.append("outputs " + " ".join(map(_netlist_name, netlist.outputs)))
     return "\n".join(lines) + "\n"

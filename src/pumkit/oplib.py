@@ -40,7 +40,7 @@ from .codegen import (
     verify_program,
 )
 from .errors import ArityError, CapacityError, PumError
-from .logic import Gate, MajGraph, Netlist
+from .logic import EDGE_ONE, EDGE_ZERO, Gate, MajGraph, Netlist
 from .subarray import ExecutionReport, new_subarray
 from .synthesis import SynthesisReport, lower_to_maj, optimize
 from .transpose import MAX_WIDTH, HorizontalBlock, _unpack, to_horizontal, to_vertical
@@ -156,62 +156,60 @@ def oracle_lanes(kind: str, width: int, columns: list[list[int]]) -> list[int]:
 
 
 class _NB:
-    """Gate accumulator with constant-identity folding."""
+    """Gate accumulator with constant-identity folding; refs are packed
+    netlist edges, so gate j is ``j << 1``."""
 
     def __init__(self):
         self.gates: list[Gate] = []
-        self._not_cache: dict[str, str] = {}
+        self._not_cache: dict[int, int] = {}
 
-    def _emit(self, kind: str, *ops: str) -> str:
-        gid = f"g{len(self.gates)}"
-        self.gates.append(Gate(gid, kind, tuple(ops)))
-        return gid
+    def _emit(self, kind: str, *ops: int) -> int:
+        self.gates.append(Gate(kind, ops))
+        return len(self.gates) - 1 << 1
 
-    def NOT(self, a: str) -> str:
-        if a == "0":
-            return "1"
-        if a == "1":
-            return "0"
+    def NOT(self, a: int) -> int:
+        if a == EDGE_ZERO or a == EDGE_ONE:
+            return a ^ 1
         hit = self._not_cache.get(a)
         if hit is None:
             hit = self._emit("NOT", a)
             self._not_cache[a] = hit
         return hit
 
-    def AND(self, a: str, b: str) -> str:
-        if a == "0" or b == "0":
-            return "0"
-        if a == "1":
+    def AND(self, a: int, b: int) -> int:
+        if a == EDGE_ZERO or b == EDGE_ZERO:
+            return EDGE_ZERO
+        if a == EDGE_ONE:
             return b
-        if b == "1":
+        if b == EDGE_ONE:
             return a
         return self._emit("AND", a, b)
 
-    def OR(self, a: str, b: str) -> str:
-        if a == "1" or b == "1":
-            return "1"
-        if a == "0":
+    def OR(self, a: int, b: int) -> int:
+        if a == EDGE_ONE or b == EDGE_ONE:
+            return EDGE_ONE
+        if a == EDGE_ZERO:
             return b
-        if b == "0":
+        if b == EDGE_ZERO:
             return a
         return self._emit("OR", a, b)
 
-    def XOR(self, a: str, b: str) -> str:
-        if a == "0":
+    def XOR(self, a: int, b: int) -> int:
+        if a == EDGE_ZERO:
             return b
-        if b == "0":
+        if b == EDGE_ZERO:
             return a
-        if a == "1":
+        if a == EDGE_ONE:
             return self.NOT(b)
-        if b == "1":
+        if b == EDGE_ONE:
             return self.NOT(a)
         return self._emit("XOR", a, b)
 
-    def mux(self, sel: str, a: str, b: str) -> str:
+    def mux(self, sel: int, a: int, b: int) -> int:
         """sel ? a : b"""
         return self.OR(self.AND(sel, a), self.AND(self.NOT(sel), b))
 
-    def reduce(self, kind: str, refs: list[str]) -> str:
+    def reduce(self, kind: str, refs: list[int]) -> int:
         refs = list(refs)
         op = {"AND": self.AND, "OR": self.OR, "XOR": self.XOR}[kind]
         while len(refs) > 1:
@@ -221,22 +219,22 @@ class _NB:
             refs = nxt
         return refs[0]
 
-    def full_add(self, a: str, b: str, c: str) -> tuple[str, str]:
+    def full_add(self, a: int, b: int, c: int) -> tuple[int, int]:
         x = self.XOR(a, b)
         return self.XOR(x, c), self.OR(self.AND(a, b), self.AND(x, c))
 
-    def ripple_add(self, A: list[str], B: list[str]) -> tuple[list[str], str]:
+    def ripple_add(self, A: list[int], B: list[int]) -> tuple[list[int], int]:
         out = []
-        carry = "0"
+        carry = EDGE_ZERO
         for a, b in zip(A, B):
             s, carry = self.full_add(a, b, carry)
             out.append(s)
         return out, carry
 
-    def ripple_sub(self, A: list[str], B: list[str]) -> tuple[list[str], str]:
+    def ripple_sub(self, A: list[int], B: list[int]) -> tuple[list[int], int]:
         """A - B; returns (difference bits, borrow-out)."""
         out = []
-        borrow = "0"
+        borrow = EDGE_ZERO
         for a, b in zip(A, B):
             x = self.XOR(a, b)
             out.append(self.XOR(x, borrow))
@@ -245,13 +243,10 @@ class _NB:
         return out, borrow
 
 
-def _operand_bits(widths: tuple[int, ...]) -> list[list[str]]:
-    bits = []
-    base = 0
-    for w in widths:
-        bits.append([f"in{base + i}" for i in range(w)])
-        base += w
-    return bits
+def _operand_bits(widths: tuple[int, ...]) -> list[list[int]]:
+    """Input edges of each operand's bits, input i being (-2 - i) << 1."""
+    starts = itertools.accumulate(widths, initial=0)
+    return [[(-2 - i) << 1 for i in range(s, s + w)] for s, w in zip(starts, widths)]
 
 
 def build_netlist(kind: str, width: int, n_inputs: int = 2) -> Netlist:
@@ -270,13 +265,13 @@ def build_netlist(kind: str, width: int, n_inputs: int = 2) -> Netlist:
         outs = [nb.NOT(diff) if kind == "eq" else diff]
     elif kind in ("gt", "lt"):
         A, B = (ops[0], ops[1]) if kind == "gt" else (ops[1], ops[0])
-        g = "0"
+        g = EDGE_ZERO
         for a, b in zip(A, B):
             g = nb.OR(nb.AND(a, nb.NOT(b)),
                       nb.AND(nb.NOT(nb.XOR(a, b)), g))
         outs = [g]
     elif kind in ("max", "min"):
-        g = "0"
+        g = EDGE_ZERO
         for a, b in zip(ops[0], ops[1]):
             g = nb.OR(nb.AND(a, nb.NOT(b)),
                       nb.AND(nb.NOT(nb.XOR(a, b)), g))
@@ -290,25 +285,25 @@ def build_netlist(kind: str, width: int, n_inputs: int = 2) -> Netlist:
     elif kind == "sub":
         outs, _ = nb.ripple_sub(ops[0], ops[1])
     elif kind == "mul":
-        acc = ["0"] * (2 * w)
+        acc = [EDGE_ZERO] * (2 * w)
         for i in range(w):
-            carry = "0"
+            carry = EDGE_ZERO
             for j in range(w):
                 p = nb.AND(ops[0][j], ops[1][i])
                 acc[i + j], carry = nb.full_add(acc[i + j], p, carry)
             k = i + w
-            while carry != "0" and k < 2 * w:
+            while carry != EDGE_ZERO and k < 2 * w:
                 s = nb.XOR(acc[k], carry)
                 carry = nb.AND(acc[k], carry)
                 acc[k] = s
                 k += 1
         outs = acc
     elif kind == "div":
-        R = ["0"] * w
-        Q = ["0"] * w
+        R = [EDGE_ZERO] * w
+        Q = [EDGE_ZERO] * w
         for i in reversed(range(w)):
             shifted = [ops[0][i]] + R  # remainder << 1 | dividend bit, w+1 bits
-            divisor = ops[1] + ["0"]
+            divisor = ops[1] + [EDGE_ZERO]
             diff, borrow = nb.ripple_sub(shifted, divisor)
             q = nb.NOT(borrow)
             Q[i] = q
@@ -318,21 +313,21 @@ def build_netlist(kind: str, width: int, n_inputs: int = 2) -> Netlist:
         cond = ops[0][0]
         outs = [nb.mux(cond, a, b) for a, b in zip(ops[1], ops[2])]
     elif kind == "bitcount":
-        cnt: list[str] = []
+        cnt: list[int] = []
         for bit in ops[0]:
             carry = bit
             for k in range(len(cnt)):
-                if carry == "0":
+                if carry == EDGE_ZERO:
                     break
                 s = nb.XOR(cnt[k], carry)
                 carry = nb.AND(cnt[k], carry)
                 cnt[k] = s
-            if carry != "0":
+            if carry != EDGE_ZERO:
                 cnt.append(carry)
-        outs = (cnt + ["0"] * out_width)[:out_width]
+        outs = (cnt + [EDGE_ZERO] * out_width)[:out_width]
     else:  # relu: a non-negative result always has a zero top bit
         keep = nb.NOT(ops[0][w - 1])
-        outs = [nb.AND(bit, keep) for bit in ops[0][: w - 1]] + ["0"]
+        outs = [nb.AND(bit, keep) for bit in ops[0][: w - 1]] + [EDGE_ZERO]
 
     return Netlist(sum(widths), nb.gates, outs)
 

@@ -45,22 +45,17 @@ from dataclasses import dataclass
 from .codegen import DEFAULT_SUBARRAY, SubarrayConfig, _drop_sweep, estimate_cost_static
 from .errors import CapacityError, PumError, TableSizeError
 from .logic import (
-    CONST_ONE,
-    CONST_ZERO,
+    EDGE_ONE,
+    EDGE_ZERO,
     REF_ZERO,
     MajGraph,
     Netlist,
     _enum_masks,
     _maj,
     equivalent,
+    parse_netlist,
     truth_table,
 )
-
-# Edges use the packed encoding of `logic`: (ref << 1) | complemented, so
-# edge ^ 1 complements it and constant 1 is the complemented constant 0.
-_E_C0 = REF_ZERO << 1
-_E_C1 = _E_C0 | 1
-
 
 # --- lowering ---------------------------------------------------------------
 
@@ -73,24 +68,25 @@ def lower_to_maj(netlist: Netlist) -> MajGraph:
         nodes.append((e1, e2, e3))
         return (len(nodes) - 1) << 1
 
-    env: dict[str, int] = {CONST_ZERO: _E_C0, CONST_ONE: _E_C1}
-    for i in range(netlist.input_count):
-        env[f"in{i}"] = (-2 - i) << 1
-    for g in netlist.gates:
-        a = env[g.operands[0]]
-        if g.kind == "NOT":
-            env[g.gid] = a ^ 1
+    # gate j's lowered edge; a netlist edge below 0 (a constant or an
+    # input) lowers to itself
+    gate_edges: list[int] = []
+    for kind, ops in netlist.gates:
+        a = ops[0]
+        if a >= 0:
+            a = gate_edges[a >> 1]
+        if kind == "NOT":
+            gate_edges.append(a ^ 1)
             continue
-        b = env[g.operands[1]]
-        if g.kind == "AND":
-            env[g.gid] = node(a, b, _E_C0)
-        elif g.kind == "OR":
-            env[g.gid] = node(a, b, _E_C1)
-        else:  # XOR(a,b) = AND(NAND(a,b), OR(a,b))
-            n_and = node(a, b, _E_C0)
-            n_or = node(a, b, _E_C1)
-            env[g.gid] = node(n_and ^ 1, n_or, _E_C0)
-    outputs = [env[ref] for ref in netlist.outputs]
+        b = ops[1]
+        if b >= 0:
+            b = gate_edges[b >> 1]
+        if kind == "XOR":  # AND(NAND(a,b), OR(a,b))
+            n_and, n_or = node(a, b, EDGE_ZERO), node(a, b, EDGE_ONE)
+            gate_edges.append(node(n_and ^ 1, n_or, EDGE_ZERO))
+        else:  # AND(a,b) = MAJ(a,b,0), OR(a,b) = MAJ(a,b,1)
+            gate_edges.append(node(a, b, EDGE_ZERO if kind == "AND" else EDGE_ONE))
+    outputs = [gate_edges[e >> 1] if e >= 0 else e for e in netlist.outputs]
     return MajGraph._from_packed(netlist.input_count, nodes, outputs)
 
 
@@ -128,8 +124,8 @@ def _build_library() -> dict[tuple[int, int], _Template]:
         for v in range(nvars):
             lit_edges.append(((-2 - v) << 1, masks[v]))
             lit_edges.append((((-2 - v) << 1) | 1, masks[v] ^ full))
-        lit_edges.append((_E_C0, 0))
-        lit_edges.append((_E_C1, full))
+        lit_edges.append((EDGE_ZERO, 0))
+        lit_edges.append((EDGE_ONE, full))
 
         for e, t in lit_edges:
             put(nvars, t, _Template("cut_collapse", 0, (), e))
@@ -159,9 +155,9 @@ def _build_library() -> dict[tuple[int, int], _Template]:
         if nvars >= 2:
             a, b = (-2 - 0) << 1, (-2 - 1) << 1
             if nvars == 2:
-                n0 = tuple(sorted((a, b, _E_C0)))
-                n1 = tuple(sorted((a, b, _E_C1)))
-                n2 = tuple(sorted(((0 << 1) | 1, 1 << 1, _E_C0)))
+                n0 = tuple(sorted((a, b, EDGE_ZERO)))
+                n1 = tuple(sorted((a, b, EDGE_ONE)))
+                n2 = tuple(sorted(((0 << 1) | 1, 1 << 1, EDGE_ZERO)))
                 t = masks[0] ^ masks[1]
             else:
                 c = (-2 - 2) << 1
@@ -961,7 +957,8 @@ def _default_rules() -> tuple[RewriteRule, ...]:
         # shared-majority template.
         RewriteRule(
             "cut_xor",
-            lower_to_maj(_xor3_netlist()),
+            lower_to_maj(parse_netlist(
+                "inputs 3\ng0 = XOR in0 in1\ng1 = XOR g0 in2\noutputs g1\n")),
             MajGraph(3, [
                 (a, b, c),
                 (a, b, ("in2", True)),
@@ -970,16 +967,6 @@ def _default_rules() -> tuple[RewriteRule, ...]:
         ),
     ]
     return tuple(rules)
-
-
-def _xor3_netlist() -> Netlist:
-    from .logic import Gate
-
-    return Netlist(
-        3,
-        [Gate("g0", "XOR", ("in0", "in1")), Gate("g1", "XOR", ("g0", "in2"))],
-        ["g1"],
-    )
 
 
 def verify_rules(rules: tuple[RewriteRule, ...] | None = None) -> list[RuleCheck]:

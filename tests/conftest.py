@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from pumkit.logic import Gate, MajGraph, Netlist
+from pumkit.logic import EDGE_ONE, EDGE_ZERO, Gate, MajGraph, Netlist
 
 GATE_KINDS = ("AND", "OR", "XOR", "NOT")
 
@@ -34,16 +34,20 @@ def random_majgraph(rng: random.Random, n_inputs: int = 4, n_nodes: int = 8,
     return MajGraph(n_inputs, nodes, outputs)
 
 
+def in_edge(i: int) -> int:
+    """Packed edge of input i; gate j is edge j << 1."""
+    return (-2 - i) << 1
+
+
 def random_netlist(rng: random.Random, n_inputs: int = 4, n_gates: int = 10,
                    n_outputs: int | None = None) -> Netlist:
-    refs = ["0", "1"] + [f"in{i}" for i in range(n_inputs)]
+    refs = [EDGE_ZERO, EDGE_ONE] + [in_edge(i) for i in range(n_inputs)]
     gates = []
     for k in range(n_gates):
         kind = rng.choice(GATE_KINDS)
         arity = 1 if kind == "NOT" else 2
-        gates.append(Gate(f"g{k}", kind,
-                          tuple(rng.choice(refs) for _ in range(arity))))
-        refs.append(f"g{k}")
+        gates.append(Gate(kind, tuple(rng.choice(refs) for _ in range(arity))))
+        refs.append(k << 1)
     n_out = n_outputs if n_outputs is not None else rng.randint(1, 3)
     outputs = [rng.choice(refs) for _ in range(n_out)]
     return Netlist(n_inputs, gates, outputs)

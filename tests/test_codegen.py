@@ -24,7 +24,7 @@ from pumkit.codegen import (
 )
 from pumkit.errors import CapacityError, ConfigError, MicroProgramError
 from pumkit.logic import MajGraph
-from pumkit.oplib import build_netlist
+from pumkit.oplib import _run_lanes, build_netlist, compile_op
 from pumkit.subarray import new_subarray
 from pumkit.synthesis import lower_to_maj, optimize
 
@@ -162,6 +162,43 @@ class TestSchedule:
                               prog.commands[:-1])
         assert verify_program(graph, rm, prog)
         assert not verify_program(graph, rm, broken)
+
+    # add1 as an exact search schedules it: 9 AAPs and 3 TRAs, 27
+    # activations.  Its second TRA computes M(0, ~b0, ~a0) from ~DCC reads
+    # and its third reads constant 1 and that result, so the audit must
+    # equate M(~a,~b,~c) with ~M(a,b,c) to match the graph's nodes.
+    ADD1_EXACT = """UP/1
+op=add width=1 data_rows=4
+AAP D1 DCC0
+AAP C1 T0
+AAP C0 T1
+AAP ~DCC0 T2
+AAP D0 DCC1
+AAP ~DCC1 T3
+TRA T1 DCC0 DCC1
+AAP T1 D3
+AAP C0 T1
+TRA T1 T2 T3
+TRA T0 T1 DCC0
+AAP ~DCC0 D2
+END
+"""
+
+    def test_audit_normalises_majority_self_duality(self):
+        compiled = compile_op("add", 1)
+        lanes = [[0, 0, 1, 1], [0, 1, 0, 1]]
+
+        def run(text):
+            prog = parse_microprogram(text)
+            sums = _run_lanes(prog, compiled.operand_widths, compiled.out_width,
+                              lanes, CFG)[0]
+            return sums, verify_program(compiled.graph, compiled.rowmap, prog)
+
+        assert activation_count(parse_microprogram(self.ADD1_EXACT)).total == 27
+        assert run(self.ADD1_EXACT) == ([0, 1, 1, 2], True)
+        # one row changed: the sum bit is written uncomplemented
+        mutant = self.ADD1_EXACT.replace("AAP ~DCC0 D2", "AAP DCC0 D2")
+        assert run(mutant) == ([1, 0, 0, 3], False)
 
     def test_rowmap_must_cover_graph(self):
         rm = allocate_rows(MAJ_AB0, CFG)

@@ -3,6 +3,8 @@ scheduler sweep from the optimizer's objective to `schedule`."""
 
 import hashlib
 import importlib.util
+import io
+import sys
 from pathlib import Path
 
 import pytest
@@ -104,6 +106,19 @@ def test_grid_digest_is_pinned(width, digest, activations):
     """The digest also covers each cell's `SynthesisReport` repr and its
     `verified_cases`, which `PINNED` does not."""
     assert _grid_digest_script().width_digest(width) == (digest, activations)
+
+
+def test_grid_digest_stops_quietly_when_stdout_closes(monkeypatch):
+    """`grid_digest.py | head -1` closes the pipe after one line: `main`
+    returns instead of raising `BrokenPipeError`."""
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    script = _grid_digest_script()
+    monkeypatch.setattr(script, "width_digest", lambda width: ("0" * 16, 0))
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert script.main(["--widths", "4", "8"]) == 1
 
 
 def _two_spare_rows(g: MajGraph) -> SubarrayConfig:

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from pumkit.errors import ArityError, NetlistFormatError, TableSizeError
 from pumkit.logic import (
+    EDGE_ONE,
+    EDGE_ZERO,
     Gate,
     MajGraph,
     Netlist,
@@ -16,18 +18,19 @@ from pumkit.logic import (
     parse_netlist,
     truth_table,
 )
-from pumkit.oplib import build_netlist
+from pumkit.oplib import OP_KINDS, build_netlist
 from pumkit.synthesis import lower_to_maj
 
-from conftest import random_majgraph, random_netlist
+from conftest import in_edge, random_majgraph, random_netlist
 
 import random
 
 
-AND2 = Netlist(2, [Gate("g0", "AND", ("in0", "in1"))], ["g0"])
-OR2 = Netlist(2, [Gate("g0", "OR", ("in0", "in1"))], ["g0"])
-XOR2 = Netlist(2, [Gate("g0", "XOR", ("in0", "in1"))], ["g0"])
-NOT1 = Netlist(1, [Gate("g0", "NOT", ("in0",))], ["g0"])
+IN0, IN1 = in_edge(0), in_edge(1)
+AND2 = Netlist(2, [Gate("AND", (IN0, IN1))], [0])
+OR2 = Netlist(2, [Gate("OR", (IN0, IN1))], [0])
+XOR2 = Netlist(2, [Gate("XOR", (IN0, IN1))], [0])
+NOT1 = Netlist(1, [Gate("NOT", (IN0,))], [0])
 
 MAJ_AB0 = MajGraph(2, [(("in0", False), ("in1", False), ("0", False))], [("n0", False)])
 MAJ_AB1 = MajGraph(2, [(("in0", False), ("in1", False), ("1", False))], [("n0", False)])
@@ -103,7 +106,7 @@ class TestTruthTable:
         assert truth_table(MAJ_ABC).ones() == 4
 
     def test_size_guard(self):
-        wide = Netlist(17, [], ["in0"])
+        wide = Netlist(17, [], [IN0])
         with pytest.raises(TableSizeError):
             truth_table(wide)
 
@@ -136,7 +139,7 @@ class TestEquivalent:
             equivalent(AND2, NOT1)
 
     def test_output_mismatch(self):
-        two_out = Netlist(2, [Gate("g0", "AND", ("in0", "in1"))], ["g0", "g0"])
+        two_out = Netlist(2, [Gate("AND", (IN0, IN1))], [0, 0])
         with pytest.raises(ArityError):
             equivalent(AND2, two_out)
 
@@ -146,8 +149,26 @@ class TestTextFormat:
 
     def test_round_trip(self):
         n = parse_netlist(self.TEXT)
+        assert n.gates == (Gate("AND", (IN0, IN1)), Gate("NOT", (0,)))
+        assert n.outputs == (2,)
         assert format_netlist(n) == self.TEXT
         assert parse_netlist(format_netlist(n)).gates == n.gates
+
+    def test_ids_name_gates_by_position(self):
+        """Any unique canonical ids defined before use parse; the text
+        written back numbers the gates g0, g1, ... in order."""
+        n = parse_netlist("inputs 2\ng7 = AND in0 in1\ng3 = NOT g7\noutputs g3 g7 1\n")
+        assert n.gates == (Gate("AND", (IN0, IN1)), Gate("NOT", (0,)))
+        assert n.outputs == (2, 0, EDGE_ONE)
+        assert format_netlist(n) == (
+            "inputs 2\ng0 = AND in0 in1\ng1 = NOT g0\noutputs g1 g0 1\n")
+
+    @pytest.mark.parametrize("kind", OP_KINDS)
+    def test_library_netlists_round_trip(self, kind):
+        n = build_netlist(kind, 4)
+        back = parse_netlist(format_netlist(n))
+        assert (back.input_count, back.gates, back.outputs) == (
+            n.input_count, n.gates, n.outputs)
 
     def test_comments_and_blanks(self):
         n = parse_netlist("# nand\ninputs 2\n\ng0 = AND in0 in1  # both\noutputs g0\n")
@@ -164,9 +185,12 @@ class TestTextFormat:
         "inputs 2\ng0 = AND in0 in1\noutputs g0\ng1 = OR in0 in1\n",  # after footer
         "inputs 2\ng0 = AND in01 in1\noutputs g0\n",   # leading zero
         "inputs 2\ng0 = AND in\u0661 in0\noutputs g0\n",  # Arabic-Indic digit
+        "inputs 2\ng\u0660 = AND in0 in1\noutputs g\u0660\n",  # Arabic-Indic id
+        "inputs 2\ng0 = AND in0 in1\noutputs in\uff11\n",  # fullwidth output digit
+        "inputs 2\ng0 = AND in0 in1\noutputs g1\n",  # undefined output
     ])
     def test_rejects_malformed(self, text):
-        with pytest.raises(NetlistFormatError):
+        with pytest.raises(NetlistFormatError, match=r"^line \d+: "):
             parse_netlist(text)
 
     @pytest.mark.parametrize("count", ["\u00b2", "\u0663", "02", "+2", "2_0", "\uff12"])
@@ -175,16 +199,28 @@ class TestTextFormat:
             parse_netlist(f"inputs {count}\ng0 = AND in0 in1\noutputs g0\n")
 
 
+@pytest.mark.parametrize("gates, outputs, where", [
+    ([Gate("AND", (IN0, in_edge(2)))], [0], "g0"),  # input past input_count
+    ([Gate("NOT", (IN0,)), Gate("AND", (IN0, 4))], [2], "g1"),  # forward gate
+    ([Gate("NOT", (IN0,)), Gate("AND", (IN0, 1))], [2], "g1"),  # complemented gate
+    ([Gate("NOT", (IN0 | 1,))], [0], "g0"),  # complemented input
+    ([Gate("AND", (IN0, IN1))], [2], "outputs"),  # output past the last gate
+])
+def test_netlist_edges_are_range_checked(gates, outputs, where):
+    """An edge is a constant, an input below `input_count` or an earlier
+    gate, and only constant 1 is complemented."""
+    with pytest.raises(NetlistFormatError, match=f"^{where}: "):
+        Netlist(2, gates, outputs)
+
+
 @pytest.mark.parametrize("gates, outputs", [
-    ([Gate("g0", "AND", ("in01", "in1"))], ["g0"]),
-    ([Gate("g0", "AND", ("in\u0663", "in1"))], ["g0"]),
-    ([], ["in\uff11"]),
-    ([Gate("g\u0660", "AND", ("in0", "in1"))], ["g\u0660"]),
+    ([Gate("AND", ("in01", IN1))], [0]),
+    ([Gate("AND", ("in\u0663", IN1))], [0]),
 ])
 def test_netlist_refs_take_canonical_ascii_digits(gates, outputs):
-    """One digit spelling per reference, as in `.up` text: a ref that
-    names an input or gate under another spelling is not one."""
-    with pytest.raises(NetlistFormatError):
+    """A reference is a packed int edge: a name in any digit spelling,
+    as `.up` text writes one, is not one; `parse_netlist` reads names."""
+    with pytest.raises(NetlistFormatError, match="^g0: "):
         Netlist(4, gates, outputs)
 
 
@@ -227,8 +263,7 @@ def test_constant_one_is_the_complemented_constant_zero():
 
 
 def test_lowered_not_of_a_constant_is_an_edge():
-    n = Netlist(0, [Gate("g0", "NOT", ("0",)), Gate("g1", "NOT", ("1",))],
-                ["g0", "g1"])
+    n = Netlist(0, [Gate("NOT", (EDGE_ZERO,)), Gate("NOT", (EDGE_ONE,))], [0, 2])
     g = lower_to_maj(n)
     one = MajGraph(0, [], [("1", False)]).packed_outputs[0]
     assert g.node_count == 0

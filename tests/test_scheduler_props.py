@@ -1,7 +1,7 @@
 """Properties of the scheduler and the optimizer under tight row budgets,
-and of the packed edge form every stage shares (``ref << 1 | neg``: node
-k is k, the constant is -1 and input i is -(2 + i); constant 1 is the
-complemented constant 0, which the string view renders as "1")."""
+and of the packed edge form every stage shares (``ref << 1 | neg``: gate
+or node k is k, the constant is -1 and input i is -(2 + i); constant 1
+is the complemented constant 0, which the string views render as "1")."""
 
 from collections import Counter
 
@@ -18,9 +18,21 @@ from pumkit.codegen import (
     verify_program,
 )
 from pumkit.errors import CapacityError
-from pumkit.logic import Gate, MajGraph, Netlist, _enum_masks, equivalent
+from pumkit.logic import (
+    EDGE_ONE,
+    EDGE_ZERO,
+    Gate,
+    MajGraph,
+    Netlist,
+    _enum_masks,
+    equivalent,
+    format_netlist,
+    parse_netlist,
+)
 from pumkit.subarray import new_subarray
 from pumkit.synthesis import _Builder, lower_to_maj, optimize
+
+from conftest import in_edge
 
 
 @st.composite
@@ -42,14 +54,13 @@ def majgraphs(draw, max_inputs=5, max_nodes=24):
 @st.composite
 def netlists(draw, max_inputs=5, max_gates=30):
     n_in = draw(st.integers(1, max_inputs))
-    refs = ["0", "1"] + [f"in{i}" for i in range(n_in)]
+    refs = [EDGE_ZERO, EDGE_ONE] + [in_edge(i) for i in range(n_in)]
     gates = []
     for k in range(draw(st.integers(0, max_gates))):
         kind = draw(st.sampled_from(("AND", "OR", "XOR", "NOT")))
         arity = 1 if kind == "NOT" else 2
-        gates.append(Gate(f"g{k}", kind, tuple(draw(st.sampled_from(refs))
-                                               for _ in range(arity))))
-        refs.append(f"g{k}")
+        gates.append(Gate(kind, tuple(draw(st.sampled_from(refs)) for _ in range(arity))))
+        refs.append(k << 1)
     # up to twelve outputs, all live until the end of the sweep, so the
     # schedule has to spill and sometimes runs out of spill rows
     outputs = [draw(st.sampled_from(refs)) for _ in range(draw(st.integers(1, 12)))]
@@ -168,3 +179,11 @@ def test_packed_form_and_string_view_describe_one_graph(g):
     rebuilt = b.to_graph()
     _assert_views_agree(rebuilt)
     assert equivalent(g, rebuilt)
+
+
+@settings(max_examples=100, deadline=None)
+@given(netlist=netlists())
+def test_netlist_text_round_trips_the_packed_form(netlist):
+    back = parse_netlist(format_netlist(netlist))
+    assert (back.input_count, back.gates, back.outputs) == (
+        netlist.input_count, netlist.gates, netlist.outputs)

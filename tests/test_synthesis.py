@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from pumkit.codegen import DEFAULT_SUBARRAY, SubarrayConfig, estimate_cost_static
 from pumkit.errors import CapacityError
-from pumkit.logic import Gate, MajGraph, Netlist, equivalent, truth_table
+from pumkit.logic import EDGE_ZERO, Gate, MajGraph, Netlist, equivalent, truth_table
 from pumkit.oplib import N_ARY, OP_KINDS, build_netlist
 from pumkit.synthesis import (
     RewriteRule,
@@ -19,29 +19,27 @@ from pumkit.synthesis import (
     verify_rules,
 )
 
-from conftest import random_majgraph, random_netlist
+from conftest import in_edge, random_majgraph, random_netlist
 
 
 class TestLowering:
     def test_and_is_single_node(self):
-        g = lower_to_maj(Netlist(2, [Gate("g0", "AND", ("in0", "in1"))], ["g0"]))
+        g = lower_to_maj(Netlist(2, [Gate("AND", (in_edge(0), in_edge(1)))], [0]))
         assert g.nodes == ((("in0", False), ("in1", False), ("0", False)),)
         assert g.outputs == (("n0", False),)
 
     def test_not_fuses_into_output_edge(self):
-        n = Netlist(2, [Gate("g0", "AND", ("in0", "in1")),
-                        Gate("g1", "NOT", ("g0",))], ["g1"])
+        n = Netlist(2, [Gate("AND", (in_edge(0), in_edge(1))), Gate("NOT", (0,))], [2])
         g = lower_to_maj(n)
         assert g.node_count == 1
         assert g.outputs == (("n0", True),)
 
     def test_xor_template_truth_table(self):
-        g = lower_to_maj(Netlist(2, [Gate("g0", "XOR", ("in0", "in1"))], ["g0"]))
+        g = lower_to_maj(Netlist(2, [Gate("XOR", (in_edge(0), in_edge(1)))], [0]))
         assert [r[0] for r in truth_table(g).rows()] == [0, 1, 1, 0]
 
     def test_not_of_constant_folds(self):
-        n = Netlist(1, [Gate("g0", "NOT", ("0",)),
-                        Gate("g1", "AND", ("in0", "g0"))], ["g1"])
+        n = Netlist(1, [Gate("NOT", (EDGE_ZERO,)), Gate("AND", (in_edge(0), 0))], [2])
         g = lower_to_maj(n)
         assert equivalent(n, g)
 
