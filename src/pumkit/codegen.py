@@ -19,15 +19,16 @@ liveness: a value's row is reusable once every consumer has read it, and
 pressure beyond the six rows spills the least-recently-used row to a
 reserved data-row scratch region.  The scheduler holds sets of these six
 rows as bit masks.  The optimizer's objective (`estimate_cost_static`)
-runs the scheduler sweep once per graph it scores and leaves the command
-list on the graph, so `schedule` emits the shipped graph's program from
-the sweep that scored it.
+and `schedule` both take the sweep from `_sweep`, which keeps the last
+two, so `schedule` emits the shipped graph's program from the sweep that
+scored it.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 from .errors import ArityError, CapacityError, ConfigError, MicroProgramError
@@ -36,7 +37,6 @@ from .logic import (
     REF_ZERO,
     MajGraph,
     _is_canonical_number,
-    ref_name,
 )
 
 COMPUTE_ROWS = ("T0", "T1", "T2", "T3")
@@ -180,6 +180,10 @@ class MicroProgram:
     # AAP copy is a rename and runs nothing; kept by subarray._lower
     _lowered: dict | None = field(default=None, init=False, repr=False, compare=False)
 
+    def __post_init__(self):
+        if self.width < 1:
+            raise MicroProgramError(f"width={self.width} is below 1")
+
     def __reduce__(self):  # pickled without the `_lowered` cache
         return MicroProgram, (self.name, self.width, self.data_rows,
                               self.commands, self.lines)
@@ -241,9 +245,11 @@ def parse_microprogram(text: str) -> MicroProgram:
                     raise MicroProgramError(
                         f"line {lineno}: header {k}={fields[k][:_MAX_DIGITS + 1]!r} "
                         "is not a number in canonical ASCII digits")
-            header = (fields["op"], int(fields["width"]), int(fields["data_rows"]))
-            if header[1] < 1:
-                raise MicroProgramError(f"line {lineno}: header needs width >= 1")
+            try:
+                header = MicroProgram(fields["op"], int(fields["width"]),
+                                      int(fields["data_rows"]), ())
+            except MicroProgramError as e:
+                raise MicroProgramError(f"line {lineno}: header {e}") from e
             continue
         if line == "END":
             ended = True
@@ -258,13 +264,7 @@ def parse_microprogram(text: str) -> MicroProgram:
         raise MicroProgramError("missing UP/1 magic or header")
     if not ended:
         raise MicroProgramError("missing END")
-    return MicroProgram(
-        name=header[0],
-        width=header[1],
-        data_rows=header[2],
-        commands=tuple(commands),
-        lines=tuple(cmd_lines),
-    )
+    return replace(header, commands=tuple(commands), lines=tuple(cmd_lines))
 
 
 # --- operand-to-row mapping ----------------------------------------------
@@ -332,9 +332,8 @@ class _Scheduler:
     preferred.  An allocated row keeps its old value until the caller
     overwrites it with `_set`, which every caller does at once.
     Pressure beyond the six rows spills to the row map's scratch region.
-    `estimate_cost_static` (the optimizer's objective) counts the sweep's
-    activations and leaves the command list on the graph, so `schedule`
-    emits the shipped graph's program without sweeping it again.
+    Callers go through `_sweep`, so `estimate_cost_static` (the
+    optimizer's objective) and `schedule` share one sweep per graph.
     """
 
     def __init__(self, graph: MajGraph, rowmap: RowMap):
@@ -501,7 +500,7 @@ class _Scheduler:
         # only the flipped polarity exists somewhere: route through a DCC row
         src, base = self._any_source(val ^ 1)
         if src is None:
-            raise MicroProgramError(f"value for {ref_name(ref)} lost during scheduling")
+            raise MicroProgramError(f"value for n{ref} lost during scheduling")
         if taken & _DCC_MASK == _DCC_MASK:
             dcc, taken = self._free_pinned_dcc(claimed, taken, base)
         else:
@@ -584,7 +583,7 @@ class _Scheduler:
             return
         src, base = self._any_source(e ^ 1)
         if src is None:
-            raise MicroProgramError(f"output value for {ref_name(ref)} lost during scheduling")
+            raise MicroProgramError(f"output value for n{ref} lost during scheduling")
         dcc = self._alloc(base, dcc_only=True)
         self._emit(("AAP", (src, _ROW_NAMES[dcc])))
         self._set(dcc, e ^ 1)
@@ -592,22 +591,29 @@ class _Scheduler:
         self._use(ref)
 
 
-def schedule(graph: MajGraph, rowmap: RowMap,
-             *, name: str = "custom", width: int = 0) -> MicroProgram:
-    """Emit the command program realizing `graph` under `rowmap`.
+def _check_rowmap(graph: MajGraph, rowmap: RowMap):
+    """`ArityError` unless `rowmap` has a row per input and output of `graph`."""
+    rows = (len(rowmap.input_rows), len(rowmap.output_rows))
+    if rows != (graph.input_count, graph.output_count):
+        raise ArityError(f"row map has {rows[0]} input and {rows[1]} output rows for a graph "
+                         f"with {graph.input_count} inputs and {graph.output_count} outputs")
 
-    Takes over the sweep `estimate_cost_static` left on `graph` when it
-    was made under an equal row map; sweeps afresh otherwise."""
-    if len(rowmap.input_rows) != graph.input_count or \
-       len(rowmap.output_rows) != graph.output_count:
-        raise ArityError("row map does not cover the graph's inputs/outputs")
-    kept = graph._sweep
-    if kept is not None and kept[0] == rowmap:
-        _drop_sweep(graph)
-        sweep = kept[1]
-    else:
-        sweep = _Scheduler(graph, rowmap).run()
-    commands = tuple(Command(op, rows) for op, rows in sweep)
+
+# Keyed by graph identity and row map value.  `optimize` scores the graph
+# it returns last or second to last (it skips an unchanged round and stops
+# at the first rejected one), so two entries hand that sweep to `schedule`.
+@functools.lru_cache(maxsize=2)
+def _sweep(graph: MajGraph, rowmap: RowMap) -> tuple[tuple[str, tuple[str, ...]], ...]:
+    """The scheduler's (op, rows) commands for `graph` under `rowmap`."""
+    return tuple(_Scheduler(graph, rowmap).run())
+
+
+def schedule(graph: MajGraph, rowmap: RowMap,
+             *, name: str = "custom", width: int = 1) -> MicroProgram:
+    """Emit the command program realizing `graph` under `rowmap`, from
+    the sweep `estimate_cost_static` made if it is still in `_sweep`."""
+    _check_rowmap(graph, rowmap)
+    commands = tuple(Command(op, rows) for op, rows in _sweep(graph, rowmap))
     return MicroProgram(name=name, width=width,
                         data_rows=rowmap.data_rows_used, commands=commands)
 
@@ -615,21 +621,13 @@ def schedule(graph: MajGraph, rowmap: RowMap,
 def estimate_cost_static(graph: MajGraph, cfg: SubarrayConfig = DEFAULT_SUBARRAY) -> int:
     """Activations of the program `schedule` emits for `graph` under `cfg`.
 
-    The optimizer's objective: the same `_Scheduler` sweep, spills
-    included, counted without building `Command`s.  The command list
-    stays on `graph` for `schedule` until `_drop_sweep` releases it.
-    Raises `CapacityError` when `cfg` cannot hold the graph.
+    The optimizer's objective: the same `_sweep`, spills included,
+    counted without building `Command`s.  Raises `CapacityError` when
+    `cfg` cannot hold the graph.
     """
-    rowmap = allocate_rows(graph, cfg)
-    commands = _Scheduler(graph, rowmap).run()
-    object.__setattr__(graph, "_sweep", (rowmap, commands))
+    commands = _sweep(graph, allocate_rows(graph, cfg))
     aap = sum(1 for op, _ in commands if op == "AAP")
     return row_activations(aap, len(commands) - aap)
-
-
-def _drop_sweep(graph: MajGraph):
-    """Release the command list `estimate_cost_static` left on `graph`."""
-    object.__setattr__(graph, "_sweep", None)
 
 
 def spill_rows_used(program: MicroProgram, rowmap: RowMap) -> int:
@@ -653,8 +651,9 @@ def verify_program(graph: MajGraph, rowmap: RowMap, program: MicroProgram) -> bo
     Rows carry hash-consed (expression, polarity) values; a TRA builds a
     majority expression over the three operand values, normalised by
     self-duality.  Catches any read of a recycled row, independent of
-    test vectors.
+    test vectors.  Raises `ArityError` when `rowmap` does not fit `graph`.
     """
+    _check_rowmap(graph, rowmap)
     intern: dict[tuple, int] = {}
 
     def mk(key: tuple) -> int:

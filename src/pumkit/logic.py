@@ -12,19 +12,16 @@ lane ``c``.  Truth tables and equivalence checks ride on the same bulk
 evaluator with standard enumeration masks, so exhaustive comparison is
 cheap up to the 16-input guard.
 
-Inside the toolkit both forms hold an edge as one packed int, the
-complemented-edge literal ``ref << 1 | neg``: gate or node k is ref
-``k`` (its position), the constant is ``-1`` and input i is ``-(2 + i)``,
-so ``e >> 1`` is the ref, ``e & 1`` the complement bit and ``e ^ 1`` the
-complemented edge.  As in AIGER, constant 1 is the complemented constant
-0, so no value has two spellings; it is the only complemented edge a
-netlist holds, since NOT is a gate there.  Building, lowering, rewriting,
-scheduling and verification all work on this form.  Names exist only at
-the boundaries: the netlist text format spells edges ``"0"``, ``"1"``,
-``"in<i>"`` and ``"g<j>"`` (gate j), and the ``(ref, complemented)``
-string pairs (``"0"``, ``"1"``, ``"in<i>"``, ``"n<k>"``) are the public
-view of a ``MajGraph``: its constructor parses them once, and
-``nodes``/``outputs`` render them back.
+Both forms hold an edge as one packed int, the complemented-edge literal
+``ref << 1 | neg`` of AIGER: gate or node k is ref ``k`` (its position),
+the constant is ``-1`` and input i is ``-(2 + i)``, so ``e >> 1`` is the
+ref, ``e & 1`` the complement bit and ``e ^ 1`` the complemented edge.
+Constant 1 is the complemented constant 0, so no value has two
+spellings; it is the only complemented edge a netlist holds, since NOT
+is a gate there.  Building, lowering, rewriting, scheduling and
+verification all work on this form, and each constructor range-checks
+it.  Names exist only in the netlist text format, which spells edges
+``"0"``, ``"1"``, ``"in<i>"`` and ``"g<j>"`` (gate j).
 """
 
 from __future__ import annotations
@@ -40,11 +37,6 @@ GATE_ARITY = {"AND": 2, "OR": 2, "XOR": 2, "NOT": 1}
 
 CONST_ZERO = "0"
 CONST_ONE = "1"
-
-# The string view of a majority-graph edge: (ref, complemented), with
-# refs "0", "1", "in<i>" and "n<k>".  Netlists hold the same packed
-# edges as graphs; "g<j>", gate j by position, exists only in their text.
-Edge = tuple[str, bool]
 
 # Digits a number in a netlist or `.up` text may have: no subarray has
 # 10**18 rows, and int() refuses digit strings past a few thousand.
@@ -77,8 +69,8 @@ EDGE_ONE = EDGE_ZERO | 1
 
 
 def _named_edge(name: str, names: dict[str, int], input_count: int, where: str) -> int:
-    """Packed edge `name` spells: its entry in `names` (the gates or nodes
-    defined so far), else "0", "1" or "in<i>" with i below `input_count`.
+    """Packed edge `name` spells: its entry in `names` (the gates defined
+    so far), else "0", "1" or "in<i>" with i below `input_count`.
     Any other name is a `NetlistFormatError` prefixed with `where`."""
     e = names.get(name)
     if e is not None:
@@ -90,22 +82,7 @@ def _named_edge(name: str, names: dict[str, int], input_count: int, where: str) 
     if _numbered(name, "in") and int(name[2:]) < input_count:
         return (-2 - int(name[2:])) << 1
     raise NetlistFormatError(f"{where}: reference {name!r} is not a constant, an input "
-                             f"below {input_count} or an earlier gate or node")
-
-
-def ref_name(r: int) -> str:
-    """String form of a packed ref: "0", "in<i>" or "n<k>"."""
-    if r >= 0:
-        return f"n{r}"
-    if r == REF_ZERO:
-        return CONST_ZERO
-    return f"in{-2 - r}"
-
-
-def _edge_view(e: int) -> Edge:
-    if e >> 1 == REF_ZERO:  # a constant renders uncomplemented
-        return (CONST_ONE if e & 1 else CONST_ZERO, False)
-    return (ref_name(e >> 1), bool(e & 1))
+                             f"below {input_count} or an earlier gate")
 
 
 def _maj(x: int, y: int, z: int) -> int:
@@ -124,13 +101,36 @@ def _enum_masks(n: int) -> list[int]:
 
 
 class Circuit:
-    """What `Netlist` and `MajGraph` share: immutability, and evaluation
-    over packed edges, where gate or node k's value is k's entry."""
+    """What `Netlist` and `MajGraph` share: immutability, the edge range
+    check, and evaluation over packed edges, where gate or node k's value
+    is k's entry."""
 
     __slots__ = ()
 
     def __setattr__(self, name, value):  # immutable after construction
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _check_edges(self, elements: Sequence[Sequence[int]], outputs: Sequence[int],
+                     input_count: int):
+        """Raise `NetlistFormatError` unless every edge is an int reading a
+        constant, an input below `input_count` or an earlier gate or node:
+        `elements[k]`, the edges of element k, may read the elements before
+        k, and `outputs` any element.  The error names `g<k>` or `n<k>`
+        (after the subclass's `_ELEMENT`) or `outputs`.  Without
+        `_COMPLEMENTS` only constant 1 may be complemented."""
+        lowest = (-1 - input_count) << 1  # input input_count - 1
+        complements = self._COMPLEMENTS
+        top = 0  # k << 1: element k's own edge, the first it may not read
+        for edges in (*elements, outputs):
+            for e in edges:
+                if not (type(e) is int and lowest <= e < top
+                        and (complements or not e & 1 or e == EDGE_ONE)):
+                    k = top >> 1
+                    where = f"{self._ELEMENT[0]}{k}" if k < len(elements) else "outputs"
+                    raise NetlistFormatError(
+                        f"{where}: edge {e!r} is not a constant, an input below "
+                        f"{input_count} or an earlier {self._ELEMENT}")
+            top += 2
 
     def _evaluator(self, words: Sequence[int], lanes: int):
         """(mask, vals, val) over `lanes` lanes: append gate or node k's
@@ -171,31 +171,24 @@ class Netlist(Circuit):
     """
 
     __slots__ = ("input_count", "gates", "outputs")
+    _ELEMENT = "gate"
+    _COMPLEMENTS = False  # NOT is a gate
 
     def __init__(self, input_count: int, gates: Sequence[Gate], outputs: Sequence[int]):
         if input_count < 0:
             raise ArityError("input count must be non-negative")
-        gates = [Gate(kind, tuple(ops)) for kind, ops in gates]
-        lowest = (-1 - input_count) << 1  # input input_count - 1
-
-        def check(edges, j: int):  # what gate j, or the outputs after the last gate, read
-            for e in edges:
-                if not (type(e) is int and lowest <= e < j << 1 and (not e & 1 or e == EDGE_ONE)):
-                    raise NetlistFormatError(
-                        f"{f'g{j}' if j < len(gates) else 'outputs'}: edge {e!r} is not "
-                        f"a constant, an input below {input_count} or an earlier gate")
-
+        gates = tuple(Gate(kind, tuple(ops)) for kind, ops in gates)
+        outputs = tuple(outputs)
         for j, (kind, ops) in enumerate(gates):
             if kind not in GATE_ARITY:
                 raise NetlistFormatError(f"g{j}: unknown gate kind {kind!r}")
             if len(ops) != GATE_ARITY[kind]:
                 raise ArityError(
                     f"g{j}: {kind} takes {GATE_ARITY[kind]} operands, got {len(ops)}")
-            check(ops, j)
-        check(outputs, len(gates))
+        self._check_edges([ops for _, ops in gates], outputs, input_count)
         object.__setattr__(self, "input_count", input_count)
-        object.__setattr__(self, "gates", tuple(gates))
-        object.__setattr__(self, "outputs", tuple(outputs))
+        object.__setattr__(self, "gates", gates)
+        object.__setattr__(self, "outputs", outputs)
 
     def __reduce__(self):  # pickle through the constructor, not attribute restores
         return Netlist, (self.input_count, self.gates, self.outputs)
@@ -223,68 +216,34 @@ class Netlist(Circuit):
 
 
 class MajGraph(Circuit):
-    """Majority-node DAG with complementable edges.
+    """Majority-node DAG over packed edges (see the module docstring).
 
-    Node k is referenced as ``n<k>``; each node holds exactly three
-    operand edges.  Complements live on edges, never as explicit nodes.
-    The graph is held as packed edges (``packed_nodes``/``packed_outputs``,
-    see the module docstring); ``nodes``/``outputs`` render the string
-    view from them on each access.
+    Node k is edge ``k << 1`` and holds exactly three edges, each reading
+    a constant, an input below `input_count` or an earlier node;
+    `packed_outputs` are edges too.  Complements live on edges, never as
+    explicit nodes.
     """
 
-    # _sweep: the scheduler's last command list for this graph, kept by
-    # codegen.estimate_cost_static for codegen.schedule
-    __slots__ = ("input_count", "packed_nodes", "packed_outputs", "_sweep")
+    __slots__ = ("input_count", "packed_nodes", "packed_outputs")
+    _ELEMENT = "node"
+    _COMPLEMENTS = True
 
-    def __init__(
-        self,
-        input_count: int,
-        nodes: Sequence[tuple[Edge, Edge, Edge]],
-        outputs: Sequence[Edge],
-    ):
+    def __init__(self, input_count: int, nodes: Sequence[tuple[int, int, int]],
+                 outputs: Sequence[int]):
         if input_count < 0:
             raise ArityError("input count must be non-negative")
-        refs: dict[str, int] = {}  # node names
-
-        def pack(edge: Edge, where: str) -> int:
-            ref, neg = edge
-            return _named_edge(ref, refs, input_count, where) ^ bool(neg)
-
-        packed = []
+        nodes = tuple(map(tuple, nodes))
+        outputs = tuple(outputs)
         for k, edges in enumerate(nodes):
             if len(edges) != 3:
                 raise ArityError(f"n{k}: majority node takes exactly 3 edges")
-            packed.append(tuple(pack(e, f"n{k}") for e in edges))
-            refs[f"n{k}"] = k << 1
-        packed_outputs = tuple(pack(e, "outputs") for e in outputs)
-        self._init(input_count, tuple(packed), packed_outputs)
-
-    @classmethod
-    def _from_packed(cls, input_count: int, nodes: Sequence[tuple[int, int, int]],
-                     outputs: Sequence[int]) -> "MajGraph":
-        """Wrap packed edges as they are; the caller guarantees every ref is
-        a constant, an input below `input_count` or an earlier node."""
-        g = object.__new__(cls)
-        g._init(input_count, tuple(nodes), tuple(outputs))
-        return g
-
-    def _init(self, input_count, packed_nodes, packed_outputs):
+        self._check_edges(nodes, outputs, input_count)
         object.__setattr__(self, "input_count", input_count)
-        object.__setattr__(self, "packed_nodes", packed_nodes)
-        object.__setattr__(self, "packed_outputs", packed_outputs)
-        object.__setattr__(self, "_sweep", None)
+        object.__setattr__(self, "packed_nodes", nodes)
+        object.__setattr__(self, "packed_outputs", outputs)
 
-    def __reduce__(self):  # the packed edges only; _sweep is a cache
-        return MajGraph._from_packed, (self.input_count, self.packed_nodes,
-                                       self.packed_outputs)
-
-    @property
-    def nodes(self) -> tuple[tuple[Edge, Edge, Edge], ...]:
-        return tuple(tuple(map(_edge_view, nd)) for nd in self.packed_nodes)
-
-    @property
-    def outputs(self) -> tuple[Edge, ...]:
-        return tuple(map(_edge_view, self.packed_outputs))
+    def __reduce__(self):  # pickle through the constructor, not attribute restores
+        return MajGraph, (self.input_count, self.packed_nodes, self.packed_outputs)
 
     @property
     def output_count(self) -> int:
@@ -411,7 +370,13 @@ def parse_netlist(text: str) -> Netlist:
 
 
 def _netlist_name(e: int) -> str:
-    return f"g{e >> 1}" if e >= 0 else _edge_view(e)[0]
+    """Text name of a netlist edge; constant 1 is its only complemented one."""
+    r = e >> 1
+    if r >= 0:
+        return f"g{r}"
+    if r == REF_ZERO:
+        return CONST_ONE if e & 1 else CONST_ZERO
+    return f"in{-2 - r}"
 
 
 def format_netlist(netlist: Netlist) -> str:

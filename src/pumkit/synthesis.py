@@ -42,7 +42,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 
-from .codegen import DEFAULT_SUBARRAY, SubarrayConfig, _drop_sweep, estimate_cost_static
+from .codegen import DEFAULT_SUBARRAY, SubarrayConfig, estimate_cost_static
 from .errors import CapacityError, PumError, TableSizeError
 from .logic import (
     EDGE_ONE,
@@ -87,7 +87,7 @@ def lower_to_maj(netlist: Netlist) -> MajGraph:
         else:  # AND(a,b) = MAJ(a,b,0), OR(a,b) = MAJ(a,b,1)
             gate_edges.append(node(a, b, EDGE_ZERO if kind == "AND" else EDGE_ONE))
     outputs = [gate_edges[e >> 1] if e >= 0 else e for e in netlist.outputs]
-    return MajGraph._from_packed(netlist.input_count, nodes, outputs)
+    return MajGraph(netlist.input_count, nodes, outputs)
 
 
 # --- template library for cut rewriting --------------------------------------
@@ -289,7 +289,7 @@ class _Builder:
         return b
 
     def to_graph(self) -> MajGraph:
-        return MajGraph._from_packed(self.input_count, self.nodes, self.outputs)
+        return MajGraph(self.input_count, self.nodes, self.outputs)
 
     def resolve(self, e: int) -> int:
         while True:
@@ -865,7 +865,6 @@ def optimize(graph: MajGraph, effort: int = 2,
                 break  # an unchanged round would score best_m again
             m = _metric(candidate, cfg)
             if m < best_m:
-                _drop_sweep(best)  # only the best graph keeps its sweep
                 best, best_m = candidate, m
                 rules.update(round_counts)
             else:
@@ -909,49 +908,48 @@ class RuleCheck:
 
 
 def _default_rules() -> tuple[RewriteRule, ...]:
-    a, b, c = ("in0", False), ("in1", False), ("in2", False)
-    na = ("in0", True)
-    zero, one = ("0", False), ("1", False)
+    a, b, c = ((-2 - i) << 1 for i in range(3))  # inputs 0-2
+    n0, n1, n2 = 0, 2, 4  # nodes 0-2
     rules = [
         RewriteRule(  # clean: edges are kept sorted
             "commute",
-            MajGraph(3, [(a, b, c)], [("n0", False)]),
-            MajGraph(3, [(c, a, b)], [("n0", False)]),
+            MajGraph(3, [(a, b, c)], [n0]),
+            MajGraph(3, [(c, a, b)], [n0]),
         ),
         RewriteRule(  # the encoding: ~0 and 1 are one edge
             "const_fold",
-            MajGraph(2, [(a, b, ("0", True))], [("n0", False)]),
-            MajGraph(2, [(a, b, one)], [("n0", False)]),
+            MajGraph(2, [(a, b, EDGE_ZERO ^ 1)], [n0]),
+            MajGraph(2, [(a, b, EDGE_ONE)], [n0]),
         ),
         RewriteRule(
             "absorb_equal",
-            MajGraph(2, [(a, a, b)], [("n0", False)]),
+            MajGraph(2, [(a, a, b)], [n0]),
             MajGraph(2, [], [a]),
         ),
         RewriteRule(
             "absorb_complement",
-            MajGraph(2, [(a, na, b)], [("n0", False)]),
+            MajGraph(2, [(a, a ^ 1, b)], [n0]),
             MajGraph(2, [], [b]),
         ),
         RewriteRule(  # the constant pair: 1 is ~0
             "absorb_complement",
-            MajGraph(1, [(zero, one, a)], [("n0", False)]),
+            MajGraph(1, [(EDGE_ZERO, EDGE_ONE, a)], [n0]),
             MajGraph(1, [], [a]),
         ),
         RewriteRule(
             "cse",
-            MajGraph(3, [(a, b, c), (a, b, c)], [("n0", False), ("n1", False)]),
-            MajGraph(3, [(a, b, c)], [("n0", False), ("n0", False)]),
+            MajGraph(3, [(a, b, c), (a, b, c)], [n0, n1]),
+            MajGraph(3, [(a, b, c)], [n0, n0]),
         ),
         RewriteRule(
             "dead_node",
-            MajGraph(3, [(a, b, c), (a, b, zero)], [("n0", False)]),
-            MajGraph(3, [(a, b, c)], [("n0", False)]),
+            MajGraph(3, [(a, b, c), (a, b, EDGE_ZERO)], [n0]),
+            MajGraph(3, [(a, b, c)], [n0]),
         ),
         RewriteRule(
             "dual_push",
-            MajGraph(3, [(a, b, c)], [("n0", True)]),
-            MajGraph(3, [(("in0", True), ("in1", True), ("in2", True))], [("n0", False)]),
+            MajGraph(3, [(a, b, c)], [n0 ^ 1]),
+            MajGraph(3, [(a ^ 1, b ^ 1, c ^ 1)], [n0]),
         ),
         # XOR3 refactor: the lowered XOR(XOR(a,b),c) chain equals the
         # shared-majority template.
@@ -959,11 +957,7 @@ def _default_rules() -> tuple[RewriteRule, ...]:
             "cut_xor",
             lower_to_maj(parse_netlist(
                 "inputs 3\ng0 = XOR in0 in1\ng1 = XOR g0 in2\noutputs g1\n")),
-            MajGraph(3, [
-                (a, b, c),
-                (a, b, ("in2", True)),
-                (("n0", True), ("n1", False), c),
-            ], [("n2", False)]),
+            MajGraph(3, [(a, b, c), (a, b, c ^ 1), (n0 ^ 1, n1, c)], [n2]),
         ),
     ]
     return tuple(rules)
@@ -989,7 +983,7 @@ def verify_rules(rules: tuple[RewriteRule, ...] | None = None) -> list[RuleCheck
         bad: dict[str, list] = {}
         for (nvars, table), tpl in sorted(_LIBRARY.items()):
             wrong = bad.setdefault(tpl.name, [])
-            graph = MajGraph._from_packed(nvars, tpl.nodes, (tpl.out,))
+            graph = MajGraph(nvars, tpl.nodes, (tpl.out,))
             if truth_table(graph).masks != (table,):
                 wrong.append((nvars, table))
         for name, wrong in bad.items():

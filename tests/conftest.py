@@ -22,20 +22,20 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 def random_majgraph(rng: random.Random, n_inputs: int = 4, n_nodes: int = 8,
                     n_outputs: int | None = None) -> MajGraph:
-    refs = ["0", "1"] + [f"in{i}" for i in range(n_inputs)]
+    refs = [EDGE_ZERO, EDGE_ONE] + [in_edge(i) for i in range(n_inputs)]
     nodes = []
     for k in range(n_nodes):
         nodes.append(tuple(
-            (rng.choice(refs), rng.random() < 0.3) for _ in range(3)
+            rng.choice(refs) ^ (rng.random() < 0.3) for _ in range(3)
         ))
-        refs.append(f"n{k}")
+        refs.append(k << 1)
     n_out = n_outputs if n_outputs is not None else rng.randint(1, 3)
-    outputs = [(rng.choice(refs), rng.random() < 0.3) for _ in range(n_out)]
+    outputs = [rng.choice(refs) ^ (rng.random() < 0.3) for _ in range(n_out)]
     return MajGraph(n_inputs, nodes, outputs)
 
 
 def in_edge(i: int) -> int:
-    """Packed edge of input i; gate j is edge j << 1."""
+    """Packed edge of input i; gate or node j is edge j << 1."""
     return (-2 - i) << 1
 
 

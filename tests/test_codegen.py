@@ -22,16 +22,16 @@ from pumkit.codegen import (
     schedule,
     verify_program,
 )
-from pumkit.errors import CapacityError, ConfigError, MicroProgramError
-from pumkit.logic import MajGraph
-from pumkit.oplib import _run_lanes, build_netlist, compile_op
+from pumkit.errors import ArityError, CapacityError, ConfigError, MicroProgramError
+from pumkit.logic import EDGE_ONE, EDGE_ZERO, MajGraph
+from pumkit.oplib import _run_lanes, build_netlist, compile_op, compile_op_cached
 from pumkit.subarray import new_subarray
 from pumkit.synthesis import lower_to_maj, optimize
 
-from conftest import random_majgraph
+from conftest import in_edge, random_majgraph
 
-MAJ_AB0 = MajGraph(2, [(("in0", False), ("in1", False), ("0", False))], [("n0", False)])
-NOT_A = MajGraph(1, [], [("in0", True)])
+MAJ_AB0 = MajGraph(2, [(in_edge(0), in_edge(1), EDGE_ZERO)], [0])
+NOT_A = MajGraph(1, [], [in_edge(0) | 1])
 
 CFG = SubarrayConfig(total_rows=64, columns=16, data_row_count=32)
 
@@ -202,27 +202,37 @@ END
 
     def test_rowmap_must_cover_graph(self):
         rm = allocate_rows(MAJ_AB0, CFG)
-        with pytest.raises(Exception):
+        with pytest.raises(ArityError):
             schedule(NOT_A, rm)
+
+    @pytest.mark.parametrize("graph_of, rowmap_of", [("add", "eq"), ("eq", "add")])
+    def test_rowmap_of_another_graph_is_refused(self, graph_of, rowmap_of):
+        """add4 has five outputs and eq4 one: `schedule` and
+        `verify_program` refuse either's row map for the other."""
+        mine, other = compile_op_cached(graph_of, 4), compile_op_cached(rowmap_of, 4)
+        with pytest.raises(ArityError, match="row map has 8 input"):
+            verify_program(mine.graph, other.rowmap, mine.program)
+        with pytest.raises(ArityError, match="row map has 8 input"):
+            schedule(mine.graph, other.rowmap)
 
     def test_spill_under_row_pressure(self, rng):
         # wide fanin graph forces more than six simultaneously live values
         nodes = []
         for k in range(12):
-            nodes.append(((f"in{k}", False), (f"in{k + 1}", False), ("0", False)))
+            nodes.append((in_edge(k), in_edge(k + 1), EDGE_ZERO))
         # consume all twelve values at the very end, pairwise
-        alive = [f"n{k}" for k in range(12)]
+        alive = [k << 1 for k in range(12)]
         k = 12
         while len(alive) > 1:
             nxt = []
             for i in range(0, len(alive) - 1, 2):
-                nodes.append(((alive[i], False), (alive[i + 1], False), ("1", False)))
-                nxt.append(f"n{k}")
+                nodes.append((alive[i], alive[i + 1], EDGE_ONE))
+                nxt.append(k << 1)
                 k += 1
             if len(alive) % 2:
                 nxt.append(alive[-1])
             alive = nxt
-        g = MajGraph(13, nodes, [(alive[0], False)])
+        g = MajGraph(13, nodes, [alive[0]])
         rm = allocate_rows(g, CFG)
         prog = schedule(g, rm)
         spill_aaps = [c for c in prog.commands
@@ -259,7 +269,7 @@ class TestCosts:
         assert estimate_cost_static(MAJ_AB0, CFG) == 11
 
     def test_estimate_empty_graph_is_copy_cost(self):
-        passthrough = MajGraph(1, [], [("in0", False)])
+        passthrough = MajGraph(1, [], [in_edge(0)])
         assert estimate_cost_static(passthrough) == 2  # one AAP
         assert estimate_cost_static(passthrough, CFG) == 2
 
@@ -302,6 +312,18 @@ class TestTextFormat:
         prog = schedule(MAJ_AB0, rm, name="and", width=1)
         text = format_microprogram(prog)
         assert format_microprogram(parse_microprogram(text)) == text
+
+    def test_default_program_round_trips(self):
+        """`schedule`'s default width is one, which the text format takes."""
+        prog = schedule(MAJ_AB0, allocate_rows(MAJ_AB0, CFG))
+        text = format_microprogram(prog)
+        back = parse_microprogram(text)
+        assert (back.width, back.commands) == (1, prog.commands)
+        assert format_microprogram(back) == text
+
+    def test_program_width_is_at_least_one(self):
+        with pytest.raises(MicroProgramError, match="width=0"):
+            MicroProgram("x", 0, 1, ())
 
     def test_parse_keeps_line_numbers(self):
         text = "UP/1\nop=x width=1 data_rows=2\n# staged\nAAP D0 T0\nEND\n"

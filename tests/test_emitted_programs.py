@@ -1,5 +1,6 @@
 """The programs the compiler emits, pinned, and the hand-off of the
-scheduler sweep from the optimizer's objective to `schedule`."""
+scheduler sweep from the optimizer's objective to `schedule` through
+`codegen._sweep`."""
 
 import hashlib
 import importlib.util
@@ -21,8 +22,15 @@ from pumkit.codegen import (
 )
 from pumkit.errors import CapacityError
 from pumkit.logic import MajGraph
-from pumkit.oplib import N_ARY, build_netlist, compile_op, compile_op_cached, op_signature
-from pumkit.synthesis import lower_to_maj, optimize
+from pumkit.oplib import (
+    N_ARY,
+    OP_KINDS,
+    build_netlist,
+    compile_op,
+    compile_op_cached,
+    op_signature,
+)
+from pumkit.synthesis import lower_to_maj
 
 # sha256 of format_microprogram per op at widths 4, 8 and 16: effort 2,
 # default subarray, n-ary ops with 4 operands.  A change that alters emitted
@@ -139,7 +147,7 @@ def test_schedule_does_not_reuse_a_sweep_made_under_another_subarray(kind, width
     eight, so under two spare rows they must raise, not ship the program
     swept under the default subarray."""
     g = lower_to_maj(build_netlist(kind, width))
-    fresh = _program_or_capacity(MajGraph._from_packed(
+    fresh = _program_or_capacity(MajGraph(
         g.input_count, g.packed_nodes, g.packed_outputs), _two_spare_rows(g))
     estimate_cost_static(g)
     assert _program_or_capacity(g, _two_spare_rows(g)) == fresh
@@ -151,8 +159,9 @@ def test_schedule_does_not_reuse_a_sweep_made_under_another_subarray(kind, width
 
 
 def test_compile_op_sweeps_only_the_graphs_it_scores(monkeypatch):
-    """`schedule` ships the sweep the objective made for the winning graph,
-    and no graph the optimizer moved past keeps its command list."""
+    """For every op at widths 4 and 8, `compile_op` sweeps once per graph
+    the objective scores: `schedule` finds the winning graph's sweep in
+    the two-entry cache."""
     sweeps, scored = [], []
     real_run, real_objective = codegen._Scheduler.run, synthesis.estimate_cost_static
 
@@ -166,13 +175,16 @@ def test_compile_op_sweeps_only_the_graphs_it_scores(monkeypatch):
 
     monkeypatch.setattr(codegen._Scheduler, "run", counted_run)
     monkeypatch.setattr(synthesis, "estimate_cost_static", objective)
-    compiled = compile_op("bitcount", 8)
-    assert len(scored) > 2 and sweeps == scored
-    assert compiled.graph._sweep is None  # handed to the program
-    scored.clear()
-    best, _ = optimize(lower_to_maj(build_netlist("bitcount", 8)), 2)
-    kept = [g for g in scored if g._sweep is not None]
-    assert best in kept and all(g is best or g is scored[-1] for g in kept)
+    for kind in OP_KINDS:
+        for width in (4, 8):
+            sweeps.clear()
+            scored.clear()
+            codegen._sweep.cache_clear()
+            compile_op(kind, width)
+            info = codegen._sweep.cache_info()
+            assert sweeps == scored, (kind, width)
+            assert (info.misses, info.hits) == (len(scored), 1), (kind, width)
+            assert info.currsize <= 2
 
 
 def test_spill_rows_reported_on_a_tight_subarray():

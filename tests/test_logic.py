@@ -26,15 +26,15 @@ from conftest import in_edge, random_majgraph, random_netlist
 import random
 
 
-IN0, IN1 = in_edge(0), in_edge(1)
+IN0, IN1, IN2 = in_edge(0), in_edge(1), in_edge(2)
 AND2 = Netlist(2, [Gate("AND", (IN0, IN1))], [0])
 OR2 = Netlist(2, [Gate("OR", (IN0, IN1))], [0])
 XOR2 = Netlist(2, [Gate("XOR", (IN0, IN1))], [0])
 NOT1 = Netlist(1, [Gate("NOT", (IN0,))], [0])
 
-MAJ_AB0 = MajGraph(2, [(("in0", False), ("in1", False), ("0", False))], [("n0", False)])
-MAJ_AB1 = MajGraph(2, [(("in0", False), ("in1", False), ("1", False))], [("n0", False)])
-MAJ_ABC = MajGraph(3, [(("in0", False), ("in1", False), ("in2", False))], [("n0", False)])
+MAJ_AB0 = MajGraph(2, [(IN0, IN1, EDGE_ZERO)], [0])
+MAJ_AB1 = MajGraph(2, [(IN0, IN1, EDGE_ONE)], [0])
+MAJ_ABC = MajGraph(3, [(IN0, IN1, IN2)], [0])
 
 
 class TestEvalNetlist:
@@ -69,8 +69,7 @@ class TestEvalMajGraph:
         assert eval_majgraph(MAJ_AB1, (0, 1)) == (1,)
 
     def test_complementary_pair_dominates(self):
-        g = MajGraph(2, [(("in0", False), ("in0", True), ("in1", False))],
-                     [("n0", False)])
+        g = MajGraph(2, [(IN0, IN0 ^ 1, IN1)], [0])
         for a in (0, 1):
             assert eval_majgraph(g, (a, 1)) == (1,)
             assert eval_majgraph(g, (a, 0)) == (0,)
@@ -82,16 +81,15 @@ class TestEvalMajGraph:
     @given(st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(0, 1)),
            st.tuples(st.booleans(), st.booleans(), st.booleans()))
     def test_maj_node_truth(self, bits, negs):
-        g = MajGraph(3, [tuple((f"in{i}", negs[i]) for i in range(3))],
-                     [("n0", False)])
+        g = MajGraph(3, [tuple(in_edge(i) ^ negs[i] for i in range(3))], [0])
         effective = [bits[i] ^ negs[i] for i in range(3)]
         assert eval_majgraph(g, bits) == (int(sum(effective) >= 2),)
 
     def test_double_complement_is_identity(self, rng):
         g = random_majgraph(rng)
-        ref, neg = g.outputs[0]
-        twice = MajGraph(g.input_count, g.nodes,
-                         [(ref, (not (not neg)))] + list(g.outputs[1:]))
+        e = g.packed_outputs[0]
+        twice = MajGraph(g.input_count, g.packed_nodes,
+                         [e ^ 1 ^ 1] + list(g.packed_outputs[1:]))
         assert truth_table(g) == truth_table(twice)
 
 
@@ -238,34 +236,43 @@ def test_netlist_and_graph_unpickle(rng):
     h = pickle.loads(pickle.dumps(g))
     assert (h.input_count, h.packed_nodes, h.packed_outputs) == (
         g.input_count, g.packed_nodes, g.packed_outputs)
-    assert h.nodes == g.nodes and h.outputs == g.outputs
 
 
 def test_majgraph_validates_structure():
     with pytest.raises(ArityError):
-        MajGraph(2, [(("in0", False), ("in1", False))], [("n0", False)])
+        MajGraph(2, [(IN0, IN1)], [0])
     with pytest.raises(NetlistFormatError):
-        MajGraph(1, [(("in0", False), ("n1", False), ("0", False))], [("n0", False)])
+        MajGraph(1, [(IN0, 2, EDGE_ZERO)], [0])
+
+
+@pytest.mark.parametrize("nodes, outputs, error, where", [
+    ([(IN0, IN1, in_edge(2))], [0], NetlistFormatError, "n0"),  # input past input_count
+    ([(IN0, IN1, EDGE_ZERO), (IN0, IN1, 4)], [2], NetlistFormatError, "n1"),  # forward node
+    ([(IN0, IN1, EDGE_ZERO), (IN0, IN1, 3)], [2], NetlistFormatError, "n1"),  # self edge
+    ([(IN0, IN1, EDGE_ZERO)], [2], NetlistFormatError, "outputs"),  # past the last node
+    ([(("in0", False), IN1, EDGE_ZERO)], [0], NetlistFormatError, "n0"),  # a string pair
+    ([(IN0, IN1, True)], [0], NetlistFormatError, "n0"),  # a bool
+    ([(IN0, IN1, EDGE_ZERO)], [False], NetlistFormatError, "outputs"),  # a bool output
+    ([(IN0, IN1, EDGE_ZERO), (IN0, 0)], [2], ArityError, "n1"),  # a node with two edges
+])
+def test_graph_edges_are_range_checked(nodes, outputs, error, where):
+    """A node has three edges, and an edge is an int reading a constant,
+    an input below `input_count` or an earlier node, complemented or not."""
+    with pytest.raises(error, match=f"^{where}: "):
+        MajGraph(2, nodes, outputs)
 
 
 def test_constant_one_is_the_complemented_constant_zero():
-    """One edge per constant value: ~0 and 1 pack alike, render as "1"
-    and round-trip through the string view."""
-    g = MajGraph(1, [(("in0", False), ("0", True), ("1", True))],
-                 [("0", True), ("1", False), ("1", True)])
-    assert g.packed_outputs[0] == g.packed_outputs[1] == g.packed_outputs[2] ^ 1
-    assert g.packed_nodes[0][1] == g.packed_outputs[0]
-    assert g.outputs == (("1", False), ("1", False), ("0", False))
-    assert g.nodes == ((("in0", False), ("1", False), ("0", False)),)
-    again = MajGraph(g.input_count, g.nodes, g.outputs)
-    assert (again.packed_nodes, again.packed_outputs) == (g.packed_nodes, g.packed_outputs)
+    """One edge per constant value: ~0 is 1, and either reads as 1."""
+    assert EDGE_ZERO ^ 1 == EDGE_ONE
+    g = MajGraph(1, [(IN0, EDGE_ZERO ^ 1, EDGE_ONE ^ 1)],
+                 [EDGE_ZERO ^ 1, EDGE_ONE, EDGE_ONE ^ 1])
+    assert g.packed_nodes[0][1] == g.packed_outputs[0] == g.packed_outputs[1]
     assert g.eval([0]) == (1, 1, 0) and g.eval([1]) == (1, 1, 0)
 
 
 def test_lowered_not_of_a_constant_is_an_edge():
     n = Netlist(0, [Gate("NOT", (EDGE_ZERO,)), Gate("NOT", (EDGE_ONE,))], [0, 2])
     g = lower_to_maj(n)
-    one = MajGraph(0, [], [("1", False)]).packed_outputs[0]
     assert g.node_count == 0
-    assert g.packed_outputs == (one, one ^ 1)
-    assert g.outputs == (("1", False), ("0", False))
+    assert g.packed_outputs == (EDGE_ONE, EDGE_ZERO)

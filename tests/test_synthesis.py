@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from pumkit.codegen import DEFAULT_SUBARRAY, SubarrayConfig, estimate_cost_static
 from pumkit.errors import CapacityError
-from pumkit.logic import EDGE_ZERO, Gate, MajGraph, Netlist, equivalent, truth_table
+from pumkit.logic import EDGE_ONE, EDGE_ZERO, Gate, MajGraph, Netlist, equivalent, truth_table
 from pumkit.oplib import N_ARY, OP_KINDS, build_netlist
 from pumkit.synthesis import (
     RewriteRule,
@@ -25,14 +25,14 @@ from conftest import in_edge, random_majgraph, random_netlist
 class TestLowering:
     def test_and_is_single_node(self):
         g = lower_to_maj(Netlist(2, [Gate("AND", (in_edge(0), in_edge(1)))], [0]))
-        assert g.nodes == ((("in0", False), ("in1", False), ("0", False)),)
-        assert g.outputs == (("n0", False),)
+        assert g.packed_nodes == ((in_edge(0), in_edge(1), EDGE_ZERO),)
+        assert g.packed_outputs == (0,)
 
     def test_not_fuses_into_output_edge(self):
         n = Netlist(2, [Gate("AND", (in_edge(0), in_edge(1))), Gate("NOT", (0,))], [2])
         g = lower_to_maj(n)
         assert g.node_count == 1
-        assert g.outputs == (("n0", True),)
+        assert g.packed_outputs == (1,)
 
     def test_xor_template_truth_table(self):
         g = lower_to_maj(Netlist(2, [Gate("XOR", (in_edge(0), in_edge(1)))], [0]))
@@ -51,19 +51,17 @@ class TestLowering:
 
 class TestOptimize:
     def test_absorb_equal_operands(self):
-        g = MajGraph(2, [(("in0", False), ("in0", False), ("in1", False))],
-                     [("n0", False)])
+        g = MajGraph(2, [(in_edge(0), in_edge(0), in_edge(1))], [0])
         opt, report = optimize(g, 2)
         assert opt.node_count == 0
-        assert opt.outputs == (("in0", False),)
+        assert opt.packed_outputs == (in_edge(0),)
         assert report.estimated_activations_after <= report.estimated_activations_before
 
     def test_absorb_complementary_operands(self):
-        g = MajGraph(2, [(("in0", False), ("in0", True), ("in1", False))],
-                     [("n0", False)])
+        g = MajGraph(2, [(in_edge(0), in_edge(0) | 1, in_edge(1))], [0])
         opt, _ = optimize(g, 2)
         assert opt.node_count == 0
-        assert opt.outputs == (("in1", False),)
+        assert opt.packed_outputs == (in_edge(1),)
 
     def test_adder_beats_naive_lowering(self):
         naive = lower_to_maj(build_netlist("add", 4))
@@ -75,7 +73,7 @@ class TestOptimize:
     def test_effort_zero_is_identity(self, rng):
         g = lower_to_maj(random_netlist(rng))
         opt, report = optimize(g, 0)
-        assert opt.nodes == g.nodes and opt.outputs == g.outputs
+        assert (opt.packed_nodes, opt.packed_outputs) == (g.packed_nodes, g.packed_outputs)
         assert report.rules_applied == ()
         assert (report.estimated_activations_after
                 == report.estimated_activations_before)
@@ -106,12 +104,12 @@ class TestOptimize:
             g = lower_to_maj(random_netlist(rng, n_gates=15))
             once, _ = optimize(g, 2)
             twice, report = optimize(once, 2)
-            assert twice.nodes == once.nodes
-            assert twice.outputs == once.outputs
+            assert twice.packed_nodes == once.packed_nodes
+            assert twice.packed_outputs == once.packed_outputs
             assert all(name == "dead_node" for name, _ in report.rules_applied)
 
     def test_bad_effort_rejected(self):
-        g = MajGraph(1, [], [("in0", False)])
+        g = MajGraph(1, [], [in_edge(0)])
         with pytest.raises(ValueError):
             optimize(g, 3)
 
@@ -155,10 +153,8 @@ class TestVerifyRules:
     def test_corrupted_rule_fails_with_name(self):
         bogus = RewriteRule(
             "bogus_and_is_or",
-            MajGraph(2, [(("in0", False), ("in1", False), ("0", False))],
-                     [("n0", False)]),
-            MajGraph(2, [(("in0", False), ("in1", False), ("1", False))],
-                     [("n0", False)]),
+            MajGraph(2, [(in_edge(0), in_edge(1), EDGE_ZERO)], [0]),
+            MajGraph(2, [(in_edge(0), in_edge(1), EDGE_ONE)], [0]),
         )
         checks = verify_rules((bogus,))
         assert len(checks) == 1
@@ -168,8 +164,8 @@ class TestVerifyRules:
     def test_oversized_rule_rejected(self):
         wide = RewriteRule(
             "too_wide",
-            MajGraph(6, [], [("in0", False)]),
-            MajGraph(6, [], [("in0", False)]),
+            MajGraph(6, [], [in_edge(0)]),
+            MajGraph(6, [], [in_edge(0)]),
         )
         checks = verify_rules((wide,))
         assert not checks[0].passed
@@ -209,14 +205,14 @@ def _chain_graph(rng: random.Random) -> MajGraph:
     """17-24 majority nodes over in0-in2, each reading the one before.
     The cone of a deep node's cut {in0, in1, in2} outgrows _CONE_CAP, so
     its child has no record to compose from and `_cut_rec` walks it."""
-    def lit(v: int) -> tuple[str, bool]:
-        return f"in{v}", rng.random() < 0.5
+    def lit(v: int) -> int:
+        return in_edge(v) ^ (rng.random() < 0.5)
 
     nodes = [(lit(0), lit(1), lit(2))]
     for k in range(rng.randint(16, 23)):
         a, b = rng.sample(range(3), 2)
-        nodes.append(((f"n{k}", rng.random() < 0.5), lit(a), lit(b)))
-    return MajGraph(3, nodes, [(f"n{len(nodes) - 1}", rng.random() < 0.5)])
+        nodes.append(((k << 1) ^ (rng.random() < 0.5), lit(a), lit(b)))
+    return MajGraph(3, nodes, [(len(nodes) - 1 << 1) ^ (rng.random() < 0.5)])
 
 
 def _rewrite_ready(b: _Builder, flip=True) -> _Builder:
