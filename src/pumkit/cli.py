@@ -5,6 +5,7 @@ Verbs:
 * ``compile``    build one operation into a `.up` program file
 * ``run``        execute a `.up` program over operand files
 * ``bench``      compile the whole library at effort 0 vs 2, emit a CSV
+                 (and with ``--json PATH`` the same rows as JSON)
 * ``classify``   label a metrics CSV with bottleneck classes
 * ``transpose``  convert operand files between horizontal and vertical form
 
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import json
 import sys
 
 from . import classifier, costmodel, oplib
@@ -175,6 +177,12 @@ def cmd_bench(args, cfg: RunConfig) -> int:
     writer.writeheader()
     writer.writerows(rows)
     _write_lines(args.output, out.getvalue().splitlines())
+    if args.json is not None:
+        with open(args.json, "w", encoding="utf-8") as fh:
+            json.dump({"act_e0_total": sum(r["act_e0"] for r in rows),
+                       "act_e2_total": sum(r["act_e2"] for r in rows),
+                       "failures": failures, "rows": rows}, fh, indent=1)
+            fh.write("\n")
     for f in failures:
         print(f"FAILED: {f}", file=sys.stderr)
     print(f"benchmarked {len(rows)} op/width combinations "
@@ -240,6 +248,8 @@ def _parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("bench", help="effort-0 vs effort-2 sweep over the library")
     b.add_argument("-o", "--output", default=None)
+    b.add_argument("--json", metavar="PATH", default=None,
+                   help="also write the rows, their totals and any failures as JSON")
 
     k = sub.add_parser("classify", help="label a metrics CSV with bottleneck classes")
     k.add_argument("metrics")

@@ -592,11 +592,18 @@ class _Scheduler:
 
 
 def _check_rowmap(graph: MajGraph, rowmap: RowMap):
-    """`ArityError` unless `rowmap` has a row per input and output of `graph`."""
+    """`ArityError` unless `rowmap` has a row per input and output of
+    `graph`, and no row twice: a repeated input row would read one row for
+    two inputs, and an output row on an input row would overwrite it."""
     rows = (len(rowmap.input_rows), len(rowmap.output_rows))
     if rows != (graph.input_count, graph.output_count):
         raise ArityError(f"row map has {rows[0]} input and {rows[1]} output rows for a graph "
                          f"with {graph.input_count} inputs and {graph.output_count} outputs")
+    seen: set[str] = set()
+    for row in rowmap.input_rows + rowmap.output_rows:
+        if row in seen:
+            raise ArityError(f"row map names row {row} more than once")
+        seen.add(row)
 
 
 # Keyed by graph identity and row map value.  `optimize` scores the graph

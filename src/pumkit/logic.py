@@ -110,6 +110,13 @@ class Circuit:
     def __setattr__(self, name, value):  # immutable after construction
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    @staticmethod
+    def _check_input_count(input_count: int):
+        """`ArityError` unless `input_count` is a non-negative int (a bool
+        is not one)."""
+        if type(input_count) is not int or input_count < 0:
+            raise ArityError(f"input count must be a non-negative int, got {input_count!r}")
+
     def _check_edges(self, elements: Sequence[Sequence[int]], outputs: Sequence[int],
                      input_count: int):
         """Raise `NetlistFormatError` unless every edge is an int reading a
@@ -175,8 +182,7 @@ class Netlist(Circuit):
     _COMPLEMENTS = False  # NOT is a gate
 
     def __init__(self, input_count: int, gates: Sequence[Gate], outputs: Sequence[int]):
-        if input_count < 0:
-            raise ArityError("input count must be non-negative")
+        self._check_input_count(input_count)
         gates = tuple(Gate(kind, tuple(ops)) for kind, ops in gates)
         outputs = tuple(outputs)
         for j, (kind, ops) in enumerate(gates):
@@ -230,8 +236,7 @@ class MajGraph(Circuit):
 
     def __init__(self, input_count: int, nodes: Sequence[tuple[int, int, int]],
                  outputs: Sequence[int]):
-        if input_count < 0:
-            raise ArityError("input count must be non-negative")
+        self._check_input_count(input_count)
         nodes = tuple(map(tuple, nodes))
         outputs = tuple(outputs)
         for k, edges in enumerate(nodes):

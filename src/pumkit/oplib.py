@@ -21,6 +21,11 @@ it are refused with a `CapacityError` before anything is compiled.
 
 ``relu`` alone reads the top input bit as a two's-complement sign and
 clamps negatives to zero.
+
+Adders and multipliers are built from AND/OR/XOR full adders, and
+subtraction from a borrow chain.  Compiling at effort 1 or 2 rebuilds
+each of them as the three-node majority cell (`synthesis.optimize`);
+effort 0 keeps the naive lowering of these gates.
 """
 
 from __future__ import annotations

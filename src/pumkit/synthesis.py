@@ -13,9 +13,14 @@ emits for the graph under the configured subarray, spills included:
 * structural hashing (common-subexpression merging) and dead-node removal,
 * complement pushing via majority self-duality, so complements migrate to
   where a dual-contact row copy picks them up for free,
+* adder cells, first and once: each lowered full adder (an XOR3 and a
+  majority over the same three leaves) is rebuilt as the three-node
+  majority cell, in one linear pass with no cut enumeration, so the
+  rounds after it work on a graph less than half the size,
 * cut rewriting: every cone with at most three leaves is matched against
   a precomputed minimal-template library (single-majority functions,
-  two-node compositions, and the XOR/XNOR templates).
+  two-node compositions, and the XOR/XNOR templates, whose three-leaf
+  form is the adder cell's sum).
 
 A round is kept only when (does_not_fit, activations, nodes, depth)
 strictly improves, which gives monotone cost and a stable fixpoint; a
@@ -107,6 +112,37 @@ class _Template:
     out: int
 
 
+def _adder_cell() -> _Template:
+    """The majority full adder (Amaru, Gaillardon and De Micheli, DAC
+    2014) over leaves a, b, c: node 0 is the carry M(a,b,c), node 1 is
+    t = M(a,b,~c), and the output is the sum M(~carry, c, t).  Cut
+    rewriting files it under XOR3's table, and the adder-cell pass builds
+    one per full adder it finds."""
+    a, b, c = ((-2 - v) << 1 for v in range(3))  # leaf variables 0-2
+    carry, t = 0 << 1, 1 << 1
+    return _Template("adder_cell", 3, ((c, b, a), (c | 1, b, a), (c, carry | 1, t)), 2 << 1)
+
+
+_ADDER_CELL = _adder_cell()
+_CARRY = 0 << 1  # the cell's carry edge: its node 0
+
+
+def _maj_flips() -> dict[int, tuple[int, int, int, int]]:
+    """MAJ up to leaf and output complements: its table over three
+    variables -> (the complements of leaves 0-2, of the output), with at
+    most one leaf complemented, since ~M(x,y,z) = M(~x,~y,~z)."""
+    masks = _enum_masks(3)
+    found = {}
+    for flips in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)):
+        t = _maj(*(m ^ -f & 0xFF for m, f in zip(masks, flips)))
+        found[t] = (*flips, 0)
+        found[t ^ 0xFF] = (*flips, 1)
+    return found
+
+
+_MAJ_FLIPS = _maj_flips()
+
+
 def _build_library() -> dict[tuple[int, int], _Template]:
     lib: dict[tuple[int, int], _Template] = {}
 
@@ -151,23 +187,21 @@ def _build_library() -> dict[tuple[int, int], _Template]:
                     put(nvars, t ^ full,
                         _Template("cut_maj2", 2, (nd_in, outer), (1 << 1) | 1))
 
-        # XOR/XNOR: three nodes sharing the majority core
-        if nvars >= 2:
+        # XOR/XNOR: three nodes sharing the majority core; over three
+        # leaves that is the adder cell, whose core is the carry
+        if nvars == 2:
             a, b = (-2 - 0) << 1, (-2 - 1) << 1
-            if nvars == 2:
-                n0 = tuple(sorted((a, b, EDGE_ZERO)))
-                n1 = tuple(sorted((a, b, EDGE_ONE)))
-                n2 = tuple(sorted(((0 << 1) | 1, 1 << 1, EDGE_ZERO)))
-                t = masks[0] ^ masks[1]
-            else:
-                c = (-2 - 2) << 1
-                n0 = tuple(sorted((a, b, c)))          # majority
-                n1 = tuple(sorted((a, b, c | 1)))       # majority with ~c
-                n2 = tuple(sorted(((0 << 1) | 1, 1 << 1, c)))
-                t = masks[0] ^ masks[1] ^ masks[2]
+            n0 = tuple(sorted((a, b, EDGE_ZERO)))
+            n1 = tuple(sorted((a, b, EDGE_ONE)))
+            n2 = tuple(sorted(((0 << 1) | 1, 1 << 1, EDGE_ZERO)))
             tpl = _Template("cut_xor", 3, (n0, n1, n2), 2 << 1)
-            put(nvars, t, tpl)
-            put(nvars, t ^ full, _Template("cut_xor", 3, (n0, n1, n2), (2 << 1) | 1))
+        elif nvars == 3:
+            tpl = _ADDER_CELL
+        else:
+            continue
+        t = functools.reduce(int.__xor__, masks)
+        put(nvars, t, tpl)
+        put(nvars, t ^ full, _Template(tpl.name, tpl.cost, tpl.nodes, tpl.out | 1))
     return lib
 
 
@@ -241,6 +275,13 @@ class _CutStore:
         first = self.next_id
         self.next_id += count
         return list(range(first, first + count))
+
+
+def _const_pair(nd) -> tuple[int, int] | None:
+    """The sorted refs of a node's other two edges when exactly one of
+    its edges is the constant, else None."""
+    refs = sorted([e >> 1 for e in nd if e >> 1 != REF_ZERO])
+    return (refs[0], refs[1]) if len(refs) == 2 and refs[0] != refs[1] else None
 
 
 def _structural_key(nd, ids: list[int]) -> tuple[int, ...]:
@@ -431,6 +472,104 @@ class _Builder:
                 e ^ flipped[i] ^ (e >= 0 and flipped[e >> 1]) for e in nd]))
         self.outputs = [e ^ (e >= 0 and flipped[e >> 1]) for e in self.outputs]
 
+    # -- adder cells -------------------------------------------------------------
+
+    _CELL_CONE_CAP = 8
+
+    def adder_cells(self, counts: Counter) -> bool:
+        """Rebuild each full adder of a lowered graph as `_ADDER_CELL`, in
+        one pass and without enumerating cuts.  Run after `clean`, which
+        merges the nodes the sum and the carry share.
+
+        An XOR2 is lowering's shape M(~M(a,b,0), M(a,b,1), 0) up to
+        complements, and an XOR3 an XOR2 that reads an XOR2 over two other
+        leaves.  Its carry is a node reading the XOR3's cone, directly or
+        through one other node (a borrow chain's carry does the latter),
+        whose own cone, at most _CELL_CONE_CAP nodes over the same three
+        leaves, is MAJ up to leaf and output complements.  Both are checked
+        on the 8 leaf assignments.  A pair whose cones free more nodes than
+        the cell needs is replaced by the cell over the leaves as the carry
+        reads them.  The cell's c is the complemented leaf if there is one,
+        since t's complement of c then cancels it, else the XOR3's outer
+        operand (a ripple chain's carry-in).  The cell takes the places of
+        the first three freed nodes, so the graph keeps the order a builder
+        emitting the cell would have given it, which is the order
+        compaction and the scheduler sweep start from.
+        """
+        nodes = self.nodes
+        xor2: dict[int, tuple[int, int]] = {}  # node -> the refs it XORs
+        for i, nd in enumerate(nodes):
+            kids = None if nd is None else _const_pair(nd)
+            if kids is None or kids[0] < 0:
+                continue
+            pair = _const_pair(nodes[kids[0]])
+            if pair is not None and pair == _const_pair(nodes[kids[1]]):
+                if self._cone_table(i, pair, 3)[1] in (0b0110, 0b1001):
+                    xor2[i] = pair
+        fanout = self._fanout()
+        taken: set[int] = set()  # the nodes the pairs chosen so far free
+        cells = []
+        for s, (u, v) in xor2.items():
+            for inner, c in ((u, v), (v, u)):
+                if inner not in xor2 or c in xor2[inner]:
+                    continue
+                leaves = [*xor2[inner], c]
+                cone, table = self._cone_table(s, leaves, self._CELL_CONE_CAP)
+                if table not in (0x96, 0x69) or not taken.isdisjoint(cone):  # XOR3, XNOR3
+                    continue
+                carry = self._carry_of(cone, leaves, fanout, taken)
+                if carry is None:
+                    continue
+                m, flips, carry_cone = carry
+                dying = self._dying_set([s, m], cone | carry_cone, fanout)
+                if len(dying) > len(_ADDER_CELL.nodes):
+                    taken |= dying
+                    cells.append((s, m, leaves, table & 1, flips, dying))
+                    break
+        for s, m, leaves, sum_flip, (fa, fb, fc, carry_flip), dying in cells:
+            lits = [leaves[0] << 1 | fa, leaves[1] << 1 | fb, leaves[2] << 1 | fc]
+            if fa or fb:  # the complemented leaf becomes c
+                j = 0 if fa else 1
+                lits[j], lits[2] = lits[2], lits[j]
+            freed = sorted(dying - {s, m})
+            for k in freed:
+                nodes[k] = None
+            counts["dead_node"] += len(freed)
+            slots = freed[:3]
+            if len(slots) < 3 or max(leaves) > slots[0]:
+                slots = range(len(nodes), len(nodes) + 3)
+                nodes.extend([None] * 3)
+                self.ids.extend(self.store.new_ids(3))
+
+            def edge(e: int) -> int:  # cell edge -> builder edge
+                r = e >> 1
+                return lits[-2 - r] ^ (e & 1) if r < REF_ZERO else slots[r] << 1 | (e & 1)
+
+            for k, nd in zip(slots, _ADDER_CELL.nodes):
+                nodes[k] = tuple(sorted(map(edge, nd)))
+            # XOR3 over the complemented leaves is the sum flipped once per flip
+            self.repl[s] = edge(_ADDER_CELL.out) ^ sum_flip ^ fa ^ fb ^ fc
+            self.repl[m] = edge(_CARRY) ^ carry_flip
+            nodes[s] = nodes[m] = None
+            counts["adder_cell"] += 1
+        return bool(cells)
+
+    def _carry_of(self, cone: set[int], leaves: list[int], fanout: list[list[int]],
+                  taken: set[int]) -> tuple[int, tuple, set[int]] | None:
+        """(the first node outside `cone` and `taken` that reads it through
+        at most one other node and whose function over `leaves` is MAJ up
+        to complements, its `_MAJ_FLIPS` entry, its cone), or None."""
+        n = len(self.nodes)  # the graph outputs' entry in `fanout`
+        near = {f for k in cone for f in fanout[k]} - cone
+        near |= {f for k in near if k < n for f in fanout[k]}
+        for m in sorted(near - cone - taken):
+            if m < n:
+                carry_cone, table = self._cone_table(m, leaves, self._CELL_CONE_CAP)
+                flips = _MAJ_FLIPS.get(table)
+                if flips is not None:
+                    return m, flips, carry_cone
+        return None
+
     # -- cut rewriting ----------------------------------------------------------
 
     _CUT_CAP = 6
@@ -541,18 +680,32 @@ class _Builder:
     def _walk_cut(self, i: int, leaves: list[int]) -> tuple:
         """`_cut_rec` by walking the cone from node i down to `leaves`
         (indices, sorted) and simulating it."""
+        seen, table = self._cone_table(i, leaves, self._CONE_CAP)
+        cone = tuple([self.ids[k] for k in seen])
+        if table is None:
+            return cone, None, None
+        return self._record(i, cone, len(leaves), table)
+
+    def _cone_table(self, i: int, leaves: list[int], cap: int) -> tuple[set[int], int | None]:
+        """(indices of the cone of node i down to the refs `leaves`, its
+        truth table with leaves[v] as variable v).  The table is None, and
+        the cone the nodes walked, once more than `cap` nodes are walked
+        or the cone reads an input that is not a leaf."""
         stop = frozenset(leaves)
-        nodes, ids = self.nodes, self.ids
+        nodes = self.nodes
         seen = {i}
         stack = [i]
         while stack:
             for e in nodes[stack.pop()]:
                 r = e >> 1
-                if r >= 0 and r not in stop and r not in seen:
-                    seen.add(r)
-                    if len(seen) > self._CONE_CAP:
-                        return tuple([ids[k] for k in seen]), None, None
-                    stack.append(r)
+                if r in stop or r in seen or r == REF_ZERO:
+                    continue
+                if r < 0:
+                    return seen, None
+                seen.add(r)
+                if len(seen) > cap:
+                    return seen, None
+                stack.append(r)
         nv = len(leaves)
         full = (1 << (1 << nv)) - 1
         vals = dict(zip(leaves, _MASKS[nv]))
@@ -563,7 +716,7 @@ class _Builder:
             y = vals[e1 >> 1] ^ (-(e1 & 1) & full)
             z = vals[e2 >> 1] ^ (-(e2 & 1) & full)
             vals[k] = (x & y) | (x & z) | (y & z)
-        return self._record(i, tuple([ids[k] for k in seen]), nv, vals[i])
+        return seen, vals[i]
 
     def _record(self, i: int, cone: tuple[int, ...], nv: int, table: int) -> tuple:
         tpl = _LIBRARY.get((nv, table))
@@ -659,7 +812,7 @@ class _Builder:
         n = len(self.nodes)
         fanout: list[list[int]] = [[] for _ in range(n)]
         for i, nd in enumerate(self.nodes):
-            for e in nd:
+            for e in nd or ():
                 r = e >> 1
                 if r >= 0:
                     fanout[r].append(i)
@@ -833,16 +986,59 @@ def _metric(g: MajGraph, cfg: SubarrayConfig) -> tuple[bool, int, int, int]:
         return (True, 0, g.node_count, g.depth())
 
 
+def _rounds(graph: MajGraph, graph_m: tuple, passes: int, cfg: SubarrayConfig,
+            cells: bool) -> tuple[MajGraph, tuple, Counter]:
+    """(best graph, its `_metric`, the rules of its accepted rounds) after
+    up to `passes` rewrite rounds from `graph`, whose metric is `graph_m`.
+
+    With `cells`, a round of the adder-cell pass comes first when it finds
+    a full adder.  It is scored like any round, but the rounds after it go
+    on from its graph even when it is not kept, and then its rules count
+    with the first round that is.
+    """
+    best, best_m, rules = graph, graph_m, Counter()
+    b = _Builder.from_graph(graph)  # carries its ids and store across rounds
+    round_counts: Counter = Counter()
+    for k in range(passes + cells):
+        if cells and k == 0:
+            b.clean(round_counts)
+            if not b.adder_cells(round_counts):
+                continue
+            b.clean_compact(round_counts)
+        else:
+            b.clean_compact(round_counts)
+            b.dual_push(round_counts)
+            b.clean_compact(round_counts)
+            if b.cut_rewrite(round_counts):
+                b.clean_compact(round_counts)
+        candidate = b.to_graph()
+        if (candidate.packed_nodes == best.packed_nodes
+                and candidate.packed_outputs == best.packed_outputs):
+            break  # an unchanged round would score best_m again
+        m = _metric(candidate, cfg)
+        if m < best_m:
+            best, best_m = candidate, m
+            rules.update(round_counts)
+            round_counts = Counter()
+        elif not (cells and k == 0):
+            break
+    return best, best_m, rules
+
+
 def optimize(graph: MajGraph, effort: int = 2,
              cfg: SubarrayConfig = DEFAULT_SUBARRAY) -> tuple[MajGraph, SynthesisReport]:
     """Rewrite `graph` to reduce the activations of its scheduled program.
 
     The objective is `estimate_cost_static`: the activation count of the
     program `schedule` emits under `cfg`, spills included.  effort 0:
-    identity; effort 1: one greedy pass; effort 2: iterate to a fixpoint
-    (64-pass cap).  Rounds that fail to strictly improve (does_not_fit,
-    activations, nodes, depth) are rolled back, so the result is never
-    worse than the input, and never fails to fit when the input fits.
+    identity; effort 1: the adder-cell round, then one greedy pass;
+    effort 2: the adder-cell round, then iterate to a fixpoint (64-pass
+    cap).  Rounds that fail to strictly improve (does_not_fit, activations,
+    nodes, depth) are rolled back, so the result is never worse than the
+    input, and never fails to fit when the input fits.  The cells can
+    hold more values live than the gates they replace, so when the best
+    graph does not fit `cfg`, the rounds run again from `graph` without
+    the cell pass, and the better of the two results is kept.
     """
     if effort not in (0, 1, 2):
         raise ValueError(f"effort must be 0, 1, or 2, got {effort!r}")
@@ -851,24 +1047,11 @@ def optimize(graph: MajGraph, effort: int = 2,
     before = best_m = _metric(graph, cfg)
     if effort > 0:
         passes = 1 if effort == 1 else 64
-        b = _Builder.from_graph(graph)  # carries its ids and store across rounds
-        for _ in range(passes):
-            round_counts: Counter = Counter()
-            b.clean_compact(round_counts)
-            b.dual_push(round_counts)
-            b.clean_compact(round_counts)
-            if b.cut_rewrite(round_counts):
-                b.clean_compact(round_counts)
-            candidate = b.to_graph()
-            if (candidate.packed_nodes == best.packed_nodes
-                    and candidate.packed_outputs == best.packed_outputs):
-                break  # an unchanged round would score best_m again
-            m = _metric(candidate, cfg)
-            if m < best_m:
-                best, best_m = candidate, m
-                rules.update(round_counts)
-            else:
-                break
+        best, best_m, rules = _rounds(graph, before, passes, cfg, cells=True)
+        if best_m[0]:  # too small a subarray: the cells' graph may be what overflows
+            retry = _rounds(graph, before, passes, cfg, cells=False)
+            if retry[1] < best_m:
+                best, best_m, rules = retry
     report = SynthesisReport(
         node_count_before=before[2],
         node_count_after=best_m[2],
@@ -909,7 +1092,7 @@ class RuleCheck:
 
 def _default_rules() -> tuple[RewriteRule, ...]:
     a, b, c = ((-2 - i) << 1 for i in range(3))  # inputs 0-2
-    n0, n1, n2 = 0, 2, 4  # nodes 0-2
+    n0, n1 = 0, 2  # nodes 0-1
     rules = [
         RewriteRule(  # clean: edges are kept sorted
             "commute",
@@ -951,13 +1134,12 @@ def _default_rules() -> tuple[RewriteRule, ...]:
             MajGraph(3, [(a, b, c)], [n0 ^ 1]),
             MajGraph(3, [(a ^ 1, b ^ 1, c ^ 1)], [n0]),
         ),
-        # XOR3 refactor: the lowered XOR(XOR(a,b),c) chain equals the
-        # shared-majority template.
-        RewriteRule(
-            "cut_xor",
+        RewriteRule(  # the lowered full adder's sum and carry are the cell's
+            "adder_cell",
             lower_to_maj(parse_netlist(
-                "inputs 3\ng0 = XOR in0 in1\ng1 = XOR g0 in2\noutputs g1\n")),
-            MajGraph(3, [(a, b, c), (a, b, c ^ 1), (n0 ^ 1, n1, c)], [n2]),
+                "inputs 3\ng0 = XOR in0 in1\ng1 = XOR g0 in2\ng2 = AND in0 in1\n"
+                "g3 = AND g0 in2\ng4 = OR g2 g3\noutputs g1 g4\n")),
+            MajGraph(3, _ADDER_CELL.nodes, [_ADDER_CELL.out, _CARRY]),
         ),
     ]
     return tuple(rules)

@@ -1,9 +1,13 @@
+import csv
+import io
+import json
 import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as hst
 
+import pumkit.cli
 import pumkit.oplib
 from pumkit.cli import main
 from pumkit.codegen import format_microprogram, parse_microprogram
@@ -239,6 +243,30 @@ class TestRun:
         write(a, [16])
         write(b, [6])
         assert main(["run", str(prog), "--inputs", str(a), str(b)]) == 3
+
+
+class TestBench:
+    def test_json_rows_equal_the_csv_rows(self, tmp_path, monkeypatch):
+        """One sweep of the grid (here its width-4 column) writes both
+        files, and the JSON holds the CSV's rows as numbers."""
+        sweeps = []
+        real = pumkit.cli.bench_rows
+
+        def width_4(cfg):
+            sweeps.append(cfg)
+            return real(cfg, widths=(4,))
+
+        monkeypatch.setattr(pumkit.cli, "bench_rows", width_4)
+        out, doc = tmp_path / "bench.csv", tmp_path / "bench.json"
+        assert main(["bench", "-o", str(out), "--json", str(doc)]) == 0
+        assert len(sweeps) == 1
+        rows = list(csv.DictReader(io.StringIO(out.read_text())))
+        bench = json.loads(doc.read_text())
+        assert len(rows) == len(pumkit.oplib.OP_KINDS)
+        assert [{k: str(v) for k, v in row.items()} for row in bench["rows"]] == rows
+        assert bench["act_e2_total"] == sum(int(row["act_e2"]) for row in rows)
+        assert bench["act_e0_total"] == sum(int(row["act_e0"]) for row in rows)
+        assert bench["failures"] == []
 
 
 class TestClassify:

@@ -12,6 +12,7 @@ import pumkit
 from pumkit.codegen import (
     Command,
     MicroProgram,
+    RowMap,
     SubarrayConfig,
     activation_count,
     allocate_rows,
@@ -214,6 +215,20 @@ END
             verify_program(mine.graph, other.rowmap, mine.program)
         with pytest.raises(ArityError, match="row map has 8 input"):
             schedule(mine.graph, other.rowmap)
+
+    @pytest.mark.parametrize("rowmap", [
+        RowMap(("D0", "D0"), ("D1",), 2, 10),  # both inputs read from one row
+        RowMap(("D0", "D1"), ("D0",), 2, 10),  # the output overwrites an input
+    ])
+    def test_rowmap_with_a_repeated_row_is_refused(self, rowmap):
+        """`schedule` would read D0 for both inputs of MAJ(in0, in1, 0), and
+        `verify_program` would reject a correct program for losing the input
+        its output row held."""
+        program = schedule(MAJ_AB0, RowMap(("D0", "D1"), ("D2",), 3, 10))
+        with pytest.raises(ArityError, match="row D0 more than once"):
+            schedule(MAJ_AB0, rowmap)
+        with pytest.raises(ArityError, match="row D0 more than once"):
+            verify_program(MAJ_AB0, rowmap, program)
 
     def test_spill_under_row_pressure(self, rng):
         # wide fanin graph forces more than six simultaneously live values

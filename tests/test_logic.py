@@ -262,6 +262,13 @@ def test_graph_edges_are_range_checked(nodes, outputs, error, where):
         MajGraph(2, nodes, outputs)
 
 
+@pytest.mark.parametrize("cls", [MajGraph, Netlist])
+@pytest.mark.parametrize("count", [2.0, "2", True, -1])
+def test_input_count_is_a_non_negative_int(cls, count):
+    with pytest.raises(ArityError, match="input count must be a non-negative int"):
+        cls(count, [], [])
+
+
 def test_constant_one_is_the_complemented_constant_zero():
     """One edge per constant value: ~0 is 1, and either reads as 1."""
     assert EDGE_ZERO ^ 1 == EDGE_ONE

@@ -5,15 +5,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pumkit.codegen import DEFAULT_SUBARRAY, SubarrayConfig, estimate_cost_static
+import pumkit.synthesis as synthesis
+from pumkit.codegen import (
+    DEFAULT_SUBARRAY,
+    SubarrayConfig,
+    activation_count,
+    estimate_cost_static,
+)
 from pumkit.errors import CapacityError
 from pumkit.logic import EDGE_ONE, EDGE_ZERO, Gate, MajGraph, Netlist, equivalent, truth_table
-from pumkit.oplib import N_ARY, OP_KINDS, build_netlist
+from pumkit.oplib import N_ARY, OP_KINDS, build_netlist, compile_op, op_signature
 from pumkit.synthesis import (
     RewriteRule,
+    _ADDER_CELL,
     _LIBRARY,
     _Builder,
     _CutStore,
+    _metric,
+    _rounds,
+    _Template,
     lower_to_maj,
     optimize,
     verify_rules,
@@ -170,6 +180,90 @@ class TestVerifyRules:
         checks = verify_rules((wide,))
         assert not checks[0].passed
         assert "5" in checks[0].detail
+
+
+def _adder_chain(rng: random.Random, width: int) -> Netlist:
+    """A ripple chain of `width` full adders over inputs a, b and a carry-in,
+    each bit reading a random polarity of its three leaves and taking its
+    carry either as OR(AND(a,b), AND(a^b,c)) or in the borrow form
+    OR(AND(~a,b), AND(~(a^b),c)), which is MAJ(~a,b,c); sums are output in
+    a random polarity, then the carry-out."""
+    gates: list[Gate] = []
+
+    def gate(kind, *ops):
+        gates.append(Gate(kind, ops))
+        return len(gates) - 1 << 1
+
+    def lit(e):
+        return gate("NOT", e) if rng.random() < 0.5 else e
+
+    carry, outs = in_edge(2 * width), []
+    for i in range(width):
+        a, b, c = lit(in_edge(i)), lit(in_edge(width + i)), lit(carry)
+        x = gate("XOR", a, b)
+        outs.append(lit(gate("XOR", x, c)))
+        if rng.random() < 0.5:
+            carry = gate("OR", gate("AND", a, b), gate("AND", x, c))
+        else:
+            carry = gate("OR", gate("AND", gate("NOT", a), b),
+                         gate("AND", gate("NOT", x), c))
+    return Netlist(2 * width + 1, gates, outs + [carry])
+
+
+class TestAdderCells:
+    @pytest.mark.parametrize("kind", ["add", "sub", "mul", "div"])
+    def test_effort_zero_ships_the_lowered_netlist(self, kind):
+        lowered = lower_to_maj(build_netlist(kind, 4))
+        opt, report = optimize(lowered, 0)
+        assert opt is lowered
+        assert report.rules_applied == ()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_every_full_adder_becomes_a_cell_of_the_same_function(self, seed):
+        rng = random.Random(seed)
+        width = rng.randint(1, 5)
+        netlist = _adder_chain(rng, width)
+        b = _Builder.from_graph(lower_to_maj(netlist))
+        counts = Counter()
+        b.clean(counts)
+        assert b.adder_cells(counts)
+        b.clean_compact(counts)
+        assert counts["adder_cell"] == width
+        assert b.to_graph().node_count == 3 * width
+        assert equivalent(netlist, b.to_graph())
+        assert equivalent(netlist, optimize(lower_to_maj(netlist), 2)[0])
+
+    @pytest.mark.parametrize("kind,width", [("add", 8), ("sub", 8), ("add", 16), ("sub", 16)])
+    def test_ripple_adders_and_subtractors_are_rebuilt(self, kind, width):
+        """Bit 0 reads a constant carry and stays a half adder."""
+        _, report = optimize(lower_to_maj(build_netlist(kind, width)), 2)
+        assert dict(report.rules_applied)["adder_cell"] == width - 1
+
+    @pytest.mark.parametrize("node", range(3))
+    @pytest.mark.parametrize("edge", range(3))
+    def test_a_cell_with_one_complement_flipped_fails_its_rule(self, monkeypatch, node, edge):
+        nodes = [list(nd) for nd in _ADDER_CELL.nodes]
+        nodes[node][edge] ^= 1
+        monkeypatch.setattr(synthesis, "_ADDER_CELL", _Template(
+            _ADDER_CELL.name, _ADDER_CELL.cost, tuple(map(tuple, nodes)), _ADDER_CELL.out))
+        failed = [c for c in verify_rules() if not c.passed]
+        assert [(c.name, c.detail) for c in failed] == [("adder_cell", "truth tables differ")]
+
+    def test_too_small_a_subarray_falls_back_to_the_rounds_alone(self):
+        """With 19 spare rows neither the lowered div8 nor the best graph
+        after the cell pass fits; the rounds without it find the graph
+        the optimizer shipped before the cell pass existed."""
+        widths, out_width = op_signature("div", 8)
+        rows = sum(widths) + out_width + 19
+        cfg = SubarrayConfig(total_rows=rows + 8, columns=64, data_row_count=rows)
+        lowered = lower_to_maj(build_netlist("div", 8))
+        before = _metric(lowered, cfg)
+        assert before[0]
+        assert _rounds(lowered, before, 64, cfg, cells=True)[1][0]
+        compiled = compile_op("div", 8, cfg)
+        assert activation_count(compiled.program).total == 3342
+        assert compiled.report.node_count_after == 364
 
 
 class TestReport:
