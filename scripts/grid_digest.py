@@ -10,7 +10,8 @@ prints, per width, the first 16 hex digits of one sha256 fed, in
 activations of the grid.  Two
 commits that print the same lines emit the same programs and reports, so
 a change meant to leave compiler output alone can be checked by running
-this on both.
+this on both.  Each width's compile seconds go to stderr, so the stdout
+of two commits still diffs line for line.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import argparse
 import hashlib
 import os
 import sys
+import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -49,7 +51,10 @@ def main(argv: list[str] | None = None) -> int:
     grid_total = 0
     try:
         for width in args.widths:
+            start = time.perf_counter()
             digest, total = width_digest(width)
+            print(f"width {width}: {time.perf_counter() - start:.3f} s compile",
+                  file=sys.stderr, flush=True)
             grid_total += total
             print(f"width {width}: {digest}  ({total} activations)", flush=True)
         print(f"grid total: {grid_total} activations", flush=True)

@@ -92,6 +92,9 @@ def op_signature(kind: str, width: int, n_inputs: int = 2) -> tuple[tuple[int, .
 def _check_kind_width(kind: str, width: int, n_inputs: int):
     if kind not in OP_KINDS:
         raise ValueError(f"unknown operation {kind!r}")
+    for name, value in (("width", width), ("n_inputs", n_inputs)):
+        if type(value) is not int:  # a bool is not one
+            raise ArityError(f"{name} must be an int, got {value!r}")
     if not 1 <= width <= MAX_WIDTH:
         raise ValueError(f"width {width} outside 1..{MAX_WIDTH}")
     if kind in N_ARY:

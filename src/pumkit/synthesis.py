@@ -26,22 +26,14 @@ A round is kept only when (does_not_fit, activations, nodes, depth)
 strictly improves, which gives monotone cost and a stable fixpoint; a
 graph the subarray cannot hold ranks below every graph that fits.
 
-Cut rewriting keeps what it learns across the rounds of one `optimize`
-call in a `_CutStore`: per node its pruned cuts, per cut the cone, truth
-table and template.  Nodes carry a plain int id through every pass of
-the call, and entries are keyed by id and checked against the node's
-structural key (its sorted edges with child ids substituted), so
-later rounds enumerate and simulate only the cones whose structure or
-order changed, in the way DAG-aware rewriting re-examines only the fanout
-of rewritten nodes (Mishchenko, Chatterjee and Brayton, DAC 2006).  What
-each rewrite would save depends on fanout and on the nodes elsewhere in
-the graph, so every round weighs it afresh from the kept records.  The
-rewrites chosen are the same as with nothing kept.
+Cut rewriting enumerates every node's pruned cuts afresh each round, in
+index order from its children's cuts, and builds each cut's record (cone,
+truth table, template) by composing the children's records, walking the
+cone only where no child record fits.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 from collections import Counter
@@ -239,77 +231,11 @@ def _expand(nv: int, places: tuple[int, ...], table: int) -> int:
 # --- mutable working form -----------------------------------------------------
 
 
-class _CutStore:
-    """What `cut_rewrite` learnt about the graph, kept for later rounds of
-    one `optimize` call.
-
-    Nodes carry an id (`_Builder.ids`) through `clean`, `compact` and
-    `dual_push`, and a rewritten root hands its id to the node that
-    replaces it.  Each id's entry is valid for one structural key: the
-    node's sorted edges with child ids substituted, so a
-    complement flip changes the keys of the node and its consumers.  Per
-    id the store keeps that key, the index the node had, its pruned cuts
-    and, per cut, a record of its cone.  A round reuses an entry unless
-    something it was read from has changed since the previous round, so
-    it re-examines only the cones that rewrites, merges, flips and
-    reorderings touched.  A gain also depends on fanout and on which
-    nodes exist elsewhere, so none is kept: `cut_rewrite` weighs every
-    group afresh.
-
-    A cut is a sorted tuple of leaf refs: node ids and input refs.  A cut
-    record is (cone ids, truth table, template number), extended by the
-    root id when there is a template; past _CONE_CAP the table is None and
-    the cone holds the nodes walked.  All of it is tuples of ints, which
-    the garbage collector stops tracking.
-    """
-
-    def __init__(self):
-        self.next_id = 0  # ids handed out so far
-        # per id, as the previous cut_rewrite saw the node
-        self.key: dict[int, tuple[int, ...]] = {}
-        self.pos: dict[int, int] = {}  # its index
-        self.cuts: dict[int, tuple[tuple[int, ...], ...]] = {}
-        self.recs: dict[int, tuple[tuple | None, ...]] = {}  # per cut, in order
-
-    def new_ids(self, count: int) -> list[int]:
-        first = self.next_id
-        self.next_id += count
-        return list(range(first, first + count))
-
-
 def _const_pair(nd) -> tuple[int, int] | None:
     """The sorted refs of a node's other two edges when exactly one of
     its edges is the constant, else None."""
     refs = sorted([e >> 1 for e in nd if e >> 1 != REF_ZERO])
     return (refs[0], refs[1]) if len(refs) == 2 and refs[0] != refs[1] else None
-
-
-def _structural_key(nd, ids: list[int]) -> tuple[int, ...]:
-    """A node's sorted edges with each child's id for its index."""
-    return tuple(sorted([e if e < 0 else ids[e >> 1] << 1 | (e & 1) for e in nd]))
-
-
-def _displaced(seq: list[tuple[int, int]]) -> list[int]:
-    """Ids (second items) off one longest run of increasing old positions
-    (first items): of every pair of ids whose order changed, one is here."""
-    tails: list[int] = []
-    tail_at: list[int] = []
-    back: list[int | None] = []
-    for j, (p, _) in enumerate(seq):
-        k = bisect.bisect_left(tails, p)
-        back.append(tail_at[k - 1] if k else None)
-        if k == len(tails):
-            tails.append(p)
-            tail_at.append(j)
-        else:
-            tails[k] = p
-            tail_at[k] = j
-    kept = set()
-    j = tail_at[-1] if tail_at else None
-    while j is not None:
-        kept.add(j)
-        j = back[j]
-    return [d for j, (_, d) in enumerate(seq) if j not in kept]
 
 
 class _Builder:
@@ -318,15 +244,12 @@ class _Builder:
         self.nodes: list[tuple[int, int, int] | None] = []
         self.outputs: list[int] = []
         self.repl: dict[int, int] = {}
-        self.store = _CutStore()
-        self.ids: list[int] = []
 
     @classmethod
     def from_graph(cls, g: MajGraph) -> "_Builder":
         b = cls(g.input_count)
         b.nodes = list(g.packed_nodes)
         b.outputs = list(g.packed_outputs)
-        b.ids = b.store.new_ids(len(b.nodes))
         return b
 
     def to_graph(self) -> MajGraph:
@@ -424,7 +347,6 @@ class _Builder:
         self.nodes = [tuple([e if e < 0 else mapping[e >> 1] << 1 | (e & 1)
                              if e >> 1 not in repl else remap(e) for e in nodes[old]])
                       for old in order]
-        self.ids = [self.ids[old] for old in order]
         self.outputs = [remap(e) for e in self.outputs]
         self.repl = {}
         counts["dead_node"] += alive_before - len(order)
@@ -539,7 +461,6 @@ class _Builder:
             if len(slots) < 3 or max(leaves) > slots[0]:
                 slots = range(len(nodes), len(nodes) + 3)
                 nodes.extend([None] * 3)
-                self.ids.extend(self.store.new_ids(3))
 
             def edge(e: int) -> int:  # cell edge -> builder edge
                 r = e >> 1
@@ -575,72 +496,79 @@ class _Builder:
     _CUT_CAP = 6
     _CONE_CAP = 16
 
-    def _node_cuts(self, key: tuple[int, ...], cuts: dict, sets: dict,
-                   pos: dict[int, int]) -> tuple:
-        """The pruned <= 3-leaf cuts of a node from its children's, as
-        frozensets and as sorted tuples.  `sets` caches children's cuts as
-        frozensets for this round.
+    def _node_cuts(self, nd: tuple[int, int, int], options: dict) -> tuple:
+        """The pruned <= 3-leaf cuts of a node, as frozensets and as sorted
+        tuples, merged from its children's `options`.
 
         The smallest cuts not containing another are kept, at most
         _CUT_CAP; when more qualify, ties in size go to the leaf sets that
-        come first by node index.
+        come first by ref.
         """
-        options = []
-        for q in key:
-            r = q >> 1
-            if r == REF_ZERO:
-                options.append((frozenset(),))
-            elif r < 0:
-                options.append((frozenset((r,)),))
-            else:
-                options.append([*self._cut_sets(r, cuts, sets), frozenset((r,))])
+        o1, o2, o3 = [options[e >> 1] for e in nd]
         merged = set()
-        for c1 in options[0]:
-            for c2 in options[1]:
+        for c1 in o1:
+            for c2 in o2:
                 u12 = c1 | c2
                 if len(u12) > 3:
                     continue
-                for c3 in options[2]:
+                for c3 in o3:
                     u = u12 | c3
                     if len(u) <= 3:
                         merged.add(u)
         keep: list[frozenset[int]] = []
         for c in sorted(merged, key=len):
-            if not any(k <= c for k in keep):
+            for k in keep:
+                if k <= c:
+                    break
+            else:
                 keep.append(c)
         if len(keep) > self._CUT_CAP:
             keep = []
-            for c in sorted(merged, key=lambda s: (len(s), sorted(
-                    r if r < 0 else pos[r] for r in s))):
+            for c in sorted(merged, key=lambda s: (len(s), sorted(s))):
                 if not any(k <= c for k in keep):
                     keep.append(c)
                 if len(keep) >= self._CUT_CAP:
                     break
         return keep, tuple([tuple(sorted(c)) for c in keep])
 
-    @staticmethod
-    def _cut_sets(d: int, cuts: dict, sets: dict) -> list[frozenset[int]]:
-        found = sets.get(d)
-        if found is None:
-            found = sets[d] = [frozenset(c) for c in cuts[d]]
-        return found
+    def _cut_records(self) -> dict[tuple[int, ...], list[tuple]]:
+        """Every node's pruned cuts and their cut records, built in index
+        order from the children's; returns the records with a template,
+        grouped by cut, each group in node order.
 
-    def _fanin(self, key: tuple[int, ...], pos: dict[int, int], cuts: dict,
-               sets: dict, recs_of: dict) -> list[tuple]:
-        """Per key edge: (ref, complement, and for a node child its cuts as
-        frozensets and its records)."""
-        fanin = []
-        for q in key:
-            r = q >> 1
-            if r < 0:
-                fanin.append((r, q & 1, None, None))
-            else:
-                fanin.append((r, q & 1, self._cut_sets(r, cuts, sets), recs_of[r]))
-        return fanin
+        A cut is a sorted tuple of leaf refs: node indices and input refs.
+        A cut record is (cone indices, truth table, template number),
+        extended by the root's index when there is a template; past
+        _CONE_CAP the table is None and the cone holds the nodes walked.
+        Cuts and records are tuples of ints, which the garbage collector
+        stops tracking.
+        """
+        # per ref, its cuts as frozensets followed by its trivial cut
+        options: dict = {r: (frozenset((r,)),) for r in range(-2, -2 - self.input_count, -1)}
+        options[REF_ZERO] = (frozenset(),)
+        cuts: list[tuple[tuple[int, ...], ...]] = []  # per node
+        recs: list[tuple[tuple | None, ...]] = []  # per node, one per cut
+        by_cut: dict[tuple[int, ...], list[tuple]] = {}
+        for i, nd in enumerate(self.nodes):
+            sets, node_cuts = self._node_cuts(nd, options)
+            node_recs = []
+            for cut, inside in zip(node_cuts, sets):
+                rec = None
+                if cut:  # a node over constants only has an empty cut
+                    rec = self._cut_rec(i, cut, inside, options, cuts, recs)
+                    if rec[2] is not None:
+                        by_cut.setdefault(cut, []).append(rec)
+                node_recs.append(rec)
+            sets.append(frozenset((i,)))
+            options[i] = sets
+            cuts.append(node_cuts)
+            recs.append(tuple(node_recs))
+        return by_cut
 
-    def _cut_rec(self, i: int, fanin: list[tuple], cut: tuple[int, ...],
-                 pos: dict[int, int]) -> tuple:
-        """The cut record (see `_CutStore`) of node i over `cut` (ids).
+    def _cut_rec(self, i: int, cut: tuple[int, ...], inside: frozenset[int],
+                 options: dict, cuts: list, recs: list) -> tuple:
+        """The cut record of node i over `cut`, whose leaves are `inside`,
+        from the `_cut_records` of the nodes before it.
 
         Each child that is not a leaf contributes the cone and table of
         one of its own cuts inside `cut`; that is exact when no leaf lies
@@ -648,45 +576,41 @@ class _Builder:
         no such child cut exists.  The table is None (and the cone the
         nodes walked) past _CONE_CAP.
         """
-        order = sorted([(r if r < 0 else pos[r], r) for r in cut])
-        where = {r: v for v, (_, r) in enumerate(order)}  # leaf -> table variable
-        nv = len(order)
+        nv = len(cut)
         full = (1 << (1 << nv)) - 1
         masks = _MASKS[nv]
-        inside = frozenset(cut)
-        cone = {self.ids[i]}
+        cone = {i}
         vals = []
-        for r, bit, subs, sub_recs in fanin:
-            if r in where:
-                v = masks[where[r]]
+        for e in self.nodes[i]:
+            r = e >> 1
+            if r in inside:
+                v = masks[cut.index(r)]
             elif r < 0:  # the constant
                 v = 0
             else:
-                for j, sub in enumerate(subs):
+                # the child's trivial cut, last, is never inside: r is no leaf
+                for j, sub in enumerate(options[r]):
                     if sub and sub <= inside:
-                        sub_cone, sub_table = sub_recs[j][:2]
+                        sub_cone, sub_table = recs[r][j][:2]
                         if sub_table is not None and inside.isdisjoint(sub_cone):
                             break
                 else:
-                    return self._walk_cut(i, [x for x, _ in order])
+                    return self._walk_cut(i, cut)
                 cone.update(sub_cone)
-                v = _expand(nv, tuple(sorted([where[x] for x in sub])), sub_table)
-            vals.append(v ^ (-bit & full))
-        if len(cone) > self._CONE_CAP:
-            return tuple(cone), None, None
+                v = _expand(nv, tuple([cut.index(x) for x in cuts[r][j]]), sub_table)
+            vals.append(v ^ (-(e & 1) & full))
         x, y, z = vals
-        return self._record(i, tuple(cone), nv, (x & y) | (x & z) | (y & z))
+        table = (x & y) | (x & z) | (y & z) if len(cone) <= self._CONE_CAP else None
+        return self._record(i, tuple(cone), nv, table)
 
-    def _walk_cut(self, i: int, leaves: list[int]) -> tuple:
+    def _walk_cut(self, i: int, leaves: tuple[int, ...]) -> tuple:
         """`_cut_rec` by walking the cone from node i down to `leaves`
-        (indices, sorted) and simulating it."""
+        (sorted refs) and simulating it."""
         seen, table = self._cone_table(i, leaves, self._CONE_CAP)
-        cone = tuple([self.ids[k] for k in seen])
-        if table is None:
-            return cone, None, None
-        return self._record(i, cone, len(leaves), table)
+        return self._record(i, tuple(seen), len(leaves), table)
 
-    def _cone_table(self, i: int, leaves: list[int], cap: int) -> tuple[set[int], int | None]:
+    def _cone_table(self, i: int, leaves: list[int] | tuple[int, ...],
+                    cap: int) -> tuple[set[int], int | None]:
         """(indices of the cone of node i down to the refs `leaves`, its
         truth table with leaves[v] as variable v).  The table is None, and
         the cone the nodes walked, once more than `cap` nodes are walked
@@ -718,11 +642,11 @@ class _Builder:
             vals[k] = (x & y) | (x & z) | (y & z)
         return seen, vals[i]
 
-    def _record(self, i: int, cone: tuple[int, ...], nv: int, table: int) -> tuple:
-        tpl = _LIBRARY.get((nv, table))
+    def _record(self, i: int, cone: tuple[int, ...], nv: int, table: int | None) -> tuple:
+        tpl = _LIBRARY.get((nv, table))  # None for a None table
         if tpl is None:
             return cone, table, None
-        return cone, table, _TEMPLATE_ID[id(tpl)], self.ids[i]
+        return cone, table, _TEMPLATE_ID[id(tpl)], i
 
     def _dying_set(self, roots: list[int], cone_union: set[int],
                    fanout: list[list[int]]) -> set[int]:
@@ -743,8 +667,8 @@ class _Builder:
             found.append((edges, key_map.get(edges)))
         return found
 
-    def _group_gain(self, group: tuple, leaves: tuple[int, ...], pos: dict[int, int],
-                    fanout: list[list[int]], key_map: dict) -> tuple | None:
+    def _group_gain(self, group: tuple, leaves: tuple[int, ...], fanout: list[list[int]],
+                    key_map: dict) -> tuple | None:
         """(nodes freed minus new nodes needed after structural sharing,
         cone indices, dying indices) of rewriting the roots of a group of
         cut records, or None when that gain is not positive.
@@ -771,17 +695,17 @@ class _Builder:
             for rec in group:
                 unique.update(self._probe(rec, leaves, key_map))
             hits = list(unique.values())
-        roots = [pos[rec[3]] for rec in group]
+        roots = [rec[3] for rec in group]
         shared = 0
         for h in hits:
             if h is not None and h not in roots:
                 shared += 1
         if len(cone) - deep - len(hits) + shared <= 0:
             return None
-        cone_at = {pos[d] for d in cone}
-        dying = self._dying_set(roots, cone_at, fanout)
+        cone = set(cone)
+        dying = self._dying_set(roots, cone, fanout)
         gain = len(dying) - deep - sum(1 for h in hits if h is None or h in dying)
-        return (gain, cone_at, dying) if gain > 0 else None
+        return (gain, cone, dying) if gain > 0 else None
 
     def _instantiate(self, tpl: _Template, leaves, dying: set[int],
                      key_map: dict, removed: set[int]) -> int:
@@ -802,7 +726,6 @@ class _Builder:
                     continue
             idx = len(self.nodes)
             self.nodes.append(edges)
-            self.ids.extend(self.store.new_ids(1))
             key_map[edges] = idx
             made.append(idx)
         return edge(tpl.out)
@@ -822,106 +745,33 @@ class _Builder:
                 fanout[r].append(n)
         return fanout
 
-    def _refresh_store(self, fanout: list[list[int]]):
-        """Bring the store's cuts and cut records up to date with the graph.
-
-        Returns the library hits grouped by cut and the index of each id.
-        """
-        store, ids = self.store, self.ids
-        keys = [_structural_key(nd, ids) for nd in self.nodes]
-        # A cut record reads the structure of its cone's nodes, and the
-        # index order of its root and leaves.
-        restructured: set[int] = set()
-        moved: set[int] = set()  # reordered
-        old_key = store.key
-        if old_key:  # a cold store has nothing to invalidate
-            for d, k in zip(ids, keys):
-                if old_key.get(d) != k:
-                    restructured.add(d)
-            live = set(ids)
-            for d in [d for d in old_key if d not in live]:
-                del old_key[d], store.pos[d]
-                store.cuts.pop(d, None)
-                store.recs.pop(d, None)
-            seq = [(store.pos[d], d) for d in ids if d in store.pos]
-            if any(a[0] > b[0] for a, b in zip(seq, seq[1:])):
-                moved.update(_displaced(seq))
-        store.pos = pos = dict(zip(ids, range(len(ids))))
-        old_key.update(zip(ids, keys))
-
-        # Per id: its cuts and their records, in one order.  Plain tuples
-        # of ints, so the garbage collector can stop tracking them.
-        cuts, recs_of = store.cuts, store.recs
-        stale: set[int] = set()  # indices whose children's cuts changed
-        sets: dict[int, list[frozenset[int]]] = {}
-        by_cut: dict[tuple[int, ...], list[tuple]] = {}  # records with a template
-        for i, (d, k) in enumerate(zip(ids, keys)):
-            cl = cuts.get(d)
-            recs = recs_of.get(d)
-            if (cl is None or i in stale or d in restructured
-                    or len(cl) >= self._CUT_CAP):
-                new_sets, new = self._node_cuts(k, cuts, sets, pos)
-                if cl is None:
-                    recs = (None,) * len(new)
-                elif set(new) != set(cl):
-                    # consumers of a new node are new or restructured anyway
-                    stale.update(fanout[i])
-                    old = dict(zip(cl, recs))
-                    recs = tuple([old.get(c) for c in new])
-                else:
-                    new_sets, new = None, cl
-                if new_sets is not None:
-                    cl = cuts[d] = new
-                    sets[d] = new_sets
-            fresh = None
-            for j, cut in enumerate(cl):
-                if not cut:
-                    continue
-                rec = recs[j]
-                if rec is None or not (restructured.isdisjoint(rec[0]) and d not in moved
-                                       and moved.isdisjoint(cut)):
-                    if fresh is None:
-                        fresh = list(recs)
-                        fanin = self._fanin(k, pos, cuts, sets, recs_of)
-                    rec = fresh[j] = self._cut_rec(i, fanin, cut, pos)
-                if rec[2] is not None:
-                    bucket = by_cut.get(cut)
-                    if bucket is None:
-                        by_cut[cut] = [rec]
-                    else:
-                        bucket.append(rec)
-            recs_of[d] = recs if fresh is None else tuple(fresh)
-        return by_cut, pos
-
     def cut_rewrite(self, counts: Counter) -> bool:
         """Match small cones against the template library and replace them.
 
         Roots sharing one cut are grouped and rewritten jointly, so
         structures like a full adder (XOR3 sum + majority carry over the
         same three leaves) collapse even though neither root's fanout-free
-        cone pays for the rewrite alone.  Cuts and cut records come from
-        the builder's store where nothing they were read from has changed
-        since the previous call; every group's gain is weighed afresh.
+        cone pays for the rewrite alone.  Every call enumerates the cuts
+        and builds their records afresh (`_cut_records`).
         """
         fanout = self._fanout()
-        by_cut, pos = self._refresh_store(fanout)
+        by_cut = self._cut_records()
         key_map: dict = {}
         for i, nd in enumerate(self.nodes):
             key_map.setdefault(tuple(sorted(nd)), i)
 
         candidates = []
         for cut, recs in by_cut.items():
-            leaves = tuple(sorted([r if r < 0 else pos[r] for r in cut]))
             groups = [tuple(recs)]
             if len(recs) > 1:
                 groups.extend((rec,) for rec in recs)
             for group in groups:
-                g = self._group_gain(group, leaves, pos, fanout, key_map)
+                g = self._group_gain(group, cut, fanout, key_map)
                 if g is not None:
                     gain, cone, dying = g
                     candidates.append((
-                        -gain, tuple(pos[rec[3]] for rec in group), leaves,
-                        tuple((pos[rec[3]], _TEMPLATES[rec[2]]) for rec in group),
+                        -gain, tuple(rec[3] for rec in group), cut,
+                        tuple((rec[3], _TEMPLATES[rec[2]]) for rec in group),
                         cone, dying))
         if not candidates:
             return False
@@ -935,11 +785,7 @@ class _Builder:
             if cone_union & removed:
                 continue
             for root, tpl in group:
-                first_new = len(self.nodes)
-                out = self._instantiate(tpl, leaves, dying, key_map, removed)
-                if out >> 1 >= first_new:  # a new node takes over the root's id
-                    self.ids[out >> 1] = self.ids[root]
-                self.repl[root] = out
+                self.repl[root] = self._instantiate(tpl, leaves, dying, key_map, removed)
                 self.nodes[root] = None
                 counts[tpl.name] += 1
             removed |= dying
@@ -997,7 +843,7 @@ def _rounds(graph: MajGraph, graph_m: tuple, passes: int, cfg: SubarrayConfig,
     with the first round that is.
     """
     best, best_m, rules = graph, graph_m, Counter()
-    b = _Builder.from_graph(graph)  # carries its ids and store across rounds
+    b = _Builder.from_graph(graph)  # rewritten in place, round after round
     round_counts: Counter = Counter()
     for k in range(passes + cells):
         if cells and k == 0:
@@ -1040,7 +886,7 @@ def optimize(graph: MajGraph, effort: int = 2,
     graph does not fit `cfg`, the rounds run again from `graph` without
     the cell pass, and the better of the two results is kept.
     """
-    if effort not in (0, 1, 2):
+    if type(effort) is not int or effort not in (0, 1, 2):  # a bool is not one
         raise ValueError(f"effort must be 0, 1, or 2, got {effort!r}")
     rules: Counter = Counter()
     best = graph

@@ -5,6 +5,7 @@ scheduler sweep from the optimizer's objective to `schedule` through
 import hashlib
 import importlib.util
 import io
+import re
 import sys
 from pathlib import Path
 
@@ -127,6 +128,19 @@ def test_grid_digest_stops_quietly_when_stdout_closes(monkeypatch):
     monkeypatch.setattr(script, "width_digest", lambda width: ("0" * 16, 0))
     monkeypatch.setattr(sys, "stdout", ClosedPipe())
     assert script.main(["--widths", "4", "8"]) == 1
+
+
+def test_grid_digest_times_each_width_on_stderr_only(monkeypatch, capsys):
+    """Stdout holds only the digests, so two commits' runs diff line for
+    line; each width's compile seconds go to stderr."""
+    script = _grid_digest_script()
+    monkeypatch.setattr(script, "width_digest", lambda width: ("0" * 16, width))
+    assert script.main(["--widths", "4", "8"]) == 0
+    out, err = capsys.readouterr()
+    assert out == ("width 4: 0000000000000000  (4 activations)\n"
+                   "width 8: 0000000000000000  (8 activations)\n"
+                   "grid total: 12 activations\n")
+    assert re.fullmatch(r"width 4: \d+\.\d{3} s compile\nwidth 8: \d+\.\d{3} s compile\n", err)
 
 
 def _two_spare_rows(g: MajGraph) -> SubarrayConfig:

@@ -12,7 +12,7 @@ from pumkit.codegen import (
     activation_count,
     estimate_cost_static,
 )
-from pumkit.errors import CapacityError
+from pumkit.errors import ArityError, CapacityError
 from pumkit.logic import EDGE_ONE, EDGE_ZERO, Gate, MajGraph, Netlist, equivalent, truth_table
 from pumkit.oplib import N_ARY, OP_KINDS, build_netlist, compile_op, op_signature
 from pumkit.synthesis import (
@@ -20,7 +20,6 @@ from pumkit.synthesis import (
     _ADDER_CELL,
     _LIBRARY,
     _Builder,
-    _CutStore,
     _metric,
     _rounds,
     _Template,
@@ -122,6 +121,22 @@ class TestOptimize:
         g = MajGraph(1, [], [in_edge(0)])
         with pytest.raises(ValueError):
             optimize(g, 3)
+
+    @pytest.mark.parametrize("call, args, kwargs, error, match", [
+        (compile_op, ("add", True), {}, ArityError, "width must be an int, got True"),
+        (compile_op, ("add", 4.0), {}, ArityError, "width must be an int, got 4.0"),
+        (compile_op, ("and_n", 4), {"n_inputs": 3.0}, ArityError,
+         "n_inputs must be an int, got 3.0"),
+        (optimize, (MajGraph(1, [], [in_edge(0)]), True), {}, ValueError, "effort"),
+        (optimize, (MajGraph(1, [], [in_edge(0)]), False), {}, ValueError, "effort"),
+        (optimize, (MajGraph(1, [], [in_edge(0)]), 1.0), {}, ValueError, "effort"),
+        (optimize, (MajGraph(1, [], [in_edge(0)]), 2.0), {}, ValueError, "effort"),
+    ], ids=["width-True", "width-4.0", "n_inputs-3.0", "effort-True", "effort-False",
+            "effort-1.0", "effort-2.0"])
+    def test_a_count_that_is_no_int_is_refused(self, call, args, kwargs, error, match):
+        """A bool or a float equal to an accepted count is still refused."""
+        with pytest.raises(error, match=match):
+            call(*args, **kwargs)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10**9))
@@ -309,98 +324,38 @@ def _chain_graph(rng: random.Random) -> MajGraph:
     return MajGraph(3, nodes, [(len(nodes) - 1 << 1) ^ (rng.random() < 0.5)])
 
 
-def _rewrite_ready(b: _Builder, flip=True) -> _Builder:
-    """`b` as `optimize` hands it to `cut_rewrite` in one round (without
-    the complement pushing unless `flip`)."""
+def _rewrite_ready(b: _Builder) -> _Builder:
+    """`b` as `optimize` hands it to `cut_rewrite` in one round."""
     b.clean_compact(Counter())
-    if flip:
-        b.dual_push(Counter())
-        b.clean_compact(Counter())
+    b.dual_push(Counter())
+    b.clean_compact(Counter())
     return b
 
 
-def _with_cold_store(b: _Builder) -> _Builder:
-    cold = _Builder(b.input_count)
-    cold.nodes, cold.outputs, cold.repl = list(b.nodes), list(b.outputs), dict(b.repl)
-    cold.ids = cold.store.new_ids(len(cold.nodes))
-    return cold
-
-
 class TestCutStore:
-    """The store `optimize` keeps across rounds changes no rewrite."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.integers(0, 10**9))
-    def test_warm_store_rewrites_like_a_cold_one(self, seed):
-        """Rounds as `optimize` runs them, some without complement pushing,
-        after edits that change fanouts: each round drops the outputs the
-        previous one added, then may pin a random share of the nodes as
-        outputs and add pinned nodes, some the complement of an existing
-        one.  A pinned node cannot die with a rewritten cone, and an added
-        node can stand in for a template node, so rounds block and unblock
-        rewrites whose cones are unchanged."""
-        rng = random.Random(seed)
-        g = _random_graph(seed)
-        kept = g.output_count
-        b = _Builder.from_graph(g)
-        for _ in range(5):
-            del b.outputs[kept:]
-            refs = [(-2 - i) << 1 for i in range(b.input_count)]
-            refs += [k << 1 for k in range(len(b.nodes))]
-            if rng.random() < 0.7:
-                share = rng.random()
-                b.outputs += [e for e in refs if e >= 0 and rng.random() < share]
-            for _ in range(rng.randint(0, 3)):
-                if b.nodes and rng.random() < 0.5:  # the complement of a node
-                    edges = [e ^ 1 for e in rng.choice(b.nodes)]
-                else:
-                    edges = [rng.choice(refs) ^ rng.randint(0, 1) for _ in range(3)]
-                b.nodes.append(tuple(sorted(edges)))
-                b.ids.extend(b.store.new_ids(1))
-                b.outputs.append(len(b.nodes) - 1 << 1)
-            warm = _rewrite_ready(b, flip=rng.random() < 0.5)
-            cold = _with_cold_store(warm)
-            warm_counts, cold_counts = Counter(), Counter()
-            assert warm.cut_rewrite(warm_counts) == cold.cut_rewrite(cold_counts)
-            assert warm.nodes == cold.nodes
-            assert warm.outputs == cold.outputs
-            assert warm.repl == cold.repl
-            assert warm_counts == cold_counts
-            b.clean_compact(Counter())
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 10**9))
-    def test_optimize_equals_a_store_cleared_every_round(self, seed):
-        g = _random_graph(seed)
-        warm, warm_report = optimize(g, 2)
-        real = _Builder.cut_rewrite
-
-        def cleared(self, counts):
-            self.store = _CutStore()
-            self.ids = self.store.new_ids(len(self.nodes))
-            return real(self, counts)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(_Builder, "cut_rewrite", cleared)
-            cold, cold_report = optimize(g, 2)
-        assert warm.packed_nodes == cold.packed_nodes
-        assert warm.packed_outputs == cold.packed_outputs
-        assert repr(warm_report) == repr(cold_report)
+    """The cut records `cut_rewrite` builds afresh every round: those
+    composed from the children's records are the ones a cone walk finds."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10**9))
     def test_composed_cut_records_match_a_cone_walk(self, seed):
         b = _rewrite_ready(_Builder.from_graph(_random_graph(seed)))
-        b._refresh_store(b._fanout())
-        pos = {d: i for i, d in enumerate(b.ids)}
-        for i, d in enumerate(b.ids):
-            for cut, rec in zip(b.store.cuts[d], b.store.recs[d]):
-                if not cut:
-                    continue
-                walked = b._walk_cut(i, sorted(r if r < 0 else pos[r] for r in cut))
-                assert rec[1:3] == walked[1:3]  # truth table, template
-                if rec[1] is not None:
-                    assert set(rec[0]) == set(walked[0])  # cone
+        built = []
+        real = _Builder._cut_rec
+
+        def spy(self, i, cut, *rest):
+            built.append((i, cut, real(self, i, cut, *rest)))
+            return built[-1][2]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_Builder, "_cut_rec", spy)
+            b._cut_records()
+        assert {i for i, _, _ in built} == set(range(len(b.nodes)))
+        for i, cut, rec in built:
+            walked = b._walk_cut(i, cut)
+            assert rec[1:3] == walked[1:3]  # truth table, template
+            if rec[1] is not None:
+                assert set(rec[0]) == set(walked[0])  # cone
 
     @pytest.mark.parametrize("seed", range(5))
     def test_long_chains_reach_the_cone_walk(self, seed, monkeypatch):
@@ -413,5 +368,5 @@ class TestCutStore:
 
         monkeypatch.setattr(_Builder, "_walk_cut", spy)
         b = _rewrite_ready(_Builder.from_graph(_chain_graph(random.Random(seed))))
-        b._refresh_store(b._fanout())
+        b._cut_records()
         assert walks
