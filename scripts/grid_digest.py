@@ -2,16 +2,16 @@
 
     python3 scripts/grid_digest.py [--widths 4 8 16 32]
 
-Compiles the 16 library ops at each width (effort 2, default subarray,
-n-ary ops with `pumkit bench`'s operand count, `cli.BENCH_N_INPUTS`) and
-prints, per width, the first 16 hex digits of one sha256 fed, in
-`OP_KINDS` order, each cell's `format_microprogram` text, `repr` of its
-`SynthesisReport` and its `verified_cases`; then the total row
-activations of the grid.  Two
-commits that print the same lines emit the same programs and reports, so
-a change meant to leave compiler output alone can be checked by running
-this on both.  Each width's compile seconds go to stderr, so the stdout
-of two commits still diffs line for line.
+Compiles the 16 library ops at each width (by default `pumkit bench`'s,
+`cli.BENCH_WIDTHS`) at effort 2 on the default subarray, n-ary ops with
+`pumkit bench`'s operand count, `cli.BENCH_N_INPUTS`, and prints, per
+width, the first 16 hex digits of one sha256 fed, in `OP_KINDS` order,
+each cell's `format_microprogram` text, `repr` of its `SynthesisReport`
+and its `verified_cases`; then the total row activations of the grid.
+Two commits that print the same lines emit the same programs and
+reports, so a change meant to leave compiler output alone can be checked
+by running this on both.  Each width's compile seconds go to stderr, so
+the stdout of two commits still diffs line for line.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from pumkit.cli import BENCH_N_INPUTS  # noqa: E402
+from pumkit.cli import BENCH_N_INPUTS, BENCH_WIDTHS  # noqa: E402
 from pumkit.codegen import activation_count, format_microprogram  # noqa: E402
 from pumkit.oplib import N_ARY, OP_KINDS, compile_op  # noqa: E402
 
@@ -46,7 +46,7 @@ def width_digest(width: int) -> tuple[str, int]:
 
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--widths", type=int, nargs="+", default=[4, 8, 16, 32])
+    ap.add_argument("--widths", type=int, nargs="+", default=list(BENCH_WIDTHS))
     args = ap.parse_args(argv)
     grid_total = 0
     try:

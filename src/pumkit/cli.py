@@ -142,10 +142,10 @@ def bench_rows(cfg: RunConfig, widths=BENCH_WIDTHS) -> tuple[list[dict], list[st
         n_inputs = BENCH_N_INPUTS if kind in oplib.N_ARY else 2
         for width in widths:
             try:
-                e0 = oplib.compile_op_cached(kind, width, cfg.subarray,
-                                             effort=0, n_inputs=n_inputs)
-                e2 = oplib.compile_op_cached(kind, width, cfg.subarray,
-                                             effort=2, n_inputs=n_inputs)
+                e0 = oplib.compile_op(kind, width, cfg.subarray,
+                                      effort=0, n_inputs=n_inputs)
+                e2 = oplib.compile_op(kind, width, cfg.subarray,
+                                      effort=2, n_inputs=n_inputs)
             except PumError as e:
                 failures.append(f"{kind} width {width}: {e}")
                 continue

@@ -83,11 +83,14 @@ class SubarrayConfig:
     data_row_count: int | None = None
 
     def __post_init__(self):
+        if self.data_row_count is None and type(self.total_rows) is int:
+            object.__setattr__(self, "data_row_count", self.total_rows - 8)
+        for name, value in vars(self).items():
+            if type(value) is not int:  # a bool is not one
+                raise ConfigError(f"{name} must be an int, got {value!r}")
         if self.total_rows > MAX_TOTAL_ROWS:
             raise ConfigError(
                 f"total_rows (subarray.rows) exceeds the {MAX_TOTAL_ROWS}-row limit")
-        if self.data_row_count is None:
-            object.__setattr__(self, "data_row_count", self.total_rows - 8)
         if self.columns < 1:
             raise ConfigError("columns must be >= 1")
         if self.data_row_count < 1:

@@ -26,6 +26,9 @@ Adders and multipliers are built from AND/OR/XOR full adders, and
 subtraction from a borrow chain.  Compiling at effort 1 or 2 rebuilds
 each of them as the three-node majority cell (`synthesis.optimize`);
 effort 0 keeps the naive lowering of these gates.
+
+`compile_op` is the one compile entry point, and it keeps no cache: a
+caller that wants a compile twice holds on to its `CompiledOp`.
 """
 
 from __future__ import annotations
@@ -450,19 +453,6 @@ def compile_op(kind: str, width: int, cfg: SubarrayConfig = DEFAULT_SUBARRAY,
     return CompiledOp(kind, width, n_inputs, widths, out_width, netlist,
                       graph, rowmap, program, report, cases,
                       spill_rows_used(program, rowmap))
-
-
-_COMPILE_CACHE: dict[tuple, CompiledOp] = {}
-
-
-def compile_op_cached(kind: str, width: int, cfg: SubarrayConfig = DEFAULT_SUBARRAY,
-                      effort: int = 2, n_inputs: int = 2) -> CompiledOp:
-    key = (kind, width, effort, n_inputs, cfg.total_rows, cfg.data_row_count)
-    hit = _COMPILE_CACHE.get(key)
-    if hit is None:
-        hit = compile_op(kind, width, cfg, effort, n_inputs)
-        _COMPILE_CACHE[key] = hit
-    return hit
 
 
 def _run_lanes(program: MicroProgram, widths, out_width, inputs,

@@ -523,12 +523,7 @@ class _Builder:
             else:
                 keep.append(c)
         if len(keep) > self._CUT_CAP:
-            keep = []
-            for c in sorted(merged, key=lambda s: (len(s), sorted(s))):
-                if not any(k <= c for k in keep):
-                    keep.append(c)
-                if len(keep) >= self._CUT_CAP:
-                    break
+            keep = sorted(keep, key=lambda s: (len(s), sorted(s)))[:self._CUT_CAP]
         return keep, tuple([tuple(sorted(c)) for c in keep])
 
     def _cut_records(self) -> dict[tuple[int, ...], list[tuple]]:
@@ -592,6 +587,9 @@ class _Builder:
                 for j, sub in enumerate(options[r]):
                     if sub and sub <= inside:
                         sub_cone, sub_table = recs[r][j][:2]
+                        # a leaf of `cut` inside the child's cone, where the
+                        # cone walk stops, needs a cut set truncated by
+                        # _CUT_CAP (seen at a cap of 2 on uncleaned graphs)
                         if sub_table is not None and inside.isdisjoint(sub_cone):
                             break
                 else:
@@ -833,16 +831,17 @@ def _metric(g: MajGraph, cfg: SubarrayConfig) -> tuple[bool, int, int, int]:
 
 
 def _rounds(graph: MajGraph, graph_m: tuple, passes: int, cfg: SubarrayConfig,
-            cells: bool) -> tuple[MajGraph, tuple, Counter]:
-    """(best graph, its `_metric`, the rules of its accepted rounds) after
-    up to `passes` rewrite rounds from `graph`, whose metric is `graph_m`.
+            cells: bool) -> tuple[MajGraph, tuple, Counter, bool]:
+    """(best graph, its `_metric`, the rules of its accepted rounds,
+    whether the adder-cell round's graph did not fit) after up to `passes`
+    rewrite rounds from `graph`, whose metric is `graph_m`.
 
     With `cells`, a round of the adder-cell pass comes first when it finds
     a full adder.  It is scored like any round, but the rounds after it go
     on from its graph even when it is not kept, and then its rules count
     with the first round that is.
     """
-    best, best_m, rules = graph, graph_m, Counter()
+    best, best_m, rules, cells_overflow = graph, graph_m, Counter(), False
     b = _Builder.from_graph(graph)  # rewritten in place, round after round
     round_counts: Counter = Counter()
     for k in range(passes + cells):
@@ -862,13 +861,15 @@ def _rounds(graph: MajGraph, graph_m: tuple, passes: int, cfg: SubarrayConfig,
                 and candidate.packed_outputs == best.packed_outputs):
             break  # an unchanged round would score best_m again
         m = _metric(candidate, cfg)
+        if cells and k == 0:
+            cells_overflow = m[0]
         if m < best_m:
             best, best_m = candidate, m
             rules.update(round_counts)
             round_counts = Counter()
         elif not (cells and k == 0):
             break
-    return best, best_m, rules
+    return best, best_m, rules, cells_overflow
 
 
 def optimize(graph: MajGraph, effort: int = 2,
@@ -882,9 +883,12 @@ def optimize(graph: MajGraph, effort: int = 2,
     cap).  Rounds that fail to strictly improve (does_not_fit, activations,
     nodes, depth) are rolled back, so the result is never worse than the
     input, and never fails to fit when the input fits.  The cells can
-    hold more values live than the gates they replace, so when the best
-    graph does not fit `cfg`, the rounds run again from `graph` without
-    the cell pass, and the better of the two results is kept.
+    hold more values live than the gates they replace, so when the cell
+    round's graph does not fit `cfg`, the rounds run again from `graph`
+    without the cell pass, and the better of the two results is kept:
+    later rounds may not fit the cells' graph, or fit it worse than the
+    graph without cells.  (A cell graph that fits is kept, so the best
+    graph can overflow only when the cell graph does or there is none.)
     """
     if type(effort) is not int or effort not in (0, 1, 2):  # a bool is not one
         raise ValueError(f"effort must be 0, 1, or 2, got {effort!r}")
@@ -893,11 +897,11 @@ def optimize(graph: MajGraph, effort: int = 2,
     before = best_m = _metric(graph, cfg)
     if effort > 0:
         passes = 1 if effort == 1 else 64
-        best, best_m, rules = _rounds(graph, before, passes, cfg, cells=True)
-        if best_m[0]:  # too small a subarray: the cells' graph may be what overflows
+        best, best_m, rules, overflow = _rounds(graph, before, passes, cfg, cells=True)
+        if overflow:  # too small a subarray for the cells
             retry = _rounds(graph, before, passes, cfg, cells=False)
             if retry[1] < best_m:
-                best, best_m, rules = retry
+                best, best_m, rules = retry[:3]
     report = SynthesisReport(
         node_count_before=before[2],
         node_count_after=best_m[2],

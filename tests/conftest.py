@@ -1,8 +1,11 @@
+import functools
 import random
 
 import pytest
 
+from pumkit.codegen import DEFAULT_SUBARRAY, SubarrayConfig
 from pumkit.logic import EDGE_ONE, EDGE_ZERO, Gate, MajGraph, Netlist
+from pumkit.oplib import compile_op
 
 GATE_KINDS = ("AND", "OR", "XOR", "NOT")
 
@@ -18,6 +21,19 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in _acceptance_lines:
             terminalreporter.line(line)
+
+
+def compiled_op(kind, width, cfg=DEFAULT_SUBARRAY, effort=2, n_inputs=2):
+    """`compile_op`, memoized for the whole test session, so tests that
+    only read a compile share it.  The key leaves out `cfg.columns`, which
+    compiling does not read, and tells 4 from 4.0 or True."""
+    return _compile(kind, width, cfg.total_rows, cfg.data_row_count, effort, n_inputs)
+
+
+@functools.lru_cache(maxsize=None, typed=True)
+def _compile(kind, width, total_rows, data_row_count, effort, n_inputs):
+    cfg = SubarrayConfig(total_rows=total_rows, data_row_count=data_row_count)
+    return compile_op(kind, width, cfg, effort, n_inputs)
 
 
 def random_majgraph(rng: random.Random, n_inputs: int = 4, n_nodes: int = 8,

@@ -19,7 +19,8 @@ from contextlib import contextmanager
 
 import pytest
 
-from conftest import random_majgraph, record_acceptance
+import pumkit.oplib
+from conftest import compiled_op, random_majgraph, record_acceptance
 
 from pumkit.classifier import BottleneckClass, MetricsRecord, classify, compute_lfmr, recommend
 from pumkit.cli import main
@@ -35,7 +36,6 @@ from pumkit.logic import equivalent
 from pumkit.oplib import (
     N_ARY,
     OP_KINDS,
-    compile_op_cached,
     execute_op,
     op_signature,
     oracle,
@@ -86,7 +86,7 @@ def test_criterion_1_oracle_equivalence_width4_exhaustive():
         for kind in OP_KINDS:
             n = _n_inputs(kind)
             widths, _ = op_signature(kind, 4, n)
-            compiled = compile_op_cached(kind, 4, ROWS, effort=2, n_inputs=n)
+            compiled = compiled_op(kind, 4, ROWS, effort=2, n_inputs=n)
             batch = [[] for _ in widths]
             for case in _exhaustive_cases(widths):
                 for k, v in enumerate(case):
@@ -117,7 +117,7 @@ def test_criterion_2_randomized_equivalence_widths_8_16_32():
             n = _n_inputs(kind)
             for width in (8, 16, 32):
                 widths, _ = op_signature(kind, width, n)
-                compiled = compile_op_cached(kind, width, ROWS, effort=2,
+                compiled = compiled_op(kind, width, ROWS, effort=2,
                                              n_inputs=n)
                 lanes = [[rng.getrandbits(w) for _ in range(4096)]
                          for w in widths]
@@ -128,9 +128,11 @@ def test_criterion_2_randomized_equivalence_widths_8_16_32():
         assert elapsed < 600, f"criterion 2 overran its budget: {elapsed:.0f}s"
 
 
-def test_criterion_3_optimization_property(tmp_path):
+def test_criterion_3_optimization_property(tmp_path, monkeypatch):
     with criterion(3, "bench CSV (16 ops x 4 widths): effort-2 activations "
                       "<= effort-0 everywhere, strictly fewer for arithmetic"):
+        # the bench takes criterion 2's effort-2 compiles from the memo
+        monkeypatch.setattr(pumkit.oplib, "compile_op", compiled_op)
         out = tmp_path / "bench.csv"
         assert main(["bench", "-o", str(out)]) == 0
         rows = list(csv.DictReader(io.StringIO(out.read_text())))
@@ -298,7 +300,7 @@ def test_criterion_9_hardware_comparisons_not_reproduced():
                       "process-variation reliability are intentionally not "
                       "reproduced; cost output is labeled as an uncalibrated "
                       "analytical estimate"):
-        compiled = compile_op_cached("add", 4, ROWS)
+        compiled = compiled_op("add", 4, ROWS)
         report = estimate(compiled.program, CostParams())
         assert NOT_CALIBRATED in report.render()
         assert "not hardware-calibrated" in NOT_CALIBRATED

@@ -11,7 +11,9 @@ import pumkit.cli
 import pumkit.oplib
 from pumkit.cli import main
 from pumkit.codegen import format_microprogram, parse_microprogram
-from pumkit.oplib import compile_op_cached, execute_op, oracle
+from pumkit.oplib import execute_op
+
+from conftest import compiled_op
 
 
 def write(path, lines):
@@ -199,7 +201,7 @@ class TestRun:
            lanes=hst.integers(0, 40), seed=hst.integers(0, 2**32 - 1))
     def test_run_matches_execute_op(self, tmp_path, op, lanes, seed):
         kind, width, n_inputs = op
-        compiled = compile_op_cached(kind, width, n_inputs=n_inputs)
+        compiled = compiled_op(kind, width, n_inputs=n_inputs)
         prog = tmp_path / f"{kind}.up"
         prog.write_text(format_microprogram(compiled.program))
         rng = random.Random(seed)

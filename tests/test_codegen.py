@@ -25,11 +25,11 @@ from pumkit.codegen import (
 )
 from pumkit.errors import ArityError, CapacityError, ConfigError, MicroProgramError
 from pumkit.logic import EDGE_ONE, EDGE_ZERO, MajGraph
-from pumkit.oplib import _run_lanes, build_netlist, compile_op, compile_op_cached
+from pumkit.oplib import _run_lanes, build_netlist, compile_op
 from pumkit.subarray import new_subarray
 from pumkit.synthesis import lower_to_maj, optimize
 
-from conftest import in_edge, random_majgraph
+from conftest import compiled_op, in_edge, random_majgraph
 
 MAJ_AB0 = MajGraph(2, [(in_edge(0), in_edge(1), EDGE_ZERO)], [0])
 NOT_A = MajGraph(1, [], [in_edge(0) | 1])
@@ -210,7 +210,7 @@ END
     def test_rowmap_of_another_graph_is_refused(self, graph_of, rowmap_of):
         """add4 has five outputs and eq4 one: `schedule` and
         `verify_program` refuse either's row map for the other."""
-        mine, other = compile_op_cached(graph_of, 4), compile_op_cached(rowmap_of, 4)
+        mine, other = compiled_op(graph_of, 4), compiled_op(rowmap_of, 4)
         with pytest.raises(ArityError, match="row map has 8 input"):
             verify_program(mine.graph, other.rowmap, mine.program)
         with pytest.raises(ArityError, match="row map has 8 input"):

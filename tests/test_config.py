@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from pumkit.classifier import Thresholds
@@ -53,6 +55,16 @@ def test_subarray_rows_above_the_limit_are_rejected(tmp_path):
     path.write_text("subarray.rows = 65537\n")
     with pytest.raises(ConfigError, match="subarray.rows"):
         load_config(str(path))
+
+
+@pytest.mark.parametrize("field, bad", [
+    (field, bad) for field in ("total_rows", "columns", "data_row_count")
+    for bad in (64.0, 8.5, True, "64", None)
+    if (field, bad) != ("data_row_count", None)  # None asks for the default
+])
+def test_subarray_fields_must_be_ints(field, bad):
+    with pytest.raises(ConfigError, match=re.escape(f"{field} must be an int, got {bad!r}")):
+        SubarrayConfig(**{field: bad})
 
 
 def test_float_keys_take_ascii_spellings():

@@ -28,10 +28,11 @@ from pumkit.oplib import (
     OP_KINDS,
     build_netlist,
     compile_op,
-    compile_op_cached,
     op_signature,
 )
 from pumkit.synthesis import lower_to_maj
+
+from conftest import compiled_op
 
 # sha256 of format_microprogram per op at widths 4, 8 and 16: effort 2,
 # default subarray, n-ary ops with 4 operands.  A change that alters emitted
@@ -94,7 +95,7 @@ PINNED_WIDTHS = (4, 8, 16)
 @pytest.mark.parametrize("width", PINNED_WIDTHS)
 @pytest.mark.parametrize("kind", sorted(PINNED))
 def test_emitted_program_is_pinned(kind, width):
-    compiled = compile_op_cached(kind, width, effort=2, n_inputs=4 if kind in N_ARY else 2)
+    compiled = compiled_op(kind, width, effort=2, n_inputs=4 if kind in N_ARY else 2)
     text = format_microprogram(compiled.program)
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED[kind][PINNED_WIDTHS.index(width)]
 

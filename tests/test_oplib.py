@@ -19,18 +19,19 @@ from pumkit.oplib import (
     OP_KINDS,
     build_netlist,
     compile_op,
-    compile_op_cached,
     execute_op,
     op_signature,
     oracle,
     oracle_lanes,
 )
 
+from conftest import compiled_op
+
 CFG = SubarrayConfig(columns=64)
 
 
 def run(kind, width, inputs, n_inputs=2, effort=2):
-    compiled = compile_op_cached(kind, width, CFG, effort=effort, n_inputs=n_inputs)
+    compiled = compiled_op(kind, width, CFG, effort=effort, n_inputs=n_inputs)
     return execute_op(compiled, inputs, CFG)
 
 
@@ -149,11 +150,6 @@ class TestSignatures:
             with pytest.raises(ValueError, match=f"{kind} .*not {n}"):
                 op_signature(kind, 4, n)
 
-    def test_cache_does_not_compile_an_ignored_operand_count(self):
-        with pytest.raises(ValueError, match="add .*not 7"):
-            compile_op_cached("add", 4, n_inputs=7)
-        assert not [k for k in pumkit.oplib._COMPILE_CACHE if k[:4] == ("add", 4, 2, 7)]
-
     def test_width_bounds(self):
         with pytest.raises(ValueError):
             op_signature("add", 0)
@@ -187,15 +183,15 @@ class TestNetlists:
 
 class TestCompile:
     def test_add_verified_exhaustively(self):
-        compiled = compile_op_cached("add", 4, CFG)
+        compiled = compiled_op("add", 4, CFG)
         assert compiled.verified_cases == 256
 
     def test_div_verified_exhaustively_including_zero(self):
-        compiled = compile_op_cached("div", 4, CFG)
+        compiled = compiled_op("div", 4, CFG)
         assert compiled.verified_cases == 256  # all (a, b), b = 0 included
 
     def test_compiled_artifact_is_consistent(self):
-        compiled = compile_op_cached("max", 4, CFG)
+        compiled = compiled_op("max", 4, CFG)
         assert compiled.program.name == "max"
         assert compiled.program.width == 4
         assert compiled.program.data_rows == 8 + 4
@@ -219,10 +215,17 @@ class TestCompile:
                            match=f"{kind} width {width} has a {out_width}-bit result"):
             compile_op(kind, width)
 
-    def test_cache_returns_same_object(self):
-        a = compile_op_cached("eq", 4, CFG)
-        b = compile_op_cached("eq", 4, CFG)
-        assert a is b
+    def test_compile_reads_the_rows_not_the_columns(self):
+        """Two compiles with the same arguments and rows give the same
+        program, whatever the columns: what lets the tests share one
+        compile (`conftest.compiled_op`)."""
+        a = compile_op("eq", 4, CFG)
+        b = compile_op("eq", 4, SubarrayConfig(columns=1))
+        assert a is not b
+        assert (a.program, a.rowmap, a.report, a.verified_cases) == \
+            (b.program, b.rowmap, b.report, b.verified_cases)
+        assert (a.graph.packed_nodes, a.graph.packed_outputs) == \
+            (b.graph.packed_nodes, b.graph.packed_outputs)
 
     def test_symbolic_check_rejects_a_dropped_tra(self, monkeypatch):
         real_schedule = pumkit.oplib.schedule
@@ -263,7 +266,7 @@ class TestCompile:
             f"compiled add width {width} disagrees with oracle on {first_failure}"
 
     def test_seeded_lanes_include_corners(self):
-        compiled = compile_op_cached("div", 8, CFG)
+        compiled = compiled_op("div", 8, CFG)
         # 4 x 4 crossed corners, 4 equal-operand and 4 zero-divisor lanes
         assert compiled.verified_cases == 4096 + 16 + 4 + 4
         cases = pumkit.oplib._corner_lanes("div", (8, 8), random.Random(0))
@@ -318,7 +321,7 @@ class TestExecute:
         assert run("and_n", 1, [[1, 1], [1, 0], [1, 1]], n_inputs=3) == [1, 0]
 
     def test_simd_lanes_match_solo_runs(self, rng):
-        compiled = compile_op_cached("mul", 4, CFG)
+        compiled = compiled_op("mul", 4, CFG)
         lanes_a = [rng.randrange(16) for _ in range(16)]
         lanes_b = [rng.randrange(16) for _ in range(16)]
         together = execute_op(compiled, [lanes_a, lanes_b], CFG)
@@ -327,33 +330,33 @@ class TestExecute:
         assert together == solo
 
     def test_lane_overflow(self):
-        compiled = compile_op_cached("add", 4, CFG)
+        compiled = compiled_op("add", 4, CFG)
         with pytest.raises(CapacityError):
             execute_op(compiled, [[0] * 65, [0] * 65], CFG)
 
     def test_lanes_filling_every_column(self, rng):
-        compiled = compile_op_cached("add", 4, CFG)
+        compiled = compiled_op("add", 4, CFG)
         a = [rng.randrange(16) for _ in range(CFG.columns)]
         b = [rng.randrange(16) for _ in range(CFG.columns)]
         assert execute_op(compiled, [a, b], CFG) == [x + y for x, y in zip(a, b)]
 
     def test_unequal_lanes(self):
-        compiled = compile_op_cached("add", 4, CFG)
+        compiled = compiled_op("add", 4, CFG)
         with pytest.raises(ArityError):
             execute_op(compiled, [[1, 2], [1]], CFG)
 
     def test_wrong_operand_count(self):
-        compiled = compile_op_cached("add", 4, CFG)
+        compiled = compiled_op("add", 4, CFG)
         with pytest.raises(ArityError):
             execute_op(compiled, [[1, 2]], CFG)
 
     def test_empty_lanes(self):
-        compiled = compile_op_cached("add", 4, CFG)
+        compiled = compiled_op("add", 4, CFG)
         assert execute_op(compiled, [[], []], CFG) == []
 
     @pytest.mark.parametrize("bad,index", [(1.0, 0), ("1", 0), (None, 2), (2.5, 1)])
     def test_non_int_operand_is_a_capacity_error_naming_its_index(self, bad, index):
-        compiled = compile_op_cached("add", 4, CFG)
+        compiled = compiled_op("add", 4, CFG)
         lanes = [1, 2, 3]
         lanes[index] = bad
         with pytest.raises(CapacityError, match=f"value {index} is .*not an int"):
@@ -366,15 +369,15 @@ class TestExecute:
 class TestOptimizationBenefit:
     @pytest.mark.parametrize("kind", ["add", "sub", "mul", "div", "bitcount"])
     def test_effort2_strictly_beats_effort0(self, kind):
-        e0 = compile_op_cached(kind, 4, CFG, effort=0)
-        e2 = compile_op_cached(kind, 4, CFG, effort=2)
+        e0 = compiled_op(kind, 4, CFG, effort=0)
+        e2 = compiled_op(kind, 4, CFG, effort=2)
         assert activation_count(e2.program).total < activation_count(e0.program).total
 
     @pytest.mark.parametrize("kind", OP_KINDS)
     def test_effort2_never_worse(self, kind):
         n_inputs = 3 if kind in N_ARY else 2
-        e0 = compile_op_cached(kind, 4, CFG, effort=0, n_inputs=n_inputs)
-        e2 = compile_op_cached(kind, 4, CFG, effort=2, n_inputs=n_inputs)
+        e0 = compiled_op(kind, 4, CFG, effort=0, n_inputs=n_inputs)
+        e2 = compiled_op(kind, 4, CFG, effort=2, n_inputs=n_inputs)
         assert activation_count(e2.program).total <= activation_count(e0.program).total
 
     @pytest.mark.parametrize("kind", OP_KINDS)
@@ -382,8 +385,8 @@ class TestOptimizationBenefit:
         from pumkit.codegen import estimate_cost_static
 
         n_inputs = 3 if kind in N_ARY else 2
-        e0 = compile_op_cached(kind, 4, CFG, effort=0, n_inputs=n_inputs)
-        e2 = compile_op_cached(kind, 4, CFG, effort=2, n_inputs=n_inputs)
+        e0 = compiled_op(kind, 4, CFG, effort=0, n_inputs=n_inputs)
+        e2 = compiled_op(kind, 4, CFG, effort=2, n_inputs=n_inputs)
         assert estimate_cost_static(e2.graph, CFG) <= estimate_cost_static(e0.graph, CFG)
         for c in (e0, e2):
             assert c.report.estimated_activations_after == activation_count(c.program).total

@@ -14,10 +14,9 @@ from pumkit.codegen import (
 )
 from pumkit.errors import ConfigError, ExecutionError, RowSafetyError
 from pumkit.logic import MajGraph
-from pumkit.oplib import compile_op_cached
 from pumkit.subarray import ExecutionReport, _lower, new_subarray
 
-from conftest import random_majgraph
+from conftest import compiled_op, random_majgraph
 
 CFG = SubarrayConfig(total_rows=64, columns=64, data_row_count=32)
 
@@ -260,7 +259,7 @@ class TestRunProgram:
     @pytest.mark.parametrize("kind", ["add", "sub", "mul", "div"])
     def test_compiled_programs_equal_stepping_with_noise_in_every_row(self, rng, kind):
         cfg = SubarrayConfig(columns=64)
-        prog = compile_op_cached(kind, 4, cfg).program
+        prog = compiled_op(kind, 4, cfg).program
         assert any(c.rows[0].startswith("~") for c in prog.commands)
         for _ in range(3):
             run, step = new_subarray(cfg), new_subarray(cfg)

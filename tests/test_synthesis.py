@@ -280,6 +280,18 @@ class TestAdderCells:
         assert activation_count(compiled.program).total == 3342
         assert compiled.report.node_count_after == 364
 
+    def test_a_cell_graph_that_overflows_falls_back_though_later_rounds_fit(self):
+        """With 21 spare rows the cell round's graph does not fit, and the
+        rounds after it squeeze it into a fit of 5,653 activations; the
+        rounds without the cells reach 3,342, as with 19 or 20 spare rows."""
+        widths, out_width = op_signature("div", 8)
+        rows = sum(widths) + out_width + 21
+        cfg = SubarrayConfig(total_rows=rows + 8, columns=64, data_row_count=rows)
+        lowered = lower_to_maj(build_netlist("div", 8))
+        _, best_m, _, overflow = _rounds(lowered, _metric(lowered, cfg), 64, cfg, cells=True)
+        assert overflow and best_m[:2] == (False, 5653)
+        assert activation_count(compile_op("div", 8, cfg).program).total == 3342
+
 
 class TestReport:
     def test_report_counts_match_graphs(self):
@@ -332,6 +344,31 @@ def _rewrite_ready(b: _Builder) -> _Builder:
     return b
 
 
+def _composed_records(b: _Builder, cap: int) -> list[tuple]:
+    """(node, cut, record) of each record `b._cut_records` composes in
+    `_cut_rec` with the cut cap at `cap`."""
+    built = []
+    real = _Builder._cut_rec
+
+    def spy(self, i, cut, *rest):
+        built.append((i, cut, real(self, i, cut, *rest)))
+        return built[-1][2]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Builder, "_cut_rec", spy)
+        mp.setattr(_Builder, "_CUT_CAP", cap)
+        b._cut_records()
+    return built
+
+
+def _assert_records_match_walks(b: _Builder, built: list[tuple]):
+    for i, cut, rec in built:
+        walked = b._walk_cut(i, cut)
+        assert rec[1:3] == walked[1:3]  # truth table, template
+        if rec[1] is not None:
+            assert set(rec[0]) == set(walked[0])  # cone
+
+
 class TestCutStore:
     """The cut records `cut_rewrite` builds afresh every round: those
     composed from the children's records are the ones a cone walk finds."""
@@ -339,23 +376,21 @@ class TestCutStore:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10**9))
     def test_composed_cut_records_match_a_cone_walk(self, seed):
+        """At the shipped cut cap and at a cap of 2, which truncates cut
+        sets."""
         b = _rewrite_ready(_Builder.from_graph(_random_graph(seed)))
-        built = []
-        real = _Builder._cut_rec
+        for cap in (_Builder._CUT_CAP, 2):
+            built = _composed_records(b, cap)
+            assert {i for i, _, _ in built} == set(range(len(b.nodes)))
+            _assert_records_match_walks(b, built)
 
-        def spy(self, i, cut, *rest):
-            built.append((i, cut, real(self, i, cut, *rest)))
-            return built[-1][2]
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(_Builder, "_cut_rec", spy)
-            b._cut_records()
-        assert {i for i, _, _ in built} == set(range(len(b.nodes)))
-        for i, cut, rec in built:
-            walked = b._walk_cut(i, cut)
-            assert rec[1:3] == walked[1:3]  # truth table, template
-            if rec[1] is not None:
-                assert set(rec[0]) == set(walked[0])  # cone
+    @pytest.mark.parametrize("seed", [61, 1226, 2108])
+    def test_truncated_cut_sets_need_the_leaf_guard(self, seed):
+        """Before cleaning and at a cut cap of 2, each of these graphs has a
+        node cut whose child's first kept cut inside it holds a leaf of the
+        node cut in its cone: `_cut_rec` must not compose from that one."""
+        b = _Builder.from_graph(_random_graph(seed))
+        _assert_records_match_walks(b, _composed_records(b, 2))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_long_chains_reach_the_cone_walk(self, seed, monkeypatch):
