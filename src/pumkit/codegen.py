@@ -21,7 +21,11 @@ reserved data-row scratch region.  The scheduler holds sets of these six
 rows as bit masks.  The optimizer's objective (`estimate_cost_static`)
 and `schedule` both take the sweep from `_sweep`, which keeps the last
 two, so `schedule` emits the shipped graph's program from the sweep that
-scored it.
+scored it, its ``(op, rows)`` tuples becoming `Command`s as they are.
+`lower` is the one reading of the command set: the value ops that the
+simulator executes and `verify_program` replays symbolically.  The
+command rules (`_check_command`) are checked once per distinct command
+there, and on every line `parse_microprogram` reads.
 """
 
 from __future__ import annotations
@@ -31,7 +35,8 @@ import heapq
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
-from .errors import ArityError, CapacityError, ConfigError, MicroProgramError
+from .errors import (ArityError, CapacityError, ConfigError, ExecutionError,
+                     MicroProgramError)
 from .logic import (
     _MAX_DIGITS,
     REF_ZERO,
@@ -43,6 +48,7 @@ COMPUTE_ROWS = ("T0", "T1", "T2", "T3")
 DCC_ROWS = ("DCC0", "DCC1")
 CONST_ROWS = ("C0", "C1")
 SPECIAL_ROWS = COMPUTE_ROWS + DCC_ROWS + CONST_ROWS
+_ROW_NAMES = COMPUTE_ROWS + DCC_ROWS  # the compute group; scheduler row index -> token
 
 _FIXED_TOKENS = frozenset(SPECIAL_ROWS + ("~DCC0", "~DCC1"))
 
@@ -59,10 +65,6 @@ def alias_base(token: str) -> str | None:
 
 def data_row_index(token: str) -> int | None:
     return int(token[1:]) if _is_data_token(token) else None
-
-
-def in_compute_group(token: str) -> bool:
-    return token in COMPUTE_ROWS or token in DCC_ROWS
 
 
 # Most rows a subarray may have: a large DRAM bank's row count, far above
@@ -130,44 +132,50 @@ def row_activations(aap: int, tra: int) -> int:
     return 2 * aap + 3 * tra
 
 
-@dataclass(frozen=True)
-class Command:
+class Command(NamedTuple):
+    """One AAP or TRA over row tokens, unchecked: `_check_command` holds
+    the rules, and `parse_microprogram` and `lower` apply them."""
+
     op: str  # "AAP" | "TRA"
     rows: tuple[str, ...]
 
-    def __post_init__(self):
-        for t in self.rows:
-            if t not in _FIXED_TOKENS and not _is_data_token(t):
-                if len(t) > _MAX_DIGITS + 1:
-                    raise MicroProgramError(
-                        f"row token {t[:_MAX_DIGITS]!r}... has {len(t)} characters; "
-                        f"a data row index has at most {_MAX_DIGITS} digits")
-                raise MicroProgramError(f"unknown row token {t!r}")
-        if self.op == "AAP":
-            if len(self.rows) != 2:
-                raise MicroProgramError("AAP takes exactly 2 rows")
-            src, dst = self.rows
-            if alias_base(dst):
-                raise MicroProgramError("complement alias is source-only")
-            if dst in CONST_ROWS:
-                raise MicroProgramError(f"AAP may not write constant row {dst}")
-            if (alias_base(src) or src) == dst:
-                raise MicroProgramError("AAP source and destination must differ")
-        elif self.op == "TRA":
-            if len(self.rows) != 3:
-                raise MicroProgramError("TRA takes exactly 3 rows")
-            if len(set(self.rows)) != 3:
-                raise MicroProgramError("TRA rows must be distinct")
-            for t in self.rows:
-                if not in_compute_group(t):
-                    raise MicroProgramError(
-                        f"TRA operand {t} outside the compute/dual-contact group"
-                    )
-        else:
-            raise MicroProgramError(f"unknown command {self.op!r}")
-
     def render(self) -> str:
         return f"{self.op} {' '.join(self.rows)}"
+
+
+def _check_command(op: str, rows: tuple[str, ...]):
+    """`MicroProgramError` unless `op` over `rows` is a well-formed AAP or
+    TRA: known tokens, the arity, a writable AAP destination other than
+    its source, and three distinct compute-group rows for a TRA."""
+    for t in rows:
+        if t not in _FIXED_TOKENS and not _is_data_token(t):
+            if len(t) > _MAX_DIGITS + 1:
+                raise MicroProgramError(
+                    f"row token {t[:_MAX_DIGITS]!r}... has {len(t)} characters; "
+                    f"a data row index has at most {_MAX_DIGITS} digits")
+            raise MicroProgramError(f"unknown row token {t!r}")
+    if op == "AAP":
+        if len(rows) != 2:
+            raise MicroProgramError("AAP takes exactly 2 rows")
+        src, dst = rows
+        if alias_base(dst):
+            raise MicroProgramError("complement alias is source-only")
+        if dst in CONST_ROWS:
+            raise MicroProgramError(f"AAP may not write constant row {dst}")
+        if (alias_base(src) or src) == dst:
+            raise MicroProgramError("AAP source and destination must differ")
+    elif op == "TRA":
+        if len(rows) != 3:
+            raise MicroProgramError("TRA takes exactly 3 rows")
+        if len(set(rows)) != 3:
+            raise MicroProgramError("TRA rows must be distinct")
+        for t in rows:
+            if t not in _ROW_NAMES:
+                raise MicroProgramError(
+                    f"TRA operand {t} outside the compute/dual-contact group"
+                )
+    else:
+        raise MicroProgramError(f"unknown command {op!r}")
 
 
 @dataclass(frozen=True)
@@ -180,7 +188,7 @@ class MicroProgram:
     commands: tuple[Command, ...]
     lines: tuple[int, ...] | None = None  # source line numbers when parsed
     # value ops over slots per (total_rows, data_row_count), in which a plain
-    # AAP copy is a rename and runs nothing; kept by subarray._lower
+    # AAP copy is a rename and runs nothing; kept by `lower`
     _lowered: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -258,10 +266,12 @@ def parse_microprogram(text: str) -> MicroProgram:
             ended = True
             continue
         toks = line.split()
+        command = Command(toks[0], tuple(toks[1:]))
         try:
-            commands.append(Command(toks[0], tuple(toks[1:])))
+            _check_command(*command)
         except MicroProgramError as e:
             raise MicroProgramError(f"line {lineno}: {e}") from e
+        commands.append(command)
         cmd_lines.append(lineno)
     if not magic_seen or header is None:
         raise MicroProgramError("missing UP/1 magic or header")
@@ -311,7 +321,6 @@ def _live_nodes(graph: MajGraph) -> list[bool]:
     return live
 
 
-_ROW_NAMES = COMPUTE_ROWS + DCC_ROWS  # scheduler row index -> token
 _ALL = (1 << len(_ROW_NAMES)) - 1  # row sets are bit masks, bit r = row r
 _DCC_MASK = 0b110000  # DCC0/DCC1 are rows 4 and 5
 _FIRST = tuple((m & -m).bit_length() - 1 for m in range(_ALL + 1))  # lowest row, T0 first
@@ -415,7 +424,8 @@ class _Scheduler:
         for r in rows:
             if self._survives(self.row_val[r] >> 1, excluded | 1 << r):
                 return r
-        if not rows:
+        if not rows:  # unreachable: callers exclude at most three of the six
+            # rows, and a dcc_only caller never excludes both DCC rows
             raise CapacityError("compute-row pressure with no evictable row")
         self._evict(rows[0], excluded)
         return rows[0]
@@ -623,7 +633,7 @@ def schedule(graph: MajGraph, rowmap: RowMap,
     """Emit the command program realizing `graph` under `rowmap`, from
     the sweep `estimate_cost_static` made if it is still in `_sweep`."""
     _check_rowmap(graph, rowmap)
-    commands = tuple(Command(op, rows) for op, rows in _sweep(graph, rowmap))
+    commands = tuple(map(Command._make, _sweep(graph, rowmap)))
     return MicroProgram(name=name, width=width,
                         data_rows=rowmap.data_rows_used, commands=commands)
 
@@ -652,69 +662,160 @@ def spill_rows_used(program: MicroProgram, rowmap: RowMap) -> int:
     return top - rowmap.spill_start
 
 
+# --- lowering: the one reading of the command set -------------------------
+
+
+def lower(program: MicroProgram, cfg: SubarrayConfig) -> tuple[list, list, int, int, int]:
+    """(ops, writes, slots, AAP count, TRA count) of `program` under
+    `cfg`'s row geometry: the program as value ops over slots.
+
+    Slot i < total_rows is row i's content before the run; slots from
+    total_rows on, `slots` of them, are computed.  Each row reads one
+    slot, at first its own.  A plain AAP is a rename: its destination
+    reads its source's slot, and nothing runs.  A ``~DCC`` read is the op
+    ``(x, -1, 0, d)``, slot d = the complement of slot x, and a TRA is
+    ``(x, y, z, d)``, slot d = the majority of slots x, y, z, which all
+    three of its rows then read.  `writes` is the (row, slot) pair of
+    every row that ends reading a slot not its own.  A computed slot no
+    row reads is free, and the next op reuses it, so computed slots are
+    at most the rows the program writes.  `run_program` executes these
+    ops and `verify_program` replays them symbolically.
+
+    Cached on the program per (total_rows, data_row_count); columns do not
+    enter, since a complement takes the running state's mask.  Each
+    distinct command is decoded, and each distinct token resolved, once.
+    Decoding checks the command rules (`_check_command`), raising
+    `MicroProgramError`, and that every row is in range, raising
+    `ExecutionError`; either names the command's line.
+    """
+    geometry = (cfg.total_rows, cfg.data_row_count)
+    cache = program._lowered
+    if cache is None:
+        cache = {}
+        object.__setattr__(program, "_lowered", cache)
+    hit = cache.get(geometry)
+    if hit is not None:
+        return hit
+    base = cfg.total_rows
+    index: dict[str, int] = {}  # token -> physical row, resolved once
+    decoded: dict[Command, tuple[int, ...]] = {}  # command -> op rows
+    slot = list(range(base))  # the slot each row reads
+    readers = [0] * base  # rows reading each computed slot, by slot
+    free: list[int] = []  # computed slots no row reads
+    ops = []
+    tra = 0
+    for n, cmd in enumerate(program.commands):
+        rows = decoded.get(cmd)
+        if rows is None:
+            rows = decoded[cmd] = _decode(cmd, n, program, index, cfg)
+        if len(rows) == 2:  # plain AAP: the destination reads the source's slot
+            src, dst = rows
+            s, old = slot[src], slot[dst]
+            slot[dst] = s
+            if s >= base:
+                readers[s] += 1
+            if old >= base:
+                readers[old] -= 1
+                if not readers[old]:
+                    free.append(old)
+            continue
+        a, b, c = rows
+        if c < 0:  # AAP from ~DCC: the destination reads a complemented slot
+            op = (slot[a], -1, 0)
+            written = (b,)
+        else:
+            op = (slot[a], slot[b], slot[c])
+            written = rows
+            tra += 1
+        for r in written:
+            s = slot[r]
+            if s >= base:
+                readers[s] -= 1
+                if not readers[s]:
+                    free.append(s)
+        if free:
+            d = free.pop()
+        else:
+            d = len(readers)
+            readers.append(0)
+        readers[d] = len(written)
+        for r in written:
+            slot[r] = d
+        ops.append(op + (d,))
+    writes = [(r, slot[r]) for r in sorted(set(index.values())) if slot[r] != r]
+    hit = cache[geometry] = (ops, writes, len(readers) - base,
+                             len(program.commands) - tra, tra)
+    return hit
+
+
+def _decode(cmd: Command, n: int, program: MicroProgram, index: dict[str, int],
+            cfg: SubarrayConfig) -> tuple[int, ...]:
+    """`cmd`'s physical rows: (src, dst) for a plain AAP, (DCC row, dst,
+    -1) for a ``~DCC`` read, the three rows of a TRA.  A command that
+    breaks the rules is `MicroProgramError` with `parse_microprogram`'s
+    message for line n; tokens then resolve into `index`, and a row out
+    of range is `ExecutionError` naming line n."""
+    try:
+        _check_command(*cmd)
+    except MicroProgramError as e:
+        raise MicroProgramError(f"line {program.line_of(n)}: {e}") from e
+    try:
+        for t in reversed(cmd.rows):  # AAP: destination first
+            if t not in index:
+                index[t] = cfg.row_index(alias_base(t) or t)
+    except MicroProgramError as e:
+        raise ExecutionError(f"line {program.line_of(n)}: {cmd.render()}: {e}") from e
+    rows = tuple(index[t] for t in cmd.rows)
+    return (*rows, -1) if cmd.rows[0][0] == "~" else rows
+
+
 # --- dataflow audit -------------------------------------------------------
 
 
 def verify_program(graph: MajGraph, rowmap: RowMap, program: MicroProgram) -> bool:
-    """Symbolic replay: output rows must hold the graph's expressions.
+    """Symbolic replay of `lower`'s ops: output rows must hold the graph's
+    expressions.
 
-    Rows carry hash-consed (expression, polarity) values; a TRA builds a
-    majority expression over the three operand values, normalised by
-    self-duality.  Catches any read of a recycled row, independent of
-    test vectors.  Raises `ArityError` when `rowmap` does not fit `graph`.
+    The geometry is the row map's: its `spill_end` data rows (all of the
+    subarray's, as `allocate_rows` sets it) and the eight designated rows
+    above them, so under the default subarray the lane check reuses this
+    lowering.  A value is ``id << 1 | complemented``.  Each row starts as
+    its own unknown, and C1 as the complement of C0; a ``~DCC`` op
+    complements its slot, and a TRA op interns the majority of its three
+    slots with at most one operand complemented, since M(~a,~b,~c) =
+    ~M(a,b,c).  Each output row is read through `writes`.  Catches any
+    read of a recycled row, independent of test vectors.  Raises
+    `ArityError` when `rowmap` does not fit `graph`, and what `lower`
+    raises for a command that breaks the rules or names a row outside
+    the geometry.
     """
     _check_rowmap(graph, rowmap)
-    intern: dict[tuple, int] = {}
+    cfg = SubarrayConfig(rowmap.spill_end + 8, columns=1, data_row_count=rowmap.spill_end)
+    ops, writes, slots, _, _ = lower(program, cfg)
+    base = cfg.total_rows
+    intern: dict[tuple[int, ...], int] = {}
 
-    def mk(key: tuple) -> int:
-        return intern.setdefault(key, len(intern))
-
-    def maj_of(v1, v2, v3) -> tuple[int, bool]:
-        # M(~a,~b,~c) = ~M(a,b,c): intern with at most one operand complemented
-        flip = v1[1] + v2[1] + v3[1] >= 2
+    def maj(a: int, b: int, c: int) -> int:
+        flip = (a & 1) + (b & 1) + (c & 1) >= 2
         if flip:
-            v1, v2, v3 = (v1[0], not v1[1]), (v2[0], not v2[1]), (v3[0], not v3[1])
-        return (mk(("maj", tuple(sorted((v1, v2, v3))))), flip)
+            a, b, c = a ^ 1, b ^ 1, c ^ 1
+        return intern.setdefault(tuple(sorted((a, b, c))), base + len(intern)) << 1 | flip
 
-    rows: dict[str, tuple[int, bool]] = {}
-    for r in COMPUTE_ROWS + DCC_ROWS:
-        rows[r] = (mk(("garbage", r)), False)
-    rows["C0"] = (mk(("const",)), False)
-    rows["C1"] = (mk(("const",)), True)
-    for i, token in enumerate(rowmap.input_rows):
-        rows[token] = (mk(("in", i)), False)
-    for token in rowmap.output_rows:
-        rows[token] = (mk(("garbage", token)), False)
+    v = [r << 1 for r in range(base)] + [0] * slots
+    const = v[cfg.row_index("C0")]
+    v[cfg.row_index("C1")] = const | 1
+    for x, y, z, d in ops:
+        v[d] = v[x] ^ 1 if y < 0 else maj(v[x], v[y], v[z])
 
-    def read(token: str) -> tuple[int, bool]:
-        base = alias_base(token)
-        if base is not None:
-            e, p = rows[base]
-            return (e, not p)
-        if token not in rows:
-            rows[token] = (mk(("garbage", token)), False)
-        return rows[token]
+    leaf = [const] + [cfg.row_index(t) << 1 for t in rowmap.input_rows]
+    expected: list[int] = []  # per node
 
-    for cmd in program.commands:
-        if cmd.op == "AAP":
-            rows[cmd.rows[1]] = read(cmd.rows[0])
-        else:
-            m = maj_of(*(read(t) for t in cmd.rows))
-            for t in cmd.rows:
-                rows[t] = m
-
-    const = mk(("const",))
-    leaf = [(const, False)] + [(mk(("in", i)), False) for i in range(graph.input_count)]
-    expected: list[tuple[int, bool]] = []  # per node
-
-    def edge_val(e: int) -> tuple[int, bool]:
-        x, p = expected[e >> 1] if e >= 0 else leaf[-1 - (e >> 1)]
-        return (x, p ^ bool(e & 1))
+    def edge_val(e: int) -> int:
+        return (expected[e >> 1] if e >= 0 else leaf[-1 - (e >> 1)]) ^ (e & 1)
 
     for a, b, c in graph.packed_nodes:
-        expected.append(maj_of(edge_val(a), edge_val(b), edge_val(c)))
+        expected.append(maj(edge_val(a), edge_val(b), edge_val(c)))
 
-    for j, e in enumerate(graph.packed_outputs):
-        if rows[rowmap.output_rows[j]] != edge_val(e):
-            return False
-    return True
+    final = dict(writes)
+    return all(v[final.get(r, r)] == edge_val(e) for r, e in
+               zip(map(cfg.row_index, rowmap.output_rows), graph.packed_outputs))

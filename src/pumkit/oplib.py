@@ -443,9 +443,13 @@ def compile_op(kind: str, width: int, cfg: SubarrayConfig = DEFAULT_SUBARRAY,
     widths, out_width = op_signature(kind, width, n_inputs)
     _check_result_width(kind, width, out_width)
     netlist = build_netlist(kind, width, n_inputs)
-    graph, report = optimize(lower_to_maj(netlist), effort, cfg)
-    rowmap = allocate_rows(graph, cfg)
-    program = schedule(graph, rowmap, name=kind, width=width)
+    try:
+        graph, report = optimize(lower_to_maj(netlist), effort, cfg)
+        rowmap = allocate_rows(graph, cfg)
+        program = schedule(graph, rowmap, name=kind, width=width)
+    except CapacityError as e:
+        raise CapacityError(f"{kind} width {width} does not fit in "
+                            f"{cfg.data_row_count} data rows: {e}") from e
     if not verify_program(graph, rowmap, program):
         raise PumError(f"compiled {kind} width {width} fails the symbolic "
                        "check: an output row does not hold its graph expression")

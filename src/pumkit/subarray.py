@@ -12,17 +12,18 @@ Row semantics follow the command set the code generator targets:
 * ``TRA r1 r2 r3``   per-column majority over three compute-group rows,
   destructively overwriting all three.
 
-`run_program` lowers a program once per row geometry (total rows, data
-rows) to value ops over slots, cached on the program (`_lower`).  Since
-a row is one int, a plain AAP copy is a rename: its destination reads
-its source's value and nothing runs.  Only a TRA (one majority) and a
-``~DCC`` read (one complement) become ops, and a run executes them in
-one loop on the rows plus the computed slots, then writes back every
-row the program changed.  The only geometry-dependent check, rows in
-range, runs while lowering, so a failing program changes nothing.
-`exec_aap`/`exec_tra` are the checked single-step form of the same
-commands.  Constant rows C0/C1 are write-protected and re-checked after
-every program run.
+`run_program` executes `codegen.lower`'s reading of a program: value
+ops over slots, lowered once per row geometry (total rows, data rows)
+and cached on the program, the same ops `verify_program` replays
+symbolically.  Since a row is one int, a plain AAP copy is a rename:
+its destination reads its source's value and nothing runs.  Only a TRA
+(one majority) and a ``~DCC`` read (one complement) become ops, and a
+run executes them in one loop on the rows plus the computed slots, then
+writes back every row the program changed.  Lowering checks each
+distinct command's rules and that its rows are in range, so a failing
+program changes nothing.  `exec_aap`/`exec_tra` are the single-step
+form of the same commands, checked by the same rules.  Constant rows
+C0/C1 are write-protected and re-checked after every program run.
 """
 
 from __future__ import annotations
@@ -30,14 +31,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import ConfigError, ExecutionError, MicroProgramError, RowSafetyError
+from .errors import ConfigError, RowSafetyError
 from .codegen import (
     CONST_ROWS,
-    Command,
     MicroProgram,
     SubarrayConfig,
+    _check_command,
     alias_base,
-    in_compute_group,
+    lower,
     row_activations,
 )
 
@@ -135,42 +136,33 @@ class SubarrayState:
     def exec_aap(self, src: str, dst: str):
         if dst in CONST_ROWS:
             raise RowSafetyError(f"AAP may not write constant row {dst}")
-        d, complemented = self._resolve(dst)
-        if complemented:
-            raise MicroProgramError("complement alias is source-only")
+        _check_command("AAP", (src, dst))
         s, flip = self._resolve(src)
-        if s == d:
-            raise MicroProgramError("AAP source and destination must differ")
         rows = self._rows
-        rows[d] = rows[s] ^ flip
+        rows[self._resolve(dst)[0]] = rows[s] ^ flip
         self.report.aap_count += 1
 
     def exec_tra(self, r1: str, r2: str, r3: str):
-        for t in (r1, r2, r3):
-            if not in_compute_group(t):
-                raise MicroProgramError(
-                    f"TRA operand {t} outside the compute/dual-contact group"
-                )
+        _check_command("TRA", (r1, r2, r3))
         i, j, k = (self._resolve(t)[0] for t in (r1, r2, r3))
-        if i == j or i == k or j == k:
-            raise MicroProgramError("TRA rows must be distinct")
         rows = self._rows
         a, b, c = rows[i], rows[j], rows[k]
         rows[i] = rows[j] = rows[k] = (a & b) | (a & c) | (b & c)
         self.report.tra_count += 1
 
     def run_program(self, program: MicroProgram) -> ExecutionReport:
-        """Run `program` as its lowered value ops (see `_lower`).
+        """Run `program` as its lowered value ops (see `codegen.lower`).
 
-        The ops run on ``v``, the rows followed by `_lower`'s computed
+        The ops run on ``v``, the rows followed by `lower`'s computed
         slots: one majority per TRA, one complement per ``~DCC`` read;
         then every row the program changed takes its final slot.  A
-        program naming a row outside this geometry raises
-        `ExecutionError` with its line before any row changes.  Each
+        command breaking the command rules raises `MicroProgramError`,
+        and a row outside this geometry `ExecutionError`, each with its
+        line and before any row changes.  Each
         command is counted once, into `self.report`; the returned report
         is this run's share of it.
         """
-        ops, writes, slots, aap, tra = _lower(program, self.cfg)
+        ops, writes, slots, aap, tra = lower(program, self.cfg)
         rows, mask = self._rows, self._mask
         v = rows + [0] * slots
         for x, y, z, d in ops:
@@ -191,104 +183,6 @@ class SubarrayState:
             raise RowSafetyError("constant row C0 corrupted")
         if self.load_row("C1") != self._mask:
             raise RowSafetyError("constant row C1 corrupted")
-
-
-def _lower(program: MicroProgram, cfg: SubarrayConfig) -> tuple[list, list, int, int, int]:
-    """(ops, writes, slots, AAP count, TRA count) of `program` under
-    `cfg`'s row geometry: the program as value ops over slots.
-
-    Slot i < total_rows is row i's content before the run; slots from
-    total_rows on, `slots` of them, are computed.  Each row reads one
-    slot, at first its own.  A plain AAP is a rename: its destination
-    reads its source's slot, and nothing runs.  A ``~DCC`` read is the op
-    ``(x, -1, 0, d)``, slot d = the complement of slot x, and a TRA is
-    ``(x, y, z, d)``, slot d = the majority of slots x, y, z, which all
-    three of its rows then read.  `writes` is the (row, slot) pair of
-    every row that ends reading a slot not its own.  A computed slot no
-    row reads is free, and the next op reuses it, so computed slots are
-    at most the rows the program writes.
-
-    Cached on the program per (total_rows, data_row_count); columns do not
-    enter, since a complement takes the running state's mask.  Each
-    distinct command is decoded, and each distinct token resolved, once.
-    The static rules (arity, compute group, distinct rows, writable
-    destination) hold by construction of `Command`; the one left to check
-    is that every row is in range, reported as `ExecutionError` naming
-    the command's line.
-    """
-    geometry = (cfg.total_rows, cfg.data_row_count)
-    cache = program._lowered
-    if cache is None:
-        cache = {}
-        object.__setattr__(program, "_lowered", cache)
-    hit = cache.get(geometry)
-    if hit is not None:
-        return hit
-    base = cfg.total_rows
-    index: dict[str, int] = {}  # token -> physical row, resolved once
-    decoded: dict[tuple[str, ...], tuple[int, ...]] = {}  # rows -> op rows
-    slot = list(range(base))  # the slot each row reads
-    readers = [0] * base  # rows reading each computed slot, by slot
-    free: list[int] = []  # computed slots no row reads
-    ops = []
-    tra = 0
-    for n, cmd in enumerate(program.commands):
-        rows = decoded.get(cmd.rows)
-        if rows is None:
-            rows = decoded[cmd.rows] = _decode(cmd, n, program, index, cfg)
-        if len(rows) == 2:  # plain AAP: the destination reads the source's slot
-            src, dst = rows
-            s, old = slot[src], slot[dst]
-            slot[dst] = s
-            if s >= base:
-                readers[s] += 1
-            if old >= base:
-                readers[old] -= 1
-                if not readers[old]:
-                    free.append(old)
-            continue
-        a, b, c = rows
-        if c < 0:  # AAP from ~DCC: the destination reads a complemented slot
-            op = (slot[a], -1, 0)
-            written = (b,)
-        else:
-            op = (slot[a], slot[b], slot[c])
-            written = rows
-            tra += 1
-        for r in written:
-            s = slot[r]
-            if s >= base:
-                readers[s] -= 1
-                if not readers[s]:
-                    free.append(s)
-        if free:
-            d = free.pop()
-        else:
-            d = len(readers)
-            readers.append(0)
-        readers[d] = len(written)
-        for r in written:
-            slot[r] = d
-        ops.append(op + (d,))
-    writes = [(r, slot[r]) for r in sorted(set(index.values())) if slot[r] != r]
-    hit = cache[geometry] = (ops, writes, len(readers) - base,
-                             len(program.commands) - tra, tra)
-    return hit
-
-
-def _decode(cmd: Command, n: int, program: MicroProgram, index: dict[str, int],
-            cfg: SubarrayConfig) -> tuple[int, ...]:
-    """`cmd`'s physical rows: (src, dst) for a plain AAP, (DCC row, dst,
-    -1) for a ``~DCC`` read, the three rows of a TRA.  Tokens resolve
-    into `index`; a row out of range is `ExecutionError` naming line n."""
-    try:
-        for t in reversed(cmd.rows):  # AAP: destination first
-            if t not in index:
-                index[t] = cfg.row_index(alias_base(t) or t)
-    except MicroProgramError as e:
-        raise ExecutionError(f"line {program.line_of(n)}: {cmd.render()}: {e}") from e
-    rows = tuple(index[t] for t in cmd.rows)
-    return (*rows, -1) if cmd.rows[0][0] == "~" else rows
 
 
 def new_subarray(cfg: SubarrayConfig) -> SubarrayState:

@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -25,7 +26,7 @@ from pumkit.codegen import (
 )
 from pumkit.errors import ArityError, CapacityError, ConfigError, MicroProgramError
 from pumkit.logic import EDGE_ONE, EDGE_ZERO, MajGraph
-from pumkit.oplib import _run_lanes, build_netlist, compile_op
+from pumkit.oplib import _run_lanes, build_netlist, compile_op, execute_op, oracle
 from pumkit.subarray import new_subarray
 from pumkit.synthesis import lower_to_maj, optimize
 
@@ -163,6 +164,22 @@ class TestSchedule:
                               prog.commands[:-1])
         assert verify_program(graph, rm, prog)
         assert not verify_program(graph, rm, broken)
+
+    def test_audit_refuses_every_deletion_the_simulator_gets_wrong(self):
+        """Delete each command of add4 in turn: whenever an exhaustive
+        256-lane run disagrees with `oracle`, `verify_program` refuses the
+        program, so the audit reads commands as the simulator does."""
+        compiled = compiled_op("add", 4)
+        lanes = [[t & 15 for t in range(256)], [t >> 4 for t in range(256)]]
+        want = [oracle("add", 4, case) for case in zip(*lanes)]
+        commands = compiled.program.commands
+        wrong = 0
+        for i in range(len(commands)):
+            mutant = replace(compiled.program, commands=commands[:i] + commands[i + 1:])
+            if execute_op(replace(compiled, program=mutant), lanes) != want:
+                wrong += 1
+                assert not verify_program(compiled.graph, compiled.rowmap, mutant), i
+        assert wrong > len(commands) // 2
 
     # add1 as an exact search schedules it: 9 AAPs and 3 TRAs, 27
     # activations.  Its second TRA computes M(0, ~b0, ~a0) from ~DCC reads
@@ -378,8 +395,8 @@ class TestTextFormat:
 
     @pytest.mark.parametrize("token", ["D03", "D00", "D\u0663", "D+3", "D", "d3"])
     def test_rejects_non_canonical_data_rows_naming_the_line(self, token):
-        # D03 and D<Arabic-Indic 3> would both reach physical row 3 while
-        # the symbolic replay keys rows by spelling; only D3 names it
+        # D03 and D<Arabic-Indic 3> would both reach physical row 3; only
+        # D3 names it, so each row has one spelling in `.up` text
         text = f"UP/1\nop=x width=1 data_rows=4\n\nAAP T0 {token}\nEND\n"
         with pytest.raises(MicroProgramError, match=re.escape(f"line 4: unknown row token '{token}'")):
             parse_microprogram(text)
@@ -406,10 +423,30 @@ class TestTextFormat:
         assert parse_microprogram("UP/1\nop=x width=1 data_rows=0\nEND\n").data_rows == 0
 
     def test_command_validation_direct(self):
-        with pytest.raises(MicroProgramError):
-            Command("AAP", ("C0", "C1"))
-        with pytest.raises(MicroProgramError):
-            Command("TRA", ("T0", "T1", "C0"))
+        """A `Command` is built unchecked, so a rule-breaking one is refused
+        where a program is read: by `parse_microprogram`, by `run_program`
+        with the same message and no row changed, and by `verify_program`."""
+        rowmap = allocate_rows(MAJ_AB0, CFG)
+        good = schedule(MAJ_AB0, rowmap).commands
+        for bad, why in [
+            (Command("AAP", ("C0", "C1")), "AAP may not write constant row C1"),
+            (Command("TRA", ("T0", "T1", "C0")),
+             "TRA operand C0 outside the compute/dual-contact group"),
+            (Command("AAP", ("D0", "X1")), "unknown row token 'X1'"),
+        ]:
+            program = MicroProgram("x", 1, 3, good[:2] + (bad,) + good[2:])
+            message = f"^line 5: {re.escape(why)}$"  # two header lines, then commands
+            with pytest.raises(MicroProgramError, match=message):
+                parse_microprogram(format_microprogram(program))
+            state = new_subarray(CFG)
+            for i in range(CFG.data_row_count):
+                state.store_row(f"D{i}", 0x5A5A ^ i)
+            before = state.dump_rows()
+            with pytest.raises(MicroProgramError, match=message):
+                state.run_program(program)
+            assert state.dump_rows() == before
+            with pytest.raises(MicroProgramError, match=message):
+                verify_program(MAJ_AB0, rowmap, program)
 
 
 _TOKENS = ["D0", "D1", "D7", "D12", "D03", "D\u0663", "D", "T0", "T3", "T4", "DCC0", "DCC1",

@@ -299,6 +299,18 @@ def test_tight_subarray_still_compiles(kind, width, n_inputs, spare):
     assert execute_op(compiled, lanes, cfg) == want
 
 
+def test_capacity_error_names_the_op_width_and_data_rows():
+    """div8 keeps 24 data rows for operands and result; with 18 spare its
+    spill region runs out, and the error says which compile on how many rows."""
+    widths, out_width = op_signature("div", 8)
+    data_rows = sum(widths) + out_width + 18
+    cfg = SubarrayConfig(total_rows=data_rows + 8, columns=64, data_row_count=data_rows)
+    with pytest.raises(CapacityError, match="^div width 8 does not fit in 42 data rows: "
+                                            "spill region exhausted") as err:
+        compile_op("div", 8, cfg)
+    assert isinstance(err.value.__cause__, CapacityError)
+
+
 class TestExecute:
     def test_add_with_carry_lane(self):
         out = run("add", 4, [[5, 0, 15], [6, 0, 1]])

@@ -10,11 +10,12 @@ from pumkit.codegen import (
     MicroProgram,
     SubarrayConfig,
     allocate_rows,
+    lower,
     schedule,
 )
 from pumkit.errors import ConfigError, ExecutionError, RowSafetyError
 from pumkit.logic import MajGraph
-from pumkit.subarray import ExecutionReport, _lower, new_subarray
+from pumkit.subarray import ExecutionReport, new_subarray
 
 from conftest import compiled_op, random_majgraph
 
@@ -300,7 +301,7 @@ class TestRunProgram:
         _step(step, prog)
         assert run.dump_rows() == step.dump_rows()
         assert report == run.report == step.report
-        ops, _, slots, _, _ = _lower(prog, _SMALL)
+        ops, _, slots, _, _ = lower(prog, _SMALL)
         assert len(ops) == sum(c.op == "TRA" or c.rows[0].startswith("~")
                                for c in commands)
         written = {t for c in commands for t in (c.rows if c.op == "TRA" else c.rows[1:])}
