@@ -296,6 +296,12 @@ class RowMap:
     def data_rows_used(self) -> int:
         return len(self.input_rows) + len(self.output_rows)
 
+    @property
+    def geometry(self) -> SubarrayConfig:
+        """The smallest subarray that holds the map: its `spill_end` data
+        rows and the eight designated rows above them, one column wide."""
+        return SubarrayConfig(self.spill_end + 8, columns=1, data_row_count=self.spill_end)
+
 
 def allocate_rows(graph: MajGraph, cfg: SubarrayConfig) -> RowMap:
     need = graph.input_count + graph.output_count
@@ -776,21 +782,22 @@ def verify_program(graph: MajGraph, rowmap: RowMap, program: MicroProgram) -> bo
     """Symbolic replay of `lower`'s ops: output rows must hold the graph's
     expressions.
 
-    The geometry is the row map's: its `spill_end` data rows (all of the
-    subarray's, as `allocate_rows` sets it) and the eight designated rows
-    above them, so under the default subarray the lane check reuses this
-    lowering.  A value is ``id << 1 | complemented``.  Each row starts as
-    its own unknown, and C1 as the complement of C0; a ``~DCC`` op
-    complements its slot, and a TRA op interns the majority of its three
-    slots with at most one operand complemented, since M(~a,~b,~c) =
-    ~M(a,b,c).  Each output row is read through `writes`.  Catches any
+    The geometry is the row map's (`RowMap.geometry`): its `spill_end`
+    data rows (all of the subarray's, as `allocate_rows` sets it) and the
+    eight designated rows above them; `compile_op`'s lane check runs
+    under it too, so one lowering serves both.  A value is
+    ``id << 1 | complemented``.  Each row starts as its own unknown, and
+    C1 as the complement of C0; a ``~DCC`` op complements its slot, and a
+    TRA op interns the majority of its three slots with at most one
+    operand complemented, since M(~a,~b,~c) = ~M(a,b,c).  Each output
+    row is read through `writes`.  Catches any
     read of a recycled row, independent of test vectors.  Raises
     `ArityError` when `rowmap` does not fit `graph`, and what `lower`
     raises for a command that breaks the rules or names a row outside
     the geometry.
     """
     _check_rowmap(graph, rowmap)
-    cfg = SubarrayConfig(rowmap.spill_end + 8, columns=1, data_row_count=rowmap.spill_end)
+    cfg = rowmap.geometry
     ops, writes, slots, _, _ = lower(program, cfg)
     base = cfg.total_rows
     intern: dict[tuple[int, ...], int] = {}

@@ -23,8 +23,10 @@ it are refused with a `CapacityError` before anything is compiled.
 clamps negatives to zero.
 
 Adders and multipliers are built from AND/OR/XOR full adders, and
-subtraction from a borrow chain.  Compiling at effort 1 or 2 rebuilds
-each of them as the three-node majority cell (`synthesis.optimize`);
+``sub`` from a borrow chain; ``div`` is restoring division whose steps
+subtract as A + ~B + 1 and keep only the remainder bits that can be
+nonzero.  Compiling at effort 1 or 2 rebuilds each full adder and
+borrow cell as the three-node majority cell (`synthesis.optimize`);
 effort 0 keeps the naive lowering of these gates.
 
 `compile_op` is the one compile entry point, and it keeps no cache: a
@@ -234,9 +236,10 @@ class _NB:
         x = self.XOR(a, b)
         return self.XOR(x, c), self.OR(self.AND(a, b), self.AND(x, c))
 
-    def ripple_add(self, A: list[int], B: list[int]) -> tuple[list[int], int]:
+    def ripple_add(self, A: list[int], B: list[int],
+                   carry: int = EDGE_ZERO) -> tuple[list[int], int]:
+        """A + B + carry; returns (sum bits, carry-out)."""
         out = []
-        carry = EDGE_ZERO
         for a, b in zip(A, B):
             s, carry = self.full_add(a, b, carry)
             out.append(s)
@@ -310,15 +313,21 @@ def build_netlist(kind: str, width: int, n_inputs: int = 2) -> Netlist:
                 k += 1
         outs = acc
     elif kind == "div":
+        # Restoring division.  After s steps the remainder is the top s
+        # dividend bits mod D (the prefix itself when D = 0), so it is
+        # below 2^s: its bits s and up are zero, and setting them to
+        # EDGE_ZERO lets constant folding shrink the next subtraction.
         R = [EDGE_ZERO] * w
         Q = [EDGE_ZERO] * w
+        not_divisor = [nb.NOT(b) for b in ops[1]] + [EDGE_ONE]
         for i in reversed(range(w)):
             shifted = [ops[0][i]] + R  # remainder << 1 | dividend bit, w+1 bits
-            divisor = ops[1] + [EDGE_ZERO]
-            diff, borrow = nb.ripple_sub(shifted, divisor)
-            q = nb.NOT(borrow)
+            # shifted - divisor as shifted + ~divisor + 1: the carry-out
+            # is set exactly when shifted >= divisor
+            diff, q = nb.ripple_add(shifted, not_divisor, EDGE_ONE)
             Q[i] = q
-            R = [nb.mux(q, diff[k], shifted[k]) for k in range(w)]
+            s = w - i  # steps done
+            R = [nb.mux(q, diff[k], shifted[k]) for k in range(s)] + [EDGE_ZERO] * (w - s)
         outs = Q
     elif kind == "if_then_else":
         cond = ops[0][0]
@@ -453,7 +462,9 @@ def compile_op(kind: str, width: int, cfg: SubarrayConfig = DEFAULT_SUBARRAY,
     if not verify_program(graph, rowmap, program):
         raise PumError(f"compiled {kind} width {width} fails the symbolic "
                        "check: an output row does not hold its graph expression")
-    cases = _verify_compiled(kind, width, widths, out_width, program, cfg, n_inputs)
+    # under verify_program's geometry, so one lowering serves both checks
+    cases = _verify_compiled(kind, width, widths, out_width, program,
+                             rowmap.geometry, n_inputs)
     return CompiledOp(kind, width, n_inputs, widths, out_width, netlist,
                       graph, rowmap, program, report, cases,
                       spill_rows_used(program, rowmap))

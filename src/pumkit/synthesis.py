@@ -830,22 +830,21 @@ def _metric(g: MajGraph, cfg: SubarrayConfig) -> tuple[bool, int, int, int]:
         return (True, 0, g.node_count, g.depth())
 
 
-def _rounds(graph: MajGraph, graph_m: tuple, passes: int, cfg: SubarrayConfig,
-            cells: bool) -> tuple[MajGraph, tuple, Counter, bool]:
-    """(best graph, its `_metric`, the rules of its accepted rounds,
-    whether the adder-cell round's graph did not fit) after up to `passes`
-    rewrite rounds from `graph`, whose metric is `graph_m`.
+def _rounds(graph: MajGraph, graph_m: tuple, passes: int,
+            cfg: SubarrayConfig) -> tuple[MajGraph, tuple, Counter]:
+    """(best graph, its `_metric`, the rules of its accepted rounds) after
+    a round of the adder-cell pass and up to `passes` rewrite rounds from
+    `graph`, whose metric is `graph_m`.
 
-    With `cells`, a round of the adder-cell pass comes first when it finds
-    a full adder.  It is scored like any round, but the rounds after it go
-    on from its graph even when it is not kept, and then its rules count
-    with the first round that is.
+    The cell round runs when it finds a full adder.  It is scored like
+    any round, but the rounds after it go on from its graph even when it
+    is not kept, and then its rules count with the first round that is.
     """
-    best, best_m, rules, cells_overflow = graph, graph_m, Counter(), False
+    best, best_m, rules = graph, graph_m, Counter()
     b = _Builder.from_graph(graph)  # rewritten in place, round after round
     round_counts: Counter = Counter()
-    for k in range(passes + cells):
-        if cells and k == 0:
+    for k in range(passes + 1):
+        if k == 0:
             b.clean(round_counts)
             if not b.adder_cells(round_counts):
                 continue
@@ -861,15 +860,13 @@ def _rounds(graph: MajGraph, graph_m: tuple, passes: int, cfg: SubarrayConfig,
                 and candidate.packed_outputs == best.packed_outputs):
             break  # an unchanged round would score best_m again
         m = _metric(candidate, cfg)
-        if cells and k == 0:
-            cells_overflow = m[0]
         if m < best_m:
             best, best_m = candidate, m
             rules.update(round_counts)
             round_counts = Counter()
-        elif not (cells and k == 0):
+        elif k:
             break
-    return best, best_m, rules, cells_overflow
+    return best, best_m, rules
 
 
 def optimize(graph: MajGraph, effort: int = 2,
@@ -882,13 +879,8 @@ def optimize(graph: MajGraph, effort: int = 2,
     effort 2: the adder-cell round, then iterate to a fixpoint (64-pass
     cap).  Rounds that fail to strictly improve (does_not_fit, activations,
     nodes, depth) are rolled back, so the result is never worse than the
-    input, and never fails to fit when the input fits.  The cells can
-    hold more values live than the gates they replace, so when the cell
-    round's graph does not fit `cfg`, the rounds run again from `graph`
-    without the cell pass, and the better of the two results is kept:
-    later rounds may not fit the cells' graph, or fit it worse than the
-    graph without cells.  (A cell graph that fits is kept, so the best
-    graph can overflow only when the cell graph does or there is none.)
+    input, and never fails to fit when the input fits.  A cell round that
+    does not improve is not kept, but the rounds go on from its graph.
     """
     if type(effort) is not int or effort not in (0, 1, 2):  # a bool is not one
         raise ValueError(f"effort must be 0, 1, or 2, got {effort!r}")
@@ -896,12 +888,7 @@ def optimize(graph: MajGraph, effort: int = 2,
     best = graph
     before = best_m = _metric(graph, cfg)
     if effort > 0:
-        passes = 1 if effort == 1 else 64
-        best, best_m, rules, overflow = _rounds(graph, before, passes, cfg, cells=True)
-        if overflow:  # too small a subarray for the cells
-            retry = _rounds(graph, before, passes, cfg, cells=False)
-            if retry[1] < best_m:
-                best, best_m, rules = retry[:3]
+        best, best_m, rules = _rounds(graph, before, 1 if effort == 1 else 64, cfg)
     report = SynthesisReport(
         node_count_before=before[2],
         node_count_after=best_m[2],

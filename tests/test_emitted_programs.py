@@ -74,9 +74,9 @@ PINNED = {
     "mul": ("c1291344f75e7265d9b5ca7a97fc925d3781fb33d0f607d73d2273be25432206",
             "8a7bfb7ab3fcfbc65293097dd1735f1e17d769eafba63ba97970a6e134dc8060",
             "47f087ea68bbbace868174301c417aec2d4bdde0f35a6c877862c66968ce88ff"),
-    "div": ("da0a51053d4a40b9771ae6806daedb1ad3276e4a4591c74176aef17a7510230b",
-            "439d138aa6639480a0064230db9dcd1e557bc33778e3a0e092055d19a5f759ec",
-            "cde4a66099702188e8d23d30f41ffab28190d4a1da166bc4fb77a967c92449fa"),
+    "div": ("f7afb0b7ab0c2b0a904bc030d80dd948f19be3929f464479316ffa0a6e9d6140",
+            "a664c06b33373b956de1db5b1cd23ea32c00b0729f05ae5c6fe239fd6e3ae8c0",
+            "2b3769f6d7c2ddda86c19334081016ae227541c7ed04b1045fe2b46cb9661ca9"),
     "if_then_else": ("8f36817a7237d6c902f2d50110cd3cd515d88ae9940ed348c58fc3665c2d115f",
                      "e25c7a6531f56d52aae073a6029d62a6df03a91c94dd83048e7dfeb2cacd4a68",
                      "4e8703acad847ca85aef3a8c2a844524687ff8da2010e789007169d8846e6bc3"),
@@ -109,8 +109,8 @@ def _grid_digest_script():
 
 
 @pytest.mark.parametrize("width,digest,activations", [
-    (4, "97ceca74c189bbed", 2471),
-    (8, "de339c786ac33e96", 8211),
+    (4, "328097b89255e5ef", 2366),
+    (8, "2c1f3f7b6781dd48", 7106),
 ], ids=["4", "8"])  # a regenerated pin keeps the test's name
 def test_grid_digest_is_pinned(width, digest, activations):
     """The digest also covers each cell's `SynthesisReport` repr and its

@@ -12,7 +12,7 @@ from pumkit.codegen import (
     verify_program,
 )
 from pumkit.errors import ArityError, CapacityError, PumError
-from pumkit.logic import eval_netlist, truth_table
+from pumkit.logic import _enum_masks, eval_netlist, truth_table
 from pumkit.oplib import (
     MAX_N_INPUTS,
     N_ARY,
@@ -181,6 +181,41 @@ class TestNetlists:
         assert any(g.kind == "XOR" for g in net.gates)
 
 
+def _div_netlist_lanes(width, words, lanes):
+    """`build_netlist("div", width)` over `lanes` lanes in one `eval_bulk`
+    call, word i packing input bit i; the quotient of each lane."""
+    outs = build_netlist("div", width).eval_bulk(words, lanes)
+    bits = [format(m, f"0{lanes}b")[::-1] for m in outs]
+    return [int("".join(col)[::-1], 2) for col in zip(*bits)]
+
+
+class TestTrimmedDivider:
+    """The divider drops the remainder bits that cannot be nonzero; the
+    lane check samples div16 and div32 on 280 cases, so the netlist is
+    checked here against `_lane_reference`."""
+
+    @pytest.mark.parametrize("width", range(1, 9))
+    def test_exhaustive(self, width):
+        n = 1 << 2 * width  # every (a, b), divisor 0 included; 65,536 at width 8
+        mask = (1 << width) - 1
+        want = [_lane_reference("div", width, (t & mask, t >> width)) for t in range(n)]
+        assert _div_netlist_lanes(width, _enum_masks(2 * width), n) == want
+
+    @pytest.mark.parametrize("width", [16, 32])
+    def test_corner_and_random_lanes(self, width):
+        rng = random.Random(f"div-netlist:{width}")
+        cases = pumkit.oplib._corner_lanes("div", (width, width), rng)
+        cases += [(rng.getrandbits(width), rng.getrandbits(width >> rng.randint(0, 3)))
+                  for _ in range(2000)]
+        words = [0] * (2 * width)
+        for lane, (a, b) in enumerate(cases):
+            t = a | b << width
+            for i in range(2 * width):
+                words[i] |= (t >> i & 1) << lane
+        want = [_lane_reference("div", width, case) for case in cases]
+        assert _div_netlist_lanes(width, words, len(cases)) == want
+
+
 class TestCompile:
     def test_add_verified_exhaustively(self):
         compiled = compiled_op("add", 4, CFG)
@@ -214,6 +249,13 @@ class TestCompile:
         with pytest.raises(CapacityError,
                            match=f"{kind} width {width} has a {out_width}-bit result"):
             compile_op(kind, width)
+
+    def test_one_lowering_serves_both_checks(self):
+        """`verify_program` and the lane check run under the row map's
+        geometry, also when the subarray has rows above it."""
+        cfg = SubarrayConfig(total_rows=64, columns=64, data_row_count=32)
+        compiled = compile_op("add", 4, cfg)
+        assert list(compiled.program._lowered) == [(40, 32)]
 
     def test_compile_reads_the_rows_not_the_columns(self):
         """Two compiles with the same arguments and rows give the same
@@ -299,13 +341,26 @@ def test_tight_subarray_still_compiles(kind, width, n_inputs, spare):
     assert execute_op(compiled, lanes, cfg) == want
 
 
-def test_capacity_error_names_the_op_width_and_data_rows():
-    """div8 keeps 24 data rows for operands and result; with 18 spare its
-    spill region runs out, and the error says which compile on how many rows."""
+def _div8_with_spare_rows(spare: int) -> SubarrayConfig:
     widths, out_width = op_signature("div", 8)
-    data_rows = sum(widths) + out_width + 18
-    cfg = SubarrayConfig(total_rows=data_rows + 8, columns=64, data_row_count=data_rows)
-    with pytest.raises(CapacityError, match="^div width 8 does not fit in 42 data rows: "
+    data_rows = sum(widths) + out_width + spare
+    return SubarrayConfig(total_rows=data_rows + 8, columns=64, data_row_count=data_rows)
+
+
+@pytest.mark.parametrize("effort", [1, 2])
+def test_div8_fits_in_eighteen_spare_rows(effort):
+    """The divider keeps only the remainder bits that can be nonzero, so
+    div8 fits one spare row below its `TIGHT_SPARE_ROWS` entry."""
+    cfg = _div8_with_spare_rows(18)
+    compiled = compile_op("div", 8, cfg, effort=effort)
+    assert verify_program(compiled.graph, compiled.rowmap, compiled.program)
+
+
+def test_capacity_error_names_the_op_width_and_data_rows():
+    """div8 keeps 24 data rows for operands and result; with 17 spare its
+    spill region runs out, and the error says which compile on how many rows."""
+    cfg = _div8_with_spare_rows(17)
+    with pytest.raises(CapacityError, match="^div width 8 does not fit in 41 data rows: "
                                             "spill region exhausted") as err:
         compile_op("div", 8, cfg)
     assert isinstance(err.value.__cause__, CapacityError)

@@ -9,19 +9,16 @@ import pumkit.synthesis as synthesis
 from pumkit.codegen import (
     DEFAULT_SUBARRAY,
     SubarrayConfig,
-    activation_count,
     estimate_cost_static,
 )
 from pumkit.errors import ArityError, CapacityError
 from pumkit.logic import EDGE_ONE, EDGE_ZERO, Gate, MajGraph, Netlist, equivalent, truth_table
-from pumkit.oplib import N_ARY, OP_KINDS, build_netlist, compile_op, op_signature
+from pumkit.oplib import N_ARY, OP_KINDS, build_netlist, compile_op
 from pumkit.synthesis import (
     RewriteRule,
     _ADDER_CELL,
     _LIBRARY,
     _Builder,
-    _metric,
-    _rounds,
     _Template,
     lower_to_maj,
     optimize,
@@ -264,33 +261,6 @@ class TestAdderCells:
             _ADDER_CELL.name, _ADDER_CELL.cost, tuple(map(tuple, nodes)), _ADDER_CELL.out))
         failed = [c for c in verify_rules() if not c.passed]
         assert [(c.name, c.detail) for c in failed] == [("adder_cell", "truth tables differ")]
-
-    def test_too_small_a_subarray_falls_back_to_the_rounds_alone(self):
-        """With 19 spare rows neither the lowered div8 nor the best graph
-        after the cell pass fits; the rounds without it find the graph
-        the optimizer shipped before the cell pass existed."""
-        widths, out_width = op_signature("div", 8)
-        rows = sum(widths) + out_width + 19
-        cfg = SubarrayConfig(total_rows=rows + 8, columns=64, data_row_count=rows)
-        lowered = lower_to_maj(build_netlist("div", 8))
-        before = _metric(lowered, cfg)
-        assert before[0]
-        assert _rounds(lowered, before, 64, cfg, cells=True)[1][0]
-        compiled = compile_op("div", 8, cfg)
-        assert activation_count(compiled.program).total == 3342
-        assert compiled.report.node_count_after == 364
-
-    def test_a_cell_graph_that_overflows_falls_back_though_later_rounds_fit(self):
-        """With 21 spare rows the cell round's graph does not fit, and the
-        rounds after it squeeze it into a fit of 5,653 activations; the
-        rounds without the cells reach 3,342, as with 19 or 20 spare rows."""
-        widths, out_width = op_signature("div", 8)
-        rows = sum(widths) + out_width + 21
-        cfg = SubarrayConfig(total_rows=rows + 8, columns=64, data_row_count=rows)
-        lowered = lower_to_maj(build_netlist("div", 8))
-        _, best_m, _, overflow = _rounds(lowered, _metric(lowered, cfg), 64, cfg, cells=True)
-        assert overflow and best_m[:2] == (False, 5653)
-        assert activation_count(compile_op("div", 8, cfg).program).total == 3342
 
 
 class TestReport:
