@@ -28,8 +28,8 @@ graph the subarray cannot hold ranks below every graph that fits.
 
 Cut rewriting enumerates every node's pruned cuts afresh each round, in
 index order from its children's cuts, and builds each cut's record (cone,
-truth table, template) by composing the children's records, walking the
-cone only where no child record fits.
+truth table, template) by walking the node's cone down to the cut and
+simulating it; a cone of more than ``_CONE_CAP`` nodes is not matched.
 """
 
 from __future__ import annotations
@@ -90,12 +90,13 @@ def lower_to_maj(netlist: Netlist) -> MajGraph:
 # --- template library for cut rewriting --------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Template:
     """Minimal majority structure for one cut function.
 
     Nodes reference leaf variable v as ref -(2+v), input v's ref, and
-    earlier template nodes by index; `out` is a packed edge.
+    earlier template nodes by index; `out` is a packed edge.  A template
+    hashes by identity, as `_SHAPES` looks one up per cut record.
     """
 
     name: str
@@ -211,21 +212,8 @@ def _probe_shape(tpl: _Template) -> tuple[int, tuple]:
     return len(tpl.nodes) - len(leaf_nodes), leaf_nodes
 
 
-# library templates by number, as cut records name them, with their shapes
-_TEMPLATES = list({id(t): t for t in _LIBRARY.values()}.values())
-_TEMPLATE_ID = {id(t): k for k, t in enumerate(_TEMPLATES)}
-_SHAPES = [_probe_shape(t) for t in _TEMPLATES]
-
-
-@functools.cache  # at most a few thousand (nvars, places, table) keys
-def _expand(nv: int, places: tuple[int, ...], table: int) -> int:
-    """A truth table over len(places) variables as one over nv variables,
-    its variable u being variable places[u] of the wider table."""
-    out = 0
-    for t in range(1 << nv):
-        b = sum(((t >> p) & 1) << u for u, p in enumerate(places))
-        out |= ((table >> b) & 1) << t
-    return out
+# each library template's shape, as `_probe` and `_group_gain` read it
+_SHAPES = {t: _probe_shape(t) for t in _LIBRARY.values()}
 
 
 # --- mutable working form -----------------------------------------------------
@@ -527,85 +515,31 @@ class _Builder:
         return keep, tuple([tuple(sorted(c)) for c in keep])
 
     def _cut_records(self) -> dict[tuple[int, ...], list[tuple]]:
-        """Every node's pruned cuts and their cut records, built in index
-        order from the children's; returns the records with a template,
-        grouped by cut, each group in node order.
+        """The cut records with a template, grouped by cut, each group in
+        node order, of every node's pruned cuts, which are enumerated in
+        index order from the children's.
 
         A cut is a sorted tuple of leaf refs: node indices and input refs.
-        A cut record is (cone indices, truth table, template number),
-        extended by the root's index when there is a template; past
-        _CONE_CAP the table is None and the cone holds the nodes walked.
-        Cuts and records are tuples of ints, which the garbage collector
-        stops tracking.
+        A cut record is (cone indices, truth table, template, root index),
+        the cone and table found by walking the root's cone down to the
+        cut (`_cone_table`); a cone of more than _CONE_CAP nodes has no
+        record.
         """
         # per ref, its cuts as frozensets followed by its trivial cut
         options: dict = {r: (frozenset((r,)),) for r in range(-2, -2 - self.input_count, -1)}
         options[REF_ZERO] = (frozenset(),)
-        cuts: list[tuple[tuple[int, ...], ...]] = []  # per node
-        recs: list[tuple[tuple | None, ...]] = []  # per node, one per cut
         by_cut: dict[tuple[int, ...], list[tuple]] = {}
         for i, nd in enumerate(self.nodes):
             sets, node_cuts = self._node_cuts(nd, options)
-            node_recs = []
-            for cut, inside in zip(node_cuts, sets):
-                rec = None
+            for cut in node_cuts:
                 if cut:  # a node over constants only has an empty cut
-                    rec = self._cut_rec(i, cut, inside, options, cuts, recs)
-                    if rec[2] is not None:
-                        by_cut.setdefault(cut, []).append(rec)
-                node_recs.append(rec)
+                    cone, table = self._cone_table(i, cut, self._CONE_CAP)
+                    tpl = _LIBRARY.get((len(cut), table))  # None for a None table
+                    if tpl is not None:
+                        by_cut.setdefault(cut, []).append((cone, table, tpl, i))
             sets.append(frozenset((i,)))
             options[i] = sets
-            cuts.append(node_cuts)
-            recs.append(tuple(node_recs))
         return by_cut
-
-    def _cut_rec(self, i: int, cut: tuple[int, ...], inside: frozenset[int],
-                 options: dict, cuts: list, recs: list) -> tuple:
-        """The cut record of node i over `cut`, whose leaves are `inside`,
-        from the `_cut_records` of the nodes before it.
-
-        Each child that is not a leaf contributes the cone and table of
-        one of its own cuts inside `cut`; that is exact when no leaf lies
-        inside the child's cone, and the cone is walked and simulated when
-        no such child cut exists.  The table is None (and the cone the
-        nodes walked) past _CONE_CAP.
-        """
-        nv = len(cut)
-        full = (1 << (1 << nv)) - 1
-        masks = _MASKS[nv]
-        cone = {i}
-        vals = []
-        for e in self.nodes[i]:
-            r = e >> 1
-            if r in inside:
-                v = masks[cut.index(r)]
-            elif r < 0:  # the constant
-                v = 0
-            else:
-                # the child's trivial cut, last, is never inside: r is no leaf
-                for j, sub in enumerate(options[r]):
-                    if sub and sub <= inside:
-                        sub_cone, sub_table = recs[r][j][:2]
-                        # a leaf of `cut` inside the child's cone, where the
-                        # cone walk stops, needs a cut set truncated by
-                        # _CUT_CAP (seen at a cap of 2 on uncleaned graphs)
-                        if sub_table is not None and inside.isdisjoint(sub_cone):
-                            break
-                else:
-                    return self._walk_cut(i, cut)
-                cone.update(sub_cone)
-                v = _expand(nv, tuple([cut.index(x) for x in cuts[r][j]]), sub_table)
-            vals.append(v ^ (-(e & 1) & full))
-        x, y, z = vals
-        table = (x & y) | (x & z) | (y & z) if len(cone) <= self._CONE_CAP else None
-        return self._record(i, tuple(cone), nv, table)
-
-    def _walk_cut(self, i: int, leaves: tuple[int, ...]) -> tuple:
-        """`_cut_rec` by walking the cone from node i down to `leaves`
-        (sorted refs) and simulating it."""
-        seen, table = self._cone_table(i, leaves, self._CONE_CAP)
-        return self._record(i, tuple(seen), len(leaves), table)
 
     def _cone_table(self, i: int, leaves: list[int] | tuple[int, ...],
                     cap: int) -> tuple[set[int], int | None]:
@@ -613,14 +547,16 @@ class _Builder:
         truth table with leaves[v] as variable v).  The table is None, and
         the cone the nodes walked, once more than `cap` nodes are walked
         or the cone reads an input that is not a leaf."""
-        stop = frozenset(leaves)
         nodes = self.nodes
+        nv = len(leaves)
+        vals = dict(zip(leaves, _MASKS[nv]))  # the walk stops at these refs
+        vals[REF_ZERO] = 0
         seen = {i}
         stack = [i]
         while stack:
             for e in nodes[stack.pop()]:
                 r = e >> 1
-                if r in stop or r in seen or r == REF_ZERO:
+                if r in vals or r in seen:
                     continue
                 if r < 0:
                     return seen, None
@@ -628,10 +564,7 @@ class _Builder:
                 if len(seen) > cap:
                     return seen, None
                 stack.append(r)
-        nv = len(leaves)
         full = (1 << (1 << nv)) - 1
-        vals = dict(zip(leaves, _MASKS[nv]))
-        vals[REF_ZERO] = 0
         for k in sorted(seen):
             e0, e1, e2 = nodes[k]
             x = vals[e0 >> 1] ^ (-(e0 & 1) & full)
@@ -639,12 +572,6 @@ class _Builder:
             z = vals[e2 >> 1] ^ (-(e2 & 1) & full)
             vals[k] = (x & y) | (x & z) | (y & z)
         return seen, vals[i]
-
-    def _record(self, i: int, cone: tuple[int, ...], nv: int, table: int | None) -> tuple:
-        tpl = _LIBRARY.get((nv, table))  # None for a None table
-        if tpl is None:
-            return cone, table, None
-        return cone, table, _TEMPLATE_ID[id(tpl)], i
 
     def _dying_set(self, roots: list[int], cone_union: set[int],
                    fanout: list[list[int]]) -> set[int]:
@@ -685,7 +612,7 @@ class _Builder:
             hits = [h for _, h in self._probe(rec, leaves, key_map)]
         else:
             cone = set().union(*(rec[0] for rec in group))
-            shapes = {_TEMPLATES[rec[2]].nodes: _SHAPES[rec[2]] for rec in group}
+            shapes = {rec[2].nodes: _SHAPES[rec[2]] for rec in group}
             deep = sum(shape[0] for shape in shapes.values())
             if len(cone) <= deep:
                 return None
@@ -700,7 +627,6 @@ class _Builder:
                 shared += 1
         if len(cone) - deep - len(hits) + shared <= 0:
             return None
-        cone = set(cone)
         dying = self._dying_set(roots, cone, fanout)
         gain = len(dying) - deep - sum(1 for h in hits if h is None or h in dying)
         return (gain, cone, dying) if gain > 0 else None
@@ -750,7 +676,7 @@ class _Builder:
         structures like a full adder (XOR3 sum + majority carry over the
         same three leaves) collapse even though neither root's fanout-free
         cone pays for the rewrite alone.  Every call enumerates the cuts
-        and builds their records afresh (`_cut_records`).
+        afresh and walks each cut's cone for its record (`_cut_records`).
         """
         fanout = self._fanout()
         by_cut = self._cut_records()
@@ -769,7 +695,7 @@ class _Builder:
                     gain, cone, dying = g
                     candidates.append((
                         -gain, tuple(rec[3] for rec in group), cut,
-                        tuple((rec[3], _TEMPLATES[rec[2]]) for rec in group),
+                        tuple((rec[3], rec[2]) for rec in group),
                         cone, dying))
         if not candidates:
             return False

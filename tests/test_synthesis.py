@@ -12,7 +12,18 @@ from pumkit.codegen import (
     estimate_cost_static,
 )
 from pumkit.errors import ArityError, CapacityError
-from pumkit.logic import EDGE_ONE, EDGE_ZERO, Gate, MajGraph, Netlist, equivalent, truth_table
+from pumkit.logic import (
+    EDGE_ONE,
+    EDGE_ZERO,
+    REF_ZERO,
+    Gate,
+    MajGraph,
+    Netlist,
+    _enum_masks,
+    _maj,
+    equivalent,
+    truth_table,
+)
 from pumkit.oplib import N_ARY, OP_KINDS, build_netlist, compile_op
 from pumkit.synthesis import (
     RewriteRule,
@@ -294,8 +305,8 @@ def _random_graph(seed: int) -> MajGraph:
 
 def _chain_graph(rng: random.Random) -> MajGraph:
     """17-24 majority nodes over in0-in2, each reading the one before.
-    The cone of a deep node's cut {in0, in1, in2} outgrows _CONE_CAP, so
-    its child has no record to compose from and `_cut_rec` walks it."""
+    The cone of a deep node's cut {in0, in1, in2} holds every node up to
+    it, more than _CONE_CAP."""
     def lit(v: int) -> int:
         return in_edge(v) ^ (rng.random() < 0.5)
 
@@ -314,64 +325,100 @@ def _rewrite_ready(b: _Builder) -> _Builder:
     return b
 
 
-def _composed_records(b: _Builder, cap: int) -> list[tuple]:
-    """(node, cut, record) of each record `b._cut_records` composes in
-    `_cut_rec` with the cut cap at `cap`."""
-    built = []
-    real = _Builder._cut_rec
+def _kept_cuts(b: _Builder, cap: int) -> tuple[list, dict]:
+    """(the cuts `_node_cuts` keeps, per node, and `b._cut_records()`)
+    with the cut cap at `cap`."""
+    kept = []
+    real = _Builder._node_cuts
 
-    def spy(self, i, cut, *rest):
-        built.append((i, cut, real(self, i, cut, *rest)))
-        return built[-1][2]
+    def spy(self, nd, options):
+        sets, cuts = real(self, nd, options)
+        kept.append(cuts)
+        return sets, cuts
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_Builder, "_cut_rec", spy)
+        mp.setattr(_Builder, "_node_cuts", spy)
         mp.setattr(_Builder, "_CUT_CAP", cap)
-        b._cut_records()
-    return built
+        by_cut = b._cut_records()
+    return kept, by_cut
 
 
-def _assert_records_match_walks(b: _Builder, built: list[tuple]):
-    for i, cut, rec in built:
-        walked = b._walk_cut(i, cut)
-        assert rec[1:3] == walked[1:3]  # truth table, template
-        if rec[1] is not None:
-            assert set(rec[0]) == set(walked[0])  # cone
+def _cut_values(b: _Builder, cut: tuple[int, ...], last: int, rest: int) -> dict:
+    """Every ref's truth table over `cut` (cut[v] is variable v), from
+    evaluating nodes 0..last in index order with every other input at
+    `rest`: 0, or all ones when negative."""
+    masks = _enum_masks(len(cut))
+    full = (1 << (1 << len(cut))) - 1
+    vals = {-2 - v: rest & full for v in range(b.input_count)}
+    vals[REF_ZERO] = 0
+    vals.update(zip(cut, masks))
+    for k in range(last + 1):
+        if k not in cut:
+            x, y, z = [vals[e >> 1] ^ (full if e & 1 else 0) for e in b.nodes[k]]
+            vals[k] = _maj(x, y, z)
+    return vals
 
 
-class TestCutStore:
-    """The cut records `cut_rewrite` builds afresh every round: those
-    composed from the children's records are the ones a cone walk finds."""
+def _reachable(b: _Builder, root: int, cut: tuple[int, ...]) -> set[int]:
+    """The nodes reachable from `root` along edges, stopping at `cut`."""
+    cone, todo = set(), [root]
+    while todo:
+        k = todo.pop()
+        if k not in cone:
+            cone.add(k)
+            todo.extend(e >> 1 for e in b.nodes[k] if e >> 1 >= 0 and e >> 1 not in cut)
+    return cone
+
+
+class TestCutRecords:
+    """The cut records `cut_rewrite` builds afresh every round, against an
+    evaluation of the whole graph and a reachability walk."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10**9))
-    def test_composed_cut_records_match_a_cone_walk(self, seed):
-        """At the shipped cut cap and at a cap of 2, which truncates cut
-        sets."""
-        b = _rewrite_ready(_Builder.from_graph(_random_graph(seed)))
-        for cap in (_Builder._CUT_CAP, 2):
-            built = _composed_records(b, cap)
-            assert {i for i, _, _ in built} == set(range(len(b.nodes)))
-            _assert_records_match_walks(b, built)
-
-    @pytest.mark.parametrize("seed", [61, 1226, 2108])
-    def test_truncated_cut_sets_need_the_leaf_guard(self, seed):
-        """Before cleaning and at a cut cap of 2, each of these graphs has a
-        node cut whose child's first kept cut inside it holds a leaf of the
-        node cut in its cone: `_cut_rec` must not compose from that one."""
-        b = _Builder.from_graph(_random_graph(seed))
-        _assert_records_match_walks(b, _composed_records(b, 2))
+    def test_records_are_their_roots_over_their_cuts(self, seed):
+        """On uncleaned and cleaned builders, at the shipped cut cap and at
+        a cap of 2, which truncates cut sets.  A record's table is its
+        root's value over the cut whatever the other inputs are, so the
+        cut separates the root; its template is the library's for that
+        table and its cone is what the root reaches above the cut.  Every
+        kept cut with such a template and at most _CONE_CAP cone nodes
+        has its record, and each cut's records are in node order."""
+        g = _random_graph(seed)
+        for builder in (_Builder.from_graph(g), _rewrite_ready(_Builder.from_graph(g))):
+            for cap in (_Builder._CUT_CAP, 2):
+                kept, by_cut = _kept_cuts(builder, cap)
+                assert len(kept) == len(builder.nodes)
+                roots: dict = {}  # cut -> the nodes keeping it
+                for root, cuts in enumerate(kept):
+                    for cut in cuts:
+                        if cut:  # a node over constants only has an empty cut
+                            roots.setdefault(cut, []).append(root)
+                want: dict = {}
+                for cut, cut_roots in roots.items():
+                    low = _cut_values(builder, cut, cut_roots[-1], 0)
+                    high = _cut_values(builder, cut, cut_roots[-1], -1)
+                    for root in cut_roots:
+                        assert low[root] == high[root], (root, cut)
+                        tpl = _LIBRARY.get((len(cut), low[root]))
+                        cone = _reachable(builder, root, cut)
+                        if tpl is not None and len(cone) <= _Builder._CONE_CAP:
+                            want[cut, root] = (cone, low[root], tpl)
+                got = {}
+                for cut, recs in by_cut.items():
+                    assert [rec[3] for rec in recs] == sorted({rec[3] for rec in recs})
+                    for cone, table, tpl, root in recs:
+                        got[cut, root] = (set(cone), table, tpl)
+                assert got == want
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_long_chains_reach_the_cone_walk(self, seed, monkeypatch):
-        walks = []
-        real = _Builder._walk_cut
-
-        def spy(self, i, leaves):
-            walks.append(i)
-            return real(self, i, leaves)
-
-        monkeypatch.setattr(_Builder, "_walk_cut", spy)
-        b = _rewrite_ready(_Builder.from_graph(_chain_graph(random.Random(seed))))
-        b._cut_records()
-        assert walks
+    def test_a_cone_past_the_cone_cap_has_no_record(self, seed):
+        """The deep node keeps the cut (in0, in1, in2), but that cut's cone
+        holds more than _CONE_CAP nodes."""
+        b = _Builder.from_graph(_chain_graph(random.Random(seed)))
+        deep = len(b.nodes) - 1
+        cut = (in_edge(2) >> 1, in_edge(1) >> 1, in_edge(0) >> 1)
+        kept, by_cut = _kept_cuts(b, _Builder._CUT_CAP)
+        assert cut in kept[deep]
+        assert len(_reachable(b, deep, cut)) > _Builder._CONE_CAP
+        assert deep not in [rec[3] for rec in by_cut.get(cut, ())]
