@@ -22,11 +22,12 @@ it are refused with a `CapacityError` before anything is compiled.
 ``relu`` alone reads the top input bit as a two's-complement sign and
 clamps negatives to zero.
 
-Adders and multipliers are built from AND/OR/XOR full adders, and
-``sub`` from a borrow chain; ``div`` is restoring division whose steps
-subtract as A + ~B + 1 and keep only the remainder bits that can be
-nonzero.  Compiling at effort 1 or 2 rebuilds each full adder and
-borrow cell as the three-node majority cell (`synthesis.optimize`);
+Every multi-bit sum is one ripple adder of AND/OR/XOR full adders:
+``add``, each row of ``mul``, each input bit of ``bitcount``, and each
+subtraction, which computes A - B as ~(~A + B), in ``sub`` and in every
+step of ``div``.  ``div`` is restoring division that keeps only the
+remainder bits that can be nonzero.  Compiling at effort 1 or 2 rebuilds
+each full adder as the three-node majority cell (`synthesis.optimize`);
 effort 0 keeps the naive lowering of these gates.
 
 `compile_op` is the one compile entry point, and it keeps no cache: a
@@ -232,29 +233,29 @@ class _NB:
             refs = nxt
         return refs[0]
 
-    def full_add(self, a: int, b: int, c: int) -> tuple[int, int]:
-        x = self.XOR(a, b)
-        return self.XOR(x, c), self.OR(self.AND(a, b), self.AND(x, c))
-
     def ripple_add(self, A: list[int], B: list[int],
                    carry: int = EDGE_ZERO) -> tuple[list[int], int]:
         """A + B + carry; returns (sum bits, carry-out)."""
         out = []
         for a, b in zip(A, B):
-            s, carry = self.full_add(a, b, carry)
-            out.append(s)
+            x = self.XOR(a, b)
+            out.append(self.XOR(x, carry))
+            carry = self.OR(self.AND(a, b), self.AND(x, carry))
         return out, carry
 
-    def ripple_sub(self, A: list[int], B: list[int]) -> tuple[list[int], int]:
-        """A - B; returns (difference bits, borrow-out)."""
-        out = []
-        borrow = EDGE_ZERO
+    def sub(self, A: list[int], B: list[int]) -> tuple[list[int], int]:
+        """A - B as ~(~A + B) on `ripple_add`; returns (difference bits,
+        NOT carry-out), the latter 1 exactly when A >= B."""
+        sums, carry = self.ripple_add([self.NOT(a) for a in A], B)
+        return [self.NOT(s) for s in sums], self.NOT(carry)
+
+    def greater(self, A: list[int], B: list[int]) -> int:
+        """1 exactly when A > B, rippled up from the low bit."""
+        g = EDGE_ZERO
         for a, b in zip(A, B):
-            x = self.XOR(a, b)
-            out.append(self.XOR(x, borrow))
-            borrow = self.OR(self.AND(self.NOT(a), b),
-                             self.AND(self.NOT(x), borrow))
-        return out, borrow
+            g = self.OR(self.AND(a, self.NOT(b)),
+                        self.AND(self.NOT(self.XOR(a, b)), g))
+        return g
 
 
 def _operand_bits(widths: tuple[int, ...]) -> list[list[int]]:
@@ -279,16 +280,9 @@ def build_netlist(kind: str, width: int, n_inputs: int = 2) -> Netlist:
         outs = [nb.NOT(diff) if kind == "eq" else diff]
     elif kind in ("gt", "lt"):
         A, B = (ops[0], ops[1]) if kind == "gt" else (ops[1], ops[0])
-        g = EDGE_ZERO
-        for a, b in zip(A, B):
-            g = nb.OR(nb.AND(a, nb.NOT(b)),
-                      nb.AND(nb.NOT(nb.XOR(a, b)), g))
-        outs = [g]
+        outs = [nb.greater(A, B)]
     elif kind in ("max", "min"):
-        g = EDGE_ZERO
-        for a, b in zip(ops[0], ops[1]):
-            g = nb.OR(nb.AND(a, nb.NOT(b)),
-                      nb.AND(nb.NOT(nb.XOR(a, b)), g))
+        g = nb.greater(ops[0], ops[1])
         if kind == "max":
             outs = [nb.mux(g, a, b) for a, b in zip(ops[0], ops[1])]
         else:
@@ -297,20 +291,12 @@ def build_netlist(kind: str, width: int, n_inputs: int = 2) -> Netlist:
         sums, carry = nb.ripple_add(ops[0], ops[1])
         outs = sums + [carry]
     elif kind == "sub":
-        outs, _ = nb.ripple_sub(ops[0], ops[1])
+        outs, _ = nb.sub(ops[0], ops[1])
     elif kind == "mul":
         acc = [EDGE_ZERO] * (2 * w)
-        for i in range(w):
-            carry = EDGE_ZERO
-            for j in range(w):
-                p = nb.AND(ops[0][j], ops[1][i])
-                acc[i + j], carry = nb.full_add(acc[i + j], p, carry)
-            k = i + w
-            while carry != EDGE_ZERO and k < 2 * w:
-                s = nb.XOR(acc[k], carry)
-                carry = nb.AND(acc[k], carry)
-                acc[k] = s
-                k += 1
+        for i, b in enumerate(ops[1]):
+            acc[i:i + w], acc[i + w] = nb.ripple_add(acc[i:i + w],
+                                                      [nb.AND(a, b) for a in ops[0]])
         outs = acc
     elif kind == "div":
         # Restoring division.  After s steps the remainder is the top s
@@ -319,12 +305,10 @@ def build_netlist(kind: str, width: int, n_inputs: int = 2) -> Netlist:
         # EDGE_ZERO lets constant folding shrink the next subtraction.
         R = [EDGE_ZERO] * w
         Q = [EDGE_ZERO] * w
-        not_divisor = [nb.NOT(b) for b in ops[1]] + [EDGE_ONE]
+        divisor = ops[1] + [EDGE_ZERO]
         for i in reversed(range(w)):
             shifted = [ops[0][i]] + R  # remainder << 1 | dividend bit, w+1 bits
-            # shifted - divisor as shifted + ~divisor + 1: the carry-out
-            # is set exactly when shifted >= divisor
-            diff, q = nb.ripple_add(shifted, not_divisor, EDGE_ONE)
+            diff, q = nb.sub(shifted, divisor)
             Q[i] = q
             s = w - i  # steps done
             R = [nb.mux(q, diff[k], shifted[k]) for k in range(s)] + [EDGE_ZERO] * (w - s)
@@ -335,16 +319,10 @@ def build_netlist(kind: str, width: int, n_inputs: int = 2) -> Netlist:
     elif kind == "bitcount":
         cnt: list[int] = []
         for bit in ops[0]:
-            carry = bit
-            for k in range(len(cnt)):
-                if carry == EDGE_ZERO:
-                    break
-                s = nb.XOR(cnt[k], carry)
-                carry = nb.AND(cnt[k], carry)
-                cnt[k] = s
-            if carry != EDGE_ZERO:
+            cnt, carry = nb.ripple_add(cnt, [EDGE_ZERO] * len(cnt), bit)
+            if len(cnt) < out_width:
                 cnt.append(carry)
-        outs = (cnt + [EDGE_ZERO] * out_width)[:out_width]
+        outs = cnt  # out_width <= w bits, so the counter reached out_width
     else:  # relu: a non-negative result always has a zero top bit
         keep = nb.NOT(ops[0][w - 1])
         outs = [nb.AND(bit, keep) for bit in ops[0][: w - 1]] + [EDGE_ZERO]

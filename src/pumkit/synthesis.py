@@ -393,11 +393,10 @@ class _Builder:
 
         An XOR2 is lowering's shape M(~M(a,b,0), M(a,b,1), 0) up to
         complements, and an XOR3 an XOR2 that reads an XOR2 over two other
-        leaves.  Its carry is a node reading the XOR3's cone, directly or
-        through one other node (a borrow chain's carry does the latter),
-        whose own cone, at most _CELL_CONE_CAP nodes over the same three
-        leaves, is MAJ up to leaf and output complements.  Both are checked
-        on the 8 leaf assignments.  A pair whose cones free more nodes than
+        leaves.  Its carry is a node reading the XOR3's cone whose own
+        cone, at most _CELL_CONE_CAP nodes over the same three leaves, is
+        MAJ up to leaf and output complements.  Both are checked on the 8
+        leaf assignments.  A pair whose cones free more nodes than
         the cell needs is replaced by the cell over the leaves as the carry
         reads them.  The cell's c is the complemented leaf if there is one,
         since t's complement of c then cancels it, else the XOR3's outer
@@ -465,12 +464,11 @@ class _Builder:
 
     def _carry_of(self, cone: set[int], leaves: list[int], fanout: list[list[int]],
                   taken: set[int]) -> tuple[int, tuple, set[int]] | None:
-        """(the first node outside `cone` and `taken` that reads it through
-        at most one other node and whose function over `leaves` is MAJ up
-        to complements, its `_MAJ_FLIPS` entry, its cone), or None."""
+        """(the first node outside `cone` and `taken` that reads it and
+        whose function over `leaves` is MAJ up to complements, its
+        `_MAJ_FLIPS` entry, its cone), or None."""
         n = len(self.nodes)  # the graph outputs' entry in `fanout`
-        near = {f for k in cone for f in fanout[k]} - cone
-        near |= {f for k in near if k < n for f in fanout[k]}
+        near = {f for k in cone for f in fanout[k]}
         for m in sorted(near - cone - taken):
             if m < n:
                 carry_cone, table = self._cone_table(m, leaves, self._CELL_CONE_CAP)

@@ -53,12 +53,12 @@ class TestCompile:
                      "-o", str(tmp_path / "x.up")]) == 3
 
     def test_capacity_error_names_the_op_width_and_data_rows(self, tmp_path, capsys):
-        # div8 keeps 24 data rows for operands and result; 17 spare are too few
-        assert main(["--set", "subarray.rows=49", "--set", "subarray.data_rows=41",
+        # div8 keeps 24 data rows for operands and result; 16 spare are too few
+        assert main(["--set", "subarray.rows=48", "--set", "subarray.data_rows=40",
                      "compile", "--op", "div", "--width", "8",
                      "-o", str(tmp_path / "x.up")]) == 3
         assert capsys.readouterr().err.startswith(
-            "error: div width 8 does not fit in 41 data rows: spill region exhausted")
+            "error: div width 8 does not fit in 40 data rows: spill region exhausted")
         assert not (tmp_path / "x.up").exists()
 
     def test_too_many_inputs_exits_2(self, tmp_path, capsys):

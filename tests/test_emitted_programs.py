@@ -68,15 +68,15 @@ PINNED = {
     "add": ("517a2c0e8c4e0e69f7d5a0e187839fd6c0959123c49c7db344c1f5ab4830c6a4",
             "d925fb2c6605a72880c39698e984b7e5c6fe847c0d86ddab486147024179c8e0",
             "020c957ef5a2c6e87a31b187203bb400bf2614b3dfa216d47cb4c8971d7969a7"),
-    "sub": ("384f0b1ed47ca38e872aa0e265c556f2f133db57c2138bcab3e2e38a93e6523d",
-            "be8d89fb8b977f89da8a5c60ced8f81b4b685e184d002c00505ddd4b27492d8b",
-            "ff4a751bf9af55b1366b40c0d13a7961084cbadc87276320808bce71d0284c41"),
-    "mul": ("c1291344f75e7265d9b5ca7a97fc925d3781fb33d0f607d73d2273be25432206",
-            "8a7bfb7ab3fcfbc65293097dd1735f1e17d769eafba63ba97970a6e134dc8060",
-            "47f087ea68bbbace868174301c417aec2d4bdde0f35a6c877862c66968ce88ff"),
-    "div": ("f7afb0b7ab0c2b0a904bc030d80dd948f19be3929f464479316ffa0a6e9d6140",
-            "a664c06b33373b956de1db5b1cd23ea32c00b0729f05ae5c6fe239fd6e3ae8c0",
-            "2b3769f6d7c2ddda86c19334081016ae227541c7ed04b1045fe2b46cb9661ca9"),
+    "sub": ("a680f9859ab33f9c4e89330363411ff672f3068a96fc35560cabc561d9057641",
+            "1208348a9311bf377f7081c2c9b5f8ab529eb008016e620345028c9441133028",
+            "97a628e84b9f188bcd97de420715a33b4f1285130fea78c9b550f7a4b4a302d4"),
+    "mul": ("a566612419903be8ebd939ffe0fa9b91427bb94bb60f04646fe0569a49075cb6",
+            "d16c21c17e5b7b5a7066eebd3612dfdc3fdf3852f05f19629d31707acbbb7224",
+            "b3573967d1816bc7514ad116e3d821daea016f0c2952cd1e9215756f7feb921c"),
+    "div": ("55197db7918ced10cffc6c4a24d1c5d4308fa2f905c7d0158da77c790fe66f81",
+            "3c515c20f7dd0438d01f8f067cc7fa08f3ccbeacd6fc9037af19f846a0112fb0",
+            "bc5f980454996a2395aa77d1484ca9841cba4a4b3ccb2e5e1922ff30c436dc05"),
     "if_then_else": ("8f36817a7237d6c902f2d50110cd3cd515d88ae9940ed348c58fc3665c2d115f",
                      "e25c7a6531f56d52aae073a6029d62a6df03a91c94dd83048e7dfeb2cacd4a68",
                      "4e8703acad847ca85aef3a8c2a844524687ff8da2010e789007169d8846e6bc3"),
@@ -109,8 +109,8 @@ def _grid_digest_script():
 
 
 @pytest.mark.parametrize("width,digest,activations", [
-    (4, "328097b89255e5ef", 2366),
-    (8, "2c1f3f7b6781dd48", 7106),
+    (4, "efa0fd7a21d81993", 2306),
+    (8, "59916a65e448fdd8", 6906),
 ], ids=["4", "8"])  # a regenerated pin keeps the test's name
 def test_grid_digest_is_pinned(width, digest, activations):
     """The digest also covers each cell's `SynthesisReport` repr and its

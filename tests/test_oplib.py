@@ -181,10 +181,10 @@ class TestNetlists:
         assert any(g.kind == "XOR" for g in net.gates)
 
 
-def _div_netlist_lanes(width, words, lanes):
-    """`build_netlist("div", width)` over `lanes` lanes in one `eval_bulk`
-    call, word i packing input bit i; the quotient of each lane."""
-    outs = build_netlist("div", width).eval_bulk(words, lanes)
+def _netlist_lanes(kind, width, words, lanes):
+    """`build_netlist(kind, width)` over `lanes` lanes in one `eval_bulk`
+    call, word i packing input bit i; the result of each lane."""
+    outs = build_netlist(kind, width).eval_bulk(words, lanes)
     bits = [format(m, f"0{lanes}b")[::-1] for m in outs]
     return [int("".join(col)[::-1], 2) for col in zip(*bits)]
 
@@ -199,7 +199,7 @@ class TestTrimmedDivider:
         n = 1 << 2 * width  # every (a, b), divisor 0 included; 65,536 at width 8
         mask = (1 << width) - 1
         want = [_lane_reference("div", width, (t & mask, t >> width)) for t in range(n)]
-        assert _div_netlist_lanes(width, _enum_masks(2 * width), n) == want
+        assert _netlist_lanes("div", width, _enum_masks(2 * width), n) == want
 
     @pytest.mark.parametrize("width", [16, 32])
     def test_corner_and_random_lanes(self, width):
@@ -213,7 +213,29 @@ class TestTrimmedDivider:
             for i in range(2 * width):
                 words[i] |= (t >> i & 1) << lane
         want = [_lane_reference("div", width, case) for case in cases]
-        assert _div_netlist_lanes(width, words, len(cases)) == want
+        assert _netlist_lanes("div", width, words, len(cases)) == want
+
+
+class TestOneAdder:
+    """sub computes ~(~A + B) and bitcount adds each bit on `ripple_add`.
+    Both netlists are checked here on every input against
+    `_lane_reference`, apart from any compile, whose lane check samples
+    sub above width 6."""
+
+    @pytest.mark.parametrize("width", range(1, 9))
+    @pytest.mark.parametrize("kind", ["sub", "bitcount"])
+    def test_exhaustive(self, kind, width):
+        widths = op_signature(kind, width)[0]
+        n = 1 << sum(widths)  # 65,536 (a, b) pairs for sub8
+        mask = (1 << width) - 1
+        want = [_lane_reference(kind, width, (t & mask, t >> width)[:len(widths)])
+                for t in range(n)]
+        assert _netlist_lanes(kind, width, _enum_masks(sum(widths)), n) == want
+
+    def test_bitcount_counter_stops_at_the_result_width(self):
+        """The counter has bit_length(w) bits, not w: bitcount32 builds 342
+        gates where a w-bit counter built 992."""
+        assert len(build_netlist("bitcount", 32).gates) < 400
 
 
 class TestCompile:
@@ -349,18 +371,20 @@ def _div8_with_spare_rows(spare: int) -> SubarrayConfig:
 
 @pytest.mark.parametrize("effort", [1, 2])
 def test_div8_fits_in_eighteen_spare_rows(effort):
-    """The divider keeps only the remainder bits that can be nonzero, so
-    div8 fits one spare row below its `TIGHT_SPARE_ROWS` entry."""
-    cfg = _div8_with_spare_rows(18)
-    compiled = compile_op("div", 8, cfg, effort=effort)
-    assert verify_program(compiled.graph, compiled.rowmap, compiled.program)
+    """The divider keeps only the remainder bits that can be nonzero and
+    subtracts on the one adder, so div8 fits two spare rows below its
+    `TIGHT_SPARE_ROWS` entry, at 2,234 activations."""
+    for spare in (18, 17):
+        compiled = compile_op("div", 8, _div8_with_spare_rows(spare), effort=effort)
+        assert verify_program(compiled.graph, compiled.rowmap, compiled.program)
+    assert activation_count(compiled.program).total == 2234
 
 
 def test_capacity_error_names_the_op_width_and_data_rows():
-    """div8 keeps 24 data rows for operands and result; with 17 spare its
+    """div8 keeps 24 data rows for operands and result; with 16 spare its
     spill region runs out, and the error says which compile on how many rows."""
-    cfg = _div8_with_spare_rows(17)
-    with pytest.raises(CapacityError, match="^div width 8 does not fit in 41 data rows: "
+    cfg = _div8_with_spare_rows(16)
+    with pytest.raises(CapacityError, match="^div width 8 does not fit in 40 data rows: "
                                             "spill region exhausted") as err:
         compile_op("div", 8, cfg)
     assert isinstance(err.value.__cause__, CapacityError)

@@ -208,9 +208,8 @@ class TestVerifyRules:
 def _adder_chain(rng: random.Random, width: int) -> Netlist:
     """A ripple chain of `width` full adders over inputs a, b and a carry-in,
     each bit reading a random polarity of its three leaves and taking its
-    carry either as OR(AND(a,b), AND(a^b,c)) or in the borrow form
-    OR(AND(~a,b), AND(~(a^b),c)), which is MAJ(~a,b,c); sums are output in
-    a random polarity, then the carry-out."""
+    carry as OR(AND(a,b), AND(a^b,c)); sums are output in a random
+    polarity, then the carry-out."""
     gates: list[Gate] = []
 
     def gate(kind, *ops):
@@ -225,11 +224,7 @@ def _adder_chain(rng: random.Random, width: int) -> Netlist:
         a, b, c = lit(in_edge(i)), lit(in_edge(width + i)), lit(carry)
         x = gate("XOR", a, b)
         outs.append(lit(gate("XOR", x, c)))
-        if rng.random() < 0.5:
-            carry = gate("OR", gate("AND", a, b), gate("AND", x, c))
-        else:
-            carry = gate("OR", gate("AND", gate("NOT", a), b),
-                         gate("AND", gate("NOT", x), c))
+        carry = gate("OR", gate("AND", a, b), gate("AND", x, c))
     return Netlist(2 * width + 1, gates, outs + [carry])
 
 
