@@ -517,19 +517,27 @@ class _Scheduler:
             self._set(row, val)
             return row, taken
         # only the flipped polarity exists somewhere: route through a DCC row
+        dcc, taken = self._flip_into_dcc(val, claimed, taken)
+        row = self._alloc(taken | 1 << dcc)
+        self._emit(("AAP", ("~" + _ROW_NAMES[dcc], _ROW_NAMES[row])))
+        self._set(row, val)
+        return row, taken
+
+    def _flip_into_dcc(self, val: int, claimed: list[int],
+                       taken: int) -> tuple[int, int]:
+        """Copy `val ^ 1`, the only polarity held anywhere, into a DCC row
+        outside `taken`, whose complement port then reads `val`; returns
+        that row and the pending TRA's `taken` mask (see `_materialize`)."""
         src, base = self._any_source(val ^ 1)
         if src is None:
-            raise MicroProgramError(f"value for n{ref} lost during scheduling")
+            raise MicroProgramError(f"value for n{val >> 1} lost during scheduling")
         if taken & _DCC_MASK == _DCC_MASK:
             dcc, taken = self._free_pinned_dcc(claimed, taken, base)
         else:
             dcc = self._alloc(taken | base, dcc_only=True)
         self._emit(("AAP", (src, _ROW_NAMES[dcc])))
         self._set(dcc, val ^ 1)
-        row = self._alloc(taken | 1 << dcc)
-        self._emit(("AAP", ("~" + _ROW_NAMES[dcc], _ROW_NAMES[row])))
-        self._set(row, val)
-        return row, taken
+        return dcc, taken
 
     def _spare(self, row: int, val: int, doomed: int) -> int:
         """Copy `val` out of `row` into a row outside `doomed` (which holds
@@ -600,12 +608,7 @@ class _Scheduler:
             self._emit(("AAP", (src, target)))
             self._use(ref)
             return
-        src, base = self._any_source(e ^ 1)
-        if src is None:
-            raise MicroProgramError(f"output value for n{ref} lost during scheduling")
-        dcc = self._alloc(base, dcc_only=True)
-        self._emit(("AAP", (src, _ROW_NAMES[dcc])))
-        self._set(dcc, e ^ 1)
+        dcc, _ = self._flip_into_dcc(e, [], 0)
         self._emit(("AAP", ("~" + _ROW_NAMES[dcc], target)))
         self._use(ref)
 

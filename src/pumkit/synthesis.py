@@ -19,12 +19,14 @@ emits for the graph under the configured subarray, spills included:
   rounds after it work on a graph less than half the size,
 * cut rewriting: every cone with at most three leaves is matched against
   a precomputed minimal-template library (single-majority functions,
-  two-node compositions, and the XOR/XNOR templates, whose three-leaf
-  form is the adder cell's sum).
+  two-node compositions, and the adder cell's sum for XOR3/XNOR3).
 
-A round is kept only when (does_not_fit, activations, nodes, depth)
-strictly improves, which gives monotone cost and a stable fixpoint; a
-graph the subarray cannot hold ranks below every graph that fits.
+Each rewrite round pushes complements, rewrites cuts, then cleans and
+compacts once; the adder-cell round cleans, builds its cells, then
+cleans and compacts once.  A round is kept only when (does_not_fit,
+activations, nodes, depth) strictly improves, which gives monotone cost
+and a stable fixpoint; a graph the subarray cannot hold ranks below
+every graph that fits.
 
 Cut rewriting enumerates every node's pruned cuts afresh each round, in
 index order from its children's cuts, and builds each cut's record (cone,
@@ -180,21 +182,11 @@ def _build_library() -> dict[tuple[int, int], _Template]:
                     put(nvars, t ^ full,
                         _Template("cut_maj2", 2, (nd_in, outer), (1 << 1) | 1))
 
-        # XOR/XNOR: three nodes sharing the majority core; over three
-        # leaves that is the adder cell, whose core is the carry
-        if nvars == 2:
-            a, b = (-2 - 0) << 1, (-2 - 1) << 1
-            n0 = tuple(sorted((a, b, EDGE_ZERO)))
-            n1 = tuple(sorted((a, b, EDGE_ONE)))
-            n2 = tuple(sorted(((0 << 1) | 1, 1 << 1, EDGE_ZERO)))
-            tpl = _Template("cut_xor", 3, (n0, n1, n2), 2 << 1)
-        elif nvars == 3:
+        if nvars == 3:  # XOR3/XNOR3: the adder cell's sum
             tpl = _ADDER_CELL
-        else:
-            continue
-        t = functools.reduce(int.__xor__, masks)
-        put(nvars, t, tpl)
-        put(nvars, t ^ full, _Template(tpl.name, tpl.cost, tpl.nodes, tpl.out | 1))
+            t = functools.reduce(int.__xor__, masks)
+            put(nvars, t, tpl)
+            put(nvars, t ^ full, _Template(tpl.name, tpl.cost, tpl.nodes, tpl.out | 1))
     return lib
 
 
@@ -384,8 +376,6 @@ class _Builder:
 
     # -- adder cells -------------------------------------------------------------
 
-    _CELL_CONE_CAP = 8
-
     def adder_cells(self, counts: Counter) -> bool:
         """Rebuild each full adder of a lowered graph as `_ADDER_CELL`, in
         one pass and without enumerating cuts.  Run after `clean`, which
@@ -394,7 +384,7 @@ class _Builder:
         An XOR2 is lowering's shape M(~M(a,b,0), M(a,b,1), 0) up to
         complements, and an XOR3 an XOR2 that reads an XOR2 over two other
         leaves.  Its carry is a node reading the XOR3's cone whose own
-        cone, at most _CELL_CONE_CAP nodes over the same three leaves, is
+        cone, at most _CONE_CAP nodes over the same three leaves, is
         MAJ up to leaf and output complements.  Both are checked on the 8
         leaf assignments.  A pair whose cones free more nodes than
         the cell needs is replaced by the cell over the leaves as the carry
@@ -423,7 +413,7 @@ class _Builder:
                 if inner not in xor2 or c in xor2[inner]:
                     continue
                 leaves = [*xor2[inner], c]
-                cone, table = self._cone_table(s, leaves, self._CELL_CONE_CAP)
+                cone, table = self._cone_table(s, leaves, self._CONE_CAP)
                 if table not in (0x96, 0x69) or not taken.isdisjoint(cone):  # XOR3, XNOR3
                     continue
                 carry = self._carry_of(cone, leaves, fanout, taken)
@@ -471,7 +461,7 @@ class _Builder:
         near = {f for k in cone for f in fanout[k]}
         for m in sorted(near - cone - taken):
             if m < n:
-                carry_cone, table = self._cone_table(m, leaves, self._CELL_CONE_CAP)
+                carry_cone, table = self._cone_table(m, leaves, self._CONE_CAP)
                 flips = _MAJ_FLIPS.get(table)
                 if flips is not None:
                     return m, flips, carry_cone
@@ -605,15 +595,11 @@ class _Builder:
             rec = group[0]
             cone = rec[0]
             deep = _SHAPES[rec[2]][0]
-            if len(cone) <= deep:
-                return None
             hits = [h for _, h in self._probe(rec, leaves, key_map)]
         else:
             cone = set().union(*(rec[0] for rec in group))
             shapes = {rec[2].nodes: _SHAPES[rec[2]] for rec in group}
             deep = sum(shape[0] for shape in shapes.values())
-            if len(cone) <= deep:
-                return None
             unique: dict = {}  # one template node per distinct edges
             for rec in group:
                 unique.update(self._probe(rec, leaves, key_map))
@@ -667,7 +653,7 @@ class _Builder:
                 fanout[r].append(n)
         return fanout
 
-    def cut_rewrite(self, counts: Counter) -> bool:
+    def cut_rewrite(self, counts: Counter):
         """Match small cones against the template library and replace them.
 
         Roots sharing one cut are grouped and rewritten jointly, so
@@ -675,6 +661,8 @@ class _Builder:
         same three leaves) collapse even though neither root's fanout-free
         cone pays for the rewrite alone.  Every call enumerates the cuts
         afresh and walks each cut's cone for its record (`_cut_records`).
+        Replaced roots and dead nodes stay for the `clean_compact` that
+        ends the round.
         """
         fanout = self._fanout()
         by_cut = self._cut_records()
@@ -695,11 +683,8 @@ class _Builder:
                         -gain, tuple(rec[3] for rec in group), cut,
                         tuple((rec[3], rec[2]) for rec in group),
                         cone, dying))
-        if not candidates:
-            return False
         candidates.sort(key=lambda c: (c[0], c[1], c[2]))
         removed: set[int] = set()
-        applied = False
         for _, roots, leaves, group, cone_union, dying in candidates:
             # leaves may reference replaced roots (the replacement edge
             # resolves), but an already-rewritten cone interior invalidates
@@ -711,8 +696,6 @@ class _Builder:
                 self.nodes[root] = None
                 counts[tpl.name] += 1
             removed |= dying
-            applied = True
-        return applied
 
 
 # --- reporting and the optimize loop -----------------------------------------
@@ -760,9 +743,13 @@ def _rounds(graph: MajGraph, graph_m: tuple, passes: int,
     a round of the adder-cell pass and up to `passes` rewrite rounds from
     `graph`, whose metric is `graph_m`.
 
-    The cell round runs when it finds a full adder.  It is scored like
-    any round, but the rounds after it go on from its graph even when it
-    is not kept, and then its rules count with the first round that is.
+    Every round ends with one `clean_compact`, so the next starts from a
+    compacted builder.  The cell round is `clean`, `adder_cells`,
+    `clean_compact`; a rewrite round is `dual_push`, `cut_rewrite`,
+    `clean_compact`.  The cell round is scored only when it finds a full
+    adder, like any round, but the rounds after it go on from its graph
+    even when it is not kept, and then its rules count with the first
+    round that is.
     """
     best, best_m, rules = graph, graph_m, Counter()
     b = _Builder.from_graph(graph)  # rewritten in place, round after round
@@ -770,15 +757,14 @@ def _rounds(graph: MajGraph, graph_m: tuple, passes: int,
     for k in range(passes + 1):
         if k == 0:
             b.clean(round_counts)
-            if not b.adder_cells(round_counts):
+            found = b.adder_cells(round_counts)
+            b.clean_compact(round_counts)
+            if not found:
                 continue
-            b.clean_compact(round_counts)
         else:
-            b.clean_compact(round_counts)
             b.dual_push(round_counts)
+            b.cut_rewrite(round_counts)
             b.clean_compact(round_counts)
-            if b.cut_rewrite(round_counts):
-                b.clean_compact(round_counts)
         candidate = b.to_graph()
         if (candidate.packed_nodes == best.packed_nodes
                 and candidate.packed_outputs == best.packed_outputs):
@@ -801,9 +787,10 @@ def optimize(graph: MajGraph, effort: int = 2,
     program `schedule` emits under `cfg`, spills included.  effort 0:
     identity; effort 1: the adder-cell round, then one greedy pass;
     effort 2: the adder-cell round, then iterate to a fixpoint (64-pass
-    cap).  Rounds that fail to strictly improve (does_not_fit, activations,
-    nodes, depth) are rolled back, so the result is never worse than the
-    input, and never fails to fit when the input fits.  A cell round that
+    cap).  Each round cleans and compacts the graph once, at its end
+    (`_rounds`).  Rounds that fail to strictly improve (does_not_fit,
+    activations, nodes, depth) are rolled back, so the result is never
+    worse than the input, and never fails to fit when the input fits.  A cell round that
     does not improve is not kept, but the rounds go on from its graph.
     """
     if type(effort) is not int or effort not in (0, 1, 2):  # a bool is not one

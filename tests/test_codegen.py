@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import pumkit
 from pumkit.codegen import (
+    DEFAULT_SUBARRAY,
     Command,
     MicroProgram,
     RowMap,
@@ -280,6 +281,26 @@ END
             state.store_row(f"D{i}", w)
         state.run_program(prog)
         assert state.load_row(rm.output_rows[0]) == g.eval_bulk(words, lanes)[0]
+
+    def test_eviction_moves_a_live_value_to_an_idle_row(self):
+        """n3's TRA needs DCC1 to read ~in2 while DCC1 holds n1, still
+        live as an output: `_evict` copies n1 to T0, which n2's last read
+        left dead, instead of spilling it to a data row."""
+        g = MajGraph(3, [(-7, -4, -1), (-1, -8, -4), (1, -8, -8), (5, 3, -7)], [2, 7])
+        rm = allocate_rows(g, DEFAULT_SUBARRAY)
+        prog = schedule(g, rm)
+        texts = [c.render() for c in prog.commands]
+        assert "AAP DCC1 T0" in texts
+        assert not any(c.op == "AAP" and c.rows[1] == f"D{rm.spill_start}"
+                       for c in prog.commands)
+        assert verify_program(g, rm, prog)
+        lanes = 1 << g.input_count
+        state = new_subarray(replace(DEFAULT_SUBARRAY, columns=lanes))
+        words = [sum(1 << t for t in range(lanes) if t >> i & 1) for i in range(3)]
+        for row, word in zip(rm.input_rows, words):
+            state.store_row(row, word)
+        state.run_program(prog)
+        assert [state.load_row(row) for row in rm.output_rows] == g.eval_bulk(words, lanes)
 
 
 class TestCosts:

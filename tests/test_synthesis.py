@@ -125,6 +125,21 @@ class TestOptimize:
             assert twice.packed_outputs == once.packed_outputs
             assert all(name == "dead_node" for name, _ in report.rules_applied)
 
+    @pytest.mark.parametrize("kind", ["add", "eq"])
+    def test_each_round_cleans_and_compacts_once(self, kind, monkeypatch):
+        """The cell round ends with one `clean_compact` whether or not it
+        finds a full adder (add has them, eq none), and so does every
+        rewrite round, which runs `cut_rewrite` once."""
+        calls = Counter()
+        for name in ("clean_compact", "cut_rewrite"):
+            def spy(self, counts, real=getattr(_Builder, name), name=name):
+                calls[name] += 1
+                return real(self, counts)
+            monkeypatch.setattr(_Builder, name, spy)
+        optimize(lower_to_maj(build_netlist(kind, 4)), 2)
+        assert calls["cut_rewrite"] >= 1
+        assert calls["clean_compact"] == calls["cut_rewrite"] + 1
+
     def test_bad_effort_rejected(self):
         g = MajGraph(1, [], [in_edge(0)])
         with pytest.raises(ValueError):
@@ -313,10 +328,10 @@ def _chain_graph(rng: random.Random) -> MajGraph:
 
 
 def _rewrite_ready(b: _Builder) -> _Builder:
-    """`b` as `optimize` hands it to `cut_rewrite` in one round."""
+    """`b` as `optimize` hands it to `cut_rewrite` in one round: compacted
+    by the round before, then complement-pushed."""
     b.clean_compact(Counter())
     b.dual_push(Counter())
-    b.clean_compact(Counter())
     return b
 
 
