@@ -21,6 +21,7 @@ import io
 import math
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import MetricsError, MetricsRangeError
 from .logic import _is_canonical_number, _is_plain_float_text
@@ -145,8 +146,7 @@ def classify(m: MetricsRecord,
             "is the limit")
 
 
-@dataclass(frozen=True)
-class Recommendation:
+class Recommendation(NamedTuple):
     label: str
     note: str
 

@@ -283,8 +283,7 @@ def parse_microprogram(text: str) -> MicroProgram:
 # --- operand-to-row mapping ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class RowMap:
+class RowMap(NamedTuple):
     """Data-row assignment: inputs first, then outputs, then spill scratch."""
 
     input_rows: tuple[str, ...]

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .codegen import DEFAULT_SUBARRAY, MicroProgram, activation_count
 from .errors import ConfigError
@@ -40,8 +41,7 @@ class CostParams:
 DEFAULT_COST = CostParams()
 
 
-@dataclass(frozen=True)
-class CostReport:
+class CostReport(NamedTuple):
     latency_ns: float
     energy_pj: float
     throughput_ops_per_s: float
@@ -79,8 +79,7 @@ def estimate(program: MicroProgram, params: CostParams = DEFAULT_COST) -> CostRe
                       counts.aap, counts.tra, counts.total)
 
 
-@dataclass(frozen=True)
-class CompareResult:
+class CompareResult(NamedTuple):
     """Elementwise ratios of report `a` relative to report `b`."""
 
     latency_ratio: float | None

@@ -19,7 +19,10 @@ emits for the graph under the configured subarray, spills included:
   rounds after it work on a graph less than half the size,
 * cut rewriting: every cone with at most three leaves is matched against
   a precomputed minimal-template library (single-majority functions,
-  two-node compositions, and the adder cell's sum for XOR3/XNOR3).
+  two-node compositions, and the adder cell's sum for XOR3/XNOR3).  The
+  library is generated data, one row per template in `pumkit.templates`;
+  `python3 scripts/gen_templates.py` regenerates it, `--check` tells
+  whether it is current, and `verify_rules` audits every row.
 
 Each rewrite round pushes complements, rewrites cuts, then cleans and
 compacts once; the adder-cell round cleans, builds its cells, then
@@ -36,10 +39,9 @@ simulating it; a cone of more than ``_CONE_CAP`` nodes is not matched.
 
 from __future__ import annotations
 
-import functools
-import itertools
 from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .codegen import DEFAULT_SUBARRAY, SubarrayConfig, estimate_cost_static
 from .errors import CapacityError, PumError, TableSizeError
@@ -55,6 +57,7 @@ from .logic import (
     parse_netlist,
     truth_table,
 )
+from .templates import ROWS as _TEMPLATE_ROWS
 
 # --- lowering ---------------------------------------------------------------
 
@@ -138,59 +141,10 @@ def _maj_flips() -> dict[int, tuple[int, int, int, int]]:
 _MAJ_FLIPS = _maj_flips()
 
 
-def _build_library() -> dict[tuple[int, int], _Template]:
-    lib: dict[tuple[int, int], _Template] = {}
-
-    def put(nvars: int, table: int, tpl: _Template):
-        key = (nvars, table)
-        cur = lib.get(key)
-        if cur is None or tpl.cost < cur.cost:
-            lib[key] = tpl
-
-    for nvars in (1, 2, 3):
-        lanes = 1 << nvars
-        full = (1 << lanes) - 1
-        masks = _enum_masks(nvars)
-        lit_edges: list[tuple[int, int]] = []  # (packed edge, table)
-        for v in range(nvars):
-            lit_edges.append(((-2 - v) << 1, masks[v]))
-            lit_edges.append((((-2 - v) << 1) | 1, masks[v] ^ full))
-        lit_edges.append((EDGE_ZERO, 0))
-        lit_edges.append((EDGE_ONE, full))
-
-        for e, t in lit_edges:
-            put(nvars, t, _Template("cut_collapse", 0, (), e))
-
-        one_node: dict[int, tuple[int, int, int]] = {}
-        for (e1, t1), (e2, t2), (e3, t3) in itertools.combinations(lit_edges, 3):
-            nd = tuple(sorted((e1, e2, e3)))
-            t = _maj(t1, t2, t3)
-            put(nvars, t, _Template("cut_maj", 1, (nd,), 0))
-            put(nvars, t ^ full, _Template("cut_maj", 1, (nd,), 1))
-            if t not in one_node:
-                one_node[t] = nd
-
-        for t_in, nd_in in sorted(one_node.items()):
-            for pol in (0, 1):
-                inner_t = t_in ^ (full if pol else 0)
-                inner_e = pol  # packed edge for template node 0
-                for (e2, t2), (e3, t3) in itertools.combinations(lit_edges, 2):
-                    outer = tuple(sorted((inner_e, e2, e3)))
-                    t = _maj(inner_t, t2, t3)
-                    tpl = _Template("cut_maj2", 2, (nd_in, outer), 1 << 1)
-                    put(nvars, t, tpl)
-                    put(nvars, t ^ full,
-                        _Template("cut_maj2", 2, (nd_in, outer), (1 << 1) | 1))
-
-        if nvars == 3:  # XOR3/XNOR3: the adder cell's sum
-            tpl = _ADDER_CELL
-            t = functools.reduce(int.__xor__, masks)
-            put(nvars, t, tpl)
-            put(nvars, t ^ full, _Template(tpl.name, tpl.cost, tpl.nodes, tpl.out | 1))
-    return lib
-
-
-_LIBRARY = _build_library()
+# (leaf count, truth table) -> the cheapest template computing it; the
+# rows are generated data (`scripts/gen_templates.py`)
+_LIBRARY = {(nvars, table): _Template(name, cost, nodes, out)
+            for nvars, table, name, cost, nodes, out in _TEMPLATE_ROWS}
 _MASKS = [_enum_masks(nv) for nv in range(4)]
 
 
@@ -701,8 +655,7 @@ class _Builder:
 # --- reporting and the optimize loop -----------------------------------------
 
 
-@dataclass(frozen=True)
-class SynthesisReport:
+class SynthesisReport(NamedTuple):
     """Before/after figures of one `optimize` call.  The activation counts
     are those of the scheduled program, None for a graph that does not
     fit the subarray."""
@@ -815,8 +768,7 @@ def optimize(graph: MajGraph, effort: int = 2,
 # --- rule library self-check ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RewriteRule:
+class RewriteRule(NamedTuple):
     """A truth-preserving identity over a handful of variables.
 
     Each default rule is the checkable statement of an identity a pass
@@ -831,8 +783,7 @@ class RewriteRule:
     rhs: MajGraph
 
 
-@dataclass(frozen=True)
-class RuleCheck:
+class RuleCheck(NamedTuple):
     name: str
     passed: bool
     detail: str = ""

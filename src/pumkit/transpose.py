@@ -32,9 +32,11 @@ a `CapacityError`.
 
 from __future__ import annotations
 
+import functools
 import sys
 from array import array
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import CapacityError
 from .subarray import SubarrayState
@@ -52,10 +54,12 @@ for _code in "BHILQ":
 _SWAPS = ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))
 
 
-def _swap_masks(words: int) -> list[tuple[int, int]]:
-    """`_SWAPS` with each mask repeated over `words` 64-bit words."""
-    return [(s, int.from_bytes(m.to_bytes(8, "little") * words, "little"))
-            for s, m in _SWAPS]
+@functools.lru_cache(maxsize=8)
+def _swap_masks(words: int) -> tuple[tuple[int, int], ...]:
+    """`_SWAPS` with each mask repeated over `words` 64-bit words; kept
+    per word count, since every conversion of a block needs them."""
+    return tuple((s, int.from_bytes(m.to_bytes(8, "little") * words, "little"))
+                 for s, m in _SWAPS)
 
 
 def _transpose8(x: int, masks) -> int:
@@ -171,8 +175,7 @@ def _misfit(values, width: int) -> CapacityError:
             return CapacityError(f"value {i} ({shown}) does not fit in {width} bits")
 
 
-@dataclass(frozen=True)
-class VerticalBlock:
+class VerticalBlock(NamedTuple):
     """A transposed operand: n consecutive data rows, one value per column."""
 
     base_row: int

@@ -1,5 +1,7 @@
+import importlib.util
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -432,3 +434,51 @@ class TestCutRecords:
         assert cut in kept[deep]
         assert len(_reachable(b, deep, cut)) > _Builder._CONE_CAP
         assert deep not in [rec[3] for rec in by_cut.get(cut, ())]
+
+
+def _gen_templates_script():
+    path = Path(__file__).resolve().parent.parent / "scripts" / "gen_templates.py"
+    spec = importlib.util.spec_from_file_location("gen_templates", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestTemplateTable:
+    """`_LIBRARY` is built from the rows of the generated `pumkit.templates`."""
+
+    def test_checked_in_table_is_the_generator_output(self):
+        import pumkit.templates as templates
+        script = _gen_templates_script()
+        assert Path(templates.__file__).read_text() == script.render()
+        assert list(templates.ROWS) == script.rows()
+        assert script.main(["--check"]) == 0
+
+    def test_library_is_the_table(self):
+        import pumkit.templates as templates
+        assert [(nv, t, tpl.name, tpl.cost, tpl.nodes, tpl.out)
+                for (nv, t), tpl in _LIBRARY.items()] == list(templates.ROWS)
+
+    def test_entries_are_pinned(self):
+        """A change to the table's content shows up here as a pin edit."""
+        assert len(_LIBRARY) == 124
+        assert Counter(nv for nv, _ in _LIBRARY) == {1: 4, 2: 14, 3: 106}
+        assert Counter(tpl.name for tpl in _LIBRARY.values()) == {
+            "cut_collapse": 18, "cut_maj": 40, "cut_maj2": 64, "adder_cell": 2}
+
+    def test_xor3_rows_are_the_adder_cell_sum(self):
+        for table, out in ((0x96, _ADDER_CELL.out), (0x69, _ADDER_CELL.out | 1)):
+            tpl = _LIBRARY[3, table]
+            assert (tpl.name, tpl.cost, tpl.nodes, tpl.out) == (
+                "adder_cell", 3, _ADDER_CELL.nodes, out)
+
+    def test_a_flipped_row_fails_verify_rules(self, monkeypatch):
+        key = (3, 0xE8)  # MAJ of the three leaves
+        tpl = _LIBRARY[key]
+        assert tpl.name == "cut_maj"
+        flipped = dict(_LIBRARY)
+        flipped[key] = _Template(tpl.name, tpl.cost, tpl.nodes, tpl.out ^ 1)
+        monkeypatch.setattr(synthesis, "_LIBRARY", flipped)
+        failing = [c for c in verify_rules() if not c.passed]
+        assert [c.name for c in failing] == ["cut_maj"]
+        assert "1 templates disagree: [(3, 232)]" in failing[0].detail
