@@ -1,9 +1,10 @@
 """Byte-identity digest of the compiled op grid.
 
-    python3 scripts/grid_digest.py [--widths 4 8 16 32]
+    python3 scripts/grid_digest.py [--widths 4 8 16 32] [--effort {0,1,2}]
 
 Compiles the 16 library ops at each width (by default `pumkit bench`'s,
-`cli.BENCH_WIDTHS`) at effort 2 on the default subarray, n-ary ops with
+`cli.BENCH_WIDTHS`) at the given effort (default 2) on the default
+subarray, n-ary ops with
 `pumkit bench`'s operand count, `cli.BENCH_N_INPUTS`, and prints, per
 width, the first 16 hex digits of one sha256 fed, in `OP_KINDS` order,
 each cell's `format_microprogram` text, `repr` of its `SynthesisReport`
@@ -30,12 +31,15 @@ from pumkit.codegen import activation_count, format_microprogram  # noqa: E402
 from pumkit.oplib import N_ARY, OP_KINDS, compile_op  # noqa: E402
 
 
+EFFORT = 2  # the compile effort; `--effort` sets it
+
+
 def width_digest(width: int) -> tuple[str, int]:
-    """(digest of the width's cells, their total activations)."""
+    """(digest of the width's cells at `EFFORT`, their total activations)."""
     h = hashlib.sha256()
     total = 0
     for kind in OP_KINDS:
-        c = compile_op(kind, width, effort=2,
+        c = compile_op(kind, width, effort=EFFORT,
                        n_inputs=BENCH_N_INPUTS if kind in N_ARY else 2)
         h.update(format_microprogram(c.program).encode())
         h.update(repr(c.report).encode())
@@ -45,9 +49,12 @@ def width_digest(width: int) -> tuple[str, int]:
 
 
 def main(argv: list[str] | None = None) -> int:
+    global EFFORT
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--widths", type=int, nargs="+", default=list(BENCH_WIDTHS))
+    ap.add_argument("--effort", type=int, choices=(0, 1, 2), default=2)
     args = ap.parse_args(argv)
+    EFFORT = args.effort
     grid_total = 0
     try:
         for width in args.widths:

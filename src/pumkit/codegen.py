@@ -347,7 +347,8 @@ class _Scheduler:
     row from ``dead`` by table lookup instead of scanning the pool; ties
     break in pool order, non-DCC rows first unless a DCC row is
     preferred.  An allocated row keeps its old value until the caller
-    overwrites it with `_set`, which every caller does at once.
+    overwrites it with `_set`, which every caller does at once; a TRA
+    writes its three rows in `run` with one masked update instead.
     Pressure beyond the six rows spills to the row map's scratch region.
     Callers go through `_sweep`, so `estimate_cost_static` (the
     optimizer's objective) and `schedule` share one sweep per graph.
@@ -426,8 +427,11 @@ class _Scheduler:
         # evicts silently; rows in `excluded` may be about to be destroyed
         # by the pending TRA, so they don't count as backup
         rows = sorted(_ROWS_OF[cands], key=self.lru.__getitem__)
-        for r in rows:
-            if self._survives(self.row_val[r] >> 1, excluded | 1 << r):
+        copies, spilled, row_val = self.copies, self.spilled, self.row_val
+        for r in rows:  # `_survives`, inline
+            val = row_val[r] & ~1
+            if ((copies.get(val, 0) | copies.get(val | 1, 0)) & ~(excluded | 1 << r)
+                    or val in spilled or val | 1 in spilled):
                 return r
         if not rows:  # unreachable: callers exclude at most three of the six
             # rows, and a dcc_only caller never excludes both DCC rows
@@ -574,16 +578,33 @@ class _Scheduler:
     # -- main sweep ----------------------------------------------------------
 
     def run(self) -> list[tuple[str, tuple[str, ...]]]:
-        copies, lru = self.copies, self.lru
+        """The sweep: one TRA per live node, in node order, then the
+        output writes.  An operand with a copy outside the pending TRA's
+        rows is read in place (`_read` inline, `_use` only for its last
+        use and `_spare` only when the TRA would take its last copy), and
+        the TRA writes its node into its three rows in one masked update
+        (`_set` per row, fused)."""
+        copies, lru, uses, row_val = self.copies, self.lru, self.uses, self.row_val
+        spilled = self.spilled
         for k, edges in enumerate(self.graph.packed_nodes):
             if not self.live[k]:
                 continue
             claimed: list[int] = []
             taken = 0  # the rows in `claimed`
             for e in edges:
-                avail = 0 if e >> 1 == REF_ZERO else copies.get(e, 0) & ~taken
+                ref = e >> 1
+                avail = 0 if ref == REF_ZERO else copies.get(e, 0) & ~taken
                 if avail:  # read a copy in place
-                    row = self._read(e, _FIRST[avail], taken)
+                    row = _FIRST[avail]
+                    if ref >= 0:
+                        if uses[ref] == 1:
+                            self._use(ref)
+                        else:
+                            uses[ref] -= 1
+                            doomed = taken | 1 << row
+                            if not (avail & ~doomed or copies.get(e ^ 1, 0) & ~doomed
+                                    or e in spilled or e ^ 1 in spilled):
+                                row = self._spare(row, e, doomed)
                     self.clock += 1
                     lru[row] = self.clock
                 else:
@@ -591,8 +612,19 @@ class _Scheduler:
                 claimed.append(row)
                 taken |= 1 << row
             self._emit(("TRA", tuple([_ROW_NAMES[r] for r in claimed])))
+            # each claimed row holds its operand; a live node has uses left
             for r in claimed:
-                self._set(r, k << 1)
+                old = row_val[r]
+                peers = copies.get(old, 0) & ~taken
+                if peers:
+                    copies[old] = peers
+                else:
+                    copies.pop(old, None)  # an operand read twice is gone already
+                row_val[r] = k << 1
+                self.clock += 1
+                lru[r] = self.clock
+            copies[k << 1] = taken
+            self.dead &= ~taken
         for e, target in zip(self.graph.packed_outputs, self.rowmap.output_rows):
             self._emit_output(e, target)
         return self.commands
@@ -628,8 +660,9 @@ def _check_rowmap(graph: MajGraph, rowmap: RowMap):
 
 
 # Keyed by graph identity and row map value.  `optimize` scores the graph
-# it returns last or second to last (it skips an unchanged round and stops
-# at the first rejected one), so two entries hand that sweep to `schedule`.
+# it returns last or second to last (its rounds stop unscored at a round
+# that applies no rule, scored at one not kept), so two entries hand that
+# sweep to `schedule`.
 @functools.lru_cache(maxsize=2)
 def _sweep(graph: MajGraph, rowmap: RowMap) -> tuple[tuple[str, tuple[str, ...]], ...]:
     """The scheduler's (op, rows) commands for `graph` under `rowmap`."""

@@ -27,9 +27,10 @@ emits for the graph under the configured subarray, spills included:
 Each rewrite round pushes complements, rewrites cuts, then cleans and
 compacts once; the adder-cell round cleans, builds its cells, then
 cleans and compacts once.  A round is kept only when (does_not_fit,
-activations, nodes, depth) strictly improves, which gives monotone cost
-and a stable fixpoint; a graph the subarray cannot hold ranks below
-every graph that fits.
+activations, nodes) strictly improves, which gives monotone cost and a
+stable fixpoint; a graph the subarray cannot hold ranks below every
+graph that fits.  The rounds end at the first rewrite round that applies
+no rule to the last kept graph, before it is compacted again.
 
 Cut rewriting enumerates every node's pruned cuts afresh each round, in
 index order from its children's cuts, and builds each cut's record (cone,
@@ -682,12 +683,12 @@ class SynthesisReport(NamedTuple):
         return "\n".join(lines)
 
 
-def _metric(g: MajGraph, cfg: SubarrayConfig) -> tuple[bool, int, int, int]:
-    """(does_not_fit, scheduled activations or 0, nodes, depth)."""
+def _metric(g: MajGraph, cfg: SubarrayConfig) -> tuple[bool, int, int]:
+    """(does_not_fit, scheduled activations or 0, nodes)."""
     try:
-        return (False, estimate_cost_static(g, cfg), g.node_count, g.depth())
+        return (False, estimate_cost_static(g, cfg), g.node_count)
     except CapacityError:
-        return (True, 0, g.node_count, g.depth())
+        return (True, 0, g.node_count)
 
 
 def _rounds(graph: MajGraph, graph_m: tuple, passes: int,
@@ -696,17 +697,20 @@ def _rounds(graph: MajGraph, graph_m: tuple, passes: int,
     a round of the adder-cell pass and up to `passes` rewrite rounds from
     `graph`, whose metric is `graph_m`.
 
-    Every round ends with one `clean_compact`, so the next starts from a
-    compacted builder.  The cell round is `clean`, `adder_cells`,
-    `clean_compact`; a rewrite round is `dual_push`, `cut_rewrite`,
-    `clean_compact`.  The cell round is scored only when it finds a full
-    adder, like any round, but the rounds after it go on from its graph
-    even when it is not kept, and then its rules count with the first
-    round that is.
+    The cell round is `clean`, `adder_cells`, `clean_compact`; a rewrite
+    round is `dual_push`, `cut_rewrite`, `clean_compact`, so the next
+    round starts from a compacted builder.  The cell round is scored only
+    when it finds a full adder, but the rounds after it go on from its
+    graph even when it is not kept, and then its rules count with the
+    first round that is.  The rounds stop at the first rewrite round that
+    is not kept, and before the `clean_compact` of a rewrite round that
+    starts from the last kept graph and applies no rule: compacting that
+    graph again could only reorder it.
     """
     best, best_m, rules = graph, graph_m, Counter()
     b = _Builder.from_graph(graph)  # rewritten in place, round after round
     round_counts: Counter = Counter()
+    at_best = False  # the builder holds `best`, and `round_counts` is empty
     for k in range(passes + 1):
         if k == 0:
             b.clean(round_counts)
@@ -717,13 +721,13 @@ def _rounds(graph: MajGraph, graph_m: tuple, passes: int,
         else:
             b.dual_push(round_counts)
             b.cut_rewrite(round_counts)
+            if at_best and not round_counts.total():
+                break
             b.clean_compact(round_counts)
         candidate = b.to_graph()
-        if (candidate.packed_nodes == best.packed_nodes
-                and candidate.packed_outputs == best.packed_outputs):
-            break  # an unchanged round would score best_m again
         m = _metric(candidate, cfg)
-        if m < best_m:
+        at_best = m < best_m
+        if at_best:
             best, best_m = candidate, m
             rules.update(round_counts)
             round_counts = Counter()
@@ -740,11 +744,14 @@ def optimize(graph: MajGraph, effort: int = 2,
     program `schedule` emits under `cfg`, spills included.  effort 0:
     identity; effort 1: the adder-cell round, then one greedy pass;
     effort 2: the adder-cell round, then iterate to a fixpoint (64-pass
-    cap).  Each round cleans and compacts the graph once, at its end
+    cap), which ends at the first rewrite round that applies no rule.
+    Each scored round cleans and compacts the graph once, at its end
     (`_rounds`).  Rounds that fail to strictly improve (does_not_fit,
-    activations, nodes, depth) are rolled back, so the result is never
-    worse than the input, and never fails to fit when the input fits.  A cell round that
-    does not improve is not kept, but the rounds go on from its graph.
+    activations, nodes) are rolled back, so the result is never worse
+    than the input, and never fails to fit when the input fits.  A cell
+    round that does not improve is not kept, but the rounds go on from
+    its graph.  Depth enters only the report: one walk of the input and
+    one of the result.
     """
     if type(effort) is not int or effort not in (0, 1, 2):  # a bool is not one
         raise ValueError(f"effort must be 0, 1, or 2, got {effort!r}")
@@ -756,8 +763,8 @@ def optimize(graph: MajGraph, effort: int = 2,
     report = SynthesisReport(
         node_count_before=before[2],
         node_count_after=best_m[2],
-        depth_before=before[3],
-        depth_after=best_m[3],
+        depth_before=graph.depth(),
+        depth_after=best.depth(),
         estimated_activations_before=None if before[0] else before[1],
         estimated_activations_after=None if best_m[0] else best_m[1],
         rules_applied=tuple(sorted(rules.items())),

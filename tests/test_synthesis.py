@@ -127,11 +127,15 @@ class TestOptimize:
             assert twice.packed_outputs == once.packed_outputs
             assert all(name == "dead_node" for name, _ in report.rules_applied)
 
-    @pytest.mark.parametrize("kind", ["add", "eq"])
-    def test_each_round_cleans_and_compacts_once(self, kind, monkeypatch):
+    @pytest.mark.parametrize("kind, rounds", [("add", 1), ("eq", 2)], ids=["add", "eq"])
+    def test_each_round_cleans_and_compacts_once(self, kind, rounds, monkeypatch):
         """The cell round ends with one `clean_compact` whether or not it
         finds a full adder (add has them, eq none), and so does every
-        rewrite round, which runs `cut_rewrite` once."""
+        rewrite round, which runs `cut_rewrite` once, except a rule-free
+        one from the last kept graph, which ends the rounds before its
+        `clean_compact`.  add4's cells are kept and its first rewrite
+        round applies nothing; eq4's first rewrite round is kept and its
+        second applies nothing."""
         calls = Counter()
         for name in ("clean_compact", "cut_rewrite"):
             def spy(self, counts, real=getattr(_Builder, name), name=name):
@@ -139,8 +143,28 @@ class TestOptimize:
                 return real(self, counts)
             monkeypatch.setattr(_Builder, name, spy)
         optimize(lower_to_maj(build_netlist(kind, 4)), 2)
-        assert calls["cut_rewrite"] >= 1
-        assert calls["clean_compact"] == calls["cut_rewrite"] + 1
+        assert calls == {"cut_rewrite": rounds, "clean_compact": rounds}
+
+    def test_a_rule_free_round_is_not_scored(self, monkeypatch):
+        """The objective scores the lowered graph and each graph a round
+        hands it, and no graph of a rewrite round that applies no rule to
+        the last kept graph: mul8 scores only the lowered graph and the
+        cell round's, and the widths-4/8 grid 80 graphs."""
+        scored = Counter()
+        real = synthesis.estimate_cost_static
+
+        def objective(g, cfg=None):
+            scored[kind, width] += 1
+            return real(g, cfg)
+
+        monkeypatch.setattr(synthesis, "estimate_cost_static", objective)
+        for kind in OP_KINDS:
+            for width in (4, 8):
+                compile_op(kind, width)
+        assert scored["mul", 8] == 2
+        assert [scored[cell] for cell in (("mul", 4), ("bitcount", 4), ("bitcount", 8))] \
+            == [2, 2, 4]
+        assert sum(scored.values()) == 80
 
     def test_bad_effort_rejected(self):
         g = MajGraph(1, [], [in_edge(0)])
