@@ -18,7 +18,9 @@ three with the per-column majority.  Compute rows are recycled by
 liveness: a value's row is reusable once every consumer has read it, and
 pressure beyond the six rows spills the least-recently-used row to a
 reserved data-row scratch region.  The scheduler holds sets of these six
-rows as bit masks.  The optimizer's objective (`estimate_cost_static`)
+rows as bit masks, and every AAP into them goes through one method,
+`_Scheduler._copy`, which picks the row, emits the copy and records the
+value the row then holds.  The optimizer's objective (`estimate_cost_static`)
 and `schedule` both take the sweep from `_sweep`, which keeps the last
 two, so `schedule` emits the shipped graph's program from the sweep that
 scored it, its ``(op, rows)`` tuples becoming `Command`s as they are.
@@ -343,15 +345,13 @@ class _Scheduler:
     ``copies[val]`` (the rows holding a value), ``taken`` (the rows the
     pending TRA claims, carried along as its operands are acquired), and
     ``dead``, the rows that are free or hold an input or constant (always
-    rematerializable) or a node with no uses left.  Allocation takes a
-    row from ``dead`` by table lookup instead of scanning the pool; ties
-    break in pool order, non-DCC rows first unless a DCC row is
-    preferred.  An allocated row keeps its old value until the caller
-    overwrites it with `_set`, which every caller does at once; a TRA
-    writes its three rows in `run` with one masked update instead.
-    Pressure beyond the six rows spills to the row map's scratch region.
-    Callers go through `_sweep`, so `estimate_cost_static` (the
-    optimizer's objective) and `schedule` share one sweep per graph.
+    rematerializable) or a node with no uses left.  Every AAP into the
+    compute group goes through `_copy`, which picks the row, emits the
+    copy and records the value; a TRA writes its three rows in `run`
+    with one masked update.  Pressure beyond the six rows spills to the
+    row map's scratch region.  Callers go through `_sweep`, so
+    `estimate_cost_static` (the optimizer's objective) and `schedule`
+    share one sweep per graph.
     """
 
     def __init__(self, graph: MajGraph, rowmap: RowMap):
@@ -404,51 +404,46 @@ class _Scheduler:
         self.clock += 1
         self.lru[row] = self.clock
 
-    def _survives(self, ref: int, doomed: int) -> bool:
-        """Can node `ref` (either polarity) still be sourced once the
-        `doomed` rows die?"""
-        val = ref << 1
-        return bool((self.copies.get(val, 0) | self.copies.get(val | 1, 0)) & ~doomed) \
-            or val in self.spilled or val | 1 in self.spilled
-
-    # -- row allocation ------------------------------------------------------
-
-    def _alloc(self, excluded: int, prefer_dcc: bool = False,
-               dcc_only: bool = False) -> int:
-        """A row outside `excluded` for the caller to overwrite at once
-        with `_set`: until then the row still holds its old value."""
-        cands = (_DCC_MASK if dcc_only else _ALL) & ~excluded
-        # free or dead rows first
+    def _copy(self, src: str, val: int, excluded: int, pick: tuple[int, ...] = _FIRST,
+              cands: int = _ALL) -> int:
+        """Copy `val` from row token `src` into a row of `cands` outside
+        `excluded` and return that row.  A free or dead row is taken by
+        `pick` (`_FIRST`, or `_FIRST_DCC` to prefer a DCC row); else the
+        least recently used row whose value survives elsewhere; else one
+        that `_evict` first empties."""
+        cands &= ~excluded
         free = cands & self.dead
         if free:
-            return (_FIRST_DCC if prefer_dcc else _FIRST)[free]
-        # every candidate now holds a live node set at its own clock tick,
-        # so LRU order has no ties.  The least recently used redundant copy
-        # evicts silently; rows in `excluded` may be about to be destroyed
-        # by the pending TRA, so they don't count as backup
-        rows = sorted(_ROWS_OF[cands], key=self.lru.__getitem__)
-        copies, spilled, row_val = self.copies, self.spilled, self.row_val
-        for r in rows:  # `_survives`, inline
-            val = row_val[r] & ~1
-            if ((copies.get(val, 0) | copies.get(val | 1, 0)) & ~(excluded | 1 << r)
-                    or val in spilled or val | 1 in spilled):
-                return r
-        if not rows:  # unreachable: callers exclude at most three of the six
-            # rows, and a dcc_only caller never excludes both DCC rows
-            raise CapacityError("compute-row pressure with no evictable row")
-        self._evict(rows[0], excluded)
-        return rows[0]
+            row = pick[free]
+        else:
+            # every candidate now holds a live node set at its own clock
+            # tick, so LRU order has no ties.  The least recently used
+            # redundant copy is overwritten silently; rows in `excluded` may
+            # be about to be destroyed by the pending TRA, so they don't
+            # count as backup
+            rows = sorted(_ROWS_OF[cands], key=self.lru.__getitem__)
+            copies, spilled, row_val = self.copies, self.spilled, self.row_val
+            for row in rows:
+                node = row_val[row] & ~1
+                if ((copies.get(node, 0) | copies.get(node | 1, 0)) & ~(excluded | 1 << row)
+                        or node in spilled or node | 1 in spilled):
+                    break
+            else:
+                if not rows:  # unreachable: callers exclude at most three of
+                    # the six rows, and a DCC-only copy never excludes both
+                    raise CapacityError("compute-row pressure with no evictable row")
+                row = rows[0]
+                self._evict(row, excluded)
+        self._emit(("AAP", (src, _ROW_NAMES[row])))
+        self._set(row, val)
+        return row
 
     def _evict(self, row: int, excluded: int):
-        """Keep `row`'s live value elsewhere: an idle row or a spill row.
-        `row` itself is left for `_alloc`'s caller to overwrite."""
+        """Keep `row`'s live value elsewhere, in an idle row outside
+        `excluded` or else a spill row, before `_copy` overwrites it."""
         val = self.row_val[row]
-        # cheap migration if an idle row exists outside the exclusion set
-        idle = self.dead & ~excluded & ~(1 << row)
-        if idle:
-            r = _FIRST[idle]
-            self._emit(("AAP", (_ROW_NAMES[row], _ROW_NAMES[r])))
-            self._set(r, val)
+        if self.dead & ~excluded & ~(1 << row):  # an idle row: migrate
+            self._copy(_ROW_NAMES[row], val, excluded | 1 << row)
             return
         if not self.spill_free:
             raise CapacityError(
@@ -474,16 +469,18 @@ class _Scheduler:
                     heapq.heappush(self.spill_free, idx)
 
     def _any_source(self, val: int) -> tuple[str | None, int]:
-        """A row token (or alias) an AAP can read node or input value `val`
-        from, else None, and the mask of the compute-group row behind it
-        (0 for data rows).  Callers handle constants themselves."""
+        """A row token (or alias) an AAP can read value `val` from, else
+        None, and the mask of the compute-group row behind it (0 for data
+        and constant rows)."""
+        ref = val >> 1
+        if ref == REF_ZERO:
+            return CONST_ROWS[val & 1], 0
         rows = self.copies.get(val)
         if rows:
             r = _FIRST[rows]
             return _ROW_NAMES[r], 1 << r
         if val in self.spilled:
             return f"D{self.spilled[val]}", 0
-        ref = val >> 1
         if ref < REF_ZERO and not val & 1:  # an input, read off its data row
             return self.rowmap.input_rows[-2 - ref], 0
         # complement read straight off a dual-contact cell, DCC0 first
@@ -493,99 +490,37 @@ class _Scheduler:
             return "~" + _ROW_NAMES[r], 1 << r
         return None, 0
 
-    def _free_pinned_dcc(self, claimed: list[int], taken: int,
-                         keep: int) -> tuple[int, int]:
-        """Both DCC rows are pinned by the pending TRA; move one aside.
-        Returns that DCC row and the pending TRA's new `taken` mask."""
-        victim = next(r for r in claimed if 1 << r & _DCC_MASK)
-        val = self.row_val[victim]
-        row = self._alloc(taken | keep)
-        self._emit(("AAP", (_ROW_NAMES[victim], _ROW_NAMES[row])))
-        self._set(row, val)
-        self._set(victim, None)
-        claimed[claimed.index(victim)] = row
-        return victim, taken & ~(1 << victim) | 1 << row
-
-    def _materialize(self, val: int, claimed: list[int],
-                     taken: int) -> tuple[int, int]:
-        """Place `val` into a fresh compute-group row; returns the row and
-        the pending TRA's `taken` mask, which moves if a DCC row must be
-        freed."""
-        ref = val >> 1
-        prefer_dcc = ref >= 0 and self.wants_complement[ref]
-        src, base = self._any_source(val)
-        if src is not None:
-            row = self._alloc(taken | base, prefer_dcc=prefer_dcc)
-            self._emit(("AAP", (src, _ROW_NAMES[row])))
-            self._set(row, val)
-            return row, taken
-        # only the flipped polarity exists somewhere: route through a DCC row
-        dcc, taken = self._flip_into_dcc(val, claimed, taken)
-        row = self._alloc(taken | 1 << dcc)
-        self._emit(("AAP", ("~" + _ROW_NAMES[dcc], _ROW_NAMES[row])))
-        self._set(row, val)
-        return row, taken
-
     def _flip_into_dcc(self, val: int, claimed: list[int],
-                       taken: int) -> tuple[int, int]:
+                       taken: int) -> tuple[str, int, int]:
         """Copy `val ^ 1`, the only polarity held anywhere, into a DCC row
-        outside `taken`, whose complement port then reads `val`; returns
-        that row and the pending TRA's `taken` mask (see `_materialize`)."""
+        outside `taken`, the rows of the pending TRA's operands `claimed`.
+        Returns the ``~DCC`` token that reads `val`, that row's mask and
+        the TRA's `taken` mask, which moves if it pins both DCC rows: one
+        of those operands is then moved aside, and `claimed` updated."""
         src, base = self._any_source(val ^ 1)
         if src is None:
             raise MicroProgramError(f"value for n{val >> 1} lost during scheduling")
         if taken & _DCC_MASK == _DCC_MASK:
-            dcc, taken = self._free_pinned_dcc(claimed, taken, base)
-        else:
-            dcc = self._alloc(taken | base, dcc_only=True)
-        self._emit(("AAP", (src, _ROW_NAMES[dcc])))
-        self._set(dcc, val ^ 1)
-        return dcc, taken
-
-    def _spare(self, row: int, val: int, doomed: int) -> int:
-        """Copy `val` out of `row` into a row outside `doomed` (which holds
-        `row`): the TRA destroying `doomed` would take its last copy while
-        it still has uses."""
-        spare = self._alloc(doomed)
-        self._emit(("AAP", (_ROW_NAMES[row], _ROW_NAMES[spare])))
-        self._set(spare, val)
-        return spare
-
-    def _acquire_operand(self, e: int, claimed: list[int],
-                         taken: int) -> tuple[int, int]:
-        """Bring a TRA operand that is a constant or has no copy outside
-        `taken` into a compute-group row it may destroy; returns the row
-        and the pending TRA's `taken` mask (see `_materialize`)."""
-        if e >> 1 == REF_ZERO:  # constant e & 1, copied from its row
-            row = self._alloc(taken)
-            self._emit(("AAP", (CONST_ROWS[e & 1], _ROW_NAMES[row])))
-            self._set(row, e)
-            return row, taken
-        row, taken = self._materialize(e, claimed, taken)
-        return self._read(e, row, taken), taken
-
-    def _read(self, e: int, row: int, taken: int) -> int:
-        """Operand `e`, held in `row`, is read by the pending TRA over
-        `taken`: count the use, and spare a copy first if that TRA would
-        destroy the last copy of a node still in use.  Returns the row
-        the TRA reads."""
-        ref = e >> 1
-        self._use(ref)
-        if ref >= 0 and self.uses[ref] and not self._survives(ref, taken | 1 << row):
-            row = self._spare(row, e, taken | 1 << row)
-        return row
+            dcc = next(r for r in claimed if 1 << r & _DCC_MASK)
+            row = self._copy(_ROW_NAMES[dcc], self.row_val[dcc], taken | base)
+            claimed[claimed.index(dcc)] = row
+            taken = taken & ~(1 << dcc) | 1 << row
+            self._set(dcc, None)  # free, for the copy below
+        dcc = self._copy(src, val ^ 1, taken | base, cands=_DCC_MASK)
+        return "~" + _ROW_NAMES[dcc], 1 << dcc, taken
 
     # -- main sweep ----------------------------------------------------------
 
     def run(self) -> list[tuple[str, tuple[str, ...]]]:
         """The sweep: one TRA per live node, in node order, then the
         output writes.  An operand with a copy outside the pending TRA's
-        rows is read in place (`_read` inline, `_use` only for its last
-        use and `_spare` only when the TRA would take its last copy), and
-        the TRA writes its node into its three rows in one masked update
-        (`_set` per row, fused)."""
+        rows is read in place; any other, and every constant, is copied
+        into a row the TRA may destroy.  Either way its use is counted,
+        and a copy is spared first if the TRA would take the last copy of
+        a node still in use.  The TRA writes its node into its three rows
+        in one masked update (`_set` per row, fused)."""
         copies, lru, uses, row_val = self.copies, self.lru, self.uses, self.row_val
-        spilled = self.spilled
+        spilled, wants_complement = self.spilled, self.wants_complement
         for k, edges in enumerate(self.graph.packed_nodes):
             if not self.live[k]:
                 continue
@@ -596,19 +531,26 @@ class _Scheduler:
                 avail = 0 if ref == REF_ZERO else copies.get(e, 0) & ~taken
                 if avail:  # read a copy in place
                     row = _FIRST[avail]
-                    if ref >= 0:
-                        if uses[ref] == 1:
-                            self._use(ref)
-                        else:
-                            uses[ref] -= 1
-                            doomed = taken | 1 << row
-                            if not (avail & ~doomed or copies.get(e ^ 1, 0) & ~doomed
-                                    or e in spilled or e ^ 1 in spilled):
-                                row = self._spare(row, e, doomed)
-                    self.clock += 1
-                    lru[row] = self.clock
                 else:
-                    row, taken = self._acquire_operand(e, claimed, taken)
+                    src, base = self._any_source(e)
+                    if src is not None:
+                        row = self._copy(src, e, taken | base,
+                                         _FIRST_DCC if ref >= 0 and wants_complement[ref]
+                                         else _FIRST)
+                    else:  # only the flipped polarity is held: read it through a DCC row
+                        src, base, taken = self._flip_into_dcc(e, claimed, taken)
+                        row = self._copy(src, e, taken | base)
+                if ref >= 0:
+                    if uses[ref] == 1:
+                        self._use(ref)
+                    else:
+                        uses[ref] -= 1
+                        doomed = taken | 1 << row
+                        if not (copies.get(e, 0) & ~doomed or copies.get(e ^ 1, 0) & ~doomed
+                                or e in spilled or e ^ 1 in spilled):
+                            row = self._copy(_ROW_NAMES[row], e, doomed)
+                self.clock += 1
+                lru[row] = self.clock
                 claimed.append(row)
                 taken |= 1 << row
             self._emit(("TRA", tuple([_ROW_NAMES[r] for r in claimed])))
@@ -626,22 +568,12 @@ class _Scheduler:
             copies[k << 1] = taken
             self.dead &= ~taken
         for e, target in zip(self.graph.packed_outputs, self.rowmap.output_rows):
-            self._emit_output(e, target)
-        return self.commands
-
-    def _emit_output(self, e: int, target: str):
-        ref = e >> 1
-        if ref == REF_ZERO:
-            self._emit(("AAP", (CONST_ROWS[e & 1], target)))
-            return
-        src, _ = self._any_source(e)
-        if src is not None:
+            src, _ = self._any_source(e)
+            if src is None:
+                src, _, _ = self._flip_into_dcc(e, [], 0)
             self._emit(("AAP", (src, target)))
-            self._use(ref)
-            return
-        dcc, _ = self._flip_into_dcc(e, [], 0)
-        self._emit(("AAP", ("~" + _ROW_NAMES[dcc], target)))
-        self._use(ref)
+            self._use(e >> 1)
+        return self.commands
 
 
 def _check_rowmap(graph: MajGraph, rowmap: RowMap):

@@ -302,6 +302,26 @@ END
         state.run_program(prog)
         assert [state.load_row(row) for row in rm.output_rows] == g.eval_bulk(words, lanes)
 
+    def test_flip_moves_a_pinned_dcc_operand_aside(self):
+        """n2 = M(n0, 1, ~n1): n0's spare copy and the constant pin DCC0
+        and DCC1 when ~n1, held nowhere, must be read through a DCC row.
+        `_flip_into_dcc` moves n0 from DCC0 to T3 first, then loads n1
+        into DCC0 and reads ~n1 from its complement port."""
+        n0, n1 = 0, 2
+        g = MajGraph(1, [(EDGE_ONE, EDGE_ONE, in_edge(0)), (EDGE_ZERO, n0, n0),
+                         (n0, EDGE_ONE, n1 | 1)], [4, n0])
+        rm = allocate_rows(g, SubarrayConfig())
+        prog = schedule(g, rm)
+        texts = [c.render() for c in prog.commands]
+        assert activation_count(prog) == (11, 3, 31)
+        moved = texts.index("AAP DCC0 T3")
+        assert texts[moved + 1:moved + 4] == ["AAP T0 DCC0", "AAP ~DCC0 T0", "TRA T3 DCC1 T0"]
+        assert verify_program(g, rm, prog)
+        state = new_subarray(replace(DEFAULT_SUBARRAY, columns=2))
+        state.store_row(rm.input_rows[0], 0b10)
+        state.run_program(prog)
+        assert [state.load_row(row) for row in rm.output_rows] == g.eval_bulk([0b10], 2)
+
 
 class TestCosts:
     def test_activation_count_of_minimal_program(self):
