@@ -31,15 +31,15 @@ GRID_WIDTHS = (4, 8)
 SETUP = (("add", 32), ("mul", 16))
 
 
-def load(src: str):
-    """`pumkit.codegen` of tree `src`, imported afresh under the name
+def load(src: str, module: str = "pumkit.codegen"):
+    """`module` of tree `src`, imported afresh under the package name
     `pumkit`; the modules of a tree loaded before stay usable through
     the references they hold."""
     for name in [m for m in sys.modules if m == "pumkit" or m.startswith("pumkit.")]:
         del sys.modules[name]
     sys.path.insert(0, src)
     try:
-        return importlib.import_module("pumkit.codegen")
+        return importlib.import_module(module)
     finally:
         sys.path.remove(src)
 
@@ -49,8 +49,6 @@ def collect() -> list[tuple[int, tuple, tuple, tuple]]:
     grid pass and the set-up compiles make, in the order they make them,
     under the tree loaded last."""
     codegen = sys.modules["pumkit.codegen"]
-    cli = importlib.import_module("pumkit.cli")
-    oplib = importlib.import_module("pumkit.oplib")
     swept = []
     real_run = codegen._Scheduler.run
 
@@ -61,15 +59,23 @@ def collect() -> list[tuple[int, tuple, tuple, tuple]]:
 
     codegen._Scheduler.run = recorded_run
     try:
-        for width in GRID_WIDTHS:
-            for kind in oplib.OP_KINDS:
-                oplib.compile_op(kind, width, effort=2,
-                                 n_inputs=cli.BENCH_N_INPUTS if kind in oplib.N_ARY else 2)
-        for kind, width in SETUP:
-            oplib.compile_op(kind, width)
+        compile_all()
     finally:
         codegen._Scheduler.run = real_run
     return swept
+
+
+def compile_all() -> None:
+    """Compile the widths-4/8 grid and the set-up ops under the tree
+    loaded last."""
+    cli = importlib.import_module("pumkit.cli")
+    oplib = importlib.import_module("pumkit.oplib")
+    for width in GRID_WIDTHS:
+        for kind in oplib.OP_KINDS:
+            oplib.compile_op(kind, width, effort=2,
+                             n_inputs=cli.BENCH_N_INPUTS if kind in oplib.N_ARY else 2)
+    for kind, width in SETUP:
+        oplib.compile_op(kind, width)
 
 
 def sweep_all(codegen, cases) -> float:
@@ -106,13 +112,22 @@ def main(argv: list[str] | None = None) -> int:
     commands = sum(map(len, expected))
     print(f"{len(swept)} sweeps ({commands} commands), {args.rounds} rounds per tree, "
           "milliseconds per round")
+    print_samples(samples)
+    return 0
+
+
+def print_samples(samples: dict[str, list[float]]) -> None:
+    """Each tree's median and quartiles of its per-round seconds, in
+    milliseconds, and for every tree after the first the rounds in which
+    it beat the first."""
+    trees = list(samples)
     for src in trees:
         q1, median, q3 = (s * 1e3 for s in statistics.quantiles(samples[src], n=4))
         print(f"{src}: median {median:.1f}  quartiles {q1:.1f} .. {q3:.1f}")
+    first = samples[trees[0]]
     for src in trees[1:]:
-        wins = sum(a < b for a, b in zip(samples[src], samples[first]))
-        print(f"{src} faster than {first} in {wins} of {args.rounds} rounds")
-    return 0
+        wins = sum(a < b for a, b in zip(samples[src], first))
+        print(f"{src} faster than {trees[0]} in {wins} of {len(first)} rounds")
 
 
 if __name__ == "__main__":

@@ -33,8 +33,11 @@ graph that fits.  The rounds end at the first rewrite round that applies
 no rule to the last kept graph, before it is compacted again.
 
 Cut rewriting enumerates every node's pruned cuts afresh each round, in
-index order from its children's cuts, and builds each cut's record (cone,
-truth table, template) by walking the node's cone down to the cut and
+index order from its children's cuts, each cut a bitmask of its leaf refs
+in ref order, and makes a sorted ref tuple only for the cuts a node keeps.
+A kept cut's record (cone, truth table, template) is read off the node's
+three edges when they all are leaves or the constant (a one-node cone),
+and found otherwise by walking the node's cone down to the cut and
 simulating it; a cone of more than ``_CONE_CAP`` nodes is not matched.
 """
 
@@ -147,6 +150,7 @@ _MAJ_FLIPS = _maj_flips()
 _LIBRARY = {(nvars, table): _Template(name, cost, nodes, out)
             for nvars, table, name, cost, nodes, out in _TEMPLATE_ROWS}
 _MASKS = [_enum_masks(nv) for nv in range(4)]
+_FLIPS = [(0, (1 << (1 << nv)) - 1) for nv in range(4)]  # per leaf count: (0, full)
 
 
 def _probe_shape(tpl: _Template) -> tuple[int, tuple]:
@@ -428,60 +432,80 @@ class _Builder:
     _CONE_CAP = 16
 
     def _node_cuts(self, nd: tuple[int, int, int], options: dict) -> tuple:
-        """The pruned <= 3-leaf cuts of a node, as frozensets and as sorted
-        tuples, merged from its children's `options`.
+        """The pruned <= 3-leaf cuts of a node, as leaf bitmasks and as
+        sorted ref tuples, merged from its children's `options`.
 
-        The smallest cuts not containing another are kept, at most
-        _CUT_CAP; when more qualify, ties in size go to the leaf sets that
-        come first by ref.
+        A cut's bitmask sets bit r + input_count + 2 for each leaf ref r,
+        so bit order is ref order: a merge is one `|` and a size check,
+        and a cut k is contained in a cut c when `k & c == k`.  The
+        smallest cuts not containing another are kept, at most _CUT_CAP;
+        when more qualify, ties in size go to the leaf sets that come first
+        by ref.  A ref tuple is made for each kept cut only.
         """
-        o1, o2, o3 = [options[e >> 1] for e in nd]
+        e0, e1, e2 = nd
+        o2, o3 = options[e1 >> 1], options[e2 >> 1]
         merged = set()
-        for c1 in o1:
+        for c1 in options[e0 >> 1]:
             for c2 in o2:
                 u12 = c1 | c2
-                if len(u12) > 3:
+                if u12.bit_count() > 3:
                     continue
                 for c3 in o3:
                     u = u12 | c3
-                    if len(u) <= 3:
+                    if u.bit_count() <= 3:
                         merged.add(u)
-        keep: list[frozenset[int]] = []
-        for c in sorted(merged, key=len):
+        keep: list[int] = []
+        for c in sorted(merged, key=int.bit_count):
             for k in keep:
-                if k <= c:
+                if k & c == k:
                     break
             else:
                 keep.append(c)
+        base = self.input_count + 3  # ref r's bit has bit_length r + base
+        cuts = []
+        for c in keep:  # its bits, lowest first: none for a node over constants
+            low = c & -c
+            rest = c ^ low
+            if not rest:
+                cuts.append((low.bit_length() - base,) if low else ())
+                continue
+            mid = rest & -rest
+            high = rest ^ mid
+            cuts.append((low.bit_length() - base, mid.bit_length() - base) if not high else
+                        (low.bit_length() - base, mid.bit_length() - base,
+                         high.bit_length() - base))
         if len(keep) > self._CUT_CAP:
-            keep = sorted(keep, key=lambda s: (len(s), sorted(s)))[:self._CUT_CAP]
-        return keep, tuple([tuple(sorted(c)) for c in keep])
+            kept = sorted(zip(keep, cuts), key=lambda kc: (len(kc[1]), kc[1]))[:self._CUT_CAP]
+            keep, cuts = [k for k, _ in kept], [cut for _, cut in kept]
+        return keep, tuple(cuts)
 
     def _cut_records(self) -> dict[tuple[int, ...], list[tuple]]:
         """The cut records with a template, grouped by cut, each group in
         node order, of every node's pruned cuts, which are enumerated in
-        index order from the children's.
+        index order from the children's as leaf bitmasks (`_node_cuts`).
 
         A cut is a sorted tuple of leaf refs: node indices and input refs.
         A cut record is (cone indices, truth table, template, root index),
         the cone and table found by walking the root's cone down to the
-        cut (`_cone_table`); a cone of more than _CONE_CAP nodes has no
-        record.
+        cut (`_cone_table`), or read off the root's edges when they all
+        are leaves or the constant; a cone of more than _CONE_CAP nodes has
+        no record.
         """
-        # per ref, its cuts as frozensets followed by its trivial cut
-        options: dict = {r: (frozenset((r,)),) for r in range(-2, -2 - self.input_count, -1)}
-        options[REF_ZERO] = (frozenset(),)
+        off = self.input_count + 2  # ref r's bit in a cut's bitmask
+        # per ref, its cuts as bitmasks followed by its trivial cut
+        options: dict = {r: (1 << r + off,) for r in range(-2, -2 - self.input_count, -1)}
+        options[REF_ZERO] = (0,)
         by_cut: dict[tuple[int, ...], list[tuple]] = {}
         for i, nd in enumerate(self.nodes):
-            sets, node_cuts = self._node_cuts(nd, options)
+            masks, node_cuts = self._node_cuts(nd, options)
             for cut in node_cuts:
                 if cut:  # a node over constants only has an empty cut
                     cone, table = self._cone_table(i, cut, self._CONE_CAP)
                     tpl = _LIBRARY.get((len(cut), table))  # None for a None table
                     if tpl is not None:
                         by_cut.setdefault(cut, []).append((cone, table, tpl, i))
-            sets.append(frozenset((i,)))
-            options[i] = sets
+            masks.append(1 << i + off)
+            options[i] = masks
         return by_cut
 
     def _cone_table(self, i: int, leaves: list[int] | tuple[int, ...],
@@ -489,10 +513,25 @@ class _Builder:
         """(indices of the cone of node i down to the refs `leaves`, its
         truth table with leaves[v] as variable v).  The table is None, and
         the cone the nodes walked, once more than `cap` nodes are walked
-        or the cone reads an input that is not a leaf."""
+        or the cone reads an input that is not a leaf.
+
+        A root whose three edges read only leaves and the constant is a
+        one-node cone: its table is read off those edges, with no walk.
+        Any other cone is walked down to the leaves and simulated in index
+        order.
+        """
         nodes = self.nodes
         nv = len(leaves)
-        vals = dict(zip(leaves, _MASKS[nv]))  # the walk stops at these refs
+        masks, flip = _MASKS[nv], _FLIPS[nv]  # flip: complement bit -> xor mask
+        e0, e1, e2 = nodes[i]
+        r0, r1, r2 = e0 >> 1, e1 >> 1, e2 >> 1
+        if ((r0 in leaves or r0 == REF_ZERO) and (r1 in leaves or r1 == REF_ZERO)
+                and (r2 in leaves or r2 == REF_ZERO)):
+            x = (masks[leaves.index(r0)] if r0 != REF_ZERO else 0) ^ flip[e0 & 1]
+            y = (masks[leaves.index(r1)] if r1 != REF_ZERO else 0) ^ flip[e1 & 1]
+            z = (masks[leaves.index(r2)] if r2 != REF_ZERO else 0) ^ flip[e2 & 1]
+            return {i}, (x & y) | (x & z) | (y & z)
+        vals = dict(zip(leaves, masks))  # the walk stops at these refs
         vals[REF_ZERO] = 0
         seen = {i}
         stack = [i]
@@ -507,12 +546,11 @@ class _Builder:
                 if len(seen) > cap:
                     return seen, None
                 stack.append(r)
-        full = (1 << (1 << nv)) - 1
         for k in sorted(seen):
             e0, e1, e2 = nodes[k]
-            x = vals[e0 >> 1] ^ (-(e0 & 1) & full)
-            y = vals[e1 >> 1] ^ (-(e1 & 1) & full)
-            z = vals[e2 >> 1] ^ (-(e2 & 1) & full)
+            x = vals[e0 >> 1] ^ flip[e0 & 1]
+            y = vals[e1 >> 1] ^ flip[e1 & 1]
+            z = vals[e2 >> 1] ^ flip[e2 & 1]
             vals[k] = (x & y) | (x & z) | (y & z)
         return seen, vals[i]
 
@@ -544,21 +582,35 @@ class _Builder:
         A template node over leaves only is free when an existing node
         outside the dying set has its edges; a node over other template
         nodes never is.  At most every cone node is freed, so the dying
-        set is computed only when that bound leaves a positive gain.
+        set is computed only when that bound leaves a positive gain.  A
+        single record's template nodes are probed in place; a group's are
+        probed once per distinct edges (`_probe`).
         """
         if len(group) == 1:
-            rec = group[0]
-            cone = rec[0]
-            deep = _SHAPES[rec[2]][0]
-            hits = [h for _, h in self._probe(rec, leaves, key_map)]
-        else:
-            cone = set().union(*(rec[0] for rec in group))
-            shapes = {rec[2].nodes: _SHAPES[rec[2]] for rec in group}
-            deep = sum(shape[0] for shape in shapes.values())
-            unique: dict = {}  # one template node per distinct edges
-            for rec in group:
-                unique.update(self._probe(rec, leaves, key_map))
-            hits = list(unique.values())
+            cone, _, tpl, root = group[0]
+            need, specs = _SHAPES[tpl]  # new nodes, so far the deep ones
+            found = []  # the existing nodes other than the root that a probe hits
+            for spec in specs:
+                h = key_map.get(tuple(sorted([(leaves[v] << 1) | b if v >= 0 else b
+                                              for v, b in spec])))
+                if h is None or h == root:
+                    need += 1
+                else:
+                    found.append(h)
+            if len(cone) <= need:
+                return None
+            dying = self._dying_set([root], cone, fanout)
+            for h in found:
+                need += h in dying
+            gain = len(dying) - need
+            return (gain, cone, dying) if gain > 0 else None
+        cone = set().union(*(rec[0] for rec in group))
+        shapes = {rec[2].nodes: _SHAPES[rec[2]] for rec in group}
+        deep = sum(shape[0] for shape in shapes.values())
+        unique: dict = {}  # one template node per distinct edges
+        for rec in group:
+            unique.update(self._probe(rec, leaves, key_map))
+        hits = list(unique.values())
         roots = [rec[3] for rec in group]
         shared = 0
         for h in hits:
@@ -615,9 +667,9 @@ class _Builder:
         structures like a full adder (XOR3 sum + majority carry over the
         same three leaves) collapse even though neither root's fanout-free
         cone pays for the rewrite alone.  Every call enumerates the cuts
-        afresh and walks each cut's cone for its record (`_cut_records`).
-        Replaced roots and dead nodes stay for the `clean_compact` that
-        ends the round.
+        afresh as leaf bitmasks and reads each kept cut's record off its
+        root's edges or its cone's walk (`_cut_records`).  Replaced roots
+        and dead nodes stay for the `clean_compact` that ends the round.
         """
         fanout = self._fanout()
         by_cut = self._cut_records()

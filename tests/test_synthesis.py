@@ -166,6 +166,16 @@ class TestOptimize:
             == [2, 2, 4]
         assert sum(scored.values()) == 80
 
+    def test_a_round_that_ties_the_best_is_not_kept(self, monkeypatch):
+        """A round is kept only when it strictly improves the metric: with
+        every graph scored alike, add4's adder cells and rewrites are all
+        rolled back, and `optimize` returns the very graph it was given."""
+        monkeypatch.setattr(synthesis, "_metric", lambda g, cfg: (False, 0, 0))
+        g = lower_to_maj(build_netlist("add", 4))
+        opt, report = optimize(g)
+        assert opt is g
+        assert report.rules_applied == ()
+
     def test_bad_effort_rejected(self):
         g = MajGraph(1, [], [in_edge(0)])
         with pytest.raises(ValueError):
@@ -458,6 +468,59 @@ class TestCutRecords:
         assert cut in kept[deep]
         assert len(_reachable(b, deep, cut)) > _Builder._CONE_CAP
         assert deep not in [rec[3] for rec in by_cut.get(cut, ())]
+
+
+class TestConeTable:
+    """`_cone_table`, which `_cut_records` calls at _CONE_CAP and
+    `adder_cells` at 3, against an evaluation of the whole graph and a
+    reachability walk."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_a_table_is_its_root_over_its_leaves(self, seed):
+        """For random roots over 1-3 leaf refs in random order: the root's
+        own children (a one-node cone, read off the root's edges), a cut
+        reached by replacing node leaves with their children, every input
+        of a graph of at most three, or random refs.  The table is None
+        when some path from the root reaches an input that is not a leaf
+        or when the cone holds more than `cap` nodes, and otherwise it is
+        the root's value over the leaves whatever the other inputs are,
+        with the cone what the root reaches above the leaves."""
+        rng = random.Random(seed)
+        g = _random_graph(seed)
+        for b in (_Builder.from_graph(g), _rewrite_ready(_Builder.from_graph(g))):
+            refs = [-2 - v for v in range(b.input_count)] + list(range(len(b.nodes)))
+            for k in range(8 if b.nodes else 0):
+                root = rng.randrange(len(b.nodes))
+                others = [r for r in refs if r != root]
+                leaves = sorted({e >> 1 for e in b.nodes[root]} - {REF_ZERO})
+                if k % 4 == 1:  # a cut further down: a node leaf for its children
+                    for _ in range(rng.randint(1, 20)):
+                        node_leaves = [r for r in leaves if r >= 0]
+                        if not node_leaves:
+                            break
+                        r = rng.choice(node_leaves)
+                        wider = set(leaves) - {r} | {e >> 1 for e in b.nodes[r]} - {REF_ZERO}
+                        if len(wider) <= 3:
+                            leaves = sorted(wider)
+                elif k % 4 == 3 and b.input_count <= 3:  # a chain graph's deep cones
+                    leaves = refs[:b.input_count]
+                elif k % 4 >= 2:
+                    leaves = rng.sample(others, min(len(others), rng.randint(1, 3)))
+                if not leaves:
+                    continue
+                rng.shuffle(leaves)
+                reach = _reachable(b, root, leaves)
+                separated = all(e >> 1 >= 0 or e >> 1 in leaves or e >> 1 == REF_ZERO
+                                for n in reach for e in b.nodes[n])
+                for cap in (3, _Builder._CONE_CAP):
+                    cone, table = b._cone_table(root, leaves, cap)
+                    if not separated or len(reach) > cap:
+                        assert table is None, (root, leaves, cap)
+                        continue
+                    assert cone == reach
+                    for rest in (0, -1):
+                        assert table == _cut_values(b, tuple(leaves), root, rest)[root]
 
 
 def _gen_templates_script():
