@@ -122,8 +122,9 @@ def print_samples(samples: dict[str, list[float]]) -> None:
     it beat the first."""
     trees = list(samples)
     for src in trees:
-        q1, median, q3 = (s * 1e3 for s in statistics.quantiles(samples[src], n=4))
-        print(f"{src}: median {median:.1f}  quartiles {q1:.1f} .. {q3:.1f}")
+        data = samples[src]  # a single round is its own median and quartiles
+        q1, median, q3 = statistics.quantiles(data, n=4) if len(data) > 1 else data * 3
+        print(f"{src}: median {median * 1e3:.1f}  quartiles {q1 * 1e3:.1f} .. {q3 * 1e3:.1f}")
     first = samples[trees[0]]
     for src in trees[1:]:
         wins = sum(a < b for a, b in zip(samples[src], first))

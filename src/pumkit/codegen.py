@@ -316,18 +316,6 @@ def allocate_rows(graph: MajGraph, cfg: SubarrayConfig) -> RowMap:
     return RowMap(inputs, outputs, need, cfg.data_row_count)
 
 
-def _live_nodes(graph: MajGraph) -> list[bool]:
-    live = [False] * graph.node_count
-    stack = [e >> 1 for e in graph.packed_outputs if e >= 0]
-    while stack:
-        k = stack.pop()
-        if live[k]:
-            continue
-        live[k] = True
-        stack.extend(e >> 1 for e in graph.packed_nodes[k] if e >= 0 and not live[e >> 1])
-    return live
-
-
 _ALL = (1 << len(_ROW_NAMES)) - 1  # row sets are bit masks, bit r = row r
 _DCC_MASK = 0b110000  # DCC0/DCC1 are rows 4 and 5
 _FIRST = tuple((m & -m).bit_length() - 1 for m in range(_ALL + 1))  # lowest row, T0 first
@@ -345,11 +333,14 @@ class _Scheduler:
     ``copies[val]`` (the rows holding a value), ``taken`` (the rows the
     pending TRA claims, carried along as its operands are acquired), and
     ``dead``, the rows that are free or hold an input or constant (always
-    rematerializable) or a node with no uses left.  Every AAP into the
-    compute group goes through `_copy`, which picks the row, emits the
-    copy and records the value; a TRA writes its three rows in `run`
-    with one masked update.  Pressure beyond the six rows spills to the
-    row map's scratch region.  Callers go through `_sweep`, so
+    rematerializable) or a node with no uses left.  Per-value state
+    (``copies``, ``spilled``) is a list indexed by the packed value, and
+    per-node state (``uses``, ``wants_complement``) a list indexed by
+    the node, counted in one reverse pass.  Every AAP into the compute
+    group goes through `_copy`, which picks the row, emits the copy and
+    records the value; a TRA writes its three rows in `run` with one
+    masked update.  Pressure beyond the six rows spills to the row map's
+    scratch region.  Callers go through `_sweep`, so
     `estimate_cost_static` (the optimizer's objective) and `schedule`
     share one sweep per graph.
     """
@@ -361,26 +352,33 @@ class _Scheduler:
         self.row_val: list[int | None] = [None] * len(_ROW_NAMES)
         self.lru = [0] * len(_ROW_NAMES)
         self.dead = _ALL
-        self.copies: dict[int, int] = {}  # value -> mask of rows holding it
-        self.spilled: dict[int, int] = {}  # value -> spill data-row index
+        # indexed by packed value: node values sit at 0..2n-1, and input
+        # and constant values are negative, which Python's negative
+        # indexing puts in the last 2 * input_count + 2 entries
+        size = 2 * graph.node_count + 2 * graph.input_count + 2
+        self.copies = [0] * size  # value -> mask of rows holding it
+        self.spilled: list[int | None] = [None] * size  # value -> spill data-row index
         self.rowmap = rowmap
         self.spill_free = list(range(rowmap.spill_start, rowmap.spill_end))
         self.clock = 0
-        self.live = _live_nodes(graph)
-        self.uses = [0] * graph.node_count
-        self.wants_complement = [False] * graph.node_count
-        for k, edges in enumerate(graph.packed_nodes):
-            if self.live[k]:
-                for e in edges:
-                    self._count_use(e)
+        # every consumer of a node comes after it, so counting from the
+        # outputs back, a node's count is final when the pass reaches it,
+        # and a node is live (reaches an output) exactly when it is nonzero
+        uses = self.uses = [0] * graph.node_count
+        wants_complement = self.wants_complement = [False] * graph.node_count
         for e in graph.packed_outputs:
-            self._count_use(e)
-
-    def _count_use(self, e: int):
-        if e >= 0:
-            self.uses[e >> 1] += 1
-            if e & 1:
-                self.wants_complement[e >> 1] = True
+            if e >= 0:
+                uses[e >> 1] += 1
+                if e & 1:
+                    wants_complement[e >> 1] = True
+        nodes = graph.packed_nodes
+        for k in range(graph.node_count - 1, -1, -1):
+            if uses[k]:
+                for e in nodes[k]:
+                    if e >= 0:
+                        uses[e >> 1] += 1
+                        if e & 1:
+                            wants_complement[e >> 1] = True
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -389,14 +387,10 @@ class _Scheduler:
         copies = self.copies
         old = self.row_val[row]
         if old is not None:
-            peers = copies[old] & ~bit
-            if peers:
-                copies[old] = peers
-            else:
-                del copies[old]
+            copies[old] &= ~bit
         self.row_val[row] = val
         if val is not None:
-            copies[val] = copies.get(val, 0) | bit
+            copies[val] |= bit
         if val is None or val < 0 or self.uses[val >> 1] == 0:
             self.dead |= bit
         else:
@@ -425,8 +419,8 @@ class _Scheduler:
             copies, spilled, row_val = self.copies, self.spilled, self.row_val
             for row in rows:
                 node = row_val[row] & ~1
-                if ((copies.get(node, 0) | copies.get(node | 1, 0)) & ~(excluded | 1 << row)
-                        or node in spilled or node | 1 in spilled):
+                if ((copies[node] | copies[node | 1]) & ~(excluded | 1 << row)
+                        or spilled[node] is not None or spilled[node | 1] is not None):
                     break
             else:
                 if not rows:  # unreachable: callers exclude at most three of
@@ -463,9 +457,10 @@ class _Scheduler:
         if self.uses[ref] == 0:
             # rows holding the value die; release any spill rows it held
             for val in (ref << 1, ref << 1 | 1):
-                self.dead |= self.copies.get(val, 0)
-                idx = self.spilled.pop(val, None)
+                self.dead |= self.copies[val]
+                idx = self.spilled[val]
                 if idx is not None:
+                    self.spilled[val] = None
                     heapq.heappush(self.spill_free, idx)
 
     def _any_source(self, val: int) -> tuple[str | None, int]:
@@ -475,16 +470,17 @@ class _Scheduler:
         ref = val >> 1
         if ref == REF_ZERO:
             return CONST_ROWS[val & 1], 0
-        rows = self.copies.get(val)
+        rows = self.copies[val]
         if rows:
             r = _FIRST[rows]
             return _ROW_NAMES[r], 1 << r
-        if val in self.spilled:
-            return f"D{self.spilled[val]}", 0
+        idx = self.spilled[val]
+        if idx is not None:
+            return f"D{idx}", 0
         if ref < REF_ZERO and not val & 1:  # an input, read off its data row
             return self.rowmap.input_rows[-2 - ref], 0
         # complement read straight off a dual-contact cell, DCC0 first
-        flipped = self.copies.get(val ^ 1, 0) & _DCC_MASK
+        flipped = self.copies[val ^ 1] & _DCC_MASK
         if flipped:
             r = _FIRST[flipped]
             return "~" + _ROW_NAMES[r], 1 << r
@@ -512,23 +508,25 @@ class _Scheduler:
     # -- main sweep ----------------------------------------------------------
 
     def run(self) -> list[tuple[str, tuple[str, ...]]]:
-        """The sweep: one TRA per live node, in node order, then the
-        output writes.  An operand with a copy outside the pending TRA's
-        rows is read in place; any other, and every constant, is copied
-        into a row the TRA may destroy.  Either way its use is counted,
-        and a copy is spared first if the TRA would take the last copy of
-        a node still in use.  The TRA writes its node into its three rows
-        in one masked update (`_set` per row, fused)."""
+        """The sweep: one TRA per live node (one with uses when the sweep
+        reaches it, since its consumers all come later), in node order,
+        then the output writes.  An operand with a copy outside the
+        pending TRA's rows is read in place; any other, and every
+        constant, is copied into a row the TRA may destroy.  Either way
+        its use is counted, and a copy is spared first if the TRA would
+        take the last copy of a node still in use.  The TRA writes its
+        node into its three rows in one masked update (`_set` per row,
+        fused)."""
         copies, lru, uses, row_val = self.copies, self.lru, self.uses, self.row_val
         spilled, wants_complement = self.spilled, self.wants_complement
         for k, edges in enumerate(self.graph.packed_nodes):
-            if not self.live[k]:
+            if not uses[k]:
                 continue
             claimed: list[int] = []
             taken = 0  # the rows in `claimed`
             for e in edges:
                 ref = e >> 1
-                avail = 0 if ref == REF_ZERO else copies.get(e, 0) & ~taken
+                avail = 0 if ref == REF_ZERO else copies[e] & ~taken
                 if avail:  # read a copy in place
                     row = _FIRST[avail]
                 else:
@@ -546,8 +544,8 @@ class _Scheduler:
                     else:
                         uses[ref] -= 1
                         doomed = taken | 1 << row
-                        if not (copies.get(e, 0) & ~doomed or copies.get(e ^ 1, 0) & ~doomed
-                                or e in spilled or e ^ 1 in spilled):
+                        if not (copies[e] & ~doomed or copies[e ^ 1] & ~doomed
+                                or spilled[e] is not None or spilled[e ^ 1] is not None):
                             row = self._copy(_ROW_NAMES[row], e, doomed)
                 self.clock += 1
                 lru[row] = self.clock
@@ -556,12 +554,7 @@ class _Scheduler:
             self._emit(("TRA", tuple([_ROW_NAMES[r] for r in claimed])))
             # each claimed row holds its operand; a live node has uses left
             for r in claimed:
-                old = row_val[r]
-                peers = copies.get(old, 0) & ~taken
-                if peers:
-                    copies[old] = peers
-                else:
-                    copies.pop(old, None)  # an operand read twice is gone already
+                copies[row_val[r]] &= ~taken
                 row_val[r] = k << 1
                 self.clock += 1
                 lru[r] = self.clock

@@ -261,8 +261,11 @@ class MajGraph(Circuit):
     def depth(self) -> int:
         """Longest node chain from any input/constant to any output."""
         d: list[int] = []
-        for nd in self.packed_nodes:
-            d.append(1 + max(d[e >> 1] if e >= 0 else 0 for e in nd))
+        for e0, e1, e2 in self.packed_nodes:  # comparisons, not max(): a call per node
+            x = d[e0 >> 1] if e0 >= 0 else 0
+            y = d[e1 >> 1] if e1 >= 0 else 0
+            z = d[e2 >> 1] if e2 >= 0 else 0
+            d.append(1 + (x if x >= y and x >= z else y if y >= z else z))
         return max((d[e >> 1] for e in self.packed_outputs if e >= 0), default=0)
 
     def eval_bulk(self, words: Sequence[int], lanes: int) -> list[int]:

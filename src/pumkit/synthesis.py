@@ -170,6 +170,16 @@ _SHAPES = {t: _probe_shape(t) for t in _LIBRARY.values()}
 # --- mutable working form -----------------------------------------------------
 
 
+def _node_table(nd: tuple[int, int, int], vals: dict, flip: tuple[int, int]) -> int:
+    """The truth table of a node with edges `nd`: the majority of its
+    refs' tables in `vals`, each complemented through `flip`."""
+    e0, e1, e2 = nd
+    x = vals[e0 >> 1] ^ flip[e0 & 1]
+    y = vals[e1 >> 1] ^ flip[e1 & 1]
+    z = vals[e2 >> 1] ^ flip[e2 & 1]
+    return (x & y) | (x & z) | (y & z)
+
+
 def _const_pair(nd) -> tuple[int, int] | None:
     """The sorted refs of a node's other two edges when exactly one of
     its edges is the constant, else None."""
@@ -341,45 +351,40 @@ class _Builder:
         merges the nodes the sum and the carry share.
 
         An XOR2 is lowering's shape M(~M(a,b,0), M(a,b,1), 0) up to
-        complements, and an XOR3 an XOR2 that reads an XOR2 over two other
-        leaves.  Its carry is a node reading the XOR3's cone whose own
-        cone, at most _CONE_CAP nodes over the same three leaves, is
-        MAJ up to leaf and output complements.  Both are checked on the 8
-        leaf assignments.  A pair whose cones free more nodes than
-        the cell needs is replaced by the cell over the leaves as the carry
-        reads them.  The cell's c is the complemented leaf if there is one,
-        since t's complement of c then cancels it, else the XOR3's outer
-        operand (a ripple chain's carry-in).  The cell takes the places of
-        the first three freed nodes, so the graph keeps the order a builder
-        emitting the cell would have given it, which is the order
-        compaction and the scheduler sweep start from.
+        complements (`_xor2s`), and an XOR3 an XOR2 that reads an XOR2
+        over two other leaves (`_xor3`).  Their cones and tables are read
+        off those shapes; the `_cone_table` walk stays the route for any
+        other cone.  The XOR3's carry is a node reading its cone whose own
+        cone, at most _CONE_CAP nodes over the same three leaves, is MAJ
+        up to leaf and output complements (`_carry_of`).  A pair whose
+        cones free more nodes than the cell needs is replaced by the cell
+        over the leaves as the carry reads them.  The cell's c is the
+        complemented leaf if there is one, since t's complement of c then
+        cancels it, else the XOR3's outer operand (a ripple chain's
+        carry-in).  The cell takes the places of the first three freed
+        nodes, so the graph keeps the order a builder emitting the cell
+        would have given it, which is the order compaction and the
+        scheduler sweep start from.
         """
         nodes = self.nodes
-        xor2: dict[int, tuple[int, int]] = {}  # node -> the refs it XORs
-        for i, nd in enumerate(nodes):
-            kids = None if nd is None else _const_pair(nd)
-            if kids is None or kids[0] < 0:
-                continue
-            pair = _const_pair(nodes[kids[0]])
-            if pair is not None and pair == _const_pair(nodes[kids[1]]):
-                if self._cone_table(i, pair, 3)[1] in (0b0110, 0b1001):
-                    xor2[i] = pair
+        xor2 = self._xor2s()
         fanout = self._fanout()
         taken: set[int] = set()  # the nodes the pairs chosen so far free
         cells = []
-        for s, (u, v) in xor2.items():
+        for s, (u, v, _, _) in xor2.items():
             for inner, c in ((u, v), (v, u)):
-                if inner not in xor2 or c in xor2[inner]:
+                found = xor2.get(inner)
+                if found is None or c == found[0] or c == found[1]:
                     continue
-                leaves = [*xor2[inner], c]
-                cone, table = self._cone_table(s, leaves, self._CONE_CAP)
+                leaves = [found[0], found[1], c]
+                cone, table = self._xor3(s, inner, leaves, xor2)
                 if table not in (0x96, 0x69) or not taken.isdisjoint(cone):  # XOR3, XNOR3
                     continue
                 carry = self._carry_of(cone, leaves, fanout, taken)
                 if carry is None:
                     continue
-                m, flips, carry_cone = carry
-                dying = self._dying_set([s, m], cone | carry_cone, fanout)
+                m, flips, cone_union = carry
+                dying = self._dying_set([s, m], cone_union, fanout)
                 if len(dying) > len(_ADDER_CELL.nodes):
                     taken |= dying
                     cells.append((s, m, leaves, table & 1, flips, dying))
@@ -411,19 +416,78 @@ class _Builder:
             counts["adder_cell"] += 1
         return bool(cells)
 
+    def _xor2s(self) -> dict[int, tuple[int, int, tuple[int, int], int]]:
+        """Node -> (a, b, its kids, 1 for an XNOR else 0) of each node of
+        lowering's XOR shape M(~M(a,b,0), M(a,b,1), 0) up to complements,
+        with a < b and the kids in ref order.  Its cone over leaves a and b
+        is the node and its kids, which read only a, b and the constant, so
+        its table (what `_cone_table(node, (a, b), 3)` walks) is read off
+        those three nodes' edges.  `_const_pair` runs once per node."""
+        nodes = self.nodes
+        pairs = [None if nd is None else _const_pair(nd) for nd in nodes]
+        masks, flip = _MASKS[2], _FLIPS[2]
+        xor2 = {}
+        for i, kids in enumerate(pairs):
+            if kids is None or kids[0] < 0:
+                continue
+            pair = pairs[kids[0]]
+            if pair is None or pair != pairs[kids[1]]:
+                continue
+            a, b = pair
+            vals = {REF_ZERO: 0, a: masks[0], b: masks[1]}
+            for k in kids:
+                vals[k] = _node_table(nodes[k], vals, flip)
+            table = _node_table(nodes[i], vals, flip)
+            if table in (0b0110, 0b1001):
+                xor2[i] = (a, b, kids, table & 1)
+        return xor2
+
+    def _xor3(self, s: int, inner: int, leaves: list[int],
+              xor2: dict) -> tuple[set[int], int | None]:
+        """`_cone_table(s, leaves, _CONE_CAP)` for the XOR2 s over the XOR2
+        `inner` and leaves[2], `inner` being over leaves[0] and leaves[1].
+        The cone is s, `inner` and their kids, and the table XNOR3 when
+        exactly one of the two is an XNOR2, else XOR3.  When leaves[2] is
+        one of inner's kids the walk stops at it, so that cone and its
+        table differ, and are walked."""
+        _, _, kids, xnor = xor2[inner]
+        if leaves[2] in kids:
+            return self._cone_table(s, leaves, self._CONE_CAP)
+        _, _, s_kids, s_xnor = xor2[s]
+        return {s, *s_kids, inner, *kids}, 0x69 if xnor ^ s_xnor else 0x96
+
     def _carry_of(self, cone: set[int], leaves: list[int], fanout: list[list[int]],
                   taken: set[int]) -> tuple[int, tuple, set[int]] | None:
         """(the first node outside `cone` and `taken` that reads it and
         whose function over `leaves` is MAJ up to complements, its
-        `_MAJ_FLIPS` entry, its cone), or None."""
-        n = len(self.nodes)  # the graph outputs' entry in `fanout`
+        `_MAJ_FLIPS` entry, its cone united with `cone`), or None.
+
+        `cone` is the XOR3's, which reads only `leaves`, the constant and
+        itself: its nodes are evaluated over the leaves once, in index
+        order.  A candidate whose three edges read only those nodes, the
+        leaves or the constant gets its table from one majority, and adds
+        only itself to the cone.  Any other candidate, such as a carry
+        outside lowering's shape, is walked (`_cone_table`)."""
+        nodes = self.nodes
+        n = len(nodes)  # the graph outputs' entry in `fanout`
         near = {f for k in cone for f in fanout[k]}
+        vals = dict(zip(leaves, _MASKS[3]))
+        vals[REF_ZERO] = 0
+        flip = _FLIPS[3]
+        for k in sorted(cone):
+            vals[k] = _node_table(nodes[k], vals, flip)
         for m in sorted(near - cone - taken):
             if m < n:
+                e0, e1, e2 = nd = nodes[m]
+                if e0 >> 1 in vals and e1 >> 1 in vals and e2 >> 1 in vals:
+                    flips = _MAJ_FLIPS.get(_node_table(nd, vals, flip))
+                    if flips is not None:
+                        return m, flips, cone | {m}
+                    continue
                 carry_cone, table = self._cone_table(m, leaves, self._CONE_CAP)
                 flips = _MAJ_FLIPS.get(table)
                 if flips is not None:
-                    return m, flips, carry_cone
+                    return m, flips, cone | carry_cone
         return None
 
     # -- cut rewriting ----------------------------------------------------------

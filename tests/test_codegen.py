@@ -1,4 +1,6 @@
+import hashlib
 import os
+import random
 import re
 import subprocess
 import sys
@@ -23,6 +25,7 @@ from pumkit.codegen import (
     format_microprogram,
     parse_microprogram,
     schedule,
+    spill_rows_used,
     verify_program,
 )
 from pumkit.errors import ArityError, CapacityError, ConfigError, MicroProgramError
@@ -321,6 +324,87 @@ END
         state.store_row(rm.input_rows[0], 0b10)
         state.run_program(prog)
         assert [state.load_row(row) for row in rm.output_rows] == g.eval_bulk([0b10], 2)
+
+
+def _wide_graph() -> MajGraph:
+    """Two nodes over the top inputs of 40, one read complemented: input
+    values sit far past the 2 * node_count entries of node values."""
+    n0 = (in_edge(39), in_edge(37) | 1, in_edge(38))
+    return MajGraph(40, [n0, (0, in_edge(36), EDGE_ONE)], [2, 1])
+
+
+def _deep_graph() -> MajGraph:
+    """25 nodes over 4 inputs: 12 nodes over inputs and constants, all
+    live until a pairwise reduction reads them (spilling), then two nodes
+    over the root, inputs and constants, so input and constant values
+    share the compute rows with many live nodes to the end."""
+    nodes = []
+    for k in range(12):
+        nodes.append((in_edge(k % 4), in_edge((k + 1) % 4) ^ (k & 1),
+                      EDGE_ZERO if k % 3 else EDGE_ONE))
+    alive = [k << 1 for k in range(12)]
+    j = 0
+    while len(alive) > 1:
+        nxt = []
+        for i in range(0, len(alive) - 1, 2):
+            third = in_edge(j % 4) ^ (j & 1) if j % 3 else (EDGE_ZERO, EDGE_ONE)[j & 1]
+            nodes.append((alive[i], alive[i + 1] ^ 1, third))
+            nxt.append(len(nodes) - 1 << 1)
+            j += 1
+        if len(alive) % 2:
+            nxt.append(alive[-1])
+        alive = nxt
+    root = len(nodes) - 1 << 1
+    nodes.append((root, in_edge(3) | 1, EDGE_ONE))
+    nodes.append((root ^ 1, in_edge(0), in_edge(2) | 1))
+    return MajGraph(4, nodes, [len(nodes) - 1 << 1, len(nodes) - 2 << 1 | 1, 2])
+
+
+class TestValueIndexedState:
+    """The scheduler keeps per-value state in lists indexed by the packed
+    value, node values first and input and constant values, which are
+    negative, in the tail.  Graphs with far more inputs than nodes, and
+    with far more nodes than inputs, pin their programs and run them."""
+
+    @staticmethod
+    def _run(g: MajGraph, rm: RowMap, prog: MicroProgram) -> None:
+        """The program's outputs equal `eval_bulk` on every assignment, or
+        on 256 seeded ones past 8 inputs."""
+        if g.input_count <= 8:
+            lanes = 1 << g.input_count
+            words = [sum(1 << t for t in range(lanes) if t >> i & 1)
+                     for i in range(g.input_count)]
+        else:
+            lanes = 256
+            rng = random.Random(30)
+            words = [rng.getrandbits(lanes) for _ in range(g.input_count)]
+        state = new_subarray(replace(DEFAULT_SUBARRAY, columns=lanes))
+        for row, word in zip(rm.input_rows, words):
+            state.store_row(row, word)
+        state.run_program(prog)
+        assert [state.load_row(row) for row in rm.output_rows] == g.eval_bulk(words, lanes)
+
+    def test_more_inputs_than_nodes(self):
+        g = _wide_graph()
+        rm = allocate_rows(g, DEFAULT_SUBARRAY)
+        prog = schedule(g, rm)
+        assert [c.render() for c in prog.commands] == [
+            "AAP D39 T0", "AAP D37 DCC0", "AAP ~DCC0 T1", "AAP D38 T2", "TRA T0 T1 T2",
+            "AAP D36 T3", "AAP C1 DCC0", "TRA T0 T3 DCC0",
+            "AAP T0 D40", "AAP T1 DCC0", "AAP ~DCC0 D41"]
+        assert verify_program(g, rm, prog)
+        self._run(g, rm, prog)
+
+    def test_more_nodes_than_inputs_with_spills(self):
+        g = _deep_graph()
+        rm = allocate_rows(g, DEFAULT_SUBARRAY)
+        prog = schedule(g, rm)
+        text = format_microprogram(prog)
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == "4f3909d326d520a5"
+        assert activation_count(prog) == (115, 25, 305)
+        assert spill_rows_used(prog, rm)
+        assert verify_program(g, rm, prog)
+        self._run(g, rm, prog)
 
 
 class TestCosts:

@@ -31,8 +31,10 @@ from pumkit.synthesis import (
     RewriteRule,
     _ADDER_CELL,
     _LIBRARY,
+    _MAJ_FLIPS,
     _Builder,
     _Template,
+    _const_pair,
     lower_to_maj,
     optimize,
     verify_rules,
@@ -521,6 +523,135 @@ class TestConeTable:
                     assert cone == reach
                     for rest in (0, -1):
                         assert table == _cut_values(b, tuple(leaves), root, rest)[root]
+
+
+def _kid_chain(width: int) -> MajGraph:
+    """`width` bits over a chained a and fresh inputs b, each an XOR3
+    shape whose outer operand is the inner XOR2's AND kid: y = M(a,b,0),
+    x = M(~y, M(a,b,1), 0), s = M(~M(x,y,0), M(x,y,1), 0), and
+    M(a, b, M(x,y,0)) is the next bit's a.  Each s is an output, then
+    the last a."""
+    nodes: list[tuple[int, int, int]] = []
+
+    def node(*edges: int) -> int:
+        nodes.append(tuple(sorted(edges)))
+        return len(nodes) - 1 << 1
+
+    a, outs = in_edge(0), []
+    for i in range(width):
+        b = in_edge(1 + i)
+        y = node(a, b, EDGE_ZERO)
+        x = node(y ^ 1, node(a, b, EDGE_ONE), EDGE_ZERO)
+        low = node(x, y, EDGE_ZERO)
+        outs.append(node(low ^ 1, node(x, y, EDGE_ONE), EDGE_ZERO))
+        a = node(a, b, low)
+    return MajGraph(width + 1, nodes, outs + [a])
+
+
+def _or_of_ands_chain(width: int) -> Netlist:
+    """A ripple chain of `width` full adders whose carry is an OR of three
+    ANDs, OR(OR(AND(a,c), AND(b,c)), AND(a,b)): the carry reads the XOR3's
+    cone only through AND(a,b), so it is found by the walk."""
+    gates: list[Gate] = []
+
+    def gate(kind, *ops):
+        gates.append(Gate(kind, ops))
+        return len(gates) - 1 << 1
+
+    carry, outs = in_edge(2 * width), []
+    for i in range(width):
+        a, b = in_edge(i), in_edge(width + i)
+        outs.append(gate("XOR", gate("XOR", a, b), carry))
+        either = gate("OR", gate("AND", a, carry), gate("AND", b, carry))
+        carry = gate("OR", either, gate("AND", a, b))
+    return Netlist(2 * width + 1, gates, outs + [carry])
+
+
+def _check_adder_shapes(b: _Builder) -> tuple[int, int, int]:
+    """Every XOR2 `_xor2s` finds, every XOR3 `_xor3` reads and every carry
+    `_carry_of` accepts (with nothing taken) against `_cone_table` walks
+    over the same leaves.  Returns how many of each were checked."""
+    want = {}  # lowering's XOR shape, its cone and table walked
+    for i, nd in enumerate(b.nodes):
+        kids = None if nd is None else _const_pair(nd)
+        if kids is None or kids[0] < 0:
+            continue
+        pair = _const_pair(b.nodes[kids[0]])
+        if pair is None or pair != _const_pair(b.nodes[kids[1]]):
+            continue
+        cone, table = b._cone_table(i, pair, 3)
+        if table in (0b0110, 0b1001):
+            assert cone == {i, *kids}
+            want[i] = (*pair, kids, table & 1)
+    xor2 = b._xor2s()
+    assert xor2 == want
+    fanout = b._fanout()
+    xor3s = carries = 0
+    for s, (u, v, _, _) in xor2.items():
+        for inner, c in ((u, v), (v, u)):
+            if inner not in xor2 or c in xor2[inner][:2]:
+                continue
+            leaves = [*xor2[inner][:2], c]
+            cone, table = b._xor3(s, inner, leaves, xor2)
+            assert (cone, table) == b._cone_table(s, leaves, _Builder._CONE_CAP)
+            if table not in (0x96, 0x69):
+                continue
+            xor3s += 1
+            expected = None  # the first consumer whose walked table is MAJ
+            for m in sorted({f for k in cone for f in fanout[k]} - cone):
+                if m < len(b.nodes):
+                    carry_cone, t = b._cone_table(m, leaves, _Builder._CONE_CAP)
+                    if t in _MAJ_FLIPS:
+                        expected = (m, _MAJ_FLIPS[t], cone | carry_cone)
+                        break
+            assert b._carry_of(cone, leaves, fanout, set()) == expected
+            carries += expected is not None
+    return len(xor2), xor3s, carries
+
+
+class TestAdderShapes:
+    """`adder_cells` reads XOR2s, XOR3s and carries off lowering's shapes
+    and keeps the `_cone_table` walk for every other cone; both must give
+    what the walk gives."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_shape_reads_agree_with_the_walk(self, seed):
+        rng = random.Random(seed)
+        width = rng.randint(1, 5)
+        for g, chain in ((lower_to_maj(_adder_chain(rng, width)), True),
+                         (lower_to_maj(_or_of_ands_chain(width)), True),
+                         (_random_graph(seed), False)):
+            b = _Builder.from_graph(g)
+            b.clean(Counter())
+            xor2s, xor3s, carries = _check_adder_shapes(b)
+            if chain:  # one full adder per bit
+                assert min(xor2s // 2, xor3s, carries) >= width
+
+    def test_a_carry_outside_lowering_shape_is_walked_to(self):
+        netlist = _or_of_ands_chain(4)
+        b = _Builder.from_graph(lower_to_maj(netlist))
+        counts = Counter()
+        b.clean(counts)
+        assert b.adder_cells(counts)
+        b.clean_compact(counts)
+        assert counts["adder_cell"] == 4
+        assert equivalent(netlist, b.to_graph())
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_an_outer_operand_that_is_an_inner_kid_is_walked(self, width):
+        """The walk stops at the AND kid, so it is no XOR3 over (a, b, y):
+        no cell is built, and the report is what the walk route gives."""
+        g = _kid_chain(width)
+        b = _Builder.from_graph(g)
+        b.clean(Counter())
+        assert _check_adder_shapes(b) == (2 * width, 0, 0)
+        opt, report = optimize(g, 2)
+        assert equivalent(g, opt)
+        assert report == {
+            1: (7, 2, 4, 1, 57, 22, (("cut_collapse", 1), ("cut_maj", 5), ("dead_node", 1))),
+            3: (21, 6, 12, 3, 169, 54, (("cut_collapse", 3), ("cut_maj", 15), ("dead_node", 3))),
+        }[width]
 
 
 def _gen_templates_script():
