@@ -6,18 +6,20 @@ Times `import pumkit` in `--runs` fresh `python -I` interpreters per
 tree, the way perfbench's `import_seconds` does (the same timer code),
 alternating between the `--src` trees (by default this checkout's `src`)
 so that each gets the same spells of a shared host.  Prints each tree's
-median and quartiles in milliseconds, then the ten largest self times
-of one `python -I -X importtime` run per tree.  Compare two commits by
-passing both trees: `--src src ../other/src`.
+median and quartiles in milliseconds and, for every other tree, the runs
+in which it beat the first, then the ten largest self times of one
+`python -I -X importtime` run per tree.  Compare two commits by passing
+both trees: `--src ../other/src src`.
 """
 
 from __future__ import annotations
 
 import argparse
-import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+from sweep_timing import print_samples
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -71,9 +73,7 @@ def main(argv: list[str] | None = None) -> int:
         for src in trees:
             samples[src].append(import_seconds(src))
     print(f"import pumkit, {args.runs} fresh interpreters per tree, milliseconds")
-    for src in trees:
-        q1, median, q3 = (s * 1e3 for s in statistics.quantiles(samples[src], n=4))
-        print(f"{src}: median {median:.1f}  quartiles {q1:.1f} .. {q3:.1f}")
+    print_samples(samples, "runs")
     for src in trees:
         print(f"\nlargest self times, one -X importtime run, {src}")
         for us, name in self_times(src)[:10]:

@@ -116,10 +116,10 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
-def print_samples(samples: dict[str, list[float]]) -> None:
+def print_samples(samples: dict[str, list[float]], rounds: str = "rounds") -> None:
     """Each tree's median and quartiles of its per-round seconds, in
-    milliseconds, and for every tree after the first the rounds in which
-    it beat the first."""
+    milliseconds, and for every tree after the first the rounds (named
+    `rounds`) in which it beat the first."""
     trees = list(samples)
     for src in trees:
         data = samples[src]  # a single round is its own median and quartiles
@@ -128,7 +128,7 @@ def print_samples(samples: dict[str, list[float]]) -> None:
     first = samples[trees[0]]
     for src in trees[1:]:
         wins = sum(a < b for a, b in zip(samples[src], first))
-        print(f"{src} faster than {trees[0]} in {wins} of {len(first)} rounds")
+        print(f"{src} faster than {trees[0]} in {wins} of {len(first)} {rounds}")
 
 
 if __name__ == "__main__":

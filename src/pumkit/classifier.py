@@ -20,11 +20,14 @@ import enum
 import io
 import math
 import re
-from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import MetricsError, MetricsRangeError
+from .errors import MetricsError, MetricsRangeError, Validated
 from .logic import _is_canonical_number, _is_plain_float_text
+
+
+# the types a metric or threshold may have; a bool is not a number here
+_REAL = (float, int)
 
 
 class BottleneckClass(enum.Enum):
@@ -36,58 +39,79 @@ class BottleneckClass(enum.Enum):
     COMPUTE_BOUND = "compute-bound"
 
 
-@dataclass(frozen=True)
-class Thresholds:
+class _ThresholdFields(NamedTuple):
     mpki_high: float = 10.0
     locality_high: float = 0.1
     ai_high: float = 0.25
     lfmr_high: float = 0.7
     trend_epsilon: float = 0.05
 
-    def __post_init__(self):
-        for name in ("mpki_high", "locality_high", "ai_high", "lfmr_high",
-                     "trend_epsilon"):
-            if not 0 < getattr(self, name) < math.inf:
+
+_FRACTIONS = ("locality_high", "lfmr_high")
+
+
+class Thresholds(Validated, _ThresholdFields):
+    """The decision tree's cuts: finite positive numbers, the locality
+    and LFMR ones below 1."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = _ThresholdFields.__new__(cls, *args, **kwargs)
+        for name, value in zip(cls._fields, self):
+            if type(value) not in _REAL:
+                raise MetricsRangeError(f"threshold {name} must be a number, got {value!r:.40}")
+            if not 0 < value < math.inf:
                 raise MetricsRangeError(f"threshold {name} must be finite and positive")
-        for name in ("locality_high", "lfmr_high"):
-            if not 0 < getattr(self, name) < 1:
+            if name in _FRACTIONS and not value < 1:
                 raise MetricsRangeError(f"threshold {name} must lie in (0,1)")
+        return self
 
 
 DEFAULT_THRESHOLDS = Thresholds()
 
 
-@dataclass(frozen=True)
-class MetricsRecord:
+class _MetricsFields(NamedTuple):
     function_name: str
     llc_mpki: float
     temporal_locality: float
     arithmetic_intensity: float
     lfmr_by_cores: dict[int, float]
 
-    def __post_init__(self):
-        if not 0 <= self.llc_mpki < math.inf:
-            raise MetricsRangeError(f"{self.function_name}: llc_mpki must be finite and >= 0")
-        if not 0 <= self.temporal_locality <= 1:
+
+class MetricsRecord(Validated, _MetricsFields):
+    """One profiled function: finite non-negative metrics, the locality a
+    fraction, and LFMR fractions keyed by strictly increasing core counts,
+    each an int >= 1."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = _MetricsFields.__new__(cls, *args, **kwargs)
+        name, mpki, locality, ai, lfmr = self
+        if type(mpki) not in _REAL or not 0 <= mpki < math.inf:
             raise MetricsRangeError(
-                f"{self.function_name}: temporal_locality must lie in [0,1]"
-            )
-        if not 0 <= self.arithmetic_intensity < math.inf:
+                f"{name}: llc_mpki must be a finite number >= 0, got {mpki!r:.40}")
+        if type(locality) not in _REAL or not 0 <= locality <= 1:
             raise MetricsRangeError(
-                f"{self.function_name}: arithmetic_intensity must be finite and >= 0"
-            )
-        if not self.lfmr_by_cores:
-            raise MetricsRangeError(f"{self.function_name}: need at least one LFMR entry")
-        cores = list(self.lfmr_by_cores)
-        if cores != sorted(set(cores)) or any(c < 1 for c in cores):
+                f"{name}: temporal_locality must be a number in [0,1], got {locality!r:.40}")
+        if type(ai) not in _REAL or not 0 <= ai < math.inf:
             raise MetricsRangeError(
-                f"{self.function_name}: core counts must be strictly increasing"
-            )
-        for c, v in self.lfmr_by_cores.items():
-            if not 0 <= v <= 1:
+                f"{name}: arithmetic_intensity must be a finite number >= 0, got {ai!r:.40}")
+        if not isinstance(lfmr, dict):
+            raise MetricsRangeError(f"{name}: lfmr_by_cores must be a dict, got {lfmr!r:.40}")
+        if not lfmr:
+            raise MetricsRangeError(f"{name}: need at least one LFMR entry")
+        last = 0
+        for c, v in lfmr.items():
+            if type(c) is not int or c <= last:  # a bool is not a core count
                 raise MetricsRangeError(
-                    f"{self.function_name}: LFMR@{c} must lie in [0,1]"
-                )
+                    f"{name}: core counts must be strictly increasing ints >= 1, got {c!r:.40}")
+            if type(v) not in _REAL or not 0 <= v <= 1:
+                raise MetricsRangeError(
+                    f"{name}: LFMR@{c} must be a number in [0,1], got {v!r:.40}")
+            last = c
+        return self
 
 
 def compute_lfmr(llc_misses: int, l1_misses: int) -> float:

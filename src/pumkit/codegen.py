@@ -34,11 +34,10 @@ from __future__ import annotations
 
 import functools
 import heapq
-from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 from .errors import (ArityError, CapacityError, ConfigError, ExecutionError,
-                     MicroProgramError)
+                     MicroProgramError, Validated)
 from .logic import (
     _MAX_DIGITS,
     REF_ZERO,
@@ -74,36 +73,44 @@ def data_row_index(token: str) -> int | None:
 MAX_TOTAL_ROWS = 65536
 
 
-@dataclass(frozen=True)
-class SubarrayConfig:
-    """Geometry of one subarray: data region plus the designated rows.
-
-    The eight designated rows (T0-T3, DCC0/DCC1, C0/C1) sit at the top of
-    the array; data rows occupy indices 0..data_row_count-1.
-    """
-
+class _SubarrayFields(NamedTuple):
     total_rows: int = 512
     columns: int = 65536
     data_row_count: int | None = None
 
-    def __post_init__(self):
-        if self.data_row_count is None and type(self.total_rows) is int:
-            object.__setattr__(self, "data_row_count", self.total_rows - 8)
-        for name, value in vars(self).items():
+
+class SubarrayConfig(Validated, _SubarrayFields):
+    """Geometry of one subarray: data region plus the designated rows.
+
+    The eight designated rows (T0-T3, DCC0/DCC1, C0/C1) sit at the top of
+    the array; data rows occupy indices 0..data_row_count-1.  A
+    `data_row_count` of None asks for every row below the designated ones.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = _SubarrayFields.__new__(cls, *args, **kwargs)
+        total, columns, data = self
+        if data is None and type(total) is int:
+            data = total - 8
+            self = tuple.__new__(cls, (total, columns, data))
+        for name, value in zip(cls._fields, self):
             if type(value) is not int:  # a bool is not one
                 raise ConfigError(f"{name} must be an int, got {value!r}")
-        if self.total_rows > MAX_TOTAL_ROWS:
+        if total > MAX_TOTAL_ROWS:
             raise ConfigError(
                 f"total_rows (subarray.rows) exceeds the {MAX_TOTAL_ROWS}-row limit")
-        if self.columns < 1:
+        if columns < 1:
             raise ConfigError("columns must be >= 1")
-        if self.data_row_count < 1:
+        if data < 1:
             raise ConfigError("need at least one data row")
-        if self.data_row_count + 8 > self.total_rows:
+        if data + 8 > total:
             raise ConfigError(
-                f"row groups overlap: {self.data_row_count} data rows plus 8 "
-                f"designated rows exceed {self.total_rows} total rows"
+                f"row groups overlap: {data} data rows plus 8 "
+                f"designated rows exceed {total} total rows"
             )
+        return self
 
     def row_index(self, token: str) -> int:
         """Physical index of a plain row token (aliases not accepted)."""
@@ -180,26 +187,43 @@ def _check_command(op: str, rows: tuple[str, ...]):
         raise MicroProgramError(f"unknown command {op!r}")
 
 
-@dataclass(frozen=True)
-class MicroProgram:
-    """Ordered AAP/TRA command list plus header metadata."""
-
+class _ProgramFields(NamedTuple):
     name: str
     width: int
     data_rows: int
     commands: tuple[Command, ...]
     lines: tuple[int, ...] | None = None  # source line numbers when parsed
-    # value ops over slots per (total_rows, data_row_count), in which a plain
-    # AAP copy is a rename and runs nothing; kept by `lower`
-    _lowered: dict | None = field(default=None, init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        if self.width < 1:
-            raise MicroProgramError(f"width={self.width} is below 1")
+
+class MicroProgram(Validated, _ProgramFields):
+    """Ordered AAP/TRA command list plus header metadata.
+
+    `lower` keeps its value ops per (total_rows, data_row_count) in
+    `_lowered`, an instance attribute outside the fields, so equality,
+    hashing, the repr and pickles leave it out and `_replace` drops it.
+    """
+
+    _lowered: dict | None = None  # until `lower` first runs the program
+
+    def __new__(cls, *args, **kwargs):
+        self = _ProgramFields.__new__(cls, *args, **kwargs)
+        width, data_rows = self.width, self.data_rows
+        if type(width) is not int:  # a bool is not one
+            raise MicroProgramError(f"width={width!r:.40} is not an int")
+        if width < 1:
+            raise MicroProgramError(f"width={width} is below 1")
+        if type(data_rows) is not int or data_rows < 0:
+            raise MicroProgramError(f"data_rows={data_rows!r:.40} is not an int >= 0")
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):  # pickled without the `_lowered` cache
-        return MicroProgram, (self.name, self.width, self.data_rows,
-                              self.commands, self.lines)
+        return MicroProgram, tuple(self)
 
     def line_of(self, i: int) -> int:
         # serialized layout: two header lines, then one command per line
@@ -279,7 +303,7 @@ def parse_microprogram(text: str) -> MicroProgram:
         raise MicroProgramError("missing UP/1 magic or header")
     if not ended:
         raise MicroProgramError("missing END")
-    return replace(header, commands=tuple(commands), lines=tuple(cmd_lines))
+    return header._replace(commands=tuple(commands), lines=tuple(cmd_lines))
 
 
 # --- operand-to-row mapping ----------------------------------------------

@@ -7,7 +7,7 @@ overrides are applied after the file.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .classifier import Thresholds
 from .codegen import SubarrayConfig
@@ -15,7 +15,7 @@ from .costmodel import CostParams
 from .errors import ConfigError
 from .logic import _is_canonical_number, _is_plain_float_text
 
-# key -> (section, dataclass field, type); defaults live in the dataclasses
+# key -> (section, record field, type); defaults live in the records
 _KEYS = {
     "subarray.rows": ("subarray", "total_rows", int),
     "subarray.columns": ("subarray", "columns", int),
@@ -28,8 +28,7 @@ _KEYS = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     subarray: SubarrayConfig
     cost: CostParams
     thresholds: Thresholds
@@ -78,7 +77,7 @@ def load_config(path: str | None = None, overrides: list[str] | None = None) -> 
 
 
 def build_config(values: dict[str, float | int]) -> RunConfig:
-    """Dataclass defaults, overridden by the keys present in `values`."""
+    """Record defaults, overridden by the keys present in `values`."""
     fields: dict[str, dict[str, float | int]] = {"subarray": {}, "cost": {}, "classify": {}}
     for key, val in values.items():
         if key not in _KEYS:

@@ -12,17 +12,15 @@ one precharge per command.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .codegen import DEFAULT_SUBARRAY, MicroProgram, activation_count
-from .errors import ConfigError
+from .errors import ConfigError, Validated
 
 NOT_CALIBRATED = "analytical estimate with placeholder parameters; not hardware-calibrated"
 
 
-@dataclass(frozen=True)
-class CostParams:
+class _CostFields(NamedTuple):
     t_aap_ns: float = 100.0
     t_tra_ns: float = 150.0
     e_act_pj: float = 900.0
@@ -31,11 +29,29 @@ class CostParams:
     banks: int = 1
     columns_per_subarray: int = DEFAULT_SUBARRAY.columns
 
-    def __post_init__(self):
-        for name in ("t_aap_ns", "t_tra_ns", "e_act_pj", "e_pre_pj",
-                     "transpose_ns_per_word", "banks", "columns_per_subarray"):
-            if not 0 < getattr(self, name) < math.inf:
+
+_COUNTS = ("banks", "columns_per_subarray")
+
+
+class CostParams(Validated, _CostFields):
+    """Per-command latencies and energies, the layout-conversion cost per
+    word, and the columns working in parallel: finite positive numbers,
+    of which the two counts are ints."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = _CostFields.__new__(cls, *args, **kwargs)
+        for name, value in zip(cls._fields, self):
+            if name in _COUNTS:
+                if type(value) is not int or value < 1:  # a bool is not one
+                    raise ConfigError(
+                        f"cost parameter {name} must be an int >= 1, got {value!r:.40}")
+            elif type(value) not in (float, int):
+                raise ConfigError(f"cost parameter {name} must be a number, got {value!r:.40}")
+            elif not 0 < value < math.inf:
                 raise ConfigError(f"cost parameter {name} must be finite and strictly positive")
+        return self
 
 
 DEFAULT_COST = CostParams()

@@ -1,4 +1,5 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the base of the
+records that raise them when built."""
 
 
 class PumError(Exception):
@@ -43,3 +44,17 @@ class MetricsRangeError(MetricsError):
 
 class ConfigError(PumError, ValueError):
     """Bad configuration file or key."""
+
+
+class Validated:
+    """First base of a NamedTuple subclass whose `__new__` validates.
+
+    A NamedTuple's `_replace` builds through `_make`, which skips
+    `__new__`; here `_make` calls the class, so `_replace` re-validates.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)

@@ -26,7 +26,6 @@ it.  Names exist only in the netlist text format, which spells edges
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .errors import ArityError, NetlistFormatError, TableSizeError
@@ -278,12 +277,34 @@ class MajGraph(Circuit):
 eval_netlist = eval_majgraph = Circuit.eval
 
 
-@dataclass(frozen=True)
 class TruthTable:
     """Exhaustive function table; mask j packs output j over all 2^n rows."""
 
-    input_count: int
-    masks: tuple[int, ...]
+    __slots__ = ("input_count", "masks")
+
+    def __init__(self, input_count: int, masks: tuple[int, ...]):
+        object.__setattr__(self, "input_count", input_count)
+        object.__setattr__(self, "masks", masks)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return TruthTable, (self.input_count, self.masks)
+
+    def __repr__(self) -> str:
+        return f"TruthTable(input_count={self.input_count!r}, masks={self.masks!r})"
+
+    def __eq__(self, other):
+        if type(other) is not TruthTable:
+            return NotImplemented
+        return (self.input_count, self.masks) == (other.input_count, other.masks)
+
+    def __hash__(self) -> int:
+        return hash((self.input_count, self.masks))
 
     def __len__(self) -> int:
         return 1 << self.input_count

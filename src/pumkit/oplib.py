@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .codegen import (
     DEFAULT_SUBARRAY,
@@ -465,7 +465,7 @@ def _stage_lanes(program, widths, out_width, inputs, cfg):
     """`_run_lanes` without the column bound: compile-time checks run
     their cases on `cfg`'s rows whatever its width."""
     lanes = len(inputs[0]) if inputs else 0
-    state = new_subarray(replace(cfg, columns=max(1, lanes)))
+    state = new_subarray(cfg._replace(columns=max(1, lanes)))
     base = 0
     for k, w in enumerate(widths):
         to_vertical(HorizontalBlock(tuple(inputs[k]), w), state, base)

@@ -28,7 +28,6 @@ C0/C1 are write-protected and re-checked after every program run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ConfigError, RowSafetyError
@@ -43,10 +42,24 @@ from .codegen import (
 )
 
 
-@dataclass
 class ExecutionReport:
-    aap_count: int = 0
-    tra_count: int = 0
+    """AAP and TRA counts of the commands run; mutable, so unhashable."""
+
+    __slots__ = ("aap_count", "tra_count")
+
+    def __init__(self, aap_count: int = 0, tra_count: int = 0):
+        self.aap_count = aap_count
+        self.tra_count = tra_count
+
+    def __repr__(self) -> str:
+        return f"ExecutionReport(aap_count={self.aap_count!r}, tra_count={self.tra_count!r})"
+
+    def __eq__(self, other):
+        if type(other) is not ExecutionReport:
+            return NotImplemented
+        return (self.aap_count, self.tra_count) == (other.aap_count, other.tra_count)
+
+    __hash__ = None
 
     @property
     def total_activations(self) -> int:

@@ -44,7 +44,6 @@ simulating it; a cone of more than ``_CONE_CAP`` nodes is not matched.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .codegen import DEFAULT_SUBARRAY, SubarrayConfig, estimate_cost_static
@@ -99,19 +98,36 @@ def lower_to_maj(netlist: Netlist) -> MajGraph:
 # --- template library for cut rewriting --------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
 class _Template:
     """Minimal majority structure for one cut function.
 
     Nodes reference leaf variable v as ref -(2+v), input v's ref, and
     earlier template nodes by index; `out` is a packed edge.  A template
-    hashes by identity, as `_SHAPES` looks one up per cut record.
+    compares and hashes by identity, as `_SHAPES` looks one up per cut
+    record.
     """
 
-    name: str
-    cost: int
-    nodes: tuple[tuple[int, int, int], ...]
-    out: int
+    __slots__ = ("name", "cost", "nodes", "out")
+
+    def __init__(self, name: str, cost: int, nodes: tuple[tuple[int, int, int], ...],
+                 out: int):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "cost", cost)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "out", out)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return _Template, (self.name, self.cost, self.nodes, self.out)
+
+    def __repr__(self) -> str:
+        return (f"_Template(name={self.name!r}, cost={self.cost!r}, "
+                f"nodes={self.nodes!r}, out={self.out!r})")
 
 
 def _adder_cell() -> _Template:

@@ -35,10 +35,9 @@ from __future__ import annotations
 import functools
 import sys
 from array import array
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .errors import CapacityError
+from .errors import CapacityError, Validated
 from .subarray import SubarrayState
 
 # Widest value a block holds: the 8-byte packed item.
@@ -107,29 +106,41 @@ def _unpack(buf: bytearray, size: int) -> list[int]:
     return packed.tolist()
 
 
-@dataclass(frozen=True)
-class HorizontalBlock:
-    """Conventional layout: a list of n-bit unsigned words."""
-
+class _BlockFields(NamedTuple):
     values: tuple[int, ...]
     bit_width: int
-    # the values packed little-endian, _item_size(bit_width) bytes each
-    _packed: bytes = field(default=b"", init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        width = self.bit_width
-        if not 1 <= width <= MAX_WIDTH:
-            raise CapacityError(f"bit width {width} outside 1..{MAX_WIDTH}")
-        values = tuple(self.values)
-        size = _item_size(width)
+
+class HorizontalBlock(Validated, _BlockFields):
+    """Conventional layout: a list of n-bit unsigned words.
+
+    `_packed`, the values packed little-endian, `_item_size(bit_width)`
+    bytes each, is an instance attribute outside the fields, so equality,
+    hashing and the repr leave it out.
+    """
+
+    def __new__(cls, values, bit_width):
+        if type(bit_width) is not int:  # a bool is not one
+            raise CapacityError(f"bit width {bit_width!r:.40} is not an int")
+        if not 1 <= bit_width <= MAX_WIDTH:
+            raise CapacityError(f"bit width {bit_width} outside 1..{MAX_WIDTH}")
+        values = tuple(values)
+        size = _item_size(bit_width)
         try:
             packed = _pack(values, size)
         except (TypeError, ValueError, OverflowError):
-            raise _misfit(values, width) from None
-        if width < 8 * size and max(values, default=0) >> width:
-            raise _misfit(values, width)
-        object.__setattr__(self, "values", values)
+            raise _misfit(values, bit_width) from None
+        if bit_width < 8 * size and max(values, default=0) >> bit_width:
+            raise _misfit(values, bit_width)
+        self = tuple.__new__(cls, (values, bit_width))
         object.__setattr__(self, "_packed", packed)
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def rows(self) -> list[int]:
         """Vertical bit rows as packed ints: bit j of row i is bit i of
@@ -158,9 +169,7 @@ def from_rows(rows, width: int, count: int) -> HorizontalBlock:
             col[b::8] = (row & lane_mask).to_bytes(words, "little")
         buf[k // 8::size] = _transpose8(int.from_bytes(col, "little"),
                                         masks).to_bytes(8 * words, "little")[:count]
-    block = object.__new__(HorizontalBlock)  # valid by construction
-    object.__setattr__(block, "values", tuple(_unpack(buf, size)))
-    object.__setattr__(block, "bit_width", width)
+    block = tuple.__new__(HorizontalBlock, (tuple(_unpack(buf, size)), width))  # valid
     object.__setattr__(block, "_packed", bytes(buf))
     return block
 

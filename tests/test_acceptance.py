@@ -305,7 +305,7 @@ def test_criterion_9_hardware_comparisons_not_reproduced():
         assert NOT_CALIBRATED in report.render()
         assert "not hardware-calibrated" in NOT_CALIBRATED
         # the model exposes only relative accounting knobs, no platform baselines
-        fields = set(CostParams.__dataclass_fields__)
+        fields = set(CostParams._fields)
         assert fields == {"t_aap_ns", "t_tra_ns", "e_act_pj", "e_pre_pj",
                           "transpose_ns_per_word", "banks",
                           "columns_per_subarray"}

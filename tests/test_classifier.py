@@ -153,6 +153,33 @@ class TestRecordValidation:
         with pytest.raises(MetricsRangeError):
             Thresholds(lfmr_high=1.5)
 
+    @pytest.mark.parametrize("fields, match", [
+        (("f", "1", 0.5, 0.1, {1: 0.5}), "llc_mpki must be a finite number >= 0, got '1'"),
+        (("f", 1.0, None, 0.1, {1: 0.5}), "temporal_locality must be a number"),
+        (("f", 1.0, 0.5, True, {1: 0.5}), "arithmetic_intensity must be a finite number"),
+        (("f", 1.0, 0.5, 0.1, [(1, 0.5)]), "lfmr_by_cores must be a dict"),
+        (("f", 1.0, 0.5, 0.1, {"1": 0.5}), "core counts .*ints >= 1, got '1'"),
+        (("f", 1.0, 0.5, 0.1, {1.5: 0.5}), "core counts .*ints >= 1, got 1.5"),
+        (("f", 1.0, 0.5, 0.1, {True: 0.5}), "core counts .*ints >= 1, got True"),
+        (("f", 1.0, 0.5, 0.1, {0: 0.5}), "core counts .*ints >= 1, got 0"),
+        (("f", 1.0, 0.5, 0.1, {1: 0.5, 16: 0.4, 8: 0.3}), "core counts .*ints >= 1, got 8"),
+        (("f", 1.0, 0.5, 0.1, {1: "0.5"}), "LFMR@1 must be a number in"),
+    ])
+    def test_record_fields_must_be_numbers(self, fields, match):
+        with pytest.raises(MetricsRangeError, match=f"^f: {match}"):
+            MetricsRecord(*fields)
+
+    def test_int_metrics_are_numbers(self):
+        assert MetricsRecord("f", 1, 0, 0, {1: 1, 4: 0}).llc_mpki == 1
+
+    @pytest.mark.parametrize("field, bad", [
+        ("mpki_high", "3"), ("locality_high", None), ("ai_high", True),
+        ("trend_epsilon", [0.1]),
+    ])
+    def test_thresholds_must_be_numbers(self, field, bad):
+        with pytest.raises(MetricsRangeError, match=f"threshold {field} must be a number"):
+            Thresholds(**{field: bad})
+
 
 HEADER = "function,llc_mpki,temporal_locality,arithmetic_intensity,lfmr@1,lfmr@16"
 
@@ -273,9 +300,9 @@ class TestCsv:
 
     def test_label_csv_builds_no_thresholds(self, monkeypatch):
         built = []
-        real = Thresholds.__post_init__
-        monkeypatch.setattr(Thresholds, "__post_init__",
-                            lambda self: built.append(1) or real(self))
+        real = Thresholds.__new__
+        monkeypatch.setattr(Thresholds, "__new__",
+                            lambda cls, *a, **k: built.append(1) or real(cls, *a, **k))
         rows = "".join(f"f{i},1,0.5,0.1,0.4,0.4\n" for i in range(1000))
         assert len(label_csv(f"{HEADER}\n{rows}").splitlines()) == 1001
         assert built == []

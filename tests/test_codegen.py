@@ -179,7 +179,7 @@ class TestSchedule:
         commands = compiled.program.commands
         wrong = 0
         for i in range(len(commands)):
-            mutant = replace(compiled.program, commands=commands[:i] + commands[i + 1:])
+            mutant = compiled.program._replace(commands=commands[:i] + commands[i + 1:])
             if execute_op(replace(compiled, program=mutant), lanes) != want:
                 wrong += 1
                 assert not verify_program(compiled.graph, compiled.rowmap, mutant), i
@@ -298,7 +298,7 @@ END
                        for c in prog.commands)
         assert verify_program(g, rm, prog)
         lanes = 1 << g.input_count
-        state = new_subarray(replace(DEFAULT_SUBARRAY, columns=lanes))
+        state = new_subarray(DEFAULT_SUBARRAY._replace(columns=lanes))
         words = [sum(1 << t for t in range(lanes) if t >> i & 1) for i in range(3)]
         for row, word in zip(rm.input_rows, words):
             state.store_row(row, word)
@@ -320,7 +320,7 @@ END
         moved = texts.index("AAP DCC0 T3")
         assert texts[moved + 1:moved + 4] == ["AAP T0 DCC0", "AAP ~DCC0 T0", "TRA T3 DCC1 T0"]
         assert verify_program(g, rm, prog)
-        state = new_subarray(replace(DEFAULT_SUBARRAY, columns=2))
+        state = new_subarray(DEFAULT_SUBARRAY._replace(columns=2))
         state.store_row(rm.input_rows[0], 0b10)
         state.run_program(prog)
         assert [state.load_row(row) for row in rm.output_rows] == g.eval_bulk([0b10], 2)
@@ -378,7 +378,7 @@ class TestValueIndexedState:
             lanes = 256
             rng = random.Random(30)
             words = [rng.getrandbits(lanes) for _ in range(g.input_count)]
-        state = new_subarray(replace(DEFAULT_SUBARRAY, columns=lanes))
+        state = new_subarray(DEFAULT_SUBARRAY._replace(columns=lanes))
         for row, word in zip(rm.input_rows, words):
             state.store_row(row, word)
         state.run_program(prog)
@@ -481,6 +481,21 @@ class TestTextFormat:
     def test_program_width_is_at_least_one(self):
         with pytest.raises(MicroProgramError, match="width=0"):
             MicroProgram("x", 0, 1, ())
+
+    @pytest.mark.parametrize("width, data_rows, match", [
+        ("3", 1, r"^width='3' is not an int$"),
+        (True, 1, r"^width=True is not an int$"),
+        (3.0, 1, r"^width=3.0 is not an int$"),
+        (3, -1, r"^data_rows=-1 is not an int >= 0$"),
+        (3, "1", r"^data_rows='1' is not an int >= 0$"),
+        (3, False, r"^data_rows=False is not an int >= 0$"),
+    ])
+    def test_program_header_fields_are_ints(self, width, data_rows, match):
+        with pytest.raises(MicroProgramError, match=match):
+            MicroProgram("x", width, data_rows, ())
+
+    def test_program_may_use_no_data_rows(self):
+        assert MicroProgram("noop", 1, 0, ()).data_rows == 0
 
     def test_parse_keeps_line_numbers(self):
         text = "UP/1\nop=x width=1 data_rows=2\n# staged\nAAP D0 T0\nEND\n"

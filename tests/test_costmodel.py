@@ -73,6 +73,23 @@ class TestEstimate:
         with pytest.raises(ConfigError):
             CostParams(banks=-1)
 
+    @pytest.mark.parametrize("field, bad, match", [
+        ("t_aap_ns", "3", "t_aap_ns must be a number, got '3'"),
+        ("e_act_pj", None, "e_act_pj must be a number"),
+        ("t_tra_ns", True, "t_tra_ns must be a number"),
+        ("banks", 1.5, "banks must be an int >= 1, got 1.5"),
+        ("banks", True, "banks must be an int >= 1, got True"),
+        ("banks", 0, "banks must be an int >= 1, got 0"),
+        ("columns_per_subarray", 64.0, "columns_per_subarray must be an int >= 1"),
+        ("columns_per_subarray", "64", "columns_per_subarray must be an int >= 1"),
+    ])
+    def test_params_must_be_numbers_and_counts_ints(self, field, bad, match):
+        with pytest.raises(ConfigError, match=f"^cost parameter {match}"):
+            CostParams(**{field: bad})
+
+    def test_int_latencies_are_numbers(self):
+        assert estimate(program(1, 0), CostParams(t_aap_ns=3)).latency_ns == 3
+
     def test_transpose_cost_is_per_word(self):
         params = CostParams(transpose_ns_per_word=2.5)
         assert transpose_cost_ns(10, params) == 25.0

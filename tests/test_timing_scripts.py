@@ -1,5 +1,5 @@
-"""Smoke test of the kernel timing scripts: each compares two source
-trees for one round and reports which was faster."""
+"""Smoke test of the timing scripts: each compares two source trees for
+one round or run and reports which was faster."""
 
 import shutil
 import subprocess
@@ -21,12 +21,14 @@ def src_copy(tmp_path_factory) -> Path:
     return copy
 
 
-@pytest.mark.parametrize("script", ["sweep_timing.py", "cut_timing.py", "cell_timing.py"])
+@pytest.mark.parametrize("script", ["sweep_timing.py", "cut_timing.py", "cell_timing.py",
+                                    "import_timing.py"])
 def test_script_times_two_trees(script, src_copy):
     src = ROOT / "src"
+    once = "--runs" if script == "import_timing.py" else "--rounds"
     done = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / script), "--src", str(src), str(src_copy),
-         "--rounds", "1"],
+         once, "1"],
         capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert f"{src_copy} faster than {src} in " in done.stdout

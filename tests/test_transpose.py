@@ -70,6 +70,11 @@ class TestToVertical:
         with pytest.raises(CapacityError):
             HorizontalBlock((0,), 65)
 
+    @pytest.mark.parametrize("width", ["3", 3.0, True, None])
+    def test_width_must_be_an_int(self, width):
+        with pytest.raises(CapacityError, match=f"^bit width {width!r} is not an int$"):
+            HorizontalBlock((1,), width)
+
     @pytest.mark.parametrize("values,width,match", [
         ((1, 1.5), 16, r"^value 1 is 1\.5, not an int$"),
         (("7",), 33, r"^value 0 is '7', not an int$"),
