@@ -51,7 +51,8 @@ CONST_ROWS = ("C0", "C1")
 SPECIAL_ROWS = COMPUTE_ROWS + DCC_ROWS + CONST_ROWS
 _ROW_NAMES = COMPUTE_ROWS + DCC_ROWS  # the compute group; scheduler row index -> token
 
-_FIXED_TOKENS = frozenset(SPECIAL_ROWS + ("~DCC0", "~DCC1"))
+_ALIAS_BASES = {"~" + r: r for r in DCC_ROWS}  # the DCC complement aliases
+_FIXED_TOKENS = frozenset((*SPECIAL_ROWS, *_ALIAS_BASES))
 
 
 def _is_data_token(token: str) -> bool:
@@ -60,8 +61,8 @@ def _is_data_token(token: str) -> bool:
 
 
 def alias_base(token: str) -> str | None:
-    """DCC complement alias -> underlying row, else None."""
-    return token[1:] if token.startswith("~") else None
+    """Complement alias (only ``~DCC0``, ``~DCC1``) -> its row, else None."""
+    return _ALIAS_BASES.get(token)
 
 
 def data_row_index(token: str) -> int | None:
@@ -207,7 +208,10 @@ class MicroProgram(Validated, _ProgramFields):
 
     def __new__(cls, *args, **kwargs):
         self = _ProgramFields.__new__(cls, *args, **kwargs)
-        width, data_rows = self.width, self.data_rows
+        name, width, data_rows = self.name, self.width, self.data_rows
+        if type(name) is not str or "#" in name or any(c.isspace() for c in name):
+            raise MicroProgramError(  # the .up header could not hold it
+                f"name={name!r:.40} is not a str without whitespace or '#'")
         if type(width) is not int:  # a bool is not one
             raise MicroProgramError(f"width={width!r:.40} is not an int")
         if width < 1:
@@ -215,15 +219,6 @@ class MicroProgram(Validated, _ProgramFields):
         if type(data_rows) is not int or data_rows < 0:
             raise MicroProgramError(f"data_rows={data_rows!r:.40} is not an int >= 0")
         return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):  # pickled without the `_lowered` cache
-        return MicroProgram, tuple(self)
 
     def line_of(self, i: int) -> int:
         # serialized layout: two header lines, then one command per line

@@ -1,5 +1,5 @@
-"""Exception types shared across the toolkit, and the base of the
-records that raise them when built."""
+"""Exception types shared across the toolkit, and `Frozen`, the one base
+of the immutable records that raise them when built."""
 
 
 class PumError(Exception):
@@ -46,12 +46,38 @@ class ConfigError(PumError, ValueError):
     """Bad configuration file or key."""
 
 
-class Validated:
-    """First base of a NamedTuple subclass whose `__new__` validates.
+class Frozen:
+    """Base of an immutable record, driven by `_fields` (a NamedTuple's
+    own, or ``_fields = __slots__``): it refuses assignment and deletion,
+    sets slots once through `_init(*values)`, pickles through the
+    constructor and prints ``Name(field=value, ...)``.  Equality is the
+    class's own; a slots class's is identity unless it defines one."""
 
-    A NamedTuple's `_replace` builds through `_make`, which skips
-    `__new__`; here `_make` calls the class, so `_replace` re-validates.
-    """
+    __slots__ = ()
+
+    def _init(self, *values):
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self._fields)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class Validated(Frozen):
+    """`Frozen` as the first base of a NamedTuple subclass whose `__new__`
+    validates.  A NamedTuple's `_replace` builds through `_make`, which
+    skips `__new__`; here `_make` calls the class, so `_replace`
+    re-validates."""
 
     __slots__ = ()
 

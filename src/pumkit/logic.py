@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .errors import ArityError, NetlistFormatError, TableSizeError
+from .errors import ArityError, Frozen, NetlistFormatError, TableSizeError
 
 MAX_TABLE_INPUTS = 16
 
@@ -99,15 +99,14 @@ def _enum_masks(n: int) -> list[int]:
     return masks
 
 
-class Circuit:
-    """What `Netlist` and `MajGraph` share: immutability, the edge range
-    check, and evaluation over packed edges, where gate or node k's value
-    is k's entry."""
+class Circuit(Frozen):
+    """What `Netlist` and `MajGraph` share: the edge range check and
+    evaluation over packed edges, where gate or node k's value is k's
+    entry.  Both compare by identity (`codegen._sweep`'s cache keys on
+    the graph) and keep `object`'s repr, not one listing every node."""
 
     __slots__ = ()
-
-    def __setattr__(self, name, value):  # immutable after construction
-        raise AttributeError(f"{type(self).__name__} is immutable")
+    __repr__ = object.__repr__
 
     @staticmethod
     def _check_input_count(input_count: int):
@@ -176,7 +175,7 @@ class Netlist(Circuit):
     `input_count` and earlier gates; `outputs` are edges too.
     """
 
-    __slots__ = ("input_count", "gates", "outputs")
+    __slots__ = _fields = ("input_count", "gates", "outputs")
     _ELEMENT = "gate"
     _COMPLEMENTS = False  # NOT is a gate
 
@@ -191,12 +190,7 @@ class Netlist(Circuit):
                 raise ArityError(
                     f"g{j}: {kind} takes {GATE_ARITY[kind]} operands, got {len(ops)}")
         self._check_edges([ops for _, ops in gates], outputs, input_count)
-        object.__setattr__(self, "input_count", input_count)
-        object.__setattr__(self, "gates", gates)
-        object.__setattr__(self, "outputs", outputs)
-
-    def __reduce__(self):  # pickle through the constructor, not attribute restores
-        return Netlist, (self.input_count, self.gates, self.outputs)
+        self._init(input_count, gates, outputs)
 
     @property
     def output_count(self) -> int:
@@ -229,7 +223,7 @@ class MajGraph(Circuit):
     explicit nodes.
     """
 
-    __slots__ = ("input_count", "packed_nodes", "packed_outputs")
+    __slots__ = _fields = ("input_count", "packed_nodes", "packed_outputs")
     _ELEMENT = "node"
     _COMPLEMENTS = True
 
@@ -242,12 +236,7 @@ class MajGraph(Circuit):
             if len(edges) != 3:
                 raise ArityError(f"n{k}: majority node takes exactly 3 edges")
         self._check_edges(nodes, outputs, input_count)
-        object.__setattr__(self, "input_count", input_count)
-        object.__setattr__(self, "packed_nodes", nodes)
-        object.__setattr__(self, "packed_outputs", outputs)
-
-    def __reduce__(self):  # pickle through the constructor, not attribute restores
-        return MajGraph, (self.input_count, self.packed_nodes, self.packed_outputs)
+        self._init(input_count, nodes, outputs)
 
     @property
     def output_count(self) -> int:
@@ -277,26 +266,13 @@ class MajGraph(Circuit):
 eval_netlist = eval_majgraph = Circuit.eval
 
 
-class TruthTable:
+class TruthTable(Frozen):
     """Exhaustive function table; mask j packs output j over all 2^n rows."""
 
-    __slots__ = ("input_count", "masks")
+    __slots__ = _fields = ("input_count", "masks")
 
     def __init__(self, input_count: int, masks: tuple[int, ...]):
-        object.__setattr__(self, "input_count", input_count)
-        object.__setattr__(self, "masks", masks)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return TruthTable, (self.input_count, self.masks)
-
-    def __repr__(self) -> str:
-        return f"TruthTable(input_count={self.input_count!r}, masks={self.masks!r})"
+        self._init(input_count, masks)
 
     def __eq__(self, other):
         if type(other) is not TruthTable:

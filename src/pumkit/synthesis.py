@@ -47,7 +47,7 @@ from collections import Counter
 from typing import NamedTuple
 
 from .codegen import DEFAULT_SUBARRAY, SubarrayConfig, estimate_cost_static
-from .errors import CapacityError, PumError, TableSizeError
+from .errors import CapacityError, Frozen, PumError, TableSizeError
 from .logic import (
     EDGE_ONE,
     EDGE_ZERO,
@@ -98,7 +98,7 @@ def lower_to_maj(netlist: Netlist) -> MajGraph:
 # --- template library for cut rewriting --------------------------------------
 
 
-class _Template:
+class _Template(Frozen):
     """Minimal majority structure for one cut function.
 
     Nodes reference leaf variable v as ref -(2+v), input v's ref, and
@@ -107,27 +107,11 @@ class _Template:
     record.
     """
 
-    __slots__ = ("name", "cost", "nodes", "out")
+    __slots__ = _fields = ("name", "cost", "nodes", "out")
 
     def __init__(self, name: str, cost: int, nodes: tuple[tuple[int, int, int], ...],
                  out: int):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "cost", cost)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "out", out)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return _Template, (self.name, self.cost, self.nodes, self.out)
-
-    def __repr__(self) -> str:
-        return (f"_Template(name={self.name!r}, cost={self.cost!r}, "
-                f"nodes={self.nodes!r}, out={self.out!r})")
+        self._init(name, cost, nodes, out)
 
 
 def _adder_cell() -> _Template:

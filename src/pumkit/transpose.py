@@ -116,7 +116,7 @@ class HorizontalBlock(Validated, _BlockFields):
 
     `_packed`, the values packed little-endian, `_item_size(bit_width)`
     bytes each, is an instance attribute outside the fields, so equality,
-    hashing and the repr leave it out.
+    hashing, the repr and pickles leave it out.
     """
 
     def __new__(cls, values, bit_width):
@@ -136,12 +136,6 @@ class HorizontalBlock(Validated, _BlockFields):
         object.__setattr__(self, "_packed", packed)
         return self
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
     def rows(self) -> list[int]:
         """Vertical bit rows as packed ints: bit j of row i is bit i of
         values[j]."""
@@ -156,6 +150,8 @@ class HorizontalBlock(Validated, _BlockFields):
 def from_rows(rows, width: int, count: int) -> HorizontalBlock:
     """Inverse of `HorizontalBlock.rows`: the `count` values whose bit i is
     bit j of rows[i]; bits at column `count` and above are ignored."""
+    if count < 0:
+        raise CapacityError(f"lane count {count} is negative")
     if not count or not 1 <= width <= MAX_WIDTH:
         return HorizontalBlock((), width)  # rejects the bad width
     size = _item_size(width)
@@ -193,6 +189,8 @@ class VerticalBlock(NamedTuple):
 
 
 def _check_region(state: SubarrayState, base_row: int, width: int, count: int):
+    if count < 0:
+        raise CapacityError(f"lane count {count} is negative")
     cfg = state.cfg
     if base_row < 0 or base_row + width > cfg.data_row_count:
         raise CapacityError(

@@ -494,6 +494,16 @@ class TestTextFormat:
         with pytest.raises(MicroProgramError, match=match):
             MicroProgram("x", width, data_rows, ())
 
+    def test_program_names_survive_the_text_format(self):
+        """The header splits on whitespace and drops what follows a '#',
+        and reads a str, so a name that these would change is refused."""
+        for name in ("add", "", "a=b", "x.y-z_1", "~DCC0"):
+            text = format_microprogram(MicroProgram(name, 2, 1, ()))
+            assert parse_microprogram(text).name == name
+        for name in ("a b", "a#b", 5, "a\tb", "a\nb", "a\u2028b", None):
+            with pytest.raises(MicroProgramError, match="^name=.* is not a str without"):
+                MicroProgram(name, 2, 1, ())
+
     def test_program_may_use_no_data_rows(self):
         assert MicroProgram("noop", 1, 0, ()).data_rows == 0
 

@@ -225,6 +225,13 @@ def test_netlist_refs_take_canonical_ascii_digits(gates, outputs):
 def test_netlist_immutable():
     with pytest.raises(AttributeError):
         AND2.input_count = 3
+    for circuit in (AND2, MajGraph(1, [], [-4])):
+        for name in type(circuit).__slots__:
+            with pytest.raises(AttributeError):
+                setattr(circuit, name, getattr(circuit, name))
+            with pytest.raises(AttributeError):
+                delattr(circuit, name)
+        assert circuit.input_count in (1, 2)  # still there
 
 
 def test_netlist_and_graph_unpickle(rng):

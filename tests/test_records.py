@@ -16,8 +16,9 @@ from pumkit.codegen import (DEFAULT_SUBARRAY, Command, MicroProgram, RowMap, Sub
                             lower)
 from pumkit.config import RunConfig
 from pumkit.costmodel import CompareResult, CostParams, CostReport
-from pumkit.errors import CapacityError, ConfigError, MetricsRangeError, MicroProgramError
-from pumkit.logic import MajGraph, TruthTable
+from pumkit.errors import (CapacityError, ConfigError, Frozen, MetricsRangeError,
+                           MicroProgramError, Validated)
+from pumkit.logic import Circuit, Gate, MajGraph, Netlist, TruthTable
 from pumkit.subarray import ExecutionReport
 from pumkit.synthesis import _ADDER_CELL, RewriteRule, RuleCheck, SynthesisReport, _Template
 from pumkit.transpose import HorizontalBlock, VerticalBlock, from_rows
@@ -224,3 +225,39 @@ def test_program_pickles_without_its_lowering():
     assert back == program and back._lowered is None
     block = pickle.loads(pickle.dumps(HorizontalBlock((1, 2, 3), 4)))
     assert block._packed == HorizontalBlock((1, 2, 3), 4)._packed
+
+
+# --- every Frozen record -------------------------------------------------------
+
+# one of each record class on the `Frozen` base
+SAMPLES = [*(r for r in FROZEN if isinstance(r, Frozen)), GRAPH,
+           Netlist(2, [Gate("AND", (-4, -6))], [0])]
+
+
+def _subclasses(cls) -> set[type]:
+    found = set(cls.__subclasses__())
+    return found.union(*map(_subclasses, found))
+
+
+def test_every_frozen_record_is_sampled():
+    """A record added later on `Frozen` must join `SAMPLES`, and so the
+    checks below; `Validated` and `Circuit` are bases, not records."""
+    loaded = {c for c in _subclasses(Frozen) if c.__module__.split(".")[0] == "pumkit"}
+    assert loaded == {type(r) for r in SAMPLES} | {Validated, Circuit}
+
+
+@pytest.mark.parametrize("record", SAMPLES, ids=[type(r).__name__ for r in SAMPLES])
+def test_frozen_records_refuse_changes_and_pickle(record):
+    fields = [getattr(record, name) for name in record._fields]
+    for name, value in zip(record._fields, fields):
+        with pytest.raises(AttributeError):
+            setattr(record, name, value)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    back = pickle.loads(pickle.dumps(record))
+    assert type(back) is type(record)
+    assert [getattr(back, name) for name in record._fields] == fields
+    if type(record).__repr__ is not object.__repr__:  # a circuit's repr is its address
+        assert repr(back) == repr(record)
+    if type(record).__eq__ is not object.__eq__:  # else equal by identity only
+        assert back == record

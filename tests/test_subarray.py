@@ -13,7 +13,7 @@ from pumkit.codegen import (
     lower,
     schedule,
 )
-from pumkit.errors import ConfigError, ExecutionError, RowSafetyError
+from pumkit.errors import ConfigError, ExecutionError, MicroProgramError, RowSafetyError
 from pumkit.logic import MajGraph
 from pumkit.subarray import ExecutionReport, new_subarray
 
@@ -362,6 +362,16 @@ class TestHostAccess:
     def test_read_constants(self):
         st = fresh()
         assert st.read_row("C0") == (0,) * 64
+
+    def test_only_dcc_rows_have_complement_aliases(self):
+        st = fresh()
+        st.store_row("DCC1", 5)
+        assert st.load_row("~DCC1") == st.load_row("C1") ^ 5
+        for token in ("~D0", "~T0", "~C0", "~C1", "~~DCC0"):
+            with pytest.raises(MicroProgramError, match="unknown row"):
+                st.load_row(token)
+        with pytest.raises(RowSafetyError):
+            st.store_row("~DCC0", 0)
 
     def test_write_constant_rejected(self):
         with pytest.raises(RowSafetyError):

@@ -223,6 +223,12 @@ class TestPackedRows:
         with pytest.raises(CapacityError):
             from_rows([1] * 65, 65, 1)
 
+    def test_negative_lane_counts_are_capacity_errors(self):
+        with pytest.raises(CapacityError, match="^lane count -1 is negative$"):
+            to_horizontal(fresh(), 0, 4, -1)
+        with pytest.raises(CapacityError, match="^lane count -3 is negative$"):
+            from_rows([0] * 4, 4, -3)
+
 
 def naive_transpose8(x: int, words: int) -> int:
     """Each 64-bit word of `x` transposed bit by bit: bit b of byte i goes
