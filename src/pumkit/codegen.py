@@ -26,8 +26,9 @@ two, so `schedule` emits the shipped graph's program from the sweep that
 scored it, its ``(op, rows)`` tuples becoming `Command`s as they are.
 `lower` is the one reading of the command set: the value ops that the
 simulator executes and `verify_program` replays symbolically.  The
-command rules (`_check_command`) are checked once per distinct command
-there, and on every line `parse_microprogram` reads.
+command rules (`_check_command`) are checked on every line
+`parse_microprogram` reads, and by `lower` once per distinct token and
+distinct command.
 """
 
 from __future__ import annotations
@@ -53,6 +54,8 @@ _ROW_NAMES = COMPUTE_ROWS + DCC_ROWS  # the compute group; scheduler row index -
 
 _ALIAS_BASES = {"~" + r: r for r in DCC_ROWS}  # the DCC complement aliases
 _FIXED_TOKENS = frozenset((*SPECIAL_ROWS, *_ALIAS_BASES))
+_COMPUTE_GROUP = frozenset(_ROW_NAMES)
+_SPECIAL_INDEX = {t: k for k, t in enumerate(SPECIAL_ROWS)}  # row token -> index above the data
 
 
 def _is_data_token(token: str) -> bool:
@@ -115,16 +118,17 @@ class SubarrayConfig(Validated, _SubarrayFields):
 
     def row_index(self, token: str) -> int:
         """Physical index of a plain row token (aliases not accepted)."""
+        k = _SPECIAL_INDEX.get(token)
+        if k is not None:
+            return self.total_rows - 8 + k
         i = data_row_index(token)
-        if i is not None:
-            if i >= self.data_row_count:
-                raise MicroProgramError(
-                    f"row {token} out of range (config has {self.data_row_count} data rows)"
-                )
-            return i
-        if token in SPECIAL_ROWS:
-            return self.total_rows - 8 + SPECIAL_ROWS.index(token)
-        raise MicroProgramError(f"unknown row {token!r}")
+        if i is None:
+            raise MicroProgramError(f"unknown row {token!r}")
+        if i >= self.data_row_count:
+            raise MicroProgramError(
+                f"row {token} out of range (config has {self.data_row_count} data rows)"
+            )
+        return i
 
 
 # The default subarray: every `cfg` parameter's default.
@@ -155,24 +159,37 @@ class Command(NamedTuple):
 
 def _check_command(op: str, rows: tuple[str, ...]):
     """`MicroProgramError` unless `op` over `rows` is a well-formed AAP or
-    TRA: known tokens, the arity, a writable AAP destination other than
-    its source, and three distinct compute-group rows for a TRA."""
+    TRA: known tokens (`_check_token`, in order), then its shape
+    (`_check_shape`)."""
     for t in rows:
-        if t not in _FIXED_TOKENS and not _is_data_token(t):
-            if len(t) > _MAX_DIGITS + 1:
-                raise MicroProgramError(
-                    f"row token {t[:_MAX_DIGITS]!r}... has {len(t)} characters; "
-                    f"a data row index has at most {_MAX_DIGITS} digits")
-            raise MicroProgramError(f"unknown row token {t!r}")
+        _check_token(t)
+    _check_shape(op, rows)
+
+
+def _check_token(t: str):
+    """`MicroProgramError` unless `t` is a row token: a designated row, a
+    ``~DCC`` alias or a canonical ``D<n>``."""
+    if t not in _FIXED_TOKENS and not _is_data_token(t):
+        if len(t) > _MAX_DIGITS + 1:
+            raise MicroProgramError(
+                f"row token {t[:_MAX_DIGITS]!r}... has {len(t)} characters; "
+                f"a data row index has at most {_MAX_DIGITS} digits")
+        raise MicroProgramError(f"unknown row token {t!r}")
+
+
+def _check_shape(op: str, rows: tuple[str, ...]):
+    """`MicroProgramError` unless `op` over the known tokens `rows` has a
+    command's shape: the arity, a writable AAP destination other than its
+    source, and three distinct compute-group rows for a TRA."""
     if op == "AAP":
         if len(rows) != 2:
             raise MicroProgramError("AAP takes exactly 2 rows")
         src, dst = rows
-        if alias_base(dst):
+        if dst in _ALIAS_BASES:
             raise MicroProgramError("complement alias is source-only")
         if dst in CONST_ROWS:
             raise MicroProgramError(f"AAP may not write constant row {dst}")
-        if (alias_base(src) or src) == dst:
+        if _ALIAS_BASES.get(src, src) == dst:
             raise MicroProgramError("AAP source and destination must differ")
     elif op == "TRA":
         if len(rows) != 3:
@@ -180,7 +197,7 @@ def _check_command(op: str, rows: tuple[str, ...]):
         if len(set(rows)) != 3:
             raise MicroProgramError("TRA rows must be distinct")
         for t in rows:
-            if t not in _ROW_NAMES:
+            if t not in _COMPUTE_GROUP:
                 raise MicroProgramError(
                     f"TRA operand {t} outside the compute/dual-contact group"
                 )
@@ -218,7 +235,15 @@ class MicroProgram(Validated, _ProgramFields):
             raise MicroProgramError(f"width={width} is below 1")
         if type(data_rows) is not int or data_rows < 0:
             raise MicroProgramError(f"data_rows={data_rows!r:.40} is not an int >= 0")
-        return self
+        try:  # stored as tuples, so that equal programs are equal and hashable
+            commands = tuple(self.commands)
+            lines = None if self.lines is None else tuple(self.lines)
+        except TypeError:
+            raise MicroProgramError("commands and lines must be sequences") from None
+        if lines is not None and len(lines) != len(commands):
+            raise MicroProgramError(
+                f"{len(lines)} line numbers for {len(commands)} commands")
+        return tuple.__new__(cls, (name, width, data_rows, commands, lines))
 
     def line_of(self, i: int) -> int:
         # serialized layout: two header lines, then one command per line
@@ -640,8 +665,8 @@ def spill_rows_used(program: MicroProgram, rowmap: RowMap) -> int:
     first, so this is its highest written row, counted from the region's
     start (0 when nothing spills)."""
     top = rowmap.spill_start
-    for c in program.commands:
-        i = data_row_index(c.rows[-1])  # a TRA names no data row
+    for dst in {rows[-1] for _, rows in program.commands}:  # a TRA names no data row
+        i = data_row_index(dst)
         if i is not None and top <= i < rowmap.spill_end:
             top = i + 1
     return top - rowmap.spill_start
@@ -667,11 +692,13 @@ def lower(program: MicroProgram, cfg: SubarrayConfig) -> tuple[list, list, int, 
     ops and `verify_program` replays them symbolically.
 
     Cached on the program per (total_rows, data_row_count); columns do not
-    enter, since a complement takes the running state's mask.  Each
-    distinct command is decoded, and each distinct token resolved, once.
-    Decoding checks the command rules (`_check_command`), raising
-    `MicroProgramError`, and that every row is in range, raising
-    `ExecutionError`; either names the command's line.
+    enter, since a complement takes the running state's mask.  The
+    command rules are `_check_command`'s, in its order, applied in two
+    halves (`_decode`): each distinct token is checked and resolved
+    once, and each distinct command's shape checked once.  A command
+    that breaks a rule raises `MicroProgramError`, and only one that
+    keeps them can raise `ExecutionError`, for a row out of range; either
+    names the command's line.
     """
     geometry = (cfg.total_rows, cfg.data_row_count)
     cache = program._lowered
@@ -733,25 +760,46 @@ def lower(program: MicroProgram, cfg: SubarrayConfig) -> tuple[list, list, int, 
     return hit
 
 
-def _decode(cmd: Command, n: int, program: MicroProgram, index: dict[str, int],
+def _decode(cmd: Command, n: int, program: MicroProgram, index: dict[str, int | None],
             cfg: SubarrayConfig) -> tuple[int, ...]:
     """`cmd`'s physical rows: (src, dst) for a plain AAP, (DCC row, dst,
-    -1) for a ``~DCC`` read, the three rows of a TRA.  A command that
+    -1) for a ``~DCC`` read, the three rows of a TRA.  `index` maps every
+    token met so far to its row, None for a data row out of range, so a
+    token is checked (`_check_token`) and resolved only when new to it;
+    the command's shape is checked next (`_check_shape`).  A command that
     breaks the rules is `MicroProgramError` with `parse_microprogram`'s
-    message for line n; tokens then resolve into `index`, and a row out
-    of range is `ExecutionError` naming line n."""
+    message for line n; only then is a row out of range `ExecutionError`
+    naming line n."""
+    op, toks = cmd
     try:
-        _check_command(*cmd)
+        for t in toks:
+            if t not in index:
+                _check_token(t)
+                index[t] = _row_or_none(cfg, t)
+        _check_shape(op, toks)
     except MicroProgramError as e:
         raise MicroProgramError(f"line {program.line_of(n)}: {e}") from e
+    if op == "TRA":  # three compute-group rows, always in range
+        a, b, c = toks
+        return index[a], index[b], index[c]
+    src, dst = toks
+    rows = (index[src], index[dst], -1) if src in _ALIAS_BASES else (index[src], index[dst])
+    if None in rows:
+        bad = dst if index[dst] is None else src  # the destination named first
+        try:
+            cfg.row_index(bad)
+        except MicroProgramError as e:
+            raise ExecutionError(f"line {program.line_of(n)}: {cmd.render()}: {e}") from e
+    return rows
+
+
+def _row_or_none(cfg: SubarrayConfig, token: str) -> int | None:
+    """The row a checked token reads under `cfg` (a ``~DCC`` alias its
+    DCC row's), or None for a data row beyond `cfg`'s."""
     try:
-        for t in reversed(cmd.rows):  # AAP: destination first
-            if t not in index:
-                index[t] = cfg.row_index(alias_base(t) or t)
-    except MicroProgramError as e:
-        raise ExecutionError(f"line {program.line_of(n)}: {cmd.render()}: {e}") from e
-    rows = tuple(index[t] for t in cmd.rows)
-    return (*rows, -1) if cmd.rows[0][0] == "~" else rows
+        return cfg.row_index(_ALIAS_BASES.get(token, token))
+    except MicroProgramError:
+        return None
 
 
 # --- dataflow audit -------------------------------------------------------
@@ -785,7 +833,17 @@ def verify_program(graph: MajGraph, rowmap: RowMap, program: MicroProgram) -> bo
         flip = (a & 1) + (b & 1) + (c & 1) >= 2
         if flip:
             a, b, c = a ^ 1, b ^ 1, c ^ 1
-        return intern.setdefault(tuple(sorted((a, b, c))), base + len(intern)) << 1 | flip
+        if a > b:  # sort the operands: the key of M(a, b, c) in every order
+            a, b = b, a
+        if b > c:
+            b, c = c, b
+            if a > b:
+                a, b = b, a
+        key = a, b, c
+        i = intern.get(key)
+        if i is None:
+            i = intern[key] = base + len(intern)
+        return i << 1 | flip
 
     v = [r << 1 for r in range(base)] + [0] * slots
     const = v[cfg.row_index("C0")]
@@ -793,15 +851,14 @@ def verify_program(graph: MajGraph, rowmap: RowMap, program: MicroProgram) -> bo
     for x, y, z, d in ops:
         v[d] = v[x] ^ 1 if y < 0 else maj(v[x], v[y], v[z])
 
-    leaf = [const] + [cfg.row_index(t) << 1 for t in rowmap.input_rows]
-    expected: list[int] = []  # per node
-
-    def edge_val(e: int) -> int:
-        return (expected[e >> 1] if e >= 0 else leaf[-1 - (e >> 1)]) ^ (e & 1)
-
-    for a, b, c in graph.packed_nodes:
-        expected.append(maj(edge_val(a), edge_val(b), edge_val(c)))
+    # the value each ref should have, indexed by ref: node k at k, and the
+    # inputs and the constant, negative refs, in the tail by negative indexing
+    expected = [0] * graph.node_count + [cfg.row_index(t) << 1
+                                         for t in reversed(rowmap.input_rows)] + [const]
+    for k, (a, b, c) in enumerate(graph.packed_nodes):
+        expected[k] = maj(expected[a >> 1] ^ (a & 1), expected[b >> 1] ^ (b & 1),
+                          expected[c >> 1] ^ (c & 1))
 
     final = dict(writes)
-    return all(v[final.get(r, r)] == edge_val(e) for r, e in
+    return all(v[final.get(r, r)] == expected[e >> 1] ^ (e & 1) for r, e in
                zip(map(cfg.row_index, rowmap.output_rows), graph.packed_outputs))

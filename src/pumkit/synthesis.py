@@ -743,6 +743,11 @@ class _Builder:
 
         candidates = []
         for cut, recs in by_cut.items():
+            if len(recs) == 1 and len(recs[0][0]) == 1:
+                # a lone one-node cone gains only when another node has its
+                # template's edges; that node reads these leaves, so it
+                # normally has a record here too and the cut is a group
+                continue
             groups = [tuple(recs)]
             if len(recs) > 1:
                 groups.extend((rec,) for rec in recs)

@@ -26,8 +26,9 @@ subarray's data rows (`SubarrayState.load_data_rows` /
 `store_data_rows`), one call per block, once `_check_region` has placed
 the block inside the data region.  Conversions touch only the addressed
 rows and columns; untouched cells are preserved exactly.  A block's
-values must be ints (bools count) that fit its width; anything else is
-a `CapacityError`.
+values must be ints (bools count) that fit its width, and a conversion's
+base row, width and lane count ints (bools do not count); anything else
+is a `CapacityError`.
 """
 
 from __future__ import annotations
@@ -189,6 +190,9 @@ class VerticalBlock(NamedTuple):
 
 
 def _check_region(state: SubarrayState, base_row: int, width: int, count: int):
+    for name, value in (("base row", base_row), ("bit width", width), ("lane count", count)):
+        if type(value) is not int:  # a bool is not one
+            raise CapacityError(f"{name} {value!r:.40} is not an int")
     if count < 0:
         raise CapacityError(f"lane count {count} is negative")
     cfg = state.cfg

@@ -417,6 +417,18 @@ class TestCosts:
         prog = MicroProgram("noop", 1, 0, ())
         assert activation_count(prog) == (0, 0, 0)
 
+    def test_spill_rows_count_to_the_highest_row_written(self):
+        """A spill row written twice counts once, a spill row only read
+        not at all, and the count runs from the region's start to the
+        highest row written in it."""
+        rm = RowMap(("D0",), ("D1",), 2, 8)
+        commands = [("AAP", ("D0", "T0")), ("AAP", ("T0", "D4")), ("AAP", ("D0", "T1")),
+                    ("AAP", ("T1", "D4")), ("AAP", ("D6", "T2")), ("TRA", ("T0", "T1", "T2")),
+                    ("AAP", ("D4", "D1"))]
+        prog = MicroProgram("x", 1, 2, tuple(Command(*c) for c in commands))
+        assert spill_rows_used(prog, rm) == 3  # D2, D3 and D4
+        assert spill_rows_used(prog._replace(commands=prog.commands[:1]), rm) == 0
+
     def test_not_program_counts(self):
         prog = schedule(NOT_A, allocate_rows(NOT_A, CFG))
         assert activation_count(prog) == (2, 0, 4)
@@ -506,6 +518,27 @@ class TestTextFormat:
 
     def test_program_may_use_no_data_rows(self):
         assert MicroProgram("noop", 1, 0, ()).data_rows == 0
+
+    def test_program_stores_commands_and_lines_as_tuples(self):
+        commands = [Command("AAP", ("D0", "T0")), Command("AAP", ("T0", "D1"))]
+        listed = MicroProgram("x", 1, 2, commands, [4, 6])
+        tupled = MicroProgram("x", 1, 2, tuple(commands), (4, 6))
+        assert (type(listed.commands), type(listed.lines)) == (tuple, tuple)
+        assert listed == tupled and hash(listed) == hash(tupled)
+        assert listed._replace(lines=None) == MicroProgram("x", 1, 2, commands)
+
+    @pytest.mark.parametrize("lines", [(), (7,), (7, 8, 9)])
+    def test_program_needs_one_line_number_per_command(self, lines):
+        commands = (Command("AAP", ("D0", "T0")), Command("AAP", ("T0", "D1")))
+        with pytest.raises(MicroProgramError,
+                           match=f"^{len(lines)} line numbers for 2 commands$"):
+            MicroProgram("x", 1, 2, commands, lines)
+
+    def test_program_commands_must_be_a_sequence(self):
+        with pytest.raises(MicroProgramError, match="must be sequences"):
+            MicroProgram("x", 1, 2, 5)
+        with pytest.raises(MicroProgramError, match="must be sequences"):
+            MicroProgram("x", 1, 2, (), 5)
 
     def test_parse_keeps_line_numbers(self):
         text = "UP/1\nop=x width=1 data_rows=2\n# staged\nAAP D0 T0\nEND\n"

@@ -102,6 +102,37 @@ class TestColumnOracle:
         with pytest.raises(ValueError, match="unknown operation"):
             oracle_lanes("nosuch", 4, [[1], [2]])
 
+    @pytest.mark.parametrize("kind", OP_KINDS)
+    def test_in_range_core_equals_oracle_lanes(self, kind):
+        """The lane check's oracle, on columns drawn in range as the lane
+        check draws them, gives `oracle_lanes`'s ints and leaves its
+        columns as they were."""
+        rng = random.Random(kind)
+        for width in [*range(1, 9), 16, 32, 33, 64]:
+            for n_inputs in range(2, 7) if kind in N_ARY else (2,):
+                widths = op_signature(kind, width, n_inputs)[0]
+                cases = pumkit.oplib._corner_lanes(kind, widths, rng)
+                cases += [tuple(rng.getrandbits(wk) for wk in widths) for _ in range(100)]
+                columns = [list(col) for col in zip(*cases)]
+                copy = [list(col) for col in columns]
+                got = pumkit.oplib._oracle_in_range(kind, width, columns)
+                assert got == oracle_lanes(kind, width, columns)
+                assert all(type(v) is int for v in got)
+                assert columns == copy
+
+    @pytest.mark.parametrize("kind", OP_KINDS)
+    def test_oracle_masks_out_of_range_operands(self, kind):
+        """Bits above an operand's width are ignored: ``if_then_else``'s
+        condition reads bit 0 alone, every other operand its low bits."""
+        rng = random.Random(kind)
+        for width in (1, 4, 8, 33):
+            widths = op_signature(kind, width, 3 if kind in N_ARY else 2)[0]
+            for _ in range(20):
+                lane = tuple(rng.getrandbits(wk) for wk in widths)
+                junk = tuple(v | rng.getrandbits(5) + 1 << wk for v, wk in zip(lane, widths))
+                assert oracle(kind, width, junk) == oracle(kind, width, lane)
+                assert oracle_lanes(kind, width, [[v] for v in junk]) == [oracle(kind, width, lane)]
+
 
 class TestRandomColumn:
     @pytest.mark.parametrize("n", [1, 4096])

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -227,6 +228,25 @@ class TestRunProgram:
             st.run_program(parse_microprogram(text))
         assert st.dump_rows() == before
         assert st.report == ExecutionReport()
+
+    @pytest.mark.parametrize("command, why", [
+        (Command("AAP", ("D40", "C1")), "AAP may not write constant row C1"),
+        (Command("AAP", ("D40", "D40")), "AAP source and destination must differ"),
+        (Command("AAP", ("D40", "~DCC0")), "complement alias is source-only"),
+        (Command("AAP", ("D40", "T0", "T1")), "AAP takes exactly 2 rows"),
+        (Command("TRA", ("T0", "T1", "D40")),
+         "TRA operand D40 outside the compute/dual-contact group"),
+        (Command("AAP", ("D40", "D3x")), "unknown row token 'D3x'"),
+    ])
+    def test_a_broken_rule_is_reported_before_a_row_out_of_range(self, command, why):
+        """D40 is outside CFG's 32 data rows; a command that names it and
+        also breaks a rule is refused for the rule, before any row changes."""
+        prog = MicroProgram("x", 1, 2, (Command("AAP", ("D0", "T0")), command))
+        st = fresh()
+        before = st.dump_rows()
+        with pytest.raises(MicroProgramError, match=f"^line 4: {re.escape(why)}$"):
+            st.run_program(prog)
+        assert st.dump_rows() == before
 
     @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
     def test_one_program_under_two_geometries_equals_stepping(self, rng, order):

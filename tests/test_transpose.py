@@ -229,6 +229,21 @@ class TestPackedRows:
         with pytest.raises(CapacityError, match="^lane count -3 is negative$"):
             from_rows([0] * 4, 4, -3)
 
+    @pytest.mark.parametrize("convert, match", [
+        (lambda st: to_horizontal(st, 0.5, 4, 4), "^base row 0.5 is not an int$"),
+        (lambda st: to_horizontal(st, 0, 4.0, 4), "^bit width 4.0 is not an int$"),
+        (lambda st: to_horizontal(st, 0, 4, 2.0), "^lane count 2.0 is not an int$"),
+        (lambda st: to_horizontal(st, True, 4, 4), "^base row True is not an int$"),
+        (lambda st: to_vertical(HorizontalBlock((1, 2), 4), st, 0.5),
+         "^base row 0.5 is not an int$"),
+    ])
+    def test_non_int_regions_are_capacity_errors(self, convert, match):
+        st = fresh()
+        before = st.dump_rows()
+        with pytest.raises(CapacityError, match=match):
+            convert(st)
+        assert st.dump_rows() == before
+
 
 def naive_transpose8(x: int, words: int) -> int:
     """Each 64-bit word of `x` transposed bit by bit: bit b of byte i goes
