@@ -54,8 +54,6 @@ _ROW_NAMES = COMPUTE_ROWS + DCC_ROWS  # the compute group; scheduler row index -
 
 _ALIAS_BASES = {"~" + r: r for r in DCC_ROWS}  # the DCC complement aliases
 _FIXED_TOKENS = frozenset((*SPECIAL_ROWS, *_ALIAS_BASES))
-_COMPUTE_GROUP = frozenset(_ROW_NAMES)
-_SPECIAL_INDEX = {t: k for k, t in enumerate(SPECIAL_ROWS)}  # row token -> index above the data
 
 
 def _is_data_token(token: str) -> bool:
@@ -118,17 +116,16 @@ class SubarrayConfig(Validated, _SubarrayFields):
 
     def row_index(self, token: str) -> int:
         """Physical index of a plain row token (aliases not accepted)."""
-        k = _SPECIAL_INDEX.get(token)
-        if k is not None:
-            return self.total_rows - 8 + k
         i = data_row_index(token)
-        if i is None:
-            raise MicroProgramError(f"unknown row {token!r}")
-        if i >= self.data_row_count:
-            raise MicroProgramError(
-                f"row {token} out of range (config has {self.data_row_count} data rows)"
-            )
-        return i
+        if i is not None:
+            if i >= self.data_row_count:
+                raise MicroProgramError(
+                    f"row {token} out of range (config has {self.data_row_count} data rows)"
+                )
+            return i
+        if token in SPECIAL_ROWS:
+            return self.total_rows - 8 + SPECIAL_ROWS.index(token)
+        raise MicroProgramError(f"unknown row {token!r}")
 
 
 # The default subarray: every `cfg` parameter's default.
@@ -197,7 +194,7 @@ def _check_shape(op: str, rows: tuple[str, ...]):
         if len(set(rows)) != 3:
             raise MicroProgramError("TRA rows must be distinct")
         for t in rows:
-            if t not in _COMPUTE_GROUP:
+            if t not in _ROW_NAMES:
                 raise MicroProgramError(
                     f"TRA operand {t} outside the compute/dual-contact group"
                 )
@@ -783,7 +780,7 @@ def _decode(cmd: Command, n: int, program: MicroProgram, index: dict[str, int | 
         a, b, c = toks
         return index[a], index[b], index[c]
     src, dst = toks
-    rows = (index[src], index[dst], -1) if src in _ALIAS_BASES else (index[src], index[dst])
+    rows = (index[src], index[dst], -1) if src[0] == "~" else (index[src], index[dst])
     if None in rows:
         bad = dst if index[dst] is None else src  # the destination named first
         try:
@@ -797,7 +794,7 @@ def _row_or_none(cfg: SubarrayConfig, token: str) -> int | None:
     """The row a checked token reads under `cfg` (a ``~DCC`` alias its
     DCC row's), or None for a data row beyond `cfg`'s."""
     try:
-        return cfg.row_index(_ALIAS_BASES.get(token, token))
+        return cfg.row_index(alias_base(token) or token)
     except MicroProgramError:
         return None
 

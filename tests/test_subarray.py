@@ -3,13 +3,15 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from pumkit.codegen import (
     Command,
     MicroProgram,
     SubarrayConfig,
+    _check_command,
+    alias_base,
     allocate_rows,
     lower,
     schedule,
@@ -130,6 +132,9 @@ _SMALL_AAP = hst.tuples(
 ).filter(lambda rows: rows[0].lstrip("~") != rows[1]).map(lambda rows: Command("AAP", rows))
 _SMALL_TRA = hst.permutations(["T0", "T1", "T2", "T3", "DCC0", "DCC1"]).map(
     lambda rows: Command("TRA", tuple(rows[:3])))
+# row tokens in and out of _SMALL's range, and tokens that are no rows
+_ANY_TOKENS = ["D0", "D7", "D8", "D40", "D03", "D" + "9" * 20, "T0", "T1", "T3", "DCC0",
+               "DCC1", "~DCC0", "~DCC1", "~T0", "C0", "C1", "X1"]
 
 
 class TestRunProgram:
@@ -326,6 +331,39 @@ class TestRunProgram:
                                for c in commands)
         written = {t for c in commands for t in (c.rows if c.op == "TRA" else c.rows[1:])}
         assert slots <= len(written)
+
+    @settings(max_examples=300, deadline=None)
+    @given(commands=hst.lists(hst.builds(
+        Command, hst.sampled_from(["AAP", "AAP", "TRA", "ZAP"]),
+        hst.lists(hst.sampled_from(_ANY_TOKENS), max_size=4).map(tuple)), min_size=1, max_size=8))
+    @example(commands=[Command("AAP", ("D0", "T0")), Command("AAP", ("D8", "D40"))])
+    def test_lowering_refuses_what_each_command_checked_in_turn_refuses(self, commands):
+        """`lower`'s token and shape halves give `_check_command`'s error,
+        then the first row out of range (the destination first), for the
+        first command in program order that has one, and no error when no
+        command has. Tokens repeat across commands, so most are met in an
+        earlier command first."""
+        want = None
+        for n, (op, rows) in enumerate(commands):
+            try:
+                _check_command(op, rows)
+                for t in reversed(rows):
+                    try:
+                        _SMALL.row_index(alias_base(t) or t)
+                    except MicroProgramError as e:
+                        want = ExecutionError, f"line {n + 3}: {Command(op, rows).render()}: {e}"
+                        break
+            except MicroProgramError as e:
+                want = MicroProgramError, f"line {n + 3}: {e}"
+            if want:
+                break
+        prog = MicroProgram("x", 1, 1, tuple(commands))
+        if want is None:
+            lower(prog, _SMALL)
+        else:
+            with pytest.raises(want[0]) as raised:
+                lower(prog, _SMALL)
+            assert str(raised.value) == want[1]
 
 
 # every writable row of the default geometry

@@ -22,8 +22,7 @@ def src_copy(tmp_path_factory) -> Path:
 
 
 @pytest.mark.parametrize("script", ["sweep_timing.py", "cut_timing.py", "cell_timing.py",
-                                    "check_timing.py",
-                                    "import_timing.py"])
+                                    "check_timing.py", "import_timing.py"])
 def test_script_times_two_trees(script, src_copy):
     src = ROOT / "src"
     once = "--runs" if script == "import_timing.py" else "--rounds"
